@@ -16,7 +16,7 @@ from gexpect.g_pde import (
     McControlSpec,
     MeshSpec,
     PdeProblem,
-    mc_value,
+    mc_values,
     residual_check,
     solve_gheat,
     solve_gpde,
@@ -50,8 +50,9 @@ print(f"2-d solve: grid spacing h={h:.3f}, dt={sol.dt:.4f}, "
 
 spec = McControlSpec(steps=64, n_paths=20_000, seed=6)
 print(f"{'probe':>14} {'pde':>8} {'mc':>8} {'gap':>8} {'tol':>8}")
-for probe in ([0.0, 0.0], [0.5, -0.5], [-0.4, 0.3]):
-    mc = mc_value(prob, probe, 0.0, spec)
+probes = ([0.0, 0.0], [0.5, -0.5], [-0.4, 0.3])
+# one simulation per constant policy serves every probe
+for probe, mc in zip(probes, mc_values(prob, probes, 0.0, spec)):
     pde = sol.value_at(0.0, probe)
     tol = 3.0 * mc.stderr + 10.0 * (h**2 + sol.dt)
     print(f"{str(probe):>14} {pde:8.4f} {mc.value:8.4f} "

@@ -45,6 +45,7 @@ __all__ = [
 ]
 
 FACTOR_TOL = 1e-9
+NESTED_ROWS = 256  # outer rows per payoff block in nested_expectation
 
 
 class FactorSet:
@@ -107,27 +108,34 @@ class ControlPolicy:
     def feedback(cls, rule: Callable, name: str = "feedback") -> "ControlPolicy":
         return cls(kind="feedback", rule=rule, name=name)
 
-    def select_indices(self, k, t, states, n_factors) -> np.ndarray:
-        """Factor index per path for step k starting at time t."""
-        n_paths = states.shape[0]
-        if self.kind == "constant":
-            idx = np.full(n_paths, self.index, dtype=int)
-        elif self.kind == "time_table":
+    @property
+    def reads_state(self) -> bool:
+        """False for constant and time-table policies, whose choice is fixed."""
+        return self.kind not in ("constant", "time_table")
+
+    def _fixed_index(self, k, n_factors) -> int:
+        """Factor index at step k of a policy that does not read the state."""
+        index = int(self.index)
+        if self.kind == "time_table":
             if k >= len(self.table):
                 raise ValueError(
                     f"time-table policy covers {len(self.table)} steps, "
                     f"needed step {k}"
                 )
-            idx = np.full(n_paths, self.table[k], dtype=int)
-        elif self.kind == "feedback":
-            raw = np.asarray(self.rule(t, states))
-            idx = np.broadcast_to(raw.astype(int), (n_paths,)).copy()
-        else:
+            index = self.table[k]
+        _check_index_range(index, index, n_factors)
+        return index
+
+    def select_indices(self, k, t, states, n_factors) -> np.ndarray:
+        """Factor index per path for step k starting at time t."""
+        n_paths = states.shape[0]
+        if not self.reads_state:
+            return np.full(n_paths, self._fixed_index(k, n_factors), dtype=int)
+        if self.kind != "feedback":
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        if idx.min() < 0 or idx.max() >= n_factors:
-            raise ValueError(
-                f"policy produced factor index outside [0, {n_factors})"
-            )
+        raw = np.asarray(self.rule(t, states))
+        idx = np.broadcast_to(raw.astype(int), (n_paths,)).copy()
+        _check_index_range(idx.min(), idx.max(), n_factors)
         return idx
 
     def describe(self) -> str:
@@ -171,6 +179,11 @@ class PolicyFamily:
         return policies
 
 
+def _check_index_range(lowest, highest, n_factors) -> None:
+    if lowest < 0 or highest >= n_factors:
+        raise ValueError(f"policy produced factor index outside [0, {n_factors})")
+
+
 def _bang_bang_rule(stat: Callable, i: int, j: int) -> Callable:
     def rule(t, states):
         return np.where(np.asarray(stat(states)) >= 0.0, i, j)
@@ -179,7 +192,13 @@ def _bang_bang_rule(stat: Callable, i: int, j: int) -> Callable:
 
 
 class PathBundle:
-    """Simulated paths on a uniform grid with their generating metadata."""
+    """Simulated paths on a uniform grid with their generating metadata.
+
+    ``states`` has shape (n_paths, steps + 1, N) and ``increments`` shape
+    (n_paths, steps, N).  ``simulate_gbm`` stores both time-major, as
+    (steps + 1, n_paths, N) and (steps, n_paths, N) arrays, and hands them
+    out as transposed views, so ``states[:, k, :]`` is one contiguous block.
+    """
 
     __slots__ = ("times", "states", "increments", "seed", "policy", "sigma")
 
@@ -218,6 +237,8 @@ class UpperEstimate(NamedTuple):
     value: float
     policy: ControlPolicy
     stderr: float
+    # (name, mean, stderr) of every policy in the family, in family order
+    per_policy: tuple[tuple[str, float, float], ...] = ()
 
 
 def simulate_gbm(
@@ -265,21 +286,27 @@ def simulate_gbm(
             f"normals must have shape {(steps, n_paths, n)}, got {normals.shape}"
         )
 
-    states = np.zeros((n_paths, steps + 1, n))
-    increments = np.empty((n_paths, steps, n))
+    gammas = factors.gammas
+    states = np.empty((steps + 1, n_paths, n))
+    states[0] = 0.0
+    increments = np.empty((steps, n_paths, n))
     for k in range(steps):
-        idx = policy.select_indices(k, times[k], states[:, k, :], len(factors))
-        z = normals[k]
-        if idx.min() == idx.max():
-            db = (z @ factors.gammas[idx[0]].T) * sqrt_dt
+        z, db = normals[k], increments[k]
+        if policy.reads_state:
+            idx = policy.select_indices(k, times[k], states[k], len(factors))
+            lowest, highest = idx.min(), idx.max()
         else:
-            db = np.empty_like(z)
+            lowest = highest = policy._fixed_index(k, len(factors))
+        if lowest == highest:
+            np.matmul(z, gammas[lowest].T, out=db)
+            db *= sqrt_dt
+        else:
             for i in np.unique(idx):
                 mask = idx == i
-                db[mask] = (z[mask] @ factors.gammas[i].T) * sqrt_dt
-        increments[:, k, :] = db
-        states[:, k + 1, :] = states[:, k, :] + db
-    return PathBundle(times, states, increments, seed, policy, sigma)
+                db[mask] = (z[mask] @ gammas[i].T) * sqrt_dt
+        np.add(states[k], db, out=states[k + 1])
+    return PathBundle(times, states.transpose(1, 0, 2), increments.transpose(1, 0, 2),
+                      seed, policy, sigma)
 
 
 def _policy_mean(sigma, policy, f, x0, T, steps, n_paths, seed, normals):
@@ -319,7 +346,8 @@ def estimate_upper_expectation(
     Every policy sees the same underlying normal draws (common random
     numbers), so each member's estimate is dominated by the returned value
     exactly, and scaling the payoff scales the value exactly.  Returns the
-    achieving policy and the standard error of its mean.
+    achieving policy, the standard error of its mean and every member's
+    mean and standard error.
     """
     x0 = as_coords(x0) if not np.isscalar(x0) else np.full(sigma.dim, float(x0))
     policies = build_policies(policy_family, len(sigma))
@@ -335,7 +363,10 @@ def estimate_upper_expectation(
     else:
         results = [one(p) for p in policies]
     best = max(range(len(policies)), key=lambda i: results[i][0])
-    return UpperEstimate(results[best][0], policies[best], results[best][1])
+    per_policy = tuple(
+        (pol.describe(), mean, se) for pol, (mean, se) in zip(policies, results)
+    )
+    return UpperEstimate(results[best][0], policies[best], results[best][1], per_policy)
 
 
 def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: int) -> float:
@@ -415,18 +446,22 @@ def nested_expectation(
             sigma, pol, outer_spec.n_paths, outer_spec.steps, outer_spec.T,
             split_seed(outer_spec.seed, 0),
         ).terminal
-        g_vals = None
-        for y in inner_samples:
-            vals = np.asarray(
-                f2(x[:, None, :], y[None, :, :]), dtype=float
-            )
-            if vals.shape != (x.shape[0], y.shape[0]):
-                raise ValueError(
-                    "f2 must broadcast (n_outer,1,N) x (1,n_inner,N) -> "
-                    "(n_outer, n_inner)"
-                )
-            mean_inner = vals.mean(axis=1)
-            g_vals = mean_inner if g_vals is None else np.maximum(g_vals, mean_inner)
+        g_vals = np.empty(x.shape[0])
+        # Row means do not depend on how the outer rows are blocked, so the
+        # payoff is evaluated NESTED_ROWS outer rows at a time.
+        for start in range(0, x.shape[0], NESTED_ROWS):
+            rows = x[start:start + NESTED_ROWS]
+            g_rows = None
+            for y in inner_samples:
+                vals = np.asarray(f2(rows[:, None, :], y[None, :, :]), dtype=float)
+                if vals.shape != (rows.shape[0], y.shape[0]):
+                    raise ValueError(
+                        "f2 must broadcast (n_outer,1,N) x (1,n_inner,N) -> "
+                        "(n_outer, n_inner)"
+                    )
+                mean_inner = vals.mean(axis=1)
+                g_rows = mean_inner if g_rows is None else np.maximum(g_rows, mean_inner)
+            g_vals[start:start + NESTED_ROWS] = g_rows
         best = max(best, float(g_vals.mean()))
     return best
 

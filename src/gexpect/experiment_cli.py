@@ -49,7 +49,7 @@ from .g_pde import (
     MeshSpec,
     PdeProblem,
     flow_property_discrepancy,
-    mc_value,
+    mc_values,
     ou_mild_path,
     solve_gheat,
     solve_gpde,
@@ -300,9 +300,12 @@ def _run_sigma_integral(cfg, out_dir, threads):
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
     for i in range(len(cfg.sigma)):
-        bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(i), n_paths, steps,
-                              T, split_seed(cfg.seed, i))
-        vals = integrate_elementary(phi, bundle).values
+        # no name holds the bundle, so it is freed before the next draw
+        vals = integrate_elementary(
+            phi,
+            simulate_gbm(cfg.sigma, ControlPolicy.constant(i), n_paths, steps, T,
+                         split_seed(cfg.seed, i)),
+        ).values
         emp = vals.T @ vals / n_paths
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
         records.append(
@@ -401,13 +404,7 @@ def _run_gheat(cfg, out_dir, threads):
     dest = out_dir / "gheat_slice.csv"
     write_slice_csv(sol, 0.0, dest)
     rows = [[float(x), float(u)] for x, u in zip(sol.axes[0], sol.values[0])]
-    sweep = []
-    for pol in _family(cfg.sigma).build(len(cfg.sigma)):
-        single = estimate_upper_expectation(
-            cfg.sigma, lambda x: f_line(x[:, 0]), x0, T, steps, n_paths,
-            [pol], cfg.seed, threads=threads,
-        )
-        sweep.append([pol.describe(), single.value, single.stderr])
+    sweep = [list(row) for row in est.per_policy]
     series = {
         "profile": {"columns": ["x", "u0"], "rows": rows},
         "policy-sweep": {"columns": ["policy", "value", "stderr"], "rows": sweep},
@@ -438,8 +435,8 @@ def _run_gpde(cfg, out_dir, threads):
     )
     spec = McControlSpec(steps=steps, n_paths=n_paths, seed=cfg.seed)
     records, rows = [], []
-    for i, probe in enumerate(probes):
-        mc = mc_value(prob, probe, 0.0, spec)
+    mcs = mc_values(prob, probes, 0.0, spec)
+    for i, (probe, mc) in enumerate(zip(probes, mcs)):
         pde = sol.value_at(0.0, probe)
         tol = 3.0 * mc.stderr + c_disc * (h**2 + sol.dt)
         records.append(

@@ -33,8 +33,8 @@ from .control_sim import (
     build_policies,
     simulate_gbm,
 )
-from .operator_core import SymOperator, as_coords, as_matrix
-from .stoch_integral import convolution_path
+from .operator_core import as_coords
+from .stoch_integral import _generator_diag, convolution_path
 
 __all__ = [
     "PdeProblem",
@@ -49,6 +49,7 @@ __all__ = [
     "ou_mild_path",
     "flow_property_discrepancy",
     "mc_value",
+    "mc_values",
     "write_slice_csv",
 ]
 
@@ -61,20 +62,6 @@ class CflError(ValueError):
         super().__init__(
             f"time step {dt:g} violates the CFL bound; need dt <= {required_dt:g}"
         )
-
-
-def _generator_diag(a_gen, dim: int) -> np.ndarray:
-    if a_gen is None:
-        return np.zeros(dim)
-    op = a_gen if isinstance(a_gen, SymOperator) else SymOperator(as_matrix(a_gen))
-    if op.dim != dim:
-        raise ValueError(f"generator dim {op.dim} != problem dim {dim}")
-    if not op.is_diagonal(1e-12):
-        raise ValueError("transport generator must be diagonal")
-    diag = np.diag(op.entries)
-    if np.any(diag > 1e-12):
-        raise ValueError("transport generator spectrum must be nonpositive")
-    return diag
 
 
 @dataclass(frozen=True)
@@ -473,32 +460,51 @@ def mc_value(
     Policies share the seed (hence the driving noise); the returned standard
     error belongs to the achieving policy.
     """
+    return mc_values(problem, [x0], t0, control_spec)[0]
+
+
+def mc_values(
+    problem: PdeProblem, probes, t0: float, control_spec: McControlSpec
+) -> list[McValue]:
+    """``mc_value`` at each probe, sharing simulations between probes.
+
+    A policy that does not read the state drives the same convolution at
+    every probe, which differs only in the flow term exp((T - t0) A) x0; it
+    is simulated once.  A feedback policy is simulated once per probe.
+    """
     if not 0.0 <= t0 < problem.T:
         raise ValueError(f"t0 must lie in [0, T), got {t0}")
-    policies = build_policies(control_spec.family, len(problem.sigma))
-    best_val, best_se = -math.inf, 0.0
-    for pol in policies:
-        bundle = ou_mild_path(
-            problem.a_gen,
-            problem.sigma,
-            pol,
-            x0,
-            t0,
-            problem.T,
-            control_spec.steps,
-            control_spec.n_paths,
-            control_spec.seed,
-        )
-        vals = np.asarray(problem.terminal_f(bundle.terminal), dtype=float)
-        if vals.shape != (control_spec.n_paths,):
-            raise ValueError(
-                "terminal data must map (n, dim) states to (n,) values"
+    sigma, steps, n_paths = problem.sigma, control_spec.steps, control_spec.n_paths
+    x0s = [
+        as_coords(x0) if not np.isscalar(x0) else np.full(sigma.dim, float(x0))
+        for x0 in probes
+    ]
+    diag = _generator_diag(problem.a_gen, sigma.dim)
+    flow_T = np.exp((problem.T - t0) * diag)
+    best = [(-math.inf, 0.0)] * len(x0s)
+    for pol in build_policies(control_spec.family, len(sigma)):
+        if pol.reads_state:
+            terminals = (
+                ou_mild_path(problem.a_gen, sigma, pol, x0, t0, problem.T, steps,
+                             n_paths, control_spec.seed).terminal
+                for x0 in x0s
             )
-        mean = float(vals.mean())
-        if mean > best_val:
-            best_val = mean
-            best_se = float(vals.std(ddof=1) / math.sqrt(vals.size))
-    return McValue(best_val, best_se)
+        else:
+            raw = simulate_gbm(sigma, pol, n_paths, steps, problem.T - t0,
+                               control_spec.seed)
+            conv_T = convolution_path(np.diag(diag), raw, substeps=steps)[:, -1]
+            del raw  # free the paths before the next policy is simulated
+            terminals = (conv_T + flow_T * x0 for x0 in x0s)
+        for i, terminal in enumerate(terminals):
+            vals = np.asarray(problem.terminal_f(terminal), dtype=float)
+            if vals.shape != (n_paths,):
+                raise ValueError(
+                    "terminal data must map (n, dim) states to (n,) values"
+                )
+            mean = float(vals.mean())
+            if mean > best[i][0]:
+                best[i] = (mean, float(vals.std(ddof=1) / math.sqrt(vals.size)))
+    return [McValue(value, se) for value, se in best]
 
 
 def write_slice_csv(solution: GridSolution, t: float, path) -> None:

@@ -345,9 +345,13 @@ def fubini_check(
     return FubiniCheck(diff, bool(diff <= 1e-10))
 
 
-def _diagonal_spectrum(a_gen) -> np.ndarray:
-    m = as_matrix(a_gen)
-    op = SymOperator(m)
+def _generator_diag(a_gen, dim: int) -> np.ndarray:
+    """Spectrum of a diagonal nonpositive generator; None is the zero generator."""
+    if a_gen is None:
+        return np.zeros(dim)
+    op = a_gen if isinstance(a_gen, SymOperator) else SymOperator(as_matrix(a_gen))
+    if op.dim != dim:
+        raise ValueError(f"generator dim {op.dim} != problem dim {dim}")
     if not op.is_diagonal(1e-12):
         raise ValueError("generator must be diagonal in the truncation basis")
     diag = np.diag(op.entries)
@@ -362,10 +366,10 @@ def convolution_path(a_gen, paths: PathBundle, substeps: int = 1) -> np.ndarray:
     Left-point elementary approximation on the bundle's (fine) grid, with the
     exact one-step recursion I_{k+1} = exp(dt A) (I_k + dB_k); values are
     returned on every ``substeps``-th grid time as an
-    (n_paths, n_coarse + 1, N) array.  A zero generator returns the paths
-    themselves exactly.
+    (n_paths, n_coarse + 1, N) view of time-major storage.  A zero generator
+    returns the paths themselves exactly.
     """
-    diag = _diagonal_spectrum(a_gen)
+    diag = _generator_diag(a_gen, paths.dim)
     if substeps < 1 or paths.n_steps % substeps != 0:
         raise ValueError(
             f"substeps={substeps} does not divide the {paths.n_steps}-step grid"
@@ -373,13 +377,15 @@ def convolution_path(a_gen, paths: PathBundle, substeps: int = 1) -> np.ndarray:
     dt = float(paths.times[1] - paths.times[0])
     decay = np.exp(dt * diag)
     n_coarse = paths.n_steps // substeps
-    out = np.zeros((paths.n_paths, n_coarse + 1, paths.dim))
+    out = np.empty((n_coarse + 1, paths.n_paths, paths.dim))
+    out[0] = 0.0
     current = np.zeros((paths.n_paths, paths.dim))
     for k in range(paths.n_steps):
-        current = (current + paths.increments[:, k, :]) * decay
+        current += paths.increments[:, k, :]
+        current *= decay
         if (k + 1) % substeps == 0:
-            out[:, (k + 1) // substeps, :] = current
-    return out
+            out[(k + 1) // substeps] = current
+    return out.transpose(1, 0, 2)
 
 
 def convolution_condition(
@@ -396,7 +402,7 @@ def convolution_condition(
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
     if quad_steps < 1:
         raise ValueError(f"quad_steps must be >= 1, got {quad_steps}")
-    diag = _diagonal_spectrum(a_gen)
+    diag = _generator_diag(a_gen, sigma.dim)
     diags_q = np.stack([np.diag(q) for q in sigma.matrices])
 
     def integral(m: int) -> float:

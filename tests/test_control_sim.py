@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gexpect import CovarianceSet
+from gexpect import CovarianceSet, control_sim
 from gexpect.control_sim import (
     ControlPolicy,
     FactorSet,
@@ -102,6 +102,42 @@ class TestSimulate:
         for k, (_, states) in enumerate(seen):
             assert np.array_equal(states, bundle.states[:, k, :])
 
+    @pytest.mark.parametrize("table", [(1,) * 6, (0, 1, 1, 0, 1, 0)])
+    def test_fixed_policies_match_feedback_and_reference(self, spread_2d, table):
+        # constant and time-table policies take their index without calling a
+        # rule; a rule returning the same indices, and the plain product-then-
+        # sum recursion, must give exactly the same paths
+        fixed = (ControlPolicy.constant(table[0]) if len(set(table)) == 1
+                 else ControlPolicy.time_table(table))
+        times = np.linspace(0.0, 1.5, len(table) + 1)
+        rule = lambda t, states: np.full(
+            states.shape[0], table[int(np.argmin(np.abs(times - t)))]
+        )
+        fast = simulate_gbm(spread_2d, fixed, 300, len(table), 1.5, seed=12)
+        loop = simulate_gbm(spread_2d, ControlPolicy.feedback(rule), 300, len(table),
+                            1.5, seed=12)
+        assert fast.states.shape == (300, len(table) + 1, 2)
+        assert np.array_equal(fast.states, loop.states)
+        assert np.array_equal(fast.increments, loop.increments)
+        gammas = FactorSet.from_covariance_set(spread_2d).gammas
+        normals = np.random.default_rng(12).standard_normal((len(table), 300, 2))
+        x = np.zeros((300, 2))
+        for k, i in enumerate(table):
+            db = (normals[k] @ gammas[i].T) * math.sqrt(1.5 / len(table))
+            assert np.array_equal(fast.increments[:, k, :], db)
+            x = x + db
+            assert np.array_equal(fast.states[:, k + 1, :], x)
+
+    def test_float_constant_index_selects_factor(self, spread_2d):
+        as_float = simulate_gbm(spread_2d, ControlPolicy.constant(1.0), 50, 3, 1.0, seed=4)
+        as_int = simulate_gbm(spread_2d, ControlPolicy.constant(1), 50, 3, 1.0, seed=4)
+        assert np.array_equal(as_float.states, as_int.states)
+
+    def test_states_are_time_major(self, band_1d):
+        bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 5, 1.0, seed=3)
+        assert bundle.states[:, 2, :].flags.c_contiguous
+        assert bundle.increments[:, 2, :].flags.c_contiguous
+
     def test_export_paths(self, band_1d, tmp_path):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 4, 3, 1.0, seed=6)
         csv_path = tmp_path / "paths.csv"
@@ -197,6 +233,19 @@ class TestUpperExpectation:
             )
             assert single.value <= est.value + 1e-12
 
+    def test_reports_every_member(self, band_1d):
+        # each member's entry is what a one-policy call returns
+        f = lambda x: np.cos(x[:, 0])
+        family = PolicyFamily(bang_bang_stat=first_coord)
+        est = estimate_upper_expectation(band_1d, f, 0.0, 1.0, 8, 3000, family, seed=17)
+        policies = family.build(len(band_1d))
+        assert [name for name, _, _ in est.per_policy] == [p.describe() for p in policies]
+        for pol, entry in zip(policies, est.per_policy):
+            single = estimate_upper_expectation(band_1d, f, 0.0, 1.0, 8, 3000, [pol],
+                                                seed=17)
+            assert entry == (pol.describe(), single.value, single.stderr)
+        assert est.value == max(mean for _, mean, _ in est.per_policy)
+
     def test_positive_homogeneity_exact(self, band_1d):
         f = lambda x: np.abs(x[:, 0])
         est1 = estimate_upper_expectation(band_1d, f, 0.0, 1.0, 8, 4000,
@@ -238,6 +287,14 @@ class TestNested:
             NestedSpec(n_paths=200, seed=1), NestedSpec(n_paths=200, seed=2),
         )
         assert v == 4.5
+
+    def test_row_blocks_do_not_change_value(self, band_1d, monkeypatch):
+        inner = NestedSpec(n_paths=600, seed=5)
+        outer = NestedSpec(n_paths=700, seed=6)
+        f2 = lambda x, y: np.cos(x[..., 0] - y[..., 0])
+        blocked = nested_expectation(band_1d, f2, inner, outer)
+        monkeypatch.setattr(control_sim, "NESTED_ROWS", 10_000)
+        assert nested_expectation(band_1d, f2, inner, outer) == blocked
 
     def test_sum_of_independent_decomposes(self, band_1d):
         # E[f1(X) + f2(Y)] = E[f1(X)] + E[f2(Y)] for Y independent of X

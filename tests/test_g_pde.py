@@ -13,6 +13,7 @@ from gexpect.g_pde import (
     PdeProblem,
     flow_property_discrepancy,
     mc_value,
+    mc_values,
     ou_mild_path,
     residual_check,
     solve_gheat,
@@ -242,6 +243,27 @@ class TestMcValue:
             pde = sol.value_at(0.0, probe)
             tol = 3.0 * mc.stderr + 10.0 * (h**2 + sol.dt) + 4.0 / spec.steps
             assert abs(pde - mc.value) <= tol, (probe, pde, mc.value, tol)
+
+    @pytest.mark.parametrize("bang_bang", [False, True])
+    def test_many_probes_match_one_at_a_time(self, bang_bang):
+        # shared simulations must give each probe what its own call gives,
+        # which is the supremum over the mild paths started at that probe
+        sigma = CovarianceSet([np.diag([1.0, 0.8]), np.diag([0.4, 0.2])])
+        a = np.diag([-1.0, -2.0])
+        f = lambda p: 0.5 * p[..., 0] ** 2 + np.sin(p[..., 1])
+        prob = PdeProblem(2, sigma, f, 0.5, ((-2.4, 2.4), (-2.4, 2.4)), a_gen=a)
+        family = PolicyFamily(bang_bang_stat=(lambda s: s[:, 0]) if bang_bang else None)
+        spec = McControlSpec(steps=8, n_paths=400, family=family, seed=7)
+        probes = [[0.0, 0.0], [0.5, -0.5], [-1.0, 0.4]]
+        got = mc_values(prob, probes, 0.1, spec)
+        assert got == [mc_value(prob, p, 0.1, spec) for p in probes]
+        for probe, mc in zip(probes, got):
+            means = [
+                float(np.mean(f(ou_mild_path(a, sigma, pol, probe, 0.1, 0.5, 8, 400,
+                                             seed=7).terminal)))
+                for pol in family.build(len(sigma))
+            ]
+            assert mc.value == max(means)
 
     def test_rejects_bad_t0(self, band_1d):
         prob = PdeProblem(1, band_1d, f_square, 1.0, ((-2.0, 2.0),))
