@@ -255,8 +255,10 @@ def simulate_gbm(
     Each increment over ``[t_k, t_{k+1}]`` is ``gamma Z_k sqrt(dt)`` with the
     factor chosen by the policy from ``(t_k, states_k)``.  Deterministic for
     a given seed.  ``normals`` injects a pre-drawn (steps, n_paths, N) block
-    of standard normals for common-random-number comparisons; by default it
-    is drawn from the seed, which is the same thing.
+    of standard normals for common-random-number comparisons; it is only
+    read.  By default the same block is drawn from the seed straight into
+    ``increments``, and each step overwrites its own normals with its
+    increment, so no separate normals block is held.
     """
     if steps < 1:
         raise ValueError(f"steps must be >= 1, got {steps}")
@@ -278,9 +280,11 @@ def simulate_gbm(
     dt = T / steps
     sqrt_dt = math.sqrt(dt)
     times = np.linspace(0.0, T, steps + 1)
+    increments = np.empty((steps, n_paths, n))
     if normals is None:
-        rng = np.random.default_rng(seed)
-        normals = rng.standard_normal((steps, n_paths, n))
+        # drawn in place: step k overwrites its own normals with its increment
+        # (np.matmul buffers an input that overlaps its output)
+        normals = np.random.default_rng(seed).standard_normal(out=increments)
     elif normals.shape != (steps, n_paths, n):
         raise ValueError(
             f"normals must have shape {(steps, n_paths, n)}, got {normals.shape}"
@@ -289,7 +293,6 @@ def simulate_gbm(
     gammas = factors.gammas
     states = np.empty((steps + 1, n_paths, n))
     states[0] = 0.0
-    increments = np.empty((steps, n_paths, n))
     for k in range(steps):
         z, db = normals[k], increments[k]
         if policy.reads_state:

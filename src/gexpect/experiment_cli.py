@@ -17,6 +17,7 @@ import math
 import os
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -76,6 +77,52 @@ class UsageError(Exception):
     pass
 
 
+@contextmanager
+def _bad_params(*keys):
+    """Report a value these params give that is rejected as a usage error."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        names = ", ".join(repr(k) for k in keys)
+        raise UsageError(f"param {names}: {exc}") from exc
+
+
+def _param(params, key, default, cast):
+    """``cast`` of one param; a value it rejects is a usage error naming the key."""
+    with _bad_params(key):
+        return cast(params.get(key, default))
+
+
+def _reject_constant(token):
+    raise UsageError(f"malformed JSON config: non-standard number {token}")
+
+
+def _strict_rows(series):
+    """Series with every non-finite number as None, so reports are strict JSON."""
+    return {
+        name: {**spec, "rows": [
+            [None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+            for row in spec["rows"]
+        ]}
+        for name, spec in series.items()
+    }
+
+
+def _floats(value):
+    return np.asarray(value, dtype=float)
+
+
+def _mesh(dim):
+    """Cast of a node-count param to a MeshSpec whose counts are checked now."""
+
+    def cast(value):
+        mesh = MeshSpec(nodes=int(value))
+        mesh.nodes_per_axis(dim)
+        return mesh
+
+    return cast
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -91,7 +138,7 @@ class ExperimentConfig:
         if not path.is_file():
             raise UsageError(f"config file not found: {path}")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(path.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed JSON config: {exc}") from exc
         for key in ("name", "kind", "sigma", "seed"):
@@ -102,13 +149,18 @@ class ExperimentConfig:
                 f"unknown kind {doc['kind']!r}; known: {', '.join(sorted(KINDS))}"
             )
         sigma_doc = doc["sigma"]
-        if isinstance(sigma_doc, str):
-            sigma_path = (path.parent / sigma_doc).resolve()
-            if not sigma_path.is_file():
-                raise UsageError(f"covariance-set file not found: {sigma_path}")
-            sigma = CovarianceSet.from_json(sigma_path.read_text())
-        else:
-            sigma = CovarianceSet.from_dict(sigma_doc)
+        try:
+            if isinstance(sigma_doc, str):
+                sigma_path = (path.parent / sigma_doc).resolve()
+                if not sigma_path.is_file():
+                    raise UsageError(f"covariance-set file not found: {sigma_path}")
+                sigma = CovarianceSet.from_json(sigma_path.read_text())
+            else:
+                sigma = CovarianceSet.from_dict(sigma_doc)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise UsageError(f"invalid sigma: {exc!r}") from exc
+        if not isinstance(doc.get("params", {}), dict):
+            raise UsageError("params must be a JSON object")
         seed = doc["seed"]
         if not isinstance(seed, int):
             raise UsageError("seed must be an integer (no implicit randomness)")
@@ -152,9 +204,9 @@ def _unit_directions(dim, count, seed):
 
 def _run_moments(cfg, out_dir, threads):
     p = cfg.params
-    m_max = int(p.get("m_max", 3))
-    n = int(p.get("n_samples", 100_000))
-    gn = GNormal(cfg.sigma, scale=float(p.get("scale", 1.0)))
+    m_max = _param(p, "m_max", 3, int)
+    n = _param(p, "n_samples", 100_000, int)
+    gn = _param(p, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
     records, rows = [], []
     for m in range(1, m_max + 1):
         b = moment_bounds_check(gn, m)
@@ -187,9 +239,9 @@ def _run_moments(cfg, out_dir, threads):
 
 def _run_band(cfg, out_dir, threads):
     p = cfg.params
-    count = int(p.get("n_directions", 4))
-    n = int(p.get("n_samples", 50_000))
-    gn = GNormal(cfg.sigma, scale=float(p.get("scale", 1.0)))
+    count = _param(p, "n_directions", 4, int)
+    n = _param(p, "n_samples", 50_000, int)
+    gn = _param(p, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
     dirs = _unit_directions(cfg.sigma.dim, count, split_seed(cfg.seed, 991))
     records, rows = [], []
     for i, h in enumerate(dirs):
@@ -219,10 +271,10 @@ def _family(sigma):
 
 def _run_isometry(cfg, out_dir, threads):
     p = cfg.params
-    T = float(p.get("T", 1.0))
-    steps = int(p.get("steps", 8))
-    n_paths = int(p.get("n_paths", 4000))
-    trials = int(p.get("trials", 5))
+    T = _param(p, "T", 1.0, float)
+    steps = _param(p, "steps", 8, int)
+    n_paths = _param(p, "n_paths", 4000, int)
+    trials = _param(p, "trials", 5, int)
     mode = p.get("mode", "adapted")
     part = np.linspace(0.0, T, steps + 1)
     rng = np.random.default_rng(split_seed(cfg.seed, 17))
@@ -251,10 +303,10 @@ def _run_isometry(cfg, out_dir, threads):
 
 def _run_bdg(cfg, out_dir, threads):
     p = cfg.params
-    T = float(p.get("T", 1.0))
-    steps = int(p.get("steps", 4))
-    n_paths = int(p.get("n_paths", 20_000))
-    p_values = [int(v) for v in p.get("p_values", [1, 2, 4])]
+    T = _param(p, "T", 1.0, float)
+    steps = _param(p, "steps", 4, int)
+    n_paths = _param(p, "n_paths", 20_000, int)
+    p_values = _param(p, "p_values", [1, 2, 4], lambda vs: [int(v) for v in vs])
     rng = np.random.default_rng(split_seed(cfg.seed, 29))
     dim = cfg.sigma.dim
     blocks = [rng.standard_normal((dim, dim)) for _ in range(steps)]
@@ -272,13 +324,13 @@ def _run_bdg(cfg, out_dir, threads):
 
 def _run_sigma_integral(cfg, out_dir, threads):
     p = cfg.params
-    a_diag = np.asarray(p.get("a_diag", [-0.5, -1.0]), dtype=float)
-    T = float(p.get("T", 1.0))
-    quad_steps = int(p.get("quad_steps", 2000))
-    steps = int(p.get("steps", 32))
-    n_paths = int(p.get("n_paths", 20_000))
-    closed_tol = float(p.get("closed_tol", 1e-6))
-    frob_tol = float(p.get("frobenius_tol", 0.05))
+    a_diag = _param(p, "a_diag", [-0.5, -1.0], _floats)
+    T = _param(p, "T", 1.0, float)
+    quad_steps = _param(p, "quad_steps", 2000, int)
+    steps = _param(p, "steps", 32, int)
+    n_paths = _param(p, "n_paths", 20_000, int)
+    closed_tol = _param(p, "closed_tol", 1e-6, float)
+    frob_tol = _param(p, "frobenius_tol", 0.05, float)
     if a_diag.size != cfg.sigma.dim:
         raise UsageError("a_diag length must equal the covariance-set dimension")
 
@@ -328,9 +380,9 @@ def _run_sigma_integral(cfg, out_dir, threads):
 
 def _run_fubini(cfg, out_dir, threads):
     p = cfg.params
-    steps = int(p.get("steps", 6))
-    weights = [float(w) for w in p.get("weights", [0.5, 0.5])]
-    n_paths = int(p.get("n_paths", 50))
+    steps = _param(p, "steps", 6, int)
+    weights = _param(p, "weights", [0.5, 0.5], lambda ws: [float(w) for w in ws])
+    n_paths = _param(p, "n_paths", 50, int)
     dim = cfg.sigma.dim
     bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, 1.0,
                           cfg.seed)
@@ -366,16 +418,17 @@ def _run_gheat(cfg, out_dir, threads):
     if terminal not in _TERMINALS:
         raise UsageError(f"unknown terminal {terminal!r}")
     f_grid, f_line = _TERMINALS[terminal]
-    T = float(p.get("T", 0.5))
-    x0 = float(p.get("x0", 0.3))
-    box = tuple(p.get("box", [-3.0, 3.0]))
-    nodes = int(p.get("nodes", 121))
-    lattice_steps = int(p.get("lattice_steps", 600))
-    steps = int(p.get("steps", 16))
-    n_paths = int(p.get("n_paths", 20_000))
+    T = _param(p, "T", 0.5, float)
+    x0 = _param(p, "x0", 0.3, float)
+    box = _param(p, "box", [-3.0, 3.0], tuple)
+    mesh = _param(p, "nodes", 121, _mesh(1))
+    lattice_steps = _param(p, "lattice_steps", 600, int)
+    steps = _param(p, "steps", 16, int)
+    n_paths = _param(p, "n_paths", 20_000, int)
 
-    prob = PdeProblem(1, cfg.sigma, f_grid, T, (box,))
-    sol = solve_gheat(prob, MeshSpec(nodes=nodes))
+    with _bad_params("T", "box"):
+        prob = PdeProblem(1, cfg.sigma, f_grid, T, (box,))
+    sol = solve_gheat(prob, mesh)
     h = sol.axes[0][1] - sol.axes[0][0]
     disc = 2.0 * (h**2 + sol.dt)
     band = project_band(GNormal(cfg.sigma), [1.0])
@@ -416,19 +469,20 @@ def _run_gpde(cfg, out_dir, threads):
     p = cfg.params
     if cfg.sigma.dim != 2:
         raise UsageError("gpde experiment is two-dimensional")
-    a_diag = np.asarray(p.get("a_diag", [-1.0, -2.0]), dtype=float)
-    quad = np.asarray(p.get("quad_coeffs", [0.5, 0.3]), dtype=float)
-    T = float(p.get("T", 0.5))
-    box = tuple(p.get("box", [-2.4, 2.4]))
-    nodes = int(p.get("nodes", 49))
-    steps = int(p.get("steps", 64))
-    n_paths = int(p.get("n_paths", 20_000))
-    n_probes = int(p.get("n_probes", 10))
-    c_disc = float(p.get("c_disc", 10.0))
+    a_diag = _param(p, "a_diag", [-1.0, -2.0], _floats)
+    quad = _param(p, "quad_coeffs", [0.5, 0.3], _floats)
+    T = _param(p, "T", 0.5, float)
+    box = _param(p, "box", [-2.4, 2.4], tuple)
+    mesh = _param(p, "nodes", 49, _mesh(2))
+    steps = _param(p, "steps", 64, int)
+    n_paths = _param(p, "n_paths", 20_000, int)
+    n_probes = _param(p, "n_probes", 10, int)
+    c_disc = _param(p, "c_disc", 10.0, float)
 
     f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
-    prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
-    sol = solve_gpde(prob, MeshSpec(nodes=nodes))
+    with _bad_params("a_diag", "T", "box"):
+        prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
+    sol = solve_gpde(prob, mesh)
     h = sol.axes[0][1] - sol.axes[0][0]
     probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (
         0.5 * (box[1] - box[0]) * 0.25
@@ -445,11 +499,12 @@ def _run_gpde(cfg, out_dir, threads):
         )
         rows.append([i, float(probe[0]), float(probe[1]), pde, mc.value, mc.stderr])
 
-    lam = float(p.get("scalar_lambda", 0.8))
+    lam = _param(p, "scalar_lambda", 0.8, float)
     band1 = CovarianceSet([[[1.0]], [[0.25]]], label="unit-band")
-    prob1 = PdeProblem(1, band1, lambda q: q[..., 0] ** 2, T, ((-3.0, 3.0),),
-                       a_gen=np.array([[-lam]]))
-    sol1 = solve_gpde(prob1, MeshSpec(nodes=int(p.get("scalar_nodes", 241))))
+    with _bad_params("scalar_lambda"):
+        prob1 = PdeProblem(1, band1, lambda q: q[..., 0] ** 2, T, ((-3.0, 3.0),),
+                           a_gen=np.array([[-lam]]))
+    sol1 = solve_gpde(prob1, _param(p, "scalar_nodes", 241, _mesh(1)))
     want = math.exp(-2 * lam * T) * 0.25 + (1 - math.exp(-2 * lam * T)) / (2 * lam)
     got = sol1.value_at(0.0, [0.5])
     h1 = sol1.axes[0][1] - sol1.axes[0][0]
@@ -467,14 +522,14 @@ def _run_gpde(cfg, out_dir, threads):
 
 def _run_ou(cfg, out_dir, threads):
     p = cfg.params
-    a_diag = np.asarray(p.get("a_diag", [-1.0] * cfg.sigma.dim), dtype=float)
+    a_diag = _param(p, "a_diag", [-1.0] * cfg.sigma.dim, _floats)
     if a_diag.size != cfg.sigma.dim:
         raise UsageError("a_diag length must equal the covariance-set dimension")
-    T = float(p.get("T", 1.0))
-    steps = int(p.get("steps", 200))
-    n_paths = int(p.get("n_paths", 20_000))
-    substeps = int(p.get("substeps", 10))
-    beta = float(p.get("beta", 0.5))
+    T = _param(p, "T", 1.0, float)
+    steps = _param(p, "steps", 200, int)
+    n_paths = _param(p, "n_paths", 20_000, int)
+    substeps = _param(p, "substeps", 10, int)
+    beta = _param(p, "beta", 0.5, float)
     a_mat = np.diag(a_diag)
 
     bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T,
@@ -508,13 +563,14 @@ def _run_ou(cfg, out_dir, threads):
     records.append(check_record("flow-property", gap, 0.0, 1e-10, gap <= 1e-10))
 
     cond = convolution_condition(a_mat, cfg.sigma, beta, T,
-                                 int(p.get("quad_steps", 2000)))
+                                 _param(p, "quad_steps", 2000, int))
     records.append(
         check_record("convolution-condition", cond.value, 0.0, 0.0, cond.finite)
     )
     csv_dest = out_dir / "ou_paths.csv"
     meta_dest = out_dir / "ou_paths.json"
-    export_paths(mild, csv_dest, meta_dest, max_paths=int(p.get("export_paths", 20)))
+    export_paths(mild, csv_dest, meta_dest,
+                 max_paths=_param(p, "export_paths", 20, int))
     cols = (["t"] + [f"emp{d}" for d in range(cfg.sigma.dim)]
             + [f"exact{d}" for d in range(cfg.sigma.dim)])
     series = {"variance": {"columns": cols, "rows": rows}}
@@ -524,12 +580,14 @@ def _run_ou(cfg, out_dir, threads):
 def _run_nested(cfg, out_dir, threads):
     p = cfg.params
     form = p.get("form", "sum")
-    T = float(p.get("T", 1.0))
-    steps = int(p.get("steps", 8))
-    n_paths = int(p.get("n_paths", 4000))
+    T = _param(p, "T", 1.0, float)
+    steps = _param(p, "steps", 8, int)
+    n_paths = _param(p, "n_paths", 4000, int)
     inner = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 1))
     outer = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 2))
-    band = project_band(GNormal(cfg.sigma, scale=T), [1.0] + [0.0] * (cfg.sigma.dim - 1))
+    with _bad_params("T"):
+        gn = GNormal(cfg.sigma, scale=T)
+    band = project_band(gn, [1.0] + [0.0] * (cfg.sigma.dim - 1))
     if form == "sum":
         f2 = lambda x, y: x[..., 0] ** 2 + 2.0 * y[..., 0] ** 2
         want = band.sigma_up_sq + 2.0 * band.sigma_up_sq
@@ -539,7 +597,7 @@ def _run_nested(cfg, out_dir, threads):
         want = 0.0  # four-term product formula with centered projections
         margin = 3.0 * band.sigma_up_sq / math.sqrt(n_paths)
     elif form == "constant":
-        c = float(p.get("constant", 1.0))
+        c = _param(p, "constant", 1.0, float)
         f2 = lambda x, y, c=c: np.broadcast_to(c, (x.shape[0], y.shape[1]))
         want, margin = c, 0.0
     else:
@@ -578,12 +636,13 @@ def run(config_path, out_override=None, threads: int = 1) -> tuple[dict, Path]:
         "config": cfg.echo(),
         "records": records,
         "ok": all(r["ok"] for r in records),
-        "series": series,
+        "series": _strict_rows(series),
         "artifacts": artifacts,
         "timings": {"total_s": elapsed},
     }
     report_path = out_dir / "report.json"
-    report_path.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
+    report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
+                           + "\n")
     return report, report_path
 
 

@@ -14,6 +14,15 @@ the box edge: affine profiles are invariant, the update stays monotone, and
 boundary pollution of curved solutions decays into the interior.  The
 transport generator is restricted to diagonal nonpositive matrices, which
 keeps the semigroup explicit and the upwind stencils inside the grid.
+
+Each solve builds one stencil object that owns every buffer the steps use.
+A step copies u into the interior of one (n + 2)^d padded buffer, writes the
+ghosts in place and takes one forward-difference array per axis; the second,
+cross, upwind and centered differences are all read from those.  The raw
+second and cross differences are stacked in one (m, nodes) array, with
+m = d + the number of correlated axis pairs, and G(D^2 u) is one matrix
+product with the rows (Q_aa / 2 h_a^2, Q_ab / 4 h_a h_b) of each extreme Q
+followed by a max over the extremes.
 """
 
 from __future__ import annotations
@@ -129,7 +138,7 @@ class GridSolution:
     __slots__ = ("axes", "dt", "values", "cfl_ratio")
 
     def __init__(self, axes, dt, values, cfl_ratio):
-        if not np.all(np.isfinite(values)):
+        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
             raise ValueError("solution values must be finite everywhere")
         if cfl_ratio > 1.0:
             raise ValueError(f"unstable configuration: cfl_ratio {cfl_ratio} > 1")
@@ -177,84 +186,158 @@ class McControlSpec:
     seed: int = 0
 
 
-def _shifted(padded: np.ndarray, offsets) -> np.ndarray:
-    return padded[
-        tuple(
-            slice(1 + off, size + 1 + off)
-            for off, size in zip(offsets, np.array(padded.shape) - 2)
-        )
-    ]
+class _Stencil:
+    """The scheme's spatial operator on one grid, evaluated in reused buffers.
 
-
-def _pad_linear(u: np.ndarray) -> np.ndarray:
-    return np.pad(u, 1, mode="reflect", reflect_type="odd")
-
-
-def _hessian_entries(u: np.ndarray, h: np.ndarray, want_cross: bool):
-    """Centered second differences, linear-extrapolation ghosts, all nodes."""
-    dim = u.ndim
-    padded = _pad_linear(u)
-    zero = [0] * dim
-    diag = []
-    for a in range(dim):
-        up, dn = zero.copy(), zero.copy()
-        up[a], dn[a] = 1, -1
-        diag.append(
-            (_shifted(padded, up) - 2.0 * u + _shifted(padded, dn)) / h[a] ** 2
-        )
-    cross = {}
-    if want_cross:
-        for a in range(dim):
-            for b in range(a + 1, dim):
-                pp, mm, pm, mp = (zero.copy() for _ in range(4))
-                pp[a], pp[b] = 1, 1
-                mm[a], mm[b] = -1, -1
-                pm[a], pm[b] = 1, -1
-                mp[a], mp[b] = -1, 1
-                cross[(a, b)] = (
-                    _shifted(padded, pp)
-                    + _shifted(padded, mm)
-                    - _shifted(padded, pm)
-                    - _shifted(padded, mp)
-                ) / (4.0 * h[a] * h[b])
-    return diag, cross
-
-
-def _g_of_hessian(diag, cross, extremes: np.ndarray) -> np.ndarray:
-    """Pointwise 1/2 sup over extremes of Tr[Q D^2 u]."""
-    best = None
-    for q in extremes:
-        acc = q[0, 0] * diag[0]
-        for a in range(1, len(diag)):
-            acc = acc + q[a, a] * diag[a]
-        for (a, b), val in cross.items():
-            if q[a, b] != 0.0:
-                acc = acc + 2.0 * q[a, b] * val
-        best = acc if best is None else np.maximum(best, acc)
-    return 0.5 * best
-
-
-def _upwind_transport(u, h, velocities) -> np.ndarray:
-    """Sum over axes of v_a * D_a u with the difference taken upwind.
-
-    With a nonpositive diagonal generator the flow points inward, so the
-    one-sided stencil always lands on interior neighbours; the linear ghosts
-    cover the remaining (zero-velocity) boundary nodes harmlessly.
+    The nodes plus one ghost layer live in a C-ordered ``(n + 2)^d`` buffer,
+    read flat: a shift by one node along axis ``a`` is a shift by
+    ``strides[a]``, so every difference is one contiguous operation over the
+    flat range ``[lo, hi)`` that holds all nodes.  Entries of that range off
+    the nodes are finite by-products that no node reads.
     """
-    dim = u.ndim
-    padded = _pad_linear(u)
-    zero = [0] * dim
-    acc = None
-    for a, v in enumerate(velocities):
-        if v is None:
-            continue
-        up, dn = zero.copy(), zero.copy()
-        up[a], dn[a] = 1, -1
-        forward = (_shifted(padded, up) - u) / h[a]
-        backward = (u - _shifted(padded, dn)) / h[a]
-        term = v * np.where(v > 0.0, forward, backward)
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else np.zeros_like(u)
+
+    def __init__(self, axes, extremes, gen_diag):
+        dim = len(axes)
+        counts = tuple(ax.size for ax in axes)
+        h = np.array([ax[1] - ax[0] for ax in axes])
+        shape = tuple(c + 2 for c in counts)
+        strides = [math.prod(shape[a + 1:]) for a in range(dim)]
+        size = math.prod(shape)
+        lo, hi = sum(strides), size - sum(strides)
+        self._shape, self._lo, self._hi = shape, lo, hi
+        self.padded = np.zeros(shape)
+        flat = self.padded.reshape(-1)
+        self._u = self.padded[(slice(1, -1),) * dim]
+
+        # ghost slabs of axis a span the padded earlier axes and the nodes of later ones
+        self._ghosts = []
+        for a in range(dim):
+            def roi(i, j, a=a):
+                return self.padded[(slice(None),) * a + (slice(i, j),)
+                                   + (slice(1, -1),) * (dim - a - 1)]
+            self._ghosts += [(roi(0, 1), roi(1, 2), roi(2, 3)),
+                             (roi(-1, None), roi(-2, -1), roi(-3, -2))]
+
+        # forward differences d_a[p] = u[p + s_a] - u[p], valid for p < size - s_a
+        self._fd = np.zeros((dim, size))
+        self._fd_ops = [(flat[s:], flat[:size - s], self._fd[a, :size - s])
+                        for a, s in enumerate(strides)]
+        # centered differences c_a[p] = d_a[p] + d_a[p - s_a], one axis at a time
+        self._c = np.zeros(size)
+        self._centered_ops = [(self._fd[a, s:size - s], self._fd[a, :size - 2 * s],
+                               self._c[s:size - s]) for a, s in enumerate(strides)]
+
+        # raw second and cross differences, stacked for one contraction
+        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)
+                 if any(q[a, b] != 0.0 for q in extremes)]
+        self._entries = np.zeros((dim + len(pairs), size))
+        self._seconds = [(self._fd[a, lo:hi], self._fd[a, lo - s:hi - s],
+                          self._entries[a, lo:hi]) for a, s in enumerate(strides)]
+        # cross (a, b) = c_a one node ahead along b minus c_a one node behind
+        self._crosses = {}
+        for row, (a, b) in enumerate(pairs, start=dim):
+            s = strides[b]
+            self._crosses.setdefault(a, []).append(
+                (self._c[lo + s:hi + s], self._c[lo - s:hi - s],
+                 self._entries[row, lo:hi]))
+        self._coef = np.array([
+            [q[a, a] / (2.0 * h[a] ** 2) for a in range(dim)]
+            + [q[a, b] / (4.0 * h[a] * h[b]) for a, b in pairs]
+            for q in extremes
+        ])
+        self._acc = np.zeros((len(extremes), size))
+        self._rhs = np.zeros(size)
+
+        # upwind transport: the generator is nonpositive and the axes ascend, so
+        # v > 0 (forward difference) on a leading block of each axis and v <= 0
+        # (backward difference) on the rest; each block is one slab product
+        self._upwind, self._centered_rates = [], []
+        self._t = np.zeros(size)
+        fd_box = self._fd.reshape(dim, *shape)
+        t_box = self._t.reshape(shape)
+        for a in range(dim):
+            if gen_diag[a] == 0.0:
+                continue
+            v = (gen_diag[a] * axes[a]).reshape((-1,) + (1,) * (dim - a - 1))
+            n_pos = int(np.count_nonzero(v > 0.0))
+
+            def along(arr, start, stop, a=a):
+                return arr[(slice(None),) * a + (slice(start, stop),)]
+
+            # padded index i is node i - 1; the backward difference at node
+            # i - 1 is the forward difference stored at index i - 1
+            self._upwind.append((
+                (along(fd_box[a], 1, 1 + n_pos), v[:n_pos] / h[a],
+                 along(t_box, 1, 1 + n_pos)),
+                (along(fd_box[a], n_pos, counts[a]), v[n_pos:] / h[a],
+                 along(t_box, 1 + n_pos, counts[a] + 1)),
+            ))
+            self._centered_rates.append((a, v / (2.0 * h[a])))
+
+    def _nodes(self, flat: np.ndarray) -> np.ndarray:
+        return flat.reshape(self._shape)[(slice(1, -1),) * len(self._shape)]
+
+    def load(self, u: np.ndarray) -> None:
+        """Copy u in, write the ghosts and take the forward differences.
+
+        The ghosts are ``2 edge - next``, axis by axis over the region np.pad
+        writes, so ``padded`` equals np.pad's odd reflection bit for bit.
+        """
+        self._u[...] = u
+        for ghost, edge, nxt in self._ghosts:
+            np.multiply(edge, 2.0, out=ghost)
+            np.subtract(ghost, nxt, out=ghost)
+        for ahead, here, out in self._fd_ops:
+            np.subtract(ahead, here, out=out)
+
+    def _centered(self, a: int) -> None:
+        here, behind, out = self._centered_ops[a]
+        np.add(here, behind, out=out)
+
+    def g_of_hessian(self) -> np.ndarray:
+        """Flat buffer holding 1/2 max over extremes of Tr[Q D^2 u] on [lo, hi)."""
+        lo, hi = self._lo, self._hi
+        for ahead, behind, out in self._seconds:
+            np.subtract(ahead, behind, out=out)
+        for a, ops in self._crosses.items():
+            self._centered(a)
+            for ahead, behind, out in ops:
+                np.subtract(ahead, behind, out=out)
+        np.matmul(self._coef, self._entries[:, lo:hi], out=self._acc[:, lo:hi])
+        np.max(self._acc[:, lo:hi], axis=0, out=self._rhs[lo:hi])
+        return self._rhs
+
+    def rhs(self, u: np.ndarray) -> np.ndarray:
+        """<A x, Du> + G(D^2 u) at the nodes, with upwind transport.
+
+        A view of a buffer that the next call overwrites.
+        """
+        self.load(u)
+        rhs = self.g_of_hessian()
+        lo, hi = self._lo, self._hi
+        for slabs in self._upwind:
+            for diff, rate, out in slabs:
+                np.multiply(diff, rate, out=out)
+            rhs[lo:hi] += self._t[lo:hi]
+        return self._nodes(rhs)
+
+    def residual_terms(self, u: np.ndarray):
+        """G(D^2 u) plus centered transport, and the largest |raw second
+        difference| over the axes, at the nodes."""
+        self.load(u)
+        terms = self._nodes(self.g_of_hessian()).copy()
+        for a, rate in self._centered_rates:
+            self._centered(a)
+            terms += rate * self._nodes(self._c)
+        dim = len(self._seconds)
+        jumps = np.max(np.abs(self._entries[:dim]), axis=0)
+        return terms, self._nodes(jumps)
+
+    def march(self, values: np.ndarray, dt: float) -> None:
+        """Fill values[k - 1] = u + dt * rhs(u), u = values[k], from the end back."""
+        for k in range(values.shape[0] - 1, 0, -1):
+            np.multiply(self.rhs(values[k]), dt, out=values[k - 1])
+            values[k - 1] += values[k]
 
 
 def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
@@ -265,21 +348,10 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
     ]
     h = np.array([ax[1] - ax[0] for ax in axes])
     gen_diag = problem.generator_diag()
-    transport = problem.has_transport()
-
-    velocities = None
     adv_rate = 0.0
-    if transport:
-        velocities = []
-        for a in range(dim):
-            if gen_diag[a] == 0.0:
-                velocities.append(None)
-                continue
-            shape = [1] * dim
-            shape[a] = counts[a]
-            v = (gen_diag[a] * axes[a]).reshape(shape)
-            velocities.append(v)
-            adv_rate += float(np.max(np.abs(v))) / h[a]
+    for a in range(dim):
+        if gen_diag[a] != 0.0:
+            adv_rate += float(np.max(np.abs(gen_diag[a] * axes[a]))) / h[a]
 
     lam = problem.sigma.spectral_radius()
     rate = 2.0 * dim * lam / float(np.min(h)) ** 2 + adv_rate
@@ -292,14 +364,6 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
         n_steps = max(1, math.ceil(problem.T / (mesh_spec.safety * dt_max)))
     dt = problem.T / n_steps
 
-    extremes = problem.sigma.matrices
-    want_cross = any(
-        abs(q[a, b]) > 0.0
-        for q in extremes
-        for a in range(dim)
-        for b in range(a + 1, dim)
-    )
-
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     terminal = np.asarray(problem.terminal_f(points), dtype=float)
     if terminal.shape != tuple(counts):
@@ -310,13 +374,7 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
 
     values = np.empty((n_steps + 1, *counts))
     values[n_steps] = terminal
-    for k in range(n_steps, 0, -1):
-        u = values[k]
-        diag, cross = _hessian_entries(u, h, want_cross)
-        rhs = _g_of_hessian(diag, cross, extremes)
-        if transport:
-            rhs = _upwind_transport(u, h, velocities) + rhs
-        values[k - 1] = u + dt * rhs
+    _Stencil(axes, problem.sigma.matrices, gen_diag).march(values, dt)
     return GridSolution(axes, dt, values, cfl_ratio=dt / dt_max)
 
 
@@ -345,55 +403,20 @@ def residual_check(solution: GridSolution, problem: PdeProblem) -> float:
     counts = solution.values.shape[1:]
     if any(c < 5 for c in counts):
         raise ValueError("residual check needs >= 3 interior nodes per axis")
-    dim = problem.dim
-    axes = solution.axes
-    h = np.array([ax[1] - ax[0] for ax in axes])
-    gen_diag = problem.generator_diag()
-    extremes = problem.sigma.matrices
-    want_cross = any(
-        abs(q[a, b]) > 0.0
-        for q in extremes
-        for a in range(dim)
-        for b in range(a + 1, dim)
-    )
     n_steps = solution.n_steps
     sample = range(1, n_steps)
     if n_steps > 41:
         sample = np.unique(np.linspace(1, n_steps - 1, 40).astype(int))
 
-    interior = tuple(slice(1, -1) for _ in range(dim))
-    grids = np.meshgrid(*axes, indexing="ij")
-    if problem.has_transport():
-        adv_velocities = [
-            None if gen_diag[a] == 0.0 else gen_diag[a] * grids[a]
-            for a in range(dim)
-        ]
-
+    stencil = _Stencil(solution.axes, problem.sigma.matrices, problem.generator_diag())
+    interior = (slice(1, -1),) * problem.dim
     worst = 0.0
     for k in sample:
-        u = solution.values[k]
+        terms, jumps = stencil.residual_terms(solution.values[k])
         u_t = (solution.values[k + 1] - solution.values[k - 1]) / (2.0 * solution.dt)
-        diag, cross = _hessian_entries(u, h, want_cross)
-        resid = u_t + _g_of_hessian(diag, cross, extremes)
-        if problem.has_transport():
-            padded = _pad_linear(u)
-            zero = [0] * dim
-            for a in range(dim):
-                if adv_velocities[a] is None:
-                    continue
-                up, dn = zero.copy(), zero.copy()
-                up[a], dn[a] = 1, -1
-                centered = (_shifted(padded, up) - _shifted(padded, dn)) / (2.0 * h[a])
-                resid = resid + adv_velocities[a] * centered
-        resid = np.abs(resid)[interior]
-
-        raw_jump = np.zeros_like(resid)
-        for a in range(dim):
-            raw_jump = np.maximum(
-                raw_jump, np.abs(diag[a][interior]) * h[a] ** 2
-            )
-        median = float(np.median(raw_jump))
-        smooth = raw_jump <= 10.0 * median
+        resid = np.abs(u_t + terms)[interior]
+        raw_jump = jumps[interior]
+        smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
         if np.any(smooth):
             worst = max(worst, float(resid[smooth].max()))
     return worst

@@ -420,14 +420,16 @@ def convolution_condition(
 
 
 def check_record(name, lhs, rhs, tolerance, ok, n_paths=None, seed=None) -> dict:
-    """JSON-ready inequality-check record."""
-    rec = {
-        "name": str(name),
-        "lhs": float(lhs),
-        "rhs": float(rhs),
-        "tolerance": float(tolerance),
-        "ok": bool(ok),
-    }
+    """JSON-ready inequality-check record.
+
+    A non-finite ``lhs``, ``rhs`` or ``tolerance`` is stored as None (JSON
+    null) and fails the check, so the record stays strict JSON.
+    """
+    rec = {"name": str(name), "ok": bool(ok)}
+    for key, value in (("lhs", lhs), ("rhs", rhs), ("tolerance", tolerance)):
+        value = float(value)
+        rec[key] = value if math.isfinite(value) else None
+        rec["ok"] = rec["ok"] and rec[key] is not None
     if n_paths is not None:
         rec["n_paths"] = int(n_paths)
     if seed is not None:

@@ -135,6 +135,35 @@ class TestRun:
         )
         assert main(["run", str(cfg)]) == 0
 
+    @pytest.mark.parametrize("overrides, key", [
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"nodes": 2}}, "'nodes'"),
+        ({"params": {"n_samples": "abc"}}, "'n_samples'"),
+        ({"sigma": {"dim": 1, "extremes": [[-1], [0.25]]}}, "sigma"),
+        ({"params": {"n_samples": float("nan")}}, "NaN"),
+    ])
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, overrides, key):
+        cfg = write_config(tmp_path, **overrides)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
+    def test_nan_check_value_is_null_and_fails(self, tmp_path):
+        # a NaN scale makes every moment NaN: records and series hold null
+        cfg = write_config(tmp_path, params={"scale": "nan", "n_samples": 1000})
+        assert main(["run", str(cfg)]) == 1
+        text = (tmp_path / "out" / "report.json").read_text()
+
+        def reject(token):
+            raise ValueError(f"non-standard JSON token {token}")
+
+        report = json.loads(text, parse_constant=reject)
+        record = report["records"][0]
+        assert record["lhs"] is None and record["rhs"] is None
+        assert record["ok"] is False
+        assert report["series"]["moments"]["rows"][0][1:] == [None, None, None]
+
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 2
 

@@ -128,6 +128,25 @@ class TestSimulate:
             x = x + db
             assert np.array_equal(fast.states[:, k + 1, :], x)
 
+    @pytest.mark.parametrize("kind", ["constant", "time_table", "mixed_feedback"])
+    def test_normals_drawn_in_place_match_injected(self, spread_2d, kind):
+        # drawing straight into the increments must give the paths of the same
+        # normals injected, and an injected block must never be written
+        policy = {
+            "constant": ControlPolicy.constant(1),
+            "time_table": ControlPolicy.time_table((0, 1, 1, 0)),
+            "mixed_feedback": ControlPolicy.feedback(
+                lambda t, states: (states[:, 0] >= 0.0).astype(int)
+            ),
+        }[kind]
+        normals = np.random.default_rng(21).standard_normal((4, 200, 2))
+        before = normals.copy()
+        injected = simulate_gbm(spread_2d, policy, 200, 4, 1.0, seed=0, normals=normals)
+        drawn = simulate_gbm(spread_2d, policy, 200, 4, 1.0, seed=21)
+        assert np.array_equal(normals, before)
+        assert np.array_equal(drawn.states, injected.states)
+        assert np.array_equal(drawn.increments, injected.increments)
+
     def test_float_constant_index_selects_factor(self, spread_2d):
         as_float = simulate_gbm(spread_2d, ControlPolicy.constant(1.0), 50, 3, 1.0, seed=4)
         as_int = simulate_gbm(spread_2d, ControlPolicy.constant(1), 50, 3, 1.0, seed=4)

@@ -8,6 +8,7 @@ from gexpect.control_sim import ControlPolicy, PolicyFamily, lattice_1d
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
     CflError,
+    GridSolution,
     McControlSpec,
     MeshSpec,
     PdeProblem,
@@ -20,6 +21,7 @@ from gexpect.g_pde import (
     solve_gpde,
     write_slice_csv,
 )
+from gexpect.g_pde import _Stencil
 
 
 def band_problem(f, T=0.5, box=((-3.0, 3.0),), a_gen=None):
@@ -269,3 +271,126 @@ class TestMcValue:
         prob = PdeProblem(1, band_1d, f_square, 1.0, ((-2.0, 2.0),))
         with pytest.raises(ValueError):
             mc_value(prob, 0.0, 1.0, McControlSpec(n_paths=10))
+
+
+# -- the stencil against an np.pad reference -----------------------------------
+
+
+def _pad(u):
+    return np.pad(u, 1, mode="reflect", reflect_type="odd")
+
+
+def _shift(padded, offsets):
+    return padded[tuple(slice(1 + o, n + 1 + o)
+                        for o, n in zip(offsets, np.array(padded.shape) - 2))]
+
+
+def reference_terms(u, axes, extremes, gen_diag):
+    """G(D^2 u), upwind and centered transport and |raw second difference|,
+    from np.pad ghosts and one extreme at a time."""
+    dim = u.ndim
+    h = [ax[1] - ax[0] for ax in axes]
+    padded = _pad(u)
+
+    def at(*moves):
+        offsets = [0] * dim
+        for axis, step in moves:
+            offsets[axis] = step
+        return _shift(padded, offsets)
+
+    second = [(at((a, 1)) - 2.0 * u + at((a, -1))) / h[a] ** 2 for a in range(dim)]
+    cross = {
+        (a, b): (at((a, 1), (b, 1)) + at((a, -1), (b, -1))
+                 - at((a, 1), (b, -1)) - at((a, -1), (b, 1))) / (4.0 * h[a] * h[b])
+        for a in range(dim) for b in range(a + 1, dim)
+    }
+    g = np.max([
+        0.5 * (sum(q[a, a] * second[a] for a in range(dim))
+               + sum(2.0 * q[a, b] * c for (a, b), c in cross.items()))
+        for q in extremes
+    ], axis=0)
+    grids = np.meshgrid(*axes, indexing="ij")
+    upwind, centered = np.zeros_like(u), np.zeros_like(u)
+    for a in range(dim):
+        v = gen_diag[a] * grids[a]
+        ahead, behind = at((a, 1)), at((a, -1))
+        upwind += v * np.where(v > 0.0, (ahead - u) / h[a], (u - behind) / h[a])
+        centered += v * (ahead - behind) / (2.0 * h[a])
+    jumps = np.max([np.abs(second[a]) * h[a] ** 2 for a in range(dim)], axis=0)
+    return g, upwind, centered, jumps
+
+
+def reference_residual(solution, problem):
+    """residual_check's sampling and kink rule over ``reference_terms``."""
+    n_steps = solution.n_steps
+    sample = range(1, n_steps)
+    if n_steps > 41:
+        sample = np.unique(np.linspace(1, n_steps - 1, 40).astype(int))
+    interior = (slice(1, -1),) * problem.dim
+    worst = 0.0
+    for k in sample:
+        g, _, centered, jumps = reference_terms(
+            solution.values[k], solution.axes, problem.sigma.matrices,
+            problem.generator_diag())
+        u_t = (solution.values[k + 1] - solution.values[k - 1]) / (2.0 * solution.dt)
+        resid = np.abs(u_t + g + centered)[interior]
+        jumps = jumps[interior]
+        smooth = jumps <= 10.0 * float(np.median(jumps))
+        if np.any(smooth):
+            worst = max(worst, float(resid[smooth].max()))
+    return worst
+
+
+def random_case(rng, dim, transport):
+    """Random grid whose axes straddle zero, lie above it or lie below it,
+    correlated extremes, and optional transport with one rate possibly zero."""
+    counts = rng.integers(5, 9, size=dim)
+    boxes = [((-2.0, 1.5), (0.5, 2.0), (-3.0, -0.5))[i] for i in rng.integers(0, 3, dim)]
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(boxes, counts)]
+    extremes = []
+    for _ in range(3):
+        raw = rng.standard_normal((dim, dim))
+        extremes.append(raw @ raw.T + 0.1 * np.eye(dim))
+    gen_diag = np.zeros(dim)
+    if transport:
+        gen_diag = -rng.uniform(0.2, 2.0, size=dim)
+        if dim > 1:
+            gen_diag[rng.integers(dim)] = 0.0
+    u = rng.standard_normal(tuple(counts)) * 3.0
+    return axes, np.array(extremes), gen_diag, u
+
+
+class TestStencil:
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_ghosts_are_np_pad_odd_reflection(self, dim):
+        rng = np.random.default_rng(30 + dim)
+        axes, extremes, gen_diag, u = random_case(rng, dim, False)
+        stencil = _Stencil(axes, extremes, gen_diag)
+        stencil.load(u)
+        assert np.array_equal(stencil.padded, _pad(u))
+
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_operator_matches_reference(self, dim, transport):
+        rng = np.random.default_rng(10 * dim + transport)
+        for _ in range(4):
+            axes, extremes, gen_diag, u = random_case(rng, dim, transport)
+            g, upwind, centered, jumps = reference_terms(u, axes, extremes, gen_diag)
+            stencil = _Stencil(axes, extremes, gen_diag)
+            for got, want in [(stencil.rhs(u).copy(), g + upwind),
+                              *zip(stencil.residual_terms(u), (g + centered, jumps))]:
+                bound = 1e-12 * np.maximum(1.0, np.abs(want))
+                assert np.all(np.abs(got - want) <= bound)
+
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_residual_matches_reference(self, dim, transport):
+        rng = np.random.default_rng(20 * dim + transport)
+        axes, extremes, gen_diag, u = random_case(rng, dim, transport)
+        box = tuple((ax[0], ax[-1]) for ax in axes)
+        prob = PdeProblem(dim, CovarianceSet(list(extremes)), lambda p: p[..., 0],
+                          1.0, box, a_gen=np.diag(gen_diag))
+        values = np.stack([u + 0.1 * k * np.sin(u) for k in range(6)])
+        sol = GridSolution(axes, 0.01, values, cfl_ratio=0.5)
+        assert residual_check(sol, prob) == pytest.approx(
+            reference_residual(sol, prob), rel=1e-12, abs=1e-12)

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -391,3 +392,13 @@ def test_check_record_schema():
         "name": "iso", "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1,
         "ok": True, "n_paths": 100, "seed": 7,
     }
+
+
+@pytest.mark.parametrize("field", ["lhs", "rhs", "tolerance"])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_check_record_nonfinite_is_null_and_fails(field, bad):
+    values = {"lhs": 1.0, "rhs": 1.0, "tolerance": 0.1}
+    values[field] = bad
+    rec = check_record("x", values["lhs"], values["rhs"], values["tolerance"], True)
+    assert rec[field] is None and rec["ok"] is False
+    json.dumps(rec, allow_nan=False)
