@@ -11,10 +11,8 @@ finite differences and the probabilistic representation, ``mc_value`` and
 """
 
 from .operator_core import (
-    HVector,
     PsdOperator,
     SymOperator,
-    mat_exp,
     outer,
     psd_sqrt,
     schatten_norm,
@@ -34,11 +32,9 @@ from .covariance_set import (
 __all__ = [
     "SymOperator",
     "PsdOperator",
-    "HVector",
     "schatten_norm",
     "psd_sqrt",
     "outer",
-    "mat_exp",
     "trace_product",
     "CovarianceSet",
     "GFunctional",

@@ -16,8 +16,6 @@ viscosity solution of the one-dimensional fully nonlinear heat equation.
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -26,11 +24,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .g_normal import VolatilityBand, split_seed
-from .operator_core import as_coords, psd_sqrt
+from .g_normal import VolatilityBand, as_point, evaluate_rows, split_seed, stderr
 
 __all__ = [
-    "FactorSet",
     "ControlPolicy",
     "PolicyFamily",
     "PathBundle",
@@ -40,51 +36,21 @@ __all__ = [
     "lattice_1d",
     "NestedSpec",
     "nested_expectation",
-    "export_paths",
     "build_policies",
 ]
 
-FACTOR_TOL = 1e-9
 NESTED_ROWS = 256  # outer rows per payoff block in nested_expectation
-
-
-class FactorSet:
-    """Square-root factors gamma with gamma @ gamma^T running over extremes."""
-
-    __slots__ = ("gammas", "sigma")
-
-    def __init__(self, gammas, sigma: CovarianceSet):
-        stack = np.stack([np.asarray(g, dtype=float) for g in gammas])
-        if stack.shape[0] != len(sigma):
-            raise ValueError("one factor per extreme required")
-        for g, q in zip(stack, sigma.matrices):
-            if np.linalg.norm(g @ g.T - q) > FACTOR_TOL:
-                raise ValueError("factor does not reproduce its extreme")
-        stack.flags.writeable = False
-        object.__setattr__(self, "gammas", stack)
-        object.__setattr__(self, "sigma", sigma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FactorSet is immutable")
-
-    @classmethod
-    def from_covariance_set(cls, sigma: CovarianceSet) -> "FactorSet":
-        return cls([psd_sqrt(q).entries for q in sigma.extremes], sigma)
-
-    def __len__(self) -> int:
-        return self.gammas.shape[0]
 
 
 @dataclass(frozen=True)
 class ControlPolicy:
-    """Adapted volatility-selection rule with values in a factor set.
+    """Adapted volatility-selection rule over the square roots of the extremes.
 
     ``kind`` is one of constant / time_table / feedback.  A feedback rule is
     called once per step with ``(t_k, states_k)`` where ``states_k`` is the
     (n_paths, N) array of positions already fixed at time t_k, and must
     return per-path factor indices; the simulator's call order is what
-    enforces adaptedness.  ``horizon`` and ``steps`` are optional declarations
-    validated against the simulation grid when present.
+    enforces adaptedness.
     """
 
     kind: str
@@ -92,8 +58,6 @@ class ControlPolicy:
     table: tuple[int, ...] = ()
     rule: Callable | None = None
     name: str = ""
-    horizon: tuple[float, float] | None = None
-    steps: int | None = None
 
     @classmethod
     def constant(cls, index: int) -> "ControlPolicy":
@@ -266,17 +230,8 @@ def simulate_gbm(
         raise ValueError(f"horizon must be positive, got T={T}")
     if n_paths < 1:
         raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-    if policy.steps is not None and policy.steps != steps:
-        raise ValueError(
-            f"policy declares {policy.steps} steps, simulation uses {steps}"
-        )
-    if policy.horizon is not None and not math.isclose(
-        policy.horizon[1] - policy.horizon[0], T
-    ):
-        raise ValueError("policy horizon length differs from simulation horizon")
 
-    factors = FactorSet.from_covariance_set(sigma)
-    n = sigma.dim
+    gammas, n_factors, n = sigma.roots, len(sigma), sigma.dim
     dt = T / steps
     sqrt_dt = math.sqrt(dt)
     times = np.linspace(0.0, T, steps + 1)
@@ -290,16 +245,15 @@ def simulate_gbm(
             f"normals must have shape {(steps, n_paths, n)}, got {normals.shape}"
         )
 
-    gammas = factors.gammas
     states = np.empty((steps + 1, n_paths, n))
     states[0] = 0.0
     for k in range(steps):
         z, db = normals[k], increments[k]
         if policy.reads_state:
-            idx = policy.select_indices(k, times[k], states[k], len(factors))
+            idx = policy.select_indices(k, times[k], states[k], n_factors)
             lowest, highest = idx.min(), idx.max()
         else:
-            lowest = highest = policy._fixed_index(k, len(factors))
+            lowest = highest = policy._fixed_index(k, n_factors)
         if lowest == highest:
             np.matmul(z, gammas[lowest].T, out=db)
             db *= sqrt_dt
@@ -314,13 +268,8 @@ def simulate_gbm(
 
 def _policy_mean(sigma, policy, f, x0, T, steps, n_paths, seed, normals):
     bundle = simulate_gbm(sigma, policy, n_paths, steps, T, seed, normals=normals)
-    vals = np.asarray(f(x0 + bundle.terminal), dtype=float)
-    if vals.shape != (n_paths,):
-        raise ValueError(
-            "terminal functional must map (n_paths, N) states to (n_paths,) values"
-        )
-    se = float(vals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
-    return float(vals.mean()), se
+    vals = evaluate_rows(f, x0 + bundle.terminal)
+    return float(vals.mean()), stderr(vals)
 
 
 def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
@@ -352,7 +301,7 @@ def estimate_upper_expectation(
     achieving policy, the standard error of its mean and every member's
     mean and standard error.
     """
-    x0 = as_coords(x0) if not np.isscalar(x0) else np.full(sigma.dim, float(x0))
+    x0 = as_point(x0, sigma.dim)
     policies = build_policies(policy_family, len(sigma))
     rng = np.random.default_rng(seed)
     normals = rng.standard_normal((steps, n_paths, sigma.dim))
@@ -468,27 +417,3 @@ def nested_expectation(
         best = max(best, float(g_vals.mean()))
     return best
 
-
-def export_paths(bundle: PathBundle, csv_path, sidecar_path=None, max_paths=None) -> None:
-    """Write paths to CSV (one row per path per coordinate) plus a JSON sidecar."""
-    n_out = bundle.n_paths if max_paths is None else min(bundle.n_paths, max_paths)
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["path", "coord"] + [f"t={t:.10g}" for t in bundle.times])
-        for p in range(n_out):
-            for d in range(bundle.dim):
-                writer.writerow(
-                    [p, d] + [repr(float(v)) for v in bundle.states[p, :, d]]
-                )
-    if sidecar_path is not None:
-        meta = {
-            "seed": int(bundle.seed),
-            "policy": bundle.policy.describe(),
-            "sigma_label": bundle.sigma.label,
-            "n_paths": int(n_out),
-            "steps": int(bundle.n_steps),
-            "t0": float(bundle.times[0]),
-            "T": float(bundle.times[-1]),
-        }
-        with open(sidecar_path, "w") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)

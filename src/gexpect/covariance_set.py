@@ -14,7 +14,7 @@ import json
 import numpy as np
 from scipy.optimize import nnls
 
-from .operator_core import PsdOperator, as_matrix, trace_product
+from .operator_core import PsdOperator, as_matrix, psd_sqrt, trace_product
 
 __all__ = [
     "DEDUP_TOL",
@@ -45,7 +45,7 @@ class CovarianceSet:
         Free-form identifier carried through the algebra.
     """
 
-    __slots__ = ("extremes", "label", "_stack")
+    __slots__ = ("extremes", "label", "_stack", "_roots")
 
     def __init__(self, extremes, label: str = ""):
         ops = [e if isinstance(e, PsdOperator) else PsdOperator(e) for e in extremes]
@@ -66,6 +66,7 @@ class CovarianceSet:
         object.__setattr__(self, "extremes", tuple(kept))
         object.__setattr__(self, "label", str(label))
         object.__setattr__(self, "_stack", stack)
+        object.__setattr__(self, "_roots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceSet is immutable")
@@ -81,6 +82,22 @@ class CovarianceSet:
     def matrices(self) -> np.ndarray:
         """Extremes stacked as a read-only (k, N, N) array."""
         return self._stack
+
+    @property
+    def roots(self) -> np.ndarray:
+        """Symmetric square roots of the extremes as a read-only (k, N, N) array.
+
+        Computed on first use (threads racing on it store equal arrays); each
+        root ``g`` reproduces its extreme ``Q`` to ``||g @ g.T - Q||_F <= 1e-9``.
+        """
+        if self._roots is None:
+            roots = np.stack([psd_sqrt(q).entries for q in self.extremes])
+            for g, q in zip(roots, self._stack):
+                if np.linalg.norm(g @ g.T - q) > 1e-9:
+                    raise ValueError("square root does not reproduce its extreme")
+            roots.flags.writeable = False
+            object.__setattr__(self, "_roots", roots)
+        return self._roots
 
     def max_trace(self) -> float:
         return float(max(np.trace(m) for m in self._stack))

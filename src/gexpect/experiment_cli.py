@@ -5,7 +5,7 @@ for the configured seed and writes a JSON report plus CSV artifacts;
 ``gexpect plot report.json --series NAME`` flattens a recorded series to
 plot-ready CSV.  Exit codes: 0 all checks pass, 1 a check failed (report
 still written), 2 usage error.  The runner only formats numbers produced by
-the library modules.
+the library modules; every CSV artifact is written here, by ``_write_csv``.
 """
 
 from __future__ import annotations
@@ -29,14 +29,12 @@ from .control_sim import (
     NestedSpec,
     PolicyFamily,
     estimate_upper_expectation,
-    export_paths,
     lattice_1d,
     nested_expectation,
     simulate_gbm,
 )
 from .g_normal import (
     GNormal,
-    dump_samples_csv,
     moment_bounds_check,
     moment_constant,
     moment_upper,
@@ -54,7 +52,6 @@ from .g_pde import (
     ou_mild_path,
     solve_gheat,
     solve_gpde,
-    write_slice_csv,
 )
 from .stoch_integral import (
     ElementaryProcess,
@@ -93,6 +90,15 @@ def _param(params, key, default, cast):
         return cast(params.get(key, default))
 
 
+def _choice(params, key, default, known):
+    """A string param that must name one of ``known``."""
+    value = params.get(key, default)
+    if not isinstance(value, str) or value not in known:
+        raise UsageError(f"param {key!r}: unknown value {value!r}; "
+                         f"known: {', '.join(sorted(known))}")
+    return value
+
+
 def _reject_constant(token):
     raise UsageError(f"malformed JSON config: non-standard number {token}")
 
@@ -106,6 +112,27 @@ def _strict_rows(series):
         ]}
         for name, spec in series.items()
     }
+
+
+def _close(name, a, b, tol, **sizes):
+    """Record of the check |a - b| <= tol."""
+    return check_record(name, a, b, tol, abs(a - b) <= tol, **sizes)
+
+
+def _write_csv(dest, header, rows):
+    """Write one CSV artifact: a header line, then one line per row."""
+    with open(dest, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _write_slice(dest, sol):
+    """The t = 0 slice of a PDE solution, one row per node: coordinates, value."""
+    grids = [*np.meshgrid(*sol.axes, indexing="ij"), sol.values[0]]
+    _write_csv(dest, [f"x{i}" for i in range(len(sol.axes))] + ["u"],
+               ([repr(float(v)) for v in row]
+                for row in zip(*(g.reshape(-1) for g in grids))))
 
 
 def _floats(value):
@@ -141,10 +168,13 @@ class ExperimentConfig:
             doc = json.loads(path.read_text(), parse_constant=_reject_constant)
         except json.JSONDecodeError as exc:
             raise UsageError(f"malformed JSON config: {exc}") from exc
-        for key in ("name", "kind", "sigma", "seed"):
+        required = ("name", "kind", "sigma", "seed")
+        if not isinstance(doc, dict):
+            raise UsageError(f"config must be a JSON object with keys {required}")
+        for key in required:
             if key not in doc:
                 raise UsageError(f"config is missing required key {key!r}")
-        if doc["kind"] not in KINDS:
+        if not isinstance(doc["kind"], str) or doc["kind"] not in KINDS:
             raise UsageError(
                 f"unknown kind {doc['kind']!r}; known: {', '.join(sorted(KINDS))}"
             )
@@ -162,7 +192,7 @@ class ExperimentConfig:
         if not isinstance(doc.get("params", {}), dict):
             raise UsageError("params must be a JSON object")
         seed = doc["seed"]
-        if not isinstance(seed, int):
+        if not isinstance(seed, int) or isinstance(seed, bool):
             raise UsageError("seed must be an integer (no implicit randomness)")
         override = os.environ.get(SEED_OVERRIDE_ENV)
         if override is not None:
@@ -217,24 +247,17 @@ def _run_moments(cfg, out_dir, threads):
         rows.append([m, b.lower, b.value, b.upper])
     exact = moment_upper(gn, 1)
     trace_sup = gn.scale * cfg.sigma.max_trace()
-    records.append(
-        check_record("second-moment-exact", exact, trace_sup, 1e-12,
-                     abs(exact - trace_sup) <= 1e-12)
-    )
+    records.append(_close("second-moment-exact", exact, trace_sup, 1e-12))
     est = static_upper_report(gn, _norm_sq, n, cfg.seed)
-    records.append(
-        check_record("second-moment-mc", est.value, exact, 3.0 * est.stderr,
-                     abs(est.value - exact) <= 3.0 * est.stderr,
-                     n_paths=n, seed=cfg.seed)
-    )
+    records.append(_close("second-moment-mc", est.value, exact, 3.0 * est.stderr,
+                          n_paths=n, seed=cfg.seed))
     series = {"moments": {"columns": ["m", "lower", "value", "upper"], "rows": rows}}
-    artifacts = []
-    if p.get("dump_samples"):
-        dest = out_dir / "samples.csv"
-        dump_samples_csv(dest, sample_gaussian(cfg.sigma.extremes[0], min(n, 10_000),
-                                               cfg.seed))
-        artifacts.append(dest.name)
-    return records, series, artifacts
+    if not p.get("dump_samples"):
+        return records, series, []
+    draws = sample_gaussian(cfg.sigma.extremes[0], min(n, 10_000), cfg.seed)
+    _write_csv(out_dir / "samples.csv", [f"x{i}" for i in range(draws.shape[1])],
+               draws.tolist())
+    return records, series, ["samples.csv"]
 
 
 def _run_band(cfg, out_dir, threads):
@@ -247,12 +270,8 @@ def _run_band(cfg, out_dir, threads):
     for i, h in enumerate(dirs):
         band = project_band(gn, h)
         est = static_upper_report(gn, lambda x, h=h: (x @ h) ** 2, n, cfg.seed)
-        records.append(
-            check_record(f"band-mc-up-{i}", est.value, band.sigma_up_sq,
-                         3.0 * est.stderr,
-                         abs(est.value - band.sigma_up_sq) <= 3.0 * est.stderr,
-                         n_paths=n, seed=cfg.seed)
-        )
+        records.append(_close(f"band-mc-up-{i}", est.value, band.sigma_up_sq,
+                              3.0 * est.stderr, n_paths=n, seed=cfg.seed))
         records.append(
             check_record(f"band-order-{i}", band.sigma_down_sq, band.sigma_up_sq,
                          0.0, band.sigma_down_sq <= band.sigma_up_sq)
@@ -275,7 +294,7 @@ def _run_isometry(cfg, out_dir, threads):
     steps = _param(p, "steps", 8, int)
     n_paths = _param(p, "n_paths", 4000, int)
     trials = _param(p, "trials", 5, int)
-    mode = p.get("mode", "adapted")
+    mode = _choice(p, "mode", "adapted", ("adapted", "deterministic"))
     part = np.linspace(0.0, T, steps + 1)
     rng = np.random.default_rng(split_seed(cfg.seed, 17))
     dim = cfg.sigma.dim
@@ -345,10 +364,8 @@ def _run_sigma_integral(cfg, out_dir, threads):
         closed = q * factors
         scale = max(1.0, float(np.linalg.norm(closed)))
         diff = float(np.linalg.norm(sigma_i.matrices[i] - closed))
-        records.append(
-            check_record(f"closed-form-extreme-{i}", diff, 0.0, closed_tol * scale,
-                         diff <= closed_tol * scale)
-        )
+        records.append(_close(f"closed-form-extreme-{i}", diff, 0.0,
+                              closed_tol * scale))
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
     for i in range(len(cfg.sigma)):
@@ -360,10 +377,8 @@ def _run_sigma_integral(cfg, out_dir, threads):
         ).values
         emp = vals.T @ vals / n_paths
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
-        records.append(
-            check_record(f"empirical-extreme-{i}", diff, 0.0, frob_tol,
-                         diff <= frob_tol, n_paths=n_paths, seed=cfg.seed)
-        )
+        records.append(_close(f"empirical-extreme-{i}", diff, 0.0, frob_tol,
+                              n_paths=n_paths, seed=cfg.seed))
     rows = []
     prev = sigma_of_integral(phi_fn, cfg.sigma, T, 64)
     for m in (128, 256, 512):
@@ -414,9 +429,7 @@ def _run_gheat(cfg, out_dir, threads):
     p = cfg.params
     if cfg.sigma.dim != 1:
         raise UsageError("gheat experiment is one-dimensional")
-    terminal = p.get("terminal", "square")
-    if terminal not in _TERMINALS:
-        raise UsageError(f"unknown terminal {terminal!r}")
+    terminal = _choice(p, "terminal", "square", _TERMINALS)
     f_grid, f_line = _TERMINALS[terminal]
     T = _param(p, "T", 0.5, float)
     x0 = _param(p, "x0", 0.3, float)
@@ -440,29 +453,22 @@ def _run_gheat(cfg, out_dir, threads):
     )
     lat_tol = 6.0 / lattice_steps
     records = [
-        check_record("pde-vs-lattice", pde, lat, disc + lat_tol,
-                     abs(pde - lat) <= disc + lat_tol),
-        check_record("pde-vs-mc", pde, est.value, 3.0 * est.stderr + disc,
-                     abs(pde - est.value) <= 3.0 * est.stderr + disc,
-                     n_paths=n_paths, seed=cfg.seed),
-        check_record("lattice-vs-mc", lat, est.value, 3.0 * est.stderr + lat_tol,
-                     abs(lat - est.value) <= 3.0 * est.stderr + lat_tol,
-                     n_paths=n_paths, seed=cfg.seed),
+        _close("pde-vs-lattice", pde, lat, disc + lat_tol),
+        _close("pde-vs-mc", pde, est.value, 3.0 * est.stderr + disc,
+               n_paths=n_paths, seed=cfg.seed),
+        _close("lattice-vs-mc", lat, est.value, 3.0 * est.stderr + lat_tol,
+               n_paths=n_paths, seed=cfg.seed),
     ]
     if terminal == "square":
-        want = x0**2 + band.sigma_up_sq * T
-        records.append(
-            check_record("closed-form", pde, want, disc, abs(pde - want) <= disc)
-        )
-    dest = out_dir / "gheat_slice.csv"
-    write_slice_csv(sol, 0.0, dest)
+        records.append(_close("closed-form", pde, x0**2 + band.sigma_up_sq * T, disc))
+    _write_slice(out_dir / "gheat_slice.csv", sol)
     rows = [[float(x), float(u)] for x, u in zip(sol.axes[0], sol.values[0])]
     sweep = [list(row) for row in est.per_policy]
     series = {
         "profile": {"columns": ["x", "u0"], "rows": rows},
         "policy-sweep": {"columns": ["policy", "value", "stderr"], "rows": sweep},
     }
-    return records, series, [dest.name]
+    return records, series, ["gheat_slice.csv"]
 
 
 def _run_gpde(cfg, out_dir, threads):
@@ -493,10 +499,8 @@ def _run_gpde(cfg, out_dir, threads):
     for i, (probe, mc) in enumerate(zip(probes, mcs)):
         pde = sol.value_at(0.0, probe)
         tol = 3.0 * mc.stderr + c_disc * (h**2 + sol.dt)
-        records.append(
-            check_record(f"probe-{i}", pde, mc.value, tol,
-                         abs(pde - mc.value) <= tol, n_paths=n_paths, seed=cfg.seed)
-        )
+        records.append(_close(f"probe-{i}", pde, mc.value, tol,
+                              n_paths=n_paths, seed=cfg.seed))
         rows.append([i, float(probe[0]), float(probe[1]), pde, mc.value, mc.stderr])
 
     lam = _param(p, "scalar_lambda", 0.8, float)
@@ -509,15 +513,11 @@ def _run_gpde(cfg, out_dir, threads):
     got = sol1.value_at(0.0, [0.5])
     h1 = sol1.axes[0][1] - sol1.axes[0][0]
     tol1 = c_disc * (h1**2 + sol1.dt) + 2.0 * h1
-    records.append(
-        check_record("scalar-ou-closed-form", got, want, tol1,
-                     abs(got - want) <= tol1)
-    )
-    dest = out_dir / "gpde_slice.csv"
-    write_slice_csv(sol, 0.0, dest)
+    records.append(_close("scalar-ou-closed-form", got, want, tol1))
+    _write_slice(out_dir / "gpde_slice.csv", sol)
     series = {"probes": {"columns": ["probe", "x1", "x2", "pde", "mc", "stderr"],
                          "rows": rows}}
-    return records, series, [dest.name]
+    return records, series, ["gpde_slice.csv"]
 
 
 def _run_ou(cfg, out_dir, threads):
@@ -560,26 +560,32 @@ def _run_ou(cfg, out_dir, threads):
                         np.ones(cfg.sigma.dim), 0.0, T, steps, min(n_paths, 500),
                         split_seed(cfg.seed, 2))
     gap = flow_property_discrepancy(mild, a_mat, steps // 3)
-    records.append(check_record("flow-property", gap, 0.0, 1e-10, gap <= 1e-10))
+    records.append(_close("flow-property", gap, 0.0, 1e-10))
 
     cond = convolution_condition(a_mat, cfg.sigma, beta, T,
                                  _param(p, "quad_steps", 2000, int))
     records.append(
         check_record("convolution-condition", cond.value, 0.0, 0.0, cond.finite)
     )
-    csv_dest = out_dir / "ou_paths.csv"
-    meta_dest = out_dir / "ou_paths.json"
-    export_paths(mild, csv_dest, meta_dest,
-                 max_paths=_param(p, "export_paths", 20, int))
+    n_out = min(mild.n_paths, _param(p, "export_paths", 20, int))
+    _write_csv(out_dir / "ou_paths.csv",
+               ["path", "coord"] + [f"t={t:.10g}" for t in mild.times],
+               ([i, d] + [repr(float(v)) for v in mild.states[i, :, d]]
+                for i in range(n_out) for d in range(mild.dim)))
+    meta = {"seed": int(mild.seed), "policy": mild.policy.describe(),
+            "sigma_label": mild.sigma.label, "n_paths": int(n_out),
+            "steps": int(mild.n_steps), "t0": float(mild.times[0]),
+            "T": float(mild.times[-1])}
+    (out_dir / "ou_paths.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     cols = (["t"] + [f"emp{d}" for d in range(cfg.sigma.dim)]
             + [f"exact{d}" for d in range(cfg.sigma.dim)])
     series = {"variance": {"columns": cols, "rows": rows}}
-    return records, series, [csv_dest.name, meta_dest.name]
+    return records, series, ["ou_paths.csv", "ou_paths.json"]
 
 
 def _run_nested(cfg, out_dir, threads):
     p = cfg.params
-    form = p.get("form", "sum")
+    form = _choice(p, "form", "sum", ("sum", "product", "constant"))
     T = _param(p, "T", 1.0, float)
     steps = _param(p, "steps", 8, int)
     n_paths = _param(p, "n_paths", 4000, int)
@@ -596,18 +602,13 @@ def _run_nested(cfg, out_dir, threads):
         f2 = lambda x, y: x[..., 0] * y[..., 0]
         want = 0.0  # four-term product formula with centered projections
         margin = 3.0 * band.sigma_up_sq / math.sqrt(n_paths)
-    elif form == "constant":
+    else:
         c = _param(p, "constant", 1.0, float)
         f2 = lambda x, y, c=c: np.broadcast_to(c, (x.shape[0], y.shape[1]))
         want, margin = c, 0.0
-    else:
-        raise UsageError(f"unknown nested form {form!r}")
     v = nested_expectation(cfg.sigma, f2, inner, outer)
-    records = [
-        check_record(f"nested-{form}", v, want, margin, abs(v - want) <= margin,
-                     n_paths=n_paths, seed=cfg.seed)
-    ]
-    return records, {}, []
+    return [_close(f"nested-{form}", v, want, margin, n_paths=n_paths,
+                   seed=cfg.seed)], {}, []
 
 
 KINDS = {
@@ -647,19 +648,23 @@ def run(config_path, out_override=None, threads: int = 1) -> tuple[dict, Path]:
 
 
 def emit_plotdata(report: dict, series_name: str, out_dir) -> Path:
-    """Flatten one recorded series to CSV; raises UsageError if unknown."""
-    series = report.get("series", {})
+    """Flatten one recorded series to CSV; raises UsageError if malformed or unknown."""
+    series = report.get("series", {}) if isinstance(report, dict) else None
+    if not isinstance(series, dict):
+        raise UsageError("report must be a JSON object whose key 'series' is an object")
     if series_name not in series:
         known = ", ".join(sorted(series)) or "(none)"
         raise UsageError(f"unknown series {series_name!r}; report has: {known}")
+    spec = series[series_name]
+    rows = spec.get("rows") if isinstance(spec, dict) else None
+    if not (isinstance(rows, list) and all(isinstance(r, list) for r in rows)
+            and isinstance(spec.get("columns"), list)):
+        raise UsageError(f"series {series_name!r} needs a list 'columns' and a "
+                         f"list of lists 'rows'")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     dest = out_dir / f"{series_name}.csv"
-    spec = series[series_name]
-    with open(dest, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(spec["columns"])
-        writer.writerows(spec["rows"])
+    _write_csv(dest, spec["columns"], rows)
     return dest
 
 

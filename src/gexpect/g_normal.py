@@ -11,14 +11,13 @@ controls is attained by a constant control (convex or concave payoffs in the
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance_set import CovarianceSet, covset_scale
+from .covariance_set import CovarianceSet
 from .operator_core import as_coords, as_matrix, psd_sqrt
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "sample_gaussian",
     "static_upper_expectation",
     "static_upper_report",
-    "dump_samples_csv",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -71,10 +69,6 @@ class GNormal:
     @property
     def dim(self) -> int:
         return self.sigma.dim
-
-    def scaled_set(self) -> CovarianceSet:
-        """Covariance set of the scaled variable, scale * Sigma."""
-        return covset_scale(self.sigma, math.sqrt(self.scale))
 
 
 @dataclass(frozen=True)
@@ -212,14 +206,28 @@ def sample_gaussian(q, n: int, seed: int) -> np.ndarray:
     return z @ root.T
 
 
-def _evaluate_rows(f: Callable, x: np.ndarray) -> np.ndarray:
+# Monte Carlo helpers shared by every estimator in the package.
+
+
+def as_point(x0, dim: int) -> np.ndarray:
+    """Start point in R^dim; a scalar is repeated in every coordinate."""
+    return np.full(dim, float(x0)) if np.isscalar(x0) else as_coords(x0)
+
+
+def evaluate_rows(f: Callable, x: np.ndarray) -> np.ndarray:
+    """Payoff values ``f(x)`` of the n rows of x, checked to have shape (n,)."""
     vals = np.asarray(f(x), dtype=float)
     if vals.shape != (x.shape[0],):
         raise ValueError(
-            f"test functional must map (n, N) draws to (n,) values, "
+            f"payoff must map (n, N) points to (n,) values, "
             f"got shape {vals.shape} for n={x.shape[0]}"
         )
     return vals
+
+
+def stderr(vals: np.ndarray) -> float:
+    """Standard error of the mean of ``vals``; 0 for a single sample."""
+    return float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
 
 
 def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEstimate:
@@ -236,13 +244,11 @@ def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEs
     z = rng.standard_normal((n, gn.dim))
     sqrt_scale = math.sqrt(gn.scale)
     best: StaticEstimate | None = None
-    for i, q in enumerate(gn.sigma.extremes):
-        x = z @ (sqrt_scale * psd_sqrt(q).entries).T
-        vals = _evaluate_rows(f, x)
+    for i, root in enumerate(gn.sigma.roots):
+        vals = evaluate_rows(f, z @ (sqrt_scale * root).T)
         mean = float(vals.mean())
         if best is None or mean > best.value:
-            se = float(vals.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0
-            best = StaticEstimate(mean, se, i)
+            best = StaticEstimate(mean, stderr(vals), i)
     return best
 
 
@@ -255,11 +261,3 @@ def static_upper_expectation(gn: GNormal, f: Callable, n: int, seed: int) -> flo
     """
     return static_upper_report(gn, f, n, seed).value
 
-
-def dump_samples_csv(path, samples: np.ndarray) -> None:
-    """Write draws to CSV, one row per draw."""
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(samples.shape[1])])
-        writer.writerows(samples.tolist())

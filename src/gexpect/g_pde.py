@@ -8,10 +8,11 @@ the solver is cross-validated against.
 
 Backward time stepping u(t - dt) = u(t) + dt * (<A x, Du> + G(D^2 u)) with
 centered second differences, first-order upwind transport, and a combined
-diffusion/advection CFL bound with a safety factor.  Boundary ghosts extend
-the solution linearly (odd reflection), so the scheme sees no curvature at
-the box edge: affine profiles are invariant, the update stays monotone, and
-boundary pollution of curved solutions decays into the interior.  The
+diffusion/advection CFL bound; without a pinned step, dt is ``CFL_SAFETY``
+times that bound.  Boundary ghosts extend the solution linearly (odd
+reflection), so the scheme sees no curvature at the box edge: affine
+profiles are invariant, the update stays monotone, and boundary pollution
+of curved solutions decays into the interior.  The
 transport generator is restricted to diagonal nonpositive matrices, which
 keeps the semigroup explicit and the upwind stencils inside the grid.
 
@@ -27,7 +28,6 @@ followed by a max over the extremes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
@@ -42,6 +42,7 @@ from .control_sim import (
     build_policies,
     simulate_gbm,
 )
+from .g_normal import as_point, evaluate_rows, stderr
 from .operator_core import as_coords
 from .stoch_integral import _generator_diag, convolution_path
 
@@ -59,8 +60,10 @@ __all__ = [
     "flow_property_discrepancy",
     "mc_value",
     "mc_values",
-    "write_slice_csv",
 ]
+
+# Fraction of the CFL bound used as the time step when none is pinned.
+CFL_SAFETY = 0.9
 
 
 class CflError(ValueError):
@@ -84,7 +87,6 @@ class PdeProblem:
     T: float
     domain_box: tuple
     a_gen: object = None
-    bc: str = "neumann"
 
     def __post_init__(self):
         if self.dim not in (1, 2, 3):
@@ -111,12 +113,11 @@ class MeshSpec:
     """Spatial resolution and optional pinned time step.
 
     ``nodes`` is one count for every axis or a per-axis tuple; ``dt`` of None
-    picks ``safety`` times the CFL bound.
+    picks ``CFL_SAFETY`` times the CFL bound.
     """
 
     nodes: object = 61
     dt: float | None = None
-    safety: float = 0.9
 
     def nodes_per_axis(self, dim: int) -> tuple[int, ...]:
         if np.isscalar(self.nodes):
@@ -361,7 +362,7 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
             raise CflError(mesh_spec.dt, dt_max)
         n_steps = max(1, math.ceil(problem.T / mesh_spec.dt - 1e-12))
     else:
-        n_steps = max(1, math.ceil(problem.T / (mesh_spec.safety * dt_max)))
+        n_steps = max(1, math.ceil(problem.T / (CFL_SAFETY * dt_max)))
     dt = problem.T / n_steps
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
@@ -444,8 +445,7 @@ def ou_mild_path(
     diag = _generator_diag(a_gen, sigma.dim)
     raw = simulate_gbm(sigma, policy, n_paths, steps, T - t0, seed)
     conv = convolution_path(np.diag(diag), raw)
-    x0c = as_coords(x0) if not np.isscalar(x0) else np.full(sigma.dim, float(x0))
-    flow = np.exp(np.outer(raw.times, diag)) * x0c[None, :]
+    flow = np.exp(np.outer(raw.times, diag)) * as_point(x0, sigma.dim)[None, :]
     states = conv + flow[None, :, :]
     return PathBundle(
         t0 + raw.times, states, raw.increments, seed, policy, sigma
@@ -498,10 +498,7 @@ def mc_values(
     if not 0.0 <= t0 < problem.T:
         raise ValueError(f"t0 must lie in [0, T), got {t0}")
     sigma, steps, n_paths = problem.sigma, control_spec.steps, control_spec.n_paths
-    x0s = [
-        as_coords(x0) if not np.isscalar(x0) else np.full(sigma.dim, float(x0))
-        for x0 in probes
-    ]
+    x0s = [as_point(x0, sigma.dim) for x0 in probes]
     diag = _generator_diag(problem.a_gen, sigma.dim)
     flow_T = np.exp((problem.T - t0) * diag)
     best = [(-math.inf, 0.0)] * len(x0s)
@@ -519,24 +516,9 @@ def mc_values(
             del raw  # free the paths before the next policy is simulated
             terminals = (conv_T + flow_T * x0 for x0 in x0s)
         for i, terminal in enumerate(terminals):
-            vals = np.asarray(problem.terminal_f(terminal), dtype=float)
-            if vals.shape != (n_paths,):
-                raise ValueError(
-                    "terminal data must map (n, dim) states to (n,) values"
-                )
+            vals = evaluate_rows(problem.terminal_f, terminal)
             mean = float(vals.mean())
             if mean > best[i][0]:
-                best[i] = (mean, float(vals.std(ddof=1) / math.sqrt(vals.size)))
+                best[i] = (mean, stderr(vals))
     return [McValue(value, se) for value, se in best]
 
-
-def write_slice_csv(solution: GridSolution, t: float, path) -> None:
-    """Export the time slice nearest to t: one row per node, coords + value."""
-    k = solution.time_index(t)
-    grids = np.meshgrid(*solution.axes, indexing="ij")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i}" for i in range(len(solution.axes))] + ["u"])
-        flat = [g.reshape(-1) for g in grids] + [solution.values[k].reshape(-1)]
-        for row in zip(*flat):
-            writer.writerow([repr(float(v)) for v in row])

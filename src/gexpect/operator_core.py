@@ -17,13 +17,11 @@ __all__ = [
     "PSD_EIGEN_TOL",
     "SymOperator",
     "PsdOperator",
-    "HVector",
     "as_matrix",
     "as_coords",
     "schatten_norm",
     "psd_sqrt",
     "outer",
-    "mat_exp",
     "trace_product",
 ]
 
@@ -132,39 +130,6 @@ class PsdOperator:
         return f"PsdOperator(dim={self.dim}, eigen_floor={self.eigen_floor:.3e})"
 
 
-class HVector:
-    """Vector in the truncated Hilbert space R^N."""
-
-    __slots__ = ("coords",)
-
-    def __init__(self, coords):
-        c = np.array(coords, dtype=float).reshape(-1)
-        if c.size < 1:
-            raise ValueError("vector must have at least one coordinate")
-        c.flags.writeable = False
-        object.__setattr__(self, "coords", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("HVector is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.coords.size
-
-    @classmethod
-    def basis(cls, n: int, i: int) -> "HVector":
-        c = np.zeros(n)
-        c[i] = 1.0
-        return cls(c)
-
-    @classmethod
-    def zero(cls, n: int) -> "HVector":
-        return cls(np.zeros(n))
-
-    def __repr__(self) -> str:
-        return f"HVector({np.array2string(self.coords, precision=4)})"
-
-
 def as_matrix(a) -> np.ndarray:
     """Coerce SymOperator / PsdOperator / array-like to a float ndarray."""
     if isinstance(a, PsdOperator):
@@ -175,9 +140,7 @@ def as_matrix(a) -> np.ndarray:
 
 
 def as_coords(h) -> np.ndarray:
-    """Coerce HVector / array-like to a 1-d float ndarray."""
-    if isinstance(h, HVector):
-        return h.coords
+    """Coerce an array-like to a 1-d float ndarray."""
     return np.asarray(h, dtype=float).reshape(-1)
 
 
@@ -217,31 +180,10 @@ def psd_sqrt(q) -> SymOperator:
 
 
 def outer(x, y) -> np.ndarray:
-    """Rank-one operator mapping z to <z, y> x, i.e. the matrix x_i * y_j.
-
-    Its trace equals <x, y>; checked here because downstream trace identities
-    rely on it.
-    """
+    """Rank-one operator mapping z to <z, y> x, i.e. the matrix x_i * y_j."""
     xc, yc = as_coords(x), as_coords(y)
     _check_same_dim(xc.size, yc.size, "outer")
-    m = np.outer(xc, yc)
-    inner = float(np.dot(xc, yc))
-    scale = max(1.0, abs(inner))
-    if abs(float(np.trace(m)) - inner) > 1e-12 * scale:
-        raise AssertionError("trace of rank-one operator drifted from <x, y>")
-    return m
-
-
-def mat_exp(a, t: float) -> SymOperator:
-    """Matrix exponential exp(t * a) of a symmetric operator.
-
-    Computed by eigen-decomposition; t = 0 returns the identity exactly.
-    """
-    op = a if isinstance(a, (SymOperator, PsdOperator)) else SymOperator(a)
-    if t == 0.0:
-        return SymOperator.identity(op.dim)
-    vals, vecs = np.linalg.eigh(op.entries)
-    return SymOperator((vecs * np.exp(t * vals)) @ vecs.T)
+    return np.outer(xc, yc)
 
 
 def trace_product(a, b) -> float:

@@ -18,7 +18,8 @@ import numpy as np
 
 from .covariance_set import CovarianceSet
 from .control_sim import PathBundle, build_policies, simulate_gbm
-from .operator_core import SymOperator, as_matrix, psd_sqrt
+from .g_normal import stderr
+from .operator_core import SymOperator, as_matrix
 
 __all__ = [
     "BDG_CONSTANTS",
@@ -99,10 +100,6 @@ class ElementaryProcess:
         return cls(np.linspace(0.0, T, steps + 1), blocks=[b] * steps)
 
     @property
-    def deterministic_blocks(self) -> bool:
-        return self.blocks is not None
-
-    @property
     def n_blocks(self) -> int:
         return self.partition.size - 1
 
@@ -162,12 +159,12 @@ def _partition_indices(phi: ElementaryProcess, bundle: PathBundle) -> np.ndarray
     return idx
 
 
-def _l2sigma_sq_per_path(block, sqrt_stack: np.ndarray) -> np.ndarray | float:
+def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
     """sup over extremes of ||block sqrt(Q)||_F^2, per path if block is."""
     if block.ndim == 2:
-        prod = np.einsum("ij,qjk->qik", block, sqrt_stack)
+        prod = np.einsum("ij,qjk->qik", block, roots)
         return float(np.max(np.sum(prod * prod, axis=(1, 2))))
-    prod = np.einsum("nij,qjk->nqik", block, sqrt_stack)
+    prod = np.einsum("nij,qjk->nqik", block, roots)
     return np.max(np.sum(prod * prod, axis=(2, 3)), axis=1)
 
 
@@ -183,8 +180,7 @@ def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralR
             f"integrand acts on dim {phi.in_dim}, paths live in dim {paths.dim}"
         )
     idx = _partition_indices(phi, paths)
-    n_paths = paths.n_paths
-    sqrt_stack = np.stack([psd_sqrt(q).entries for q in paths.sigma.extremes])
+    n_paths, roots = paths.n_paths, paths.sigma.roots
     values = np.zeros((n_paths, phi.out_dim))
     integrand_acc = np.zeros(n_paths)
     for k in range(phi.n_blocks):
@@ -196,7 +192,7 @@ def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralR
             values += db @ block.T
         else:
             values += np.einsum("nij,nj->ni", block, db)
-        integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, sqrt_stack)
+        integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, roots)
     norms_sq = np.sum(values * values, axis=1)
     return IntegralResult(
         values=values,
@@ -230,10 +226,9 @@ def _moment_sup(phi, sigma, p, policies, n_paths, seed):
         res = integrate_elementary(phi, bundle)
         lhs_vals = np.sum(res.values**2, axis=1) ** (p / 2.0)
         lhs = float(lhs_vals.mean())
-        se = float(lhs_vals.std(ddof=1) / math.sqrt(n_paths)) if n_paths > 1 else 0.0
         rhs = float(np.mean(res.integrand_sq_paths ** (p / 2.0)))
         if lhs > lhs_best:
-            lhs_best, se_best = lhs, se
+            lhs_best, se_best = lhs, stderr(lhs_vals)
         rhs_best = max(rhs_best, rhs)
     return lhs_best, rhs_best, se_best
 

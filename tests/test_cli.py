@@ -1,9 +1,13 @@
+import csv
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from gexpect import CovarianceSet
 from gexpect.experiment_cli import main
+from gexpect.g_pde import MeshSpec, PdeProblem, solve_gheat
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -141,9 +145,21 @@ class TestRun:
         ({"params": {"n_samples": "abc"}}, "'n_samples'"),
         ({"sigma": {"dim": 1, "extremes": [[-1], [0.25]]}}, "sigma"),
         ({"params": {"n_samples": float("nan")}}, "NaN"),
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"terminal": [1]}}, "'terminal'"),
+        ({"seed": True}, "seed"),
+        ({"kind": "isometry", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"mode": "determinstic"}}, "'mode'"),
+        ({"kind": ["moments"]}, "kind"),
+        (3, "JSON object"),
+        (None, "JSON object"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, overrides, key):
-        cfg = write_config(tmp_path, **overrides)
+        if isinstance(overrides, dict):
+            cfg = write_config(tmp_path, **overrides)
+        else:  # a whole document that is not an object
+            cfg = tmp_path / "config.json"
+            cfg.write_text(json.dumps(overrides))
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
@@ -187,6 +203,67 @@ class TestPlot:
 
     def test_missing_report(self, tmp_path):
         assert main(["plot", str(tmp_path / "nothing.json"), "--series", "x"]) == 2
+
+    @pytest.mark.parametrize("report, key", [
+        ([], "'series'"),
+        ({"series": {"s": {"rows": [[1.0]]}}}, "'columns'"),
+        ({"series": {"s": {"columns": ["a"], "rows": [1.0]}}}, "'rows'"),
+    ])
+    def test_malformed_report_is_usage_error(self, tmp_path, capsys, report, key):
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(report))
+        assert main(["plot", str(path), "--series", "s", "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
+
+def read_csv(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+class TestArtifacts:
+    """The CSV artifacts and sidecar that the runner writes next to a report."""
+
+    def test_samples_csv(self, tmp_path):
+        cfg = write_config(tmp_path, params={"m_max": 1, "n_samples": 5,
+                                             "dump_samples": True})
+        assert main(["run", str(cfg)]) in (0, 1)
+        assert load_report(tmp_path)["artifacts"] == ["samples.csv"]
+        rows = read_csv(tmp_path / "out" / "samples.csv")
+        assert rows[0] == ["x0", "x1"] and len(rows) == 1 + 5
+
+    def test_gheat_slice_csv(self, tmp_path):
+        band = {"dim": 1, "extremes": [[1.0], [0.25]], "label": "band"}
+        cfg = write_config(tmp_path, kind="gheat", sigma=band, params={
+            "T": 0.2, "nodes": 11, "lattice_steps": 50, "steps": 4, "n_paths": 200})
+        assert main(["run", str(cfg)]) in (0, 1)
+        rows = read_csv(tmp_path / "out" / "gheat_slice.csv")
+        assert rows[0] == ["x0", "u"] and len(rows) == 1 + 11
+        prob = PdeProblem(1, CovarianceSet.from_dict(band), lambda p: p[..., 0] ** 2,
+                          0.2, ((-3.0, 3.0),))
+        sol = solve_gheat(prob, MeshSpec(nodes=11))
+        got = np.array(rows[1:], dtype=float)
+        assert np.array_equal(got[:, 0], sol.axes[0])
+        assert np.array_equal(got[:, 1], sol.values[0])
+
+    def test_ou_paths_csv_and_sidecar(self, tmp_path):
+        cfg = write_config(
+            tmp_path, kind="ou", sigma={"dim": 2, "extremes": [[1, 0, 0, 1]]},
+            params={"steps": 6, "n_paths": 50, "substeps": 3, "export_paths": 4,
+                    "quad_steps": 100})
+        assert main(["run", str(cfg)]) in (0, 1)
+        out = tmp_path / "out"
+        assert load_report(tmp_path)["artifacts"] == ["ou_paths.csv", "ou_paths.json"]
+        rows = read_csv(out / "ou_paths.csv")
+        assert rows[0][:3] == ["path", "coord", "t=0"] and len(rows[0]) == 2 + 7
+        assert len(rows) == 1 + 4 * 2
+        assert [row[:2] for row in rows[1:3]] == [["0", "0"], ["0", "1"]]
+        meta = json.loads((out / "ou_paths.json").read_text())
+        assert sorted(meta) == ["T", "n_paths", "policy", "seed", "sigma_label",
+                                "steps", "t0"]
+        assert meta["n_paths"] == 4 and meta["steps"] == 6
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(CONFIG_DIR.glob("*.json"))])

@@ -6,11 +6,9 @@ import pytest
 from gexpect import CovarianceSet, control_sim
 from gexpect.control_sim import (
     ControlPolicy,
-    FactorSet,
     NestedSpec,
     PolicyFamily,
     estimate_upper_expectation,
-    export_paths,
     lattice_1d,
     nested_expectation,
     simulate_gbm,
@@ -20,17 +18,6 @@ from gexpect.g_normal import GNormal, VolatilityBand, project_band, static_upper
 
 def first_coord(states):
     return states[:, 0]
-
-
-class TestFactorSet:
-    def test_factors_reproduce_extremes(self, correlated_2d):
-        fs = FactorSet.from_covariance_set(correlated_2d)
-        for g, q in zip(fs.gammas, correlated_2d.matrices):
-            assert np.linalg.norm(g @ g.T - q) < 1e-9
-
-    def test_rejects_wrong_factor(self, spread_2d):
-        with pytest.raises(ValueError):
-            FactorSet([np.eye(2), np.eye(2)], spread_2d)
 
 
 class TestSimulate:
@@ -119,7 +106,7 @@ class TestSimulate:
         assert fast.states.shape == (300, len(table) + 1, 2)
         assert np.array_equal(fast.states, loop.states)
         assert np.array_equal(fast.increments, loop.increments)
-        gammas = FactorSet.from_covariance_set(spread_2d).gammas
+        gammas = spread_2d.roots
         normals = np.random.default_rng(12).standard_normal((len(table), 300, 2))
         x = np.zeros((300, 2))
         for k, i in enumerate(table):
@@ -156,15 +143,6 @@ class TestSimulate:
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 5, 1.0, seed=3)
         assert bundle.states[:, 2, :].flags.c_contiguous
         assert bundle.increments[:, 2, :].flags.c_contiguous
-
-    def test_export_paths(self, band_1d, tmp_path):
-        bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 4, 3, 1.0, seed=6)
-        csv_path = tmp_path / "paths.csv"
-        meta_path = tmp_path / "paths.json"
-        export_paths(bundle, csv_path, meta_path)
-        lines = csv_path.read_text().strip().splitlines()
-        assert len(lines) == 1 + 4 * 1
-        assert meta_path.read_text().startswith("{")
 
 
 class TestLattice:

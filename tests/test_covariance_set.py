@@ -44,6 +44,18 @@ class TestConstruction:
             assert np.array_equal(a, b)
 
 
+class TestRoots:
+    def test_roots_reproduce_extremes(self, correlated_2d):
+        roots = correlated_2d.roots
+        assert roots.shape == (len(correlated_2d), 2, 2)
+        for g, q in zip(roots, correlated_2d.matrices):
+            assert np.linalg.norm(g @ g.T - q) < 1e-9
+        # computed once, then shared read-only
+        assert correlated_2d.roots is roots
+        with pytest.raises(ValueError):
+            roots[0, 0, 0] = 1.0
+
+
 class TestGEval:
     def test_singleton_sup(self, correlated_2d):
         # singleton sup is half the plain trace product

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gexpect import CovarianceSet, GFunctional, g_eval, outer
+from gexpect import CovarianceSet, GFunctional, covset_scale, g_eval, outer
 from gexpect.g_normal import (
     GNormal,
     VolatilityBand,
     covariance_form,
-    dump_samples_csv,
     gaussian_even_moment,
     moment_bounds_check,
     moment_constant,
@@ -80,11 +79,6 @@ class TestMomentUpper:
         assert moment_upper(GNormal(cs), 2) == pytest.approx(
             gaussian_even_moment(q, 2)
         )
-
-    def test_scaled_set_view(self):
-        cs = CovarianceSet([np.diag([1.0, 2.0])])
-        scaled = GNormal(cs, scale=3.0).scaled_set()
-        assert np.allclose(scaled.matrices[0], 3.0 * np.diag([1.0, 2.0]))
 
     def test_rejects_negative_scale(self):
         with pytest.raises(ValueError):
@@ -196,7 +190,7 @@ class TestLawAlgebraConsistency:
     def test_scaled_set_matches_scaled_law(self, correlated_2d):
         t = 2.7
         gn = GNormal(correlated_2d, scale=t)
-        flat = GNormal(gn.scaled_set(), scale=1.0)
+        flat = GNormal(covset_scale(correlated_2d, math.sqrt(t)), scale=1.0)
         h = np.array([0.6, -0.8])
         a, b = project_band(gn, h), project_band(flat, h)
         assert a.sigma_up_sq == pytest.approx(b.sigma_up_sq, rel=1e-12)
@@ -260,14 +254,6 @@ class TestSampling:
         a = sample_gaussian(np.eye(1), 4000, seed=s1).ravel()
         b = sample_gaussian(np.eye(1), 4000, seed=s2).ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
-
-    def test_dump_samples_csv(self, tmp_path):
-        draws = sample_gaussian(np.eye(2), 5, seed=3)
-        out = tmp_path / "draws.csv"
-        dump_samples_csv(out, draws)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x0,x1"
-        assert len(lines) == 6
 
 
 class TestStaticEvaluator:

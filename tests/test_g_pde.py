@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -19,7 +20,6 @@ from gexpect.g_pde import (
     residual_check,
     solve_gheat,
     solve_gpde,
-    write_slice_csv,
 )
 from gexpect.g_pde import _Stencil
 
@@ -126,14 +126,6 @@ class TestGHeat:
             sf = solve_gheat(prob_f, spec)
             sg = solve_gheat(prob_g, spec)
             assert np.all(sf.values[0] <= sg.values[0] + 1e-12)
-
-    def test_slice_export(self, tmp_path):
-        prob = band_problem(f_square, T=0.2)
-        sol = solve_gheat(prob, MeshSpec(nodes=11))
-        out = tmp_path / "slice.csv"
-        write_slice_csv(sol, 0.0, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "x0,u" and len(lines) == 12
 
 
 class TestGPde:
@@ -266,6 +258,17 @@ class TestMcValue:
                 for pol in family.build(len(sigma))
             ]
             assert mc.value == max(means)
+
+    def test_single_path_has_zero_stderr(self, band_1d):
+        # one sample gives no spread estimate: stderr 0 and no warning, for
+        # shared (constant) and per-probe (feedback) simulations alike
+        prob = PdeProblem(1, band_1d, f_square, 0.5, ((-2.0, 2.0),))
+        family = PolicyFamily(bang_bang_stat=lambda s: s[:, 0])
+        spec = McControlSpec(steps=4, n_paths=1, family=family, seed=2)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = mc_values(prob, [0.0, 0.3], 0.0, spec)
+        assert [mc.stderr for mc in got] == [0.0, 0.0]
 
     def test_rejects_bad_t0(self, band_1d):
         prob = PdeProblem(1, band_1d, f_square, 1.0, ((-2.0, 2.0),))

@@ -6,10 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gexpect.operator_core import (
-    HVector,
     PsdOperator,
     SymOperator,
-    mat_exp,
     outer,
     psd_sqrt,
     schatten_norm,
@@ -129,12 +127,12 @@ class TestPsdSqrt:
 class TestOuter:
     def test_basis_pair(self):
         # Tr[x (x) y] = <x, y>; here orthogonal, trace 0.
-        m = outer(HVector([1.0, 0.0]), HVector([0.0, 1.0]))
+        m = outer([1.0, 0.0], [0.0, 1.0])
         assert np.array_equal(m, np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert np.trace(m) == 0.0
 
     def test_self_outer(self):
-        m = outer(HVector([1.0, 1.0]), HVector([1.0, 1.0]))
+        m = outer([1.0, 1.0], [1.0, 1.0])
         assert np.array_equal(m, np.ones((2, 2)))
         assert np.trace(m) == pytest.approx(2.0)
 
@@ -149,36 +147,6 @@ class TestOuter:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             outer([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestMatExp:
-    def test_zero_time_is_identity_exactly(self):
-        a = SymOperator([[0.3, -0.2], [-0.2, 0.9]])
-        assert np.array_equal(mat_exp(a, 0.0).entries, np.eye(2))
-
-    def test_scalar_exponentials(self):
-        # scalar exponentials on the diagonal
-        e = mat_exp(SymOperator.diagonal([-1.0, -2.0]), 1.0)
-        assert np.allclose(e.entries, np.diag([np.exp(-1.0), np.exp(-2.0)]), atol=1e-14)
-
-    @settings(max_examples=25, deadline=None)
-    @given(st.integers(0, 10**6))
-    def test_semigroup_law_and_symmetry(self, seed):
-        rng = np.random.default_rng(seed)
-        a = SymOperator(random_sym(rng, 3))
-        s, t = 0.3, 0.8
-        lhs = mat_exp(a, s).entries @ mat_exp(a, t).entries
-        rhs = mat_exp(a, s + t).entries
-        assert np.linalg.norm(lhs - rhs) < 1e-9
-        assert np.array_equal(rhs, rhs.T)
-
-    def test_semigroup_on_batch(self):
-        rng = np.random.default_rng(7)
-        for _ in range(100):
-            a = SymOperator(random_sym(rng, 4))
-            left = mat_exp(a, 0.5).entries @ mat_exp(a, 0.25).entries
-            right = mat_exp(a, 0.75).entries
-            assert np.linalg.norm(left - right) < 1e-8
 
 
 class TestTraceProduct:
