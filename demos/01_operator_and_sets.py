@@ -9,7 +9,6 @@ import numpy as np
 
 from gexpect import (
     CovarianceSet,
-    GFunctional,
     SymOperator,
     covset_conjugate,
     covset_contains,
@@ -25,13 +24,12 @@ from gexpect import (
 sigma = CovarianceSet(
     [np.diag([1.0, 1.0]), np.diag([4.0, 0.0])], label="spread-2d"
 )
-g = GFunctional(sigma)
-
 a = SymOperator.identity(2)
-print(f"G(I) = 1/2 max(Tr Q) = {g(a):.4f}   (extremes have traces 2 and 4)")
+print(f"G(I) = 1/2 max(Tr Q) = {g_eval(sigma, a):.4f}   (extremes have traces 2 and 4)")
 
 b = SymOperator.diagonal([1.0, -1.0])
-print(f"G(diag(1,-1)) = {g(b):.4f}   -- the spiked extreme wins on this direction")
+print(f"G(diag(1,-1)) = {g_eval(sigma, b):.4f}"
+      "   -- the spiked extreme wins on this direction")
 print(f"G(-diag(1,-1)) = {g_eval(sigma, -b.entries):.4f}   -- sup is one-sided\n")
 
 # Schatten norms of an extreme, and the integrand norm of a test operator.

@@ -20,7 +20,6 @@ from .operator_core import (
 )
 from .covariance_set import (
     CovarianceSet,
-    GFunctional,
     covset_conjugate,
     covset_contains,
     covset_scale,
@@ -37,7 +36,6 @@ __all__ = [
     "outer",
     "trace_product",
     "CovarianceSet",
-    "GFunctional",
     "g_eval",
     "l2sigma_norm",
     "covset_scale",

@@ -3,8 +3,8 @@
 A covariance set is stored by finitely many extreme points (symmetric PSD
 trace-class operators); the convex hull is implicit.  Since the supremum of
 any linear functional over a convex hull is attained at an extreme point,
-evaluation of the induced sublinear functional, of integrand norms and of all
-covariance-set algebra is exact for this class.
+evaluation of the induced sublinear functional (``g_eval(sigma, a)``), of
+integrand norms and of all covariance-set algebra is exact for this class.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .operator_core import PsdOperator, as_matrix, psd_sqrt, trace_product
 __all__ = [
     "DEDUP_TOL",
     "CovarianceSet",
-    "GFunctional",
     "g_eval",
     "l2sigma_norm",
     "covset_scale",
@@ -131,36 +130,12 @@ class CovarianceSet:
         return f"CovarianceSet(dim={self.dim}, extremes={len(self)}, label={self.label!r})"
 
 
-class GFunctional:
-    """Sublinear functional A -> 1/2 sup over extremes of Tr[A Q].
+def g_eval(sigma: CovarianceSet, a) -> float:
+    """Evaluate the sublinear functional G(a) = 1/2 max over extremes of Tr[a Q].
 
-    Fully determined by its covariance set; monotone, subadditive and
-    positively homogeneous by construction (tested, not enforced).
+    G is fully determined by the covariance set; it is monotone, subadditive
+    and positively homogeneous by construction (tested, not enforced).
     """
-
-    __slots__ = ("sigma",)
-
-    def __init__(self, sigma: CovarianceSet):
-        object.__setattr__(self, "sigma", sigma)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GFunctional is immutable")
-
-    def __call__(self, a) -> float:
-        return g_eval(self, a)
-
-
-def _sigma_of(g) -> CovarianceSet:
-    return g.sigma if isinstance(g, GFunctional) else g
-
-
-def g_eval(g, a) -> float:
-    """Evaluate the sublinear functional: 1/2 max over extremes of Tr[a Q].
-
-    ``g`` may be a GFunctional or a CovarianceSet.  Ties are broken by first
-    index (the value is identical either way).
-    """
-    sigma = _sigma_of(g)
     m = as_matrix(a)
     if m.shape[0] != sigma.dim:
         raise ValueError(
@@ -241,11 +216,10 @@ def covset_contains(
     inside = residual <= 1e-9 * (1.0 + float(np.linalg.norm(target)))
 
     rng = np.random.default_rng(seed)
-    g = GFunctional(sigma)
     for _ in range(directions):
         raw = rng.standard_normal((n, n))
         a_dir = (raw + raw.T) / 2.0
-        slack = g_eval(g, a_dir) + 1e-9 - 0.5 * trace_product(a_dir, op.entries)
+        slack = g_eval(sigma, a_dir) + 1e-9 - 0.5 * trace_product(a_dir, op.entries)
         if inside and slack < 0.0:
             raise RuntimeError(
                 "support-function certificate contradicts membership verdict"

@@ -5,7 +5,8 @@ for the configured seed and writes a JSON report plus CSV artifacts;
 ``gexpect plot report.json --series NAME`` flattens a recorded series to
 plot-ready CSV.  Exit codes: 0 all checks pass, 1 a check failed (report
 still written), 2 usage error.  The runner only formats numbers produced by
-the library modules; every CSV artifact is written here, by ``_write_csv``.
+the library modules; every record and artifact goes through one sink,
+``_Report``.
 """
 
 from __future__ import annotations
@@ -54,9 +55,9 @@ from .g_pde import (
     solve_gpde,
 )
 from .stoch_integral import (
+    BDG_CONSTANTS,
     ElementaryProcess,
     bdg_check,
-    check_record,
     convolution_condition,
     convolution_path,
     fubini_check,
@@ -84,39 +85,38 @@ def _bad_params(*keys):
         raise UsageError(f"param {names}: {exc}") from exc
 
 
-def _param(params, key, default, cast):
+def _param(cfg, key, default, cast):
     """``cast`` of one param; a value it rejects is a usage error naming the key."""
     with _bad_params(key):
-        return cast(params.get(key, default))
+        return cast(cfg.params.get(key, default))
 
 
-def _choice(params, key, default, known):
+def _choice(cfg, key, default, known):
     """A string param that must name one of ``known``."""
-    value = params.get(key, default)
+    value = cfg.params.get(key, default)
     if not isinstance(value, str) or value not in known:
         raise UsageError(f"param {key!r}: unknown value {value!r}; "
                          f"known: {', '.join(sorted(known))}")
     return value
 
 
+def _count(value, least=1):
+    """An integer param: not a bool, no fractional part, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be at least {least}, got {value!r}")
+    return int(value)
+
+
+def _positive(value):
+    if not float(value) > 0.0:
+        raise ValueError(f"must be positive, got {value!r}")
+    return float(value)
+
+
 def _reject_constant(token):
     raise UsageError(f"malformed JSON config: non-standard number {token}")
-
-
-def _strict_rows(series):
-    """Series with every non-finite number as None, so reports are strict JSON."""
-    return {
-        name: {**spec, "rows": [
-            [None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
-            for row in spec["rows"]
-        ]}
-        for name, spec in series.items()
-    }
-
-
-def _close(name, a, b, tol, **sizes):
-    """Record of the check |a - b| <= tol."""
-    return check_record(name, a, b, tol, abs(a - b) <= tol, **sizes)
 
 
 def _write_csv(dest, header, rows):
@@ -127,27 +127,64 @@ def _write_csv(dest, header, rows):
         writer.writerows(rows)
 
 
-def _write_slice(dest, sol):
-    """The t = 0 slice of a PDE solution, one row per node: coordinates, value."""
-    grids = [*np.meshgrid(*sol.axes, indexing="ij"), sol.values[0]]
-    _write_csv(dest, [f"x{i}" for i in range(len(sol.axes))] + ["u"],
-               ([repr(float(v)) for v in row]
-                for row in zip(*(g.reshape(-1) for g in grids))))
+class _Report:
+    """The one sink of a run: check records, plot-ready tables, artifact files.
+
+    A non-finite number is stored as None (JSON null): reports stay strict JSON.
+    """
+
+    def __init__(self, cfg, out_dir, threads):
+        self.cfg, self.out_dir, self.threads = cfg, out_dir, threads
+        self.records, self.series, self.artifacts = [], {}, []
+
+    def check(self, name, lhs, rhs, tol, ok=None, n_paths=None):
+        """Record the check ``ok``, by default |lhs - rhs| <= tol.
+
+        A non-finite ``lhs``, ``rhs`` or ``tol`` fails the check.  A Monte
+        Carlo check (``n_paths`` given) also records the config seed.
+        """
+        ok = abs(lhs - rhs) <= tol if ok is None else ok
+        rec = {"name": str(name), "ok": bool(ok)}
+        for key, value in (("lhs", lhs), ("rhs", rhs), ("tolerance", tol)):
+            value = float(value)
+            rec[key] = value if math.isfinite(value) else None
+            rec["ok"] = rec["ok"] and rec[key] is not None
+        if n_paths is not None:
+            rec["n_paths"] = int(n_paths)
+            rec["seed"] = int(self.cfg.seed)
+        self.records.append(rec)
+
+    def table(self, name, columns, rows):
+        self.series[name] = {"columns": columns, "rows": [
+            [None if isinstance(v, float) and not math.isfinite(v) else v for v in row]
+            for row in rows
+        ]}
+
+    def file(self, name):
+        """Path of an artifact next to the report; the report lists its name."""
+        self.artifacts.append(name)
+        return self.out_dir / name
+
+    def csv(self, name, header, rows):
+        _write_csv(self.file(name), header, rows)
+
+    def slice(self, name, sol):
+        """The t = 0 slice of a PDE solution, one row per node: coordinates, value."""
+        grids = [*np.meshgrid(*sol.axes, indexing="ij"), sol.values[0]]
+        self.csv(name, [f"x{i}" for i in range(len(sol.axes))] + ["u"],
+                 ([repr(float(v)) for v in row]
+                  for row in zip(*(g.reshape(-1) for g in grids))))
 
 
 def _floats(value):
     return np.asarray(value, dtype=float)
 
 
-def _mesh(dim):
-    """Cast of a node-count param to a MeshSpec whose counts are checked now."""
-
-    def cast(value):
-        mesh = MeshSpec(nodes=int(value))
-        mesh.nodes_per_axis(dim)
-        return mesh
-
-    return cast
+def _mesh(value, dim):
+    """A node-count param as a MeshSpec whose counts are checked now."""
+    mesh = MeshSpec(nodes=_count(value))
+    mesh.nodes_per_axis(dim)
+    return mesh
 
 
 @dataclass(frozen=True)
@@ -203,27 +240,12 @@ class ExperimentConfig:
                     f"{SEED_OVERRIDE_ENV} must be an integer, got {override!r}"
                 ) from exc
         out_dir = Path(out_override or doc.get("output_dir", "gexpect-out"))
-        return cls(
-            name=str(doc["name"]),
-            kind=str(doc["kind"]),
-            sigma=sigma,
-            params=dict(doc.get("params", {})),
-            seed=seed,
-            output_dir=out_dir,
-        )
+        return cls(name=str(doc["name"]), kind=doc["kind"], sigma=sigma,
+                   params=dict(doc.get("params", {})), seed=seed, output_dir=out_dir)
 
     def echo(self) -> dict:
-        return {
-            "name": self.name,
-            "kind": self.kind,
-            "sigma": self.sigma.to_dict(),
-            "params": self.params,
-            "seed": self.seed,
-        }
-
-
-def _norm_sq(x):
-    return np.sum(x * x, axis=1)
+        return {"name": self.name, "kind": self.kind, "sigma": self.sigma.to_dict(),
+                "params": self.params, "seed": self.seed}
 
 
 def _unit_directions(dim, count, seed):
@@ -232,73 +254,56 @@ def _unit_directions(dim, count, seed):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _run_moments(cfg, out_dir, threads):
-    p = cfg.params
-    m_max = _param(p, "m_max", 3, int)
-    n = _param(p, "n_samples", 100_000, int)
-    gn = _param(p, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
-    records, rows = [], []
+def _run_moments(cfg, rep):
+    m_max = _param(cfg, "m_max", 3, _count)
+    n = _param(cfg, "n_samples", 100_000, _count)
+    gn = _param(cfg, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
+    rows = []
     for m in range(1, m_max + 1):
         b = moment_bounds_check(gn, m)
-        records.append(
-            check_record(f"moment-bounds-m{m}", b.value, moment_constant(m) * b.upper,
-                         0.0, b.ok)
-        )
+        rep.check(f"moment-bounds-m{m}", b.value, moment_constant(m) * b.upper, 0.0,
+                  b.ok)
         rows.append([m, b.lower, b.value, b.upper])
     exact = moment_upper(gn, 1)
-    trace_sup = gn.scale * cfg.sigma.max_trace()
-    records.append(_close("second-moment-exact", exact, trace_sup, 1e-12))
-    est = static_upper_report(gn, _norm_sq, n, cfg.seed)
-    records.append(_close("second-moment-mc", est.value, exact, 3.0 * est.stderr,
-                          n_paths=n, seed=cfg.seed))
-    series = {"moments": {"columns": ["m", "lower", "value", "upper"], "rows": rows}}
-    if not p.get("dump_samples"):
-        return records, series, []
-    draws = sample_gaussian(cfg.sigma.extremes[0], min(n, 10_000), cfg.seed)
-    _write_csv(out_dir / "samples.csv", [f"x{i}" for i in range(draws.shape[1])],
-               draws.tolist())
-    return records, series, ["samples.csv"]
+    rep.check("second-moment-exact", exact, gn.scale * cfg.sigma.max_trace(), 1e-12)
+    est = static_upper_report(gn, lambda x: np.sum(x * x, axis=1), n, cfg.seed)
+    rep.check("second-moment-mc", est.value, exact, 3.0 * est.stderr, n_paths=n)
+    rep.table("moments", ["m", "lower", "value", "upper"], rows)
+    if cfg.params.get("dump_samples"):
+        draws = sample_gaussian(cfg.sigma.extremes[0], min(n, 10_000), cfg.seed)
+        rep.csv("samples.csv", [f"x{i}" for i in range(draws.shape[1])], draws.tolist())
 
 
-def _run_band(cfg, out_dir, threads):
-    p = cfg.params
-    count = _param(p, "n_directions", 4, int)
-    n = _param(p, "n_samples", 50_000, int)
-    gn = _param(p, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
+def _run_band(cfg, rep):
+    count = _param(cfg, "n_directions", 4, _count)
+    n = _param(cfg, "n_samples", 50_000, _count)
+    gn = _param(cfg, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
     dirs = _unit_directions(cfg.sigma.dim, count, split_seed(cfg.seed, 991))
-    records, rows = [], []
+    rows = []
     for i, h in enumerate(dirs):
         band = project_band(gn, h)
         est = static_upper_report(gn, lambda x, h=h: (x @ h) ** 2, n, cfg.seed)
-        records.append(_close(f"band-mc-up-{i}", est.value, band.sigma_up_sq,
-                              3.0 * est.stderr, n_paths=n, seed=cfg.seed))
-        records.append(
-            check_record(f"band-order-{i}", band.sigma_down_sq, band.sigma_up_sq,
-                         0.0, band.sigma_down_sq <= band.sigma_up_sq)
-        )
+        rep.check(f"band-mc-up-{i}", est.value, band.sigma_up_sq, 3.0 * est.stderr,
+                  n_paths=n)
+        rep.check(f"band-order-{i}", band.sigma_down_sq, band.sigma_up_sq, 0.0,
+                  band.sigma_down_sq <= band.sigma_up_sq)
         rows.append([i, band.sigma_up_sq, band.sigma_down_sq, est.value, est.stderr])
-    series = {
-        "band": {"columns": ["direction", "up", "down", "mc_up", "stderr"],
-                 "rows": rows}
-    }
-    return records, series, []
+    rep.table("band", ["direction", "up", "down", "mc_up", "stderr"], rows)
 
 
-def _family(sigma):
-    return PolicyFamily(bang_bang_stat=lambda s: s[:, 0], bang_bang_name="x1")
+# the policy menu of the Monte Carlo suprema: constants plus bang-bang on x1
+_FAMILY = PolicyFamily(bang_bang_stat=lambda s: s[:, 0], bang_bang_name="x1")
 
 
-def _run_isometry(cfg, out_dir, threads):
-    p = cfg.params
-    T = _param(p, "T", 1.0, float)
-    steps = _param(p, "steps", 8, int)
-    n_paths = _param(p, "n_paths", 4000, int)
-    trials = _param(p, "trials", 5, int)
-    mode = _choice(p, "mode", "adapted", ("adapted", "deterministic"))
+def _run_isometry(cfg, rep):
+    T = _param(cfg, "T", 1.0, _positive)
+    steps = _param(cfg, "steps", 8, _count)
+    n_paths = _param(cfg, "n_paths", 4000, _count)
+    trials = _param(cfg, "trials", 5, _count)
+    mode = _choice(cfg, "mode", "adapted", ("adapted", "deterministic"))
     part = np.linspace(0.0, T, steps + 1)
     rng = np.random.default_rng(split_seed(cfg.seed, 17))
     dim = cfg.sigma.dim
-    records = []
     for trial in range(trials):
         if mode == "deterministic":
             blocks = [rng.standard_normal((dim, dim)) for _ in range(steps)]
@@ -311,45 +316,39 @@ def _run_isometry(cfg, out_dir, threads):
                 return scale[:, None, None] * np.eye(dim)[None]
 
             phi = ElementaryProcess.adapted(part, rule, out_dim=dim, in_dim=dim)
-        chk = ito_isometry_check(phi, cfg.sigma, _family(cfg.sigma), n_paths,
+        chk = ito_isometry_check(phi, cfg.sigma, _FAMILY, n_paths,
                                  split_seed(cfg.seed, trial))
-        records.append(
-            check_record(f"isometry-{mode}-{trial}", chk.lhs, chk.rhs,
-                         3.0 * chk.stderr, chk.ok, n_paths=n_paths, seed=cfg.seed)
-        )
-    return records, {}, []
+        rep.check(f"isometry-{mode}-{trial}", chk.lhs, chk.rhs, 3.0 * chk.stderr,
+                  chk.ok, n_paths=n_paths)
 
 
-def _run_bdg(cfg, out_dir, threads):
-    p = cfg.params
-    T = _param(p, "T", 1.0, float)
-    steps = _param(p, "steps", 4, int)
-    n_paths = _param(p, "n_paths", 20_000, int)
-    p_values = _param(p, "p_values", [1, 2, 4], lambda vs: [int(v) for v in vs])
+def _run_bdg(cfg, rep):
+    T = _param(cfg, "T", 1.0, _positive)
+    steps = _param(cfg, "steps", 4, _count)
+    n_paths = _param(cfg, "n_paths", 20_000, _count)
+    p_values = _param(cfg, "p_values", [1, 2, 4], lambda vs: [_count(v) for v in vs])
+    if not set(p_values) <= BDG_CONSTANTS.keys():
+        raise UsageError(f"param 'p_values': supported powers are 1, 2, 4; "
+                         f"got {p_values}")
     rng = np.random.default_rng(split_seed(cfg.seed, 29))
     dim = cfg.sigma.dim
     blocks = [rng.standard_normal((dim, dim)) for _ in range(steps)]
     phi = ElementaryProcess.deterministic(np.linspace(0.0, T, steps + 1), blocks)
-    records = []
     for pv in p_values:
         chk = bdg_check(phi, cfg.sigma, pv, PolicyFamily(), n_paths,
                         split_seed(cfg.seed, pv))
-        records.append(
-            check_record(f"bdg-p{pv}", chk.lhs, chk.rhs, 3.0 * chk.stderr, chk.ok,
-                         n_paths=n_paths, seed=cfg.seed)
-        )
-    return records, {}, []
+        rep.check(f"bdg-p{pv}", chk.lhs, chk.rhs, 3.0 * chk.stderr, chk.ok,
+                  n_paths=n_paths)
 
 
-def _run_sigma_integral(cfg, out_dir, threads):
-    p = cfg.params
-    a_diag = _param(p, "a_diag", [-0.5, -1.0], _floats)
-    T = _param(p, "T", 1.0, float)
-    quad_steps = _param(p, "quad_steps", 2000, int)
-    steps = _param(p, "steps", 32, int)
-    n_paths = _param(p, "n_paths", 20_000, int)
-    closed_tol = _param(p, "closed_tol", 1e-6, float)
-    frob_tol = _param(p, "frobenius_tol", 0.05, float)
+def _run_sigma_integral(cfg, rep):
+    a_diag = _param(cfg, "a_diag", [-0.5, -1.0], _floats)
+    T = _param(cfg, "T", 1.0, _positive)
+    quad_steps = _param(cfg, "quad_steps", 2000, _count)
+    steps = _param(cfg, "steps", 32, _count)
+    n_paths = _param(cfg, "n_paths", 20_000, _count)
+    closed_tol = _param(cfg, "closed_tol", 1e-6, float)
+    frob_tol = _param(cfg, "frobenius_tol", 0.05, float)
     if a_diag.size != cfg.sigma.dim:
         raise UsageError("a_diag length must equal the covariance-set dimension")
 
@@ -359,13 +358,11 @@ def _run_sigma_integral(cfg, out_dir, threads):
     rates = a_diag[:, None] + a_diag[None, :]
     with np.errstate(divide="ignore", invalid="ignore"):
         factors = np.where(rates == 0.0, T, (np.exp(rates * T) - 1.0) / rates)
-    records = []
     for i, q in enumerate(cfg.sigma.matrices):
         closed = q * factors
         scale = max(1.0, float(np.linalg.norm(closed)))
         diff = float(np.linalg.norm(sigma_i.matrices[i] - closed))
-        records.append(_close(f"closed-form-extreme-{i}", diff, 0.0,
-                              closed_tol * scale))
+        rep.check(f"closed-form-extreme-{i}", diff, 0.0, closed_tol * scale)
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
     for i in range(len(cfg.sigma)):
@@ -377,27 +374,22 @@ def _run_sigma_integral(cfg, out_dir, threads):
         ).values
         emp = vals.T @ vals / n_paths
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
-        records.append(_close(f"empirical-extreme-{i}", diff, 0.0, frob_tol,
-                              n_paths=n_paths, seed=cfg.seed))
+        rep.check(f"empirical-extreme-{i}", diff, 0.0, frob_tol, n_paths=n_paths)
     rows = []
     prev = sigma_of_integral(phi_fn, cfg.sigma, T, 64)
     for m in (128, 256, 512):
         cur = sigma_of_integral(phi_fn, cfg.sigma, T, m)
-        change = max(
-            float(np.linalg.norm(a - b))
-            for a, b in zip(cur.matrices, prev.matrices)
-        )
+        change = max(float(np.linalg.norm(a - b))
+                     for a, b in zip(cur.matrices, prev.matrices))
         rows.append([m, change])
         prev = cur
-    series = {"quad-convergence": {"columns": ["quad_steps", "change"], "rows": rows}}
-    return records, series, []
+    rep.table("quad-convergence", ["quad_steps", "change"], rows)
 
 
-def _run_fubini(cfg, out_dir, threads):
-    p = cfg.params
-    steps = _param(p, "steps", 6, int)
-    weights = _param(p, "weights", [0.5, 0.5], lambda ws: [float(w) for w in ws])
-    n_paths = _param(p, "n_paths", 50, int)
+def _run_fubini(cfg, rep):
+    steps = _param(cfg, "steps", 6, _count)
+    weights = _param(cfg, "weights", [0.5, 0.5], lambda ws: [float(w) for w in ws])
+    n_paths = _param(cfg, "n_paths", 50, _count)
     dim = cfg.sigma.dim
     bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, 1.0,
                           cfg.seed)
@@ -410,11 +402,7 @@ def _run_fubini(cfg, out_dir, threads):
         for _ in weights
     ]
     chk = fubini_check(phis, weights, bundle)
-    records = [
-        check_record("fubini-interchange", chk.diff_norm, 0.0, 1e-10, chk.ok,
-                     n_paths=n_paths, seed=cfg.seed)
-    ]
-    return records, {}, []
+    rep.check("fubini-interchange", chk.diff_norm, 0.0, 1e-10, chk.ok, n_paths=n_paths)
 
 
 _TERMINALS = {
@@ -425,21 +413,20 @@ _TERMINALS = {
 }
 
 
-def _run_gheat(cfg, out_dir, threads):
-    p = cfg.params
+def _run_gheat(cfg, rep):
     if cfg.sigma.dim != 1:
         raise UsageError("gheat experiment is one-dimensional")
-    terminal = _choice(p, "terminal", "square", _TERMINALS)
+    terminal = _choice(cfg, "terminal", "square", _TERMINALS)
     f_grid, f_line = _TERMINALS[terminal]
-    T = _param(p, "T", 0.5, float)
-    x0 = _param(p, "x0", 0.3, float)
-    box = _param(p, "box", [-3.0, 3.0], tuple)
-    mesh = _param(p, "nodes", 121, _mesh(1))
-    lattice_steps = _param(p, "lattice_steps", 600, int)
-    steps = _param(p, "steps", 16, int)
-    n_paths = _param(p, "n_paths", 20_000, int)
+    T = _param(cfg, "T", 0.5, _positive)
+    x0 = _param(cfg, "x0", 0.3, float)
+    box = _param(cfg, "box", [-3.0, 3.0], tuple)
+    mesh = _param(cfg, "nodes", 121, lambda v: _mesh(v, 1))
+    lattice_steps = _param(cfg, "lattice_steps", 600, _count)
+    steps = _param(cfg, "steps", 16, _count)
+    n_paths = _param(cfg, "n_paths", 20_000, _count)
 
-    with _bad_params("T", "box"):
+    with _bad_params("box"):
         prob = PdeProblem(1, cfg.sigma, f_grid, T, (box,))
     sol = solve_gheat(prob, mesh)
     h = sol.axes[0][1] - sol.axes[0][0]
@@ -449,44 +436,37 @@ def _run_gheat(cfg, out_dir, threads):
     pde = sol.value_at(0.0, [x0])
     est = estimate_upper_expectation(
         cfg.sigma, lambda x: f_line(x[:, 0]), x0, T, steps, n_paths,
-        _family(cfg.sigma), cfg.seed, threads=threads,
+        _FAMILY, cfg.seed, threads=rep.threads,
     )
     lat_tol = 6.0 / lattice_steps
-    records = [
-        _close("pde-vs-lattice", pde, lat, disc + lat_tol),
-        _close("pde-vs-mc", pde, est.value, 3.0 * est.stderr + disc,
-               n_paths=n_paths, seed=cfg.seed),
-        _close("lattice-vs-mc", lat, est.value, 3.0 * est.stderr + lat_tol,
-               n_paths=n_paths, seed=cfg.seed),
-    ]
+    rep.check("pde-vs-lattice", pde, lat, disc + lat_tol)
+    rep.check("pde-vs-mc", pde, est.value, 3.0 * est.stderr + disc, n_paths=n_paths)
+    rep.check("lattice-vs-mc", lat, est.value, 3.0 * est.stderr + lat_tol,
+              n_paths=n_paths)
     if terminal == "square":
-        records.append(_close("closed-form", pde, x0**2 + band.sigma_up_sq * T, disc))
-    _write_slice(out_dir / "gheat_slice.csv", sol)
-    rows = [[float(x), float(u)] for x, u in zip(sol.axes[0], sol.values[0])]
-    sweep = [list(row) for row in est.per_policy]
-    series = {
-        "profile": {"columns": ["x", "u0"], "rows": rows},
-        "policy-sweep": {"columns": ["policy", "value", "stderr"], "rows": sweep},
-    }
-    return records, series, ["gheat_slice.csv"]
+        rep.check("closed-form", pde, x0**2 + band.sigma_up_sq * T, disc)
+    rep.slice("gheat_slice.csv", sol)
+    rep.table("profile", ["x", "u0"],
+              [[float(x), float(u)] for x, u in zip(sol.axes[0], sol.values[0])])
+    rep.table("policy-sweep", ["policy", "value", "stderr"],
+              [list(row) for row in est.per_policy])
 
 
-def _run_gpde(cfg, out_dir, threads):
-    p = cfg.params
+def _run_gpde(cfg, rep):
     if cfg.sigma.dim != 2:
         raise UsageError("gpde experiment is two-dimensional")
-    a_diag = _param(p, "a_diag", [-1.0, -2.0], _floats)
-    quad = _param(p, "quad_coeffs", [0.5, 0.3], _floats)
-    T = _param(p, "T", 0.5, float)
-    box = _param(p, "box", [-2.4, 2.4], tuple)
-    mesh = _param(p, "nodes", 49, _mesh(2))
-    steps = _param(p, "steps", 64, int)
-    n_paths = _param(p, "n_paths", 20_000, int)
-    n_probes = _param(p, "n_probes", 10, int)
-    c_disc = _param(p, "c_disc", 10.0, float)
+    a_diag = _param(cfg, "a_diag", [-1.0, -2.0], _floats)
+    quad = _param(cfg, "quad_coeffs", [0.5, 0.3], _floats)
+    T = _param(cfg, "T", 0.5, _positive)
+    box = _param(cfg, "box", [-2.4, 2.4], tuple)
+    mesh = _param(cfg, "nodes", 49, lambda v: _mesh(v, 2))
+    steps = _param(cfg, "steps", 64, _count)
+    n_paths = _param(cfg, "n_paths", 20_000, _count)
+    n_probes = _param(cfg, "n_probes", 10, _count)
+    c_disc = _param(cfg, "c_disc", 10.0, float)
 
     f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
-    with _bad_params("a_diag", "T", "box"):
+    with _bad_params("a_diag", "box"):
         prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
     sol = solve_gpde(prob, mesh)
     h = sol.axes[0][1] - sol.axes[0][0]
@@ -494,42 +474,41 @@ def _run_gpde(cfg, out_dir, threads):
         0.5 * (box[1] - box[0]) * 0.25
     )
     spec = McControlSpec(steps=steps, n_paths=n_paths, seed=cfg.seed)
-    records, rows = [], []
+    rows = []
     mcs = mc_values(prob, probes, 0.0, spec)
     for i, (probe, mc) in enumerate(zip(probes, mcs)):
         pde = sol.value_at(0.0, probe)
         tol = 3.0 * mc.stderr + c_disc * (h**2 + sol.dt)
-        records.append(_close(f"probe-{i}", pde, mc.value, tol,
-                              n_paths=n_paths, seed=cfg.seed))
+        rep.check(f"probe-{i}", pde, mc.value, tol, n_paths=n_paths)
         rows.append([i, float(probe[0]), float(probe[1]), pde, mc.value, mc.stderr])
 
-    lam = _param(p, "scalar_lambda", 0.8, float)
+    lam = _param(cfg, "scalar_lambda", 0.8, float)
     band1 = CovarianceSet([[[1.0]], [[0.25]]], label="unit-band")
     with _bad_params("scalar_lambda"):
         prob1 = PdeProblem(1, band1, lambda q: q[..., 0] ** 2, T, ((-3.0, 3.0),),
                            a_gen=np.array([[-lam]]))
-    sol1 = solve_gpde(prob1, _param(p, "scalar_nodes", 241, _mesh(1)))
+    sol1 = solve_gpde(prob1, _param(cfg, "scalar_nodes", 241, lambda v: _mesh(v, 1)))
     want = math.exp(-2 * lam * T) * 0.25 + (1 - math.exp(-2 * lam * T)) / (2 * lam)
     got = sol1.value_at(0.0, [0.5])
     h1 = sol1.axes[0][1] - sol1.axes[0][0]
     tol1 = c_disc * (h1**2 + sol1.dt) + 2.0 * h1
-    records.append(_close("scalar-ou-closed-form", got, want, tol1))
-    _write_slice(out_dir / "gpde_slice.csv", sol)
-    series = {"probes": {"columns": ["probe", "x1", "x2", "pde", "mc", "stderr"],
-                         "rows": rows}}
-    return records, series, ["gpde_slice.csv"]
+    rep.check("scalar-ou-closed-form", got, want, tol1)
+    rep.slice("gpde_slice.csv", sol)
+    rep.table("probes", ["probe", "x1", "x2", "pde", "mc", "stderr"], rows)
 
 
-def _run_ou(cfg, out_dir, threads):
-    p = cfg.params
-    a_diag = _param(p, "a_diag", [-1.0] * cfg.sigma.dim, _floats)
+def _run_ou(cfg, rep):
+    a_diag = _param(cfg, "a_diag", [-1.0] * cfg.sigma.dim, _floats)
     if a_diag.size != cfg.sigma.dim:
         raise UsageError("a_diag length must equal the covariance-set dimension")
-    T = _param(p, "T", 1.0, float)
-    steps = _param(p, "steps", 200, int)
-    n_paths = _param(p, "n_paths", 20_000, int)
-    substeps = _param(p, "substeps", 10, int)
-    beta = _param(p, "beta", 0.5, float)
+    T = _param(cfg, "T", 1.0, _positive)
+    steps = _param(cfg, "steps", 200, _count)
+    n_paths = _param(cfg, "n_paths", 20_000, _count)
+    substeps = _param(cfg, "substeps", 10, _count)
+    if steps % substeps:
+        raise UsageError(f"param 'substeps': {substeps} does not divide "
+                         f"'steps' = {steps}")
+    beta = _param(cfg, "beta", 0.5, float)
     a_mat = np.diag(a_diag)
 
     bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T,
@@ -537,7 +516,7 @@ def _run_ou(cfg, out_dir, threads):
     conv = convolution_path(a_mat, bundle, substeps=substeps)
     dt = T / steps
     q0 = np.diag(cfg.sigma.matrices[0])
-    records, rows = [], []
+    rows = []
     for idx in range(1, conv.shape[1]):
         k = idx * substeps
         t = bundle.times[k]
@@ -550,49 +529,41 @@ def _run_ou(cfg, out_dir, threads):
         emp = np.var(conv[:, idx, :], axis=0)
         se = exact * math.sqrt(2.0 / n_paths)
         ok = bool(np.all(np.abs(emp - exact) <= 3.0 * se + 1e-12))
-        records.append(
-            check_record(f"variance-t{t:.3g}", float(emp[0]), float(exact[0]),
-                         float(3.0 * se[0]), ok, n_paths=n_paths, seed=cfg.seed)
-        )
+        rep.check(f"variance-t{t:.3g}", float(emp[0]), float(exact[0]),
+                  float(3.0 * se[0]), ok, n_paths=n_paths)
         rows.append([float(t)] + [float(v) for v in emp] + [float(v) for v in exact])
 
     mild = ou_mild_path(a_mat, cfg.sigma, ControlPolicy.constant(0),
                         np.ones(cfg.sigma.dim), 0.0, T, steps, min(n_paths, 500),
                         split_seed(cfg.seed, 2))
     gap = flow_property_discrepancy(mild, a_mat, steps // 3)
-    records.append(_close("flow-property", gap, 0.0, 1e-10))
+    rep.check("flow-property", gap, 0.0, 1e-10)
 
     cond = convolution_condition(a_mat, cfg.sigma, beta, T,
-                                 _param(p, "quad_steps", 2000, int))
-    records.append(
-        check_record("convolution-condition", cond.value, 0.0, 0.0, cond.finite)
-    )
-    n_out = min(mild.n_paths, _param(p, "export_paths", 20, int))
-    _write_csv(out_dir / "ou_paths.csv",
-               ["path", "coord"] + [f"t={t:.10g}" for t in mild.times],
-               ([i, d] + [repr(float(v)) for v in mild.states[i, :, d]]
-                for i in range(n_out) for d in range(mild.dim)))
+                                 _param(cfg, "quad_steps", 2000, _count))
+    rep.check("convolution-condition", cond.value, 0.0, 0.0, cond.finite)
+    n_out = min(mild.n_paths, _param(cfg, "export_paths", 20, lambda v: _count(v, 0)))
+    rep.csv("ou_paths.csv", ["path", "coord"] + [f"t={t:.10g}" for t in mild.times],
+            ([i, d] + [repr(float(v)) for v in mild.states[i, :, d]]
+             for i in range(n_out) for d in range(mild.dim)))
     meta = {"seed": int(mild.seed), "policy": mild.policy.describe(),
             "sigma_label": mild.sigma.label, "n_paths": int(n_out),
             "steps": int(mild.n_steps), "t0": float(mild.times[0]),
             "T": float(mild.times[-1])}
-    (out_dir / "ou_paths.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
+    rep.file("ou_paths.json").write_text(json.dumps(meta, indent=2, sort_keys=True))
     cols = (["t"] + [f"emp{d}" for d in range(cfg.sigma.dim)]
             + [f"exact{d}" for d in range(cfg.sigma.dim)])
-    series = {"variance": {"columns": cols, "rows": rows}}
-    return records, series, ["ou_paths.csv", "ou_paths.json"]
+    rep.table("variance", cols, rows)
 
 
-def _run_nested(cfg, out_dir, threads):
-    p = cfg.params
-    form = _choice(p, "form", "sum", ("sum", "product", "constant"))
-    T = _param(p, "T", 1.0, float)
-    steps = _param(p, "steps", 8, int)
-    n_paths = _param(p, "n_paths", 4000, int)
+def _run_nested(cfg, rep):
+    form = _choice(cfg, "form", "sum", ("sum", "product", "constant"))
+    T = _param(cfg, "T", 1.0, _positive)
+    steps = _param(cfg, "steps", 8, _count)
+    n_paths = _param(cfg, "n_paths", 4000, _count)
     inner = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 1))
     outer = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 2))
-    with _bad_params("T"):
-        gn = GNormal(cfg.sigma, scale=T)
+    gn = GNormal(cfg.sigma, scale=T)
     band = project_band(gn, [1.0] + [0.0] * (cfg.sigma.dim - 1))
     if form == "sum":
         f2 = lambda x, y: x[..., 0] ** 2 + 2.0 * y[..., 0] ** 2
@@ -603,12 +574,11 @@ def _run_nested(cfg, out_dir, threads):
         want = 0.0  # four-term product formula with centered projections
         margin = 3.0 * band.sigma_up_sq / math.sqrt(n_paths)
     else:
-        c = _param(p, "constant", 1.0, float)
+        c = _param(cfg, "constant", 1.0, float)
         f2 = lambda x, y, c=c: np.broadcast_to(c, (x.shape[0], y.shape[1]))
         want, margin = c, 0.0
     v = nested_expectation(cfg.sigma, f2, inner, outer)
-    return [_close(f"nested-{form}", v, want, margin, n_paths=n_paths,
-                   seed=cfg.seed)], {}, []
+    rep.check(f"nested-{form}", v, want, margin, n_paths=n_paths)
 
 
 KINDS = {
@@ -630,17 +600,15 @@ def run(config_path, out_override=None, threads: int = 1) -> tuple[dict, Path]:
     cfg = ExperimentConfig.load(config_path, out_override)
     out_dir = cfg.output_dir
     out_dir.mkdir(parents=True, exist_ok=True)
+    rep = _Report(cfg, out_dir, threads)
     t0 = time.perf_counter()
-    records, series, artifacts = KINDS[cfg.kind](cfg, out_dir, threads)
+    KINDS[cfg.kind](cfg, rep)
     elapsed = time.perf_counter() - t0
-    report = {
-        "config": cfg.echo(),
-        "records": records,
-        "ok": all(r["ok"] for r in records),
-        "series": _strict_rows(series),
-        "artifacts": artifacts,
-        "timings": {"total_s": elapsed},
-    }
+    if not rep.records:
+        raise UsageError(f"a {cfg.kind!r} run with these params records no check")
+    report = {"config": cfg.echo(), "records": rep.records,
+              "ok": all(r["ok"] for r in rep.records), "series": rep.series,
+              "artifacts": rep.artifacts, "timings": {"total_s": elapsed}}
     report_path = out_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                            + "\n")

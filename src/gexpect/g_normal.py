@@ -31,7 +31,6 @@ __all__ = [
     "moment_upper",
     "moment_bounds_check",
     "project_band",
-    "covariance_form",
     "sample_gaussian",
     "static_upper_expectation",
     "static_upper_report",
@@ -179,18 +178,6 @@ def project_band(gn: GNormal, h) -> VolatilityBand:
         sigma_up_sq=float(gn.scale * quad.max()),
         sigma_down_sq=float(gn.scale * max(quad.min(), 0.0)),
     )
-
-
-def covariance_form(gn: GNormal, h, k) -> float:
-    """Upper covariance scale * sup over extremes of <Q h, k>.
-
-    May be negative when every extreme gives a negative inner product.
-    """
-    hc, kc = as_coords(h), as_coords(k)
-    if hc.size != gn.dim or kc.size != gn.dim:
-        raise ValueError("dimension mismatch in covariance_form")
-    vals = np.einsum("qij,i,j->q", gn.sigma.matrices, hc, kc)
-    return float(gn.scale * vals.max())
 
 
 def sample_gaussian(q, n: int, seed: int) -> np.ndarray:

@@ -70,10 +70,6 @@ class SymOperator:
         return cls(np.eye(n))
 
     @classmethod
-    def zero(cls, n: int) -> "SymOperator":
-        return cls(np.zeros((n, n)))
-
-    @classmethod
     def diagonal(cls, values) -> "SymOperator":
         return cls(np.diag(np.asarray(values, dtype=float)))
 
@@ -121,10 +117,6 @@ class PsdOperator:
     @property
     def dim(self) -> int:
         return self.base.dim
-
-    @classmethod
-    def diagonal(cls, values) -> "PsdOperator":
-        return cls(SymOperator.diagonal(values))
 
     def __repr__(self) -> str:
         return f"PsdOperator(dim={self.dim}, eigen_floor={self.eigen_floor:.3e})"

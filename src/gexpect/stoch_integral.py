@@ -36,7 +36,6 @@ __all__ = [
     "fubini_check",
     "convolution_path",
     "convolution_condition",
-    "check_record",
 ]
 
 # Moment-inequality constants, certified on the deterministic battery: for a
@@ -120,8 +119,6 @@ class ElementaryProcess:
 
 class IntegralResult(NamedTuple):
     values: np.ndarray
-    norm2_estimate: float
-    integrand_norm: float
     n_paths: int
     integrand_sq_paths: np.ndarray
 
@@ -171,9 +168,9 @@ def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
 def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralResult:
     """Blockwise integral sum Phi_k (B_{t_{k+1}} - B_{t_k}) per path.
 
-    The partition must be a subset of the bundle's time grid.  Also returns
-    the sample mean of the squared integral norm and of the isometry
-    right-hand quantity (time integral of the squared integrand norm).
+    The partition must be a subset of the bundle's time grid.  Also returns,
+    per path, the isometry right-hand quantity (time integral of the squared
+    integrand norm).
     """
     if phi.in_dim != paths.dim:
         raise ValueError(
@@ -193,14 +190,7 @@ def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralR
         else:
             values += np.einsum("nij,nj->ni", block, db)
         integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, roots)
-    norms_sq = np.sum(values * values, axis=1)
-    return IntegralResult(
-        values=values,
-        norm2_estimate=float(norms_sq.mean()),
-        integrand_norm=float(np.mean(integrand_acc)),
-        n_paths=n_paths,
-        integrand_sq_paths=integrand_acc,
-    )
+    return IntegralResult(values, n_paths, integrand_acc)
 
 
 def _uniform_grid_of(phi: ElementaryProcess) -> tuple[float, int]:
@@ -413,20 +403,3 @@ def convolution_condition(
     scale = max(abs(fine), 1e-12)
     return ConvolutionCondition(fine, bool(abs(fine - coarse) <= 1e-4 * scale))
 
-
-def check_record(name, lhs, rhs, tolerance, ok, n_paths=None, seed=None) -> dict:
-    """JSON-ready inequality-check record.
-
-    A non-finite ``lhs``, ``rhs`` or ``tolerance`` is stored as None (JSON
-    null) and fails the check, so the record stays strict JSON.
-    """
-    rec = {"name": str(name), "ok": bool(ok)}
-    for key, value in (("lhs", lhs), ("rhs", rhs), ("tolerance", tolerance)):
-        value = float(value)
-        rec[key] = value if math.isfinite(value) else None
-        rec["ok"] = rec["ok"] and rec[key] is not None
-    if n_paths is not None:
-        rec["n_paths"] = int(n_paths)
-    if seed is not None:
-        rec["seed"] = int(seed)
-    return rec

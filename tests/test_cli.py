@@ -1,12 +1,14 @@
 import csv
 import json
+import math
+from types import SimpleNamespace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gexpect import CovarianceSet
-from gexpect.experiment_cli import main
+from gexpect.experiment_cli import _Report, main
 from gexpect.g_pde import MeshSpec, PdeProblem, solve_gheat
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -153,6 +155,15 @@ class TestRun:
         ({"kind": ["moments"]}, "kind"),
         (3, "JSON object"),
         (None, "JSON object"),
+        ({"kind": "isometry", "params": {"steps": 0}}, "'steps'"),
+        ({"kind": "isometry", "params": {"steps": 2.9}}, "'steps'"),
+        ({"kind": "isometry", "params": {"trials": True}}, "'trials'"),
+        ({"kind": "isometry", "params": {"n_paths": 0}}, "'n_paths'"),
+        ({"kind": "isometry", "params": {"T": -1.0}}, "'T'"),
+        ({"kind": "isometry", "params": {"trials": 0}}, "'trials'"),
+        ({"kind": "ou", "params": {"steps": 20, "substeps": 7}}, "'substeps'"),
+        ({"kind": "bdg", "params": {"p_values": [1, 3]}}, "'p_values'"),
+        ({"kind": "bdg", "params": {"p_values": []}}, "'bdg'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, overrides, key):
         if isinstance(overrides, dict):
@@ -182,6 +193,45 @@ class TestRun:
 
     def test_no_subcommand_is_usage_error(self):
         assert main([]) == 2
+
+
+class TestReport:
+    """The record format of the runner's one sink."""
+
+    @staticmethod
+    def sink(tmp_path):
+        return _Report(SimpleNamespace(seed=7), tmp_path, 1)
+
+    def test_check_schema_adds_seed_with_n_paths(self, tmp_path):
+        rep = self.sink(tmp_path)
+        rep.check("iso", 1.0, 2.0, 0.1, True, n_paths=100)
+        rep.check("exact", 1.0, 2.0, 0.1, True)
+        assert rep.records == [
+            {"name": "iso", "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1,
+             "ok": True, "n_paths": 100, "seed": 7},
+            {"name": "exact", "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1, "ok": True},
+        ]
+
+    @pytest.mark.parametrize("lhs, rhs, tol, ok", [
+        (1.0, 1.05, 0.1, True), (1.0, 1.2, 0.1, False), (2.0, 1.0, 1.0, True),
+        (-1.0, 1.0, 1.5, False),
+    ])
+    def test_ok_defaults_to_closeness(self, tmp_path, lhs, rhs, tol, ok):
+        rep = self.sink(tmp_path)
+        rep.check("c", lhs, rhs, tol)
+        assert rep.records[0]["ok"] is ok
+
+    @pytest.mark.parametrize("ok", [True, None])
+    @pytest.mark.parametrize("field", ["lhs", "rhs", "tolerance"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_nonfinite_check_is_null_and_fails(self, tmp_path, ok, field, bad):
+        values = {"lhs": 1.0, "rhs": 1.0, "tolerance": 0.1}
+        values[field] = bad
+        rep = self.sink(tmp_path)
+        rep.check("x", values["lhs"], values["rhs"], values["tolerance"], ok)
+        rec = rep.records[0]
+        assert rec[field] is None and rec["ok"] is False
+        json.dumps(rec, allow_nan=False)
 
 
 class TestPlot:

@@ -3,11 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from gexpect import CovarianceSet, GFunctional, covset_scale, g_eval, outer
+from gexpect import CovarianceSet, covset_scale, g_eval, outer
 from gexpect.g_normal import (
     GNormal,
     VolatilityBand,
-    covariance_form,
     gaussian_even_moment,
     moment_bounds_check,
     moment_constant,
@@ -147,11 +146,12 @@ class TestProjectionBand:
     def test_matches_rank_one_functional_route(self, correlated_2d):
         # upper edge must equal 2 * G(h h^T), the defining formula
         rng = np.random.default_rng(3)
-        g = GFunctional(correlated_2d)
         for _ in range(20):
             h = rng.standard_normal(2)
             band = project_band(GNormal(correlated_2d), h)
-            assert band.sigma_up_sq == pytest.approx(2.0 * g(outer(h, h)), abs=1e-12)
+            assert band.sigma_up_sq == pytest.approx(
+                2.0 * g_eval(correlated_2d, outer(h, h)), abs=1e-12
+            )
             assert band.sigma_down_sq == pytest.approx(
                 -2.0 * g_eval(correlated_2d, -outer(h, h)), abs=1e-12
             )
@@ -159,29 +159,6 @@ class TestProjectionBand:
     def test_band_object_validates_order(self):
         with pytest.raises(ValueError):
             VolatilityBand(sigma_up_sq=0.1, sigma_down_sq=0.5)
-
-
-class TestCovarianceForm:
-    def test_consistent_with_band_on_diagonal(self, correlated_2d):
-        gn = GNormal(correlated_2d, scale=2.0)
-        h = np.array([0.3, -0.7])
-        assert covariance_form(gn, h, h) == pytest.approx(
-            project_band(gn, h).sigma_up_sq
-        )
-
-    def test_orthogonal_under_identity(self):
-        gn = GNormal(CovarianceSet([np.eye(2)]))
-        assert covariance_form(gn, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.0)
-
-    def test_two_inner_products(self, correlated_2d):
-        # <Q e1, e2> over both extremes: max(0.5, 0)
-        gn = GNormal(correlated_2d)
-        assert covariance_form(gn, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(0.5)
-
-    def test_can_be_negative(self):
-        q = np.array([[1.0, -0.5], [-0.5, 1.0]])
-        gn = GNormal(CovarianceSet([q]))
-        assert covariance_form(gn, [1.0, 0.0], [0.0, 1.0]) == pytest.approx(-0.5)
 
 
 class TestLawAlgebraConsistency:
