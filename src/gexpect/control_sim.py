@@ -4,9 +4,11 @@ A path of the driving process accrues, over each step, an increment
 ``gamma_k Z_k sqrt(dt)`` where the factor ``gamma_k`` is selected by an
 adapted policy from the square roots of the covariance-set extremes.  The
 upper expectation of a terminal functional is the supremum of classical
-Monte Carlo means over an enumerated policy family (constant, time-table and
-bang-bang feedback policies), evaluated with common random numbers so that
-sup comparisons are low-variance and positive homogeneity is exact.
+Monte Carlo means over an enumerated policy family (constant and bang-bang
+feedback policies, or an explicit list that may hold time tables), evaluated
+with common random numbers so that sup comparisons are low-variance and
+positive homogeneity is exact.  One private kernel, ``_policy_sup``, takes
+that supremum for every Monte Carlo estimator in the package.
 
 ``lattice_1d`` provides the exact one-dimensional benchmark: a trinomial
 dynamic-programming lattice whose per-node quadrature matches mean and
@@ -24,7 +26,9 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .g_normal import VolatilityBand, as_point, evaluate_rows, split_seed, stderr
+from .g_normal import (
+    VolatilityBand, as_point, best_of, evaluate_rows, split_seed, stderr,
+)
 
 __all__ = [
     "ControlPolicy",
@@ -110,36 +114,22 @@ class ControlPolicy:
 class PolicyFamily:
     """Enumeration spec for the policies competing in a supremum.
 
-    Always includes one constant policy per factor when ``constants`` is set;
-    a scalar state statistic adds every ordered bang-bang pair (use factor i
-    when the statistic is >= 0, factor j otherwise); explicit time tables are
-    appended verbatim.
+    One constant policy per factor; a scalar state statistic adds every
+    ordered bang-bang pair (use factor i when the statistic is >= 0, factor j
+    otherwise).  Time-table policies are passed as explicit policy lists.
     """
 
-    constants: bool = True
     bang_bang_stat: Callable | None = None
     bang_bang_name: str = "stat"
-    time_tables: tuple[tuple[int, ...], ...] = ()
 
     def build(self, n_factors: int) -> list[ControlPolicy]:
-        policies: list[ControlPolicy] = []
-        if self.constants:
-            policies.extend(ControlPolicy.constant(i) for i in range(n_factors))
+        policies = [ControlPolicy.constant(i) for i in range(n_factors)]
         if self.bang_bang_stat is not None:
-            stat = self.bang_bang_stat
-            for i in range(n_factors):
-                for j in range(n_factors):
-                    if i == j:
-                        continue
-                    rule = _bang_bang_rule(stat, i, j)
-                    policies.append(
-                        ControlPolicy.feedback(
-                            rule, name=f"bang[{self.bang_bang_name}>=0:{i},else:{j}]"
-                        )
-                    )
-        policies.extend(ControlPolicy.time_table(t) for t in self.time_tables)
-        if not policies:
-            raise ValueError("policy family is empty")
+            policies += [
+                ControlPolicy.feedback(_bang_bang_rule(self.bang_bang_stat, i, j),
+                                       f"bang[{self.bang_bang_name}>=0:{i},else:{j}]")
+                for i in range(n_factors) for j in range(n_factors) if i != j
+            ]
         return policies
 
 
@@ -266,12 +256,6 @@ def simulate_gbm(
                       seed, policy, sigma)
 
 
-def _policy_mean(sigma, policy, f, x0, T, steps, n_paths, seed, normals):
-    bundle = simulate_gbm(sigma, policy, n_paths, steps, T, seed, normals=normals)
-    vals = evaluate_rows(f, x0 + bundle.terminal)
-    return float(vals.mean()), stderr(vals)
-
-
 def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
     """Normalize a PolicyFamily or explicit policy list."""
     if isinstance(policies, PolicyFamily):
@@ -280,6 +264,37 @@ def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
     if not out:
         raise ValueError("policy family is empty")
     return out
+
+
+def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff, threads=1):
+    """Common-random-number supremum of Monte Carlo means over a policy family.
+
+    One (steps, n_paths, N) block of standard normals is drawn from ``seed``
+    and every policy of ``family`` is simulated on it.  ``payoff`` reduces a
+    bundle to per-path values, shaped (n_paths,) or (rows, n_paths).  Returns
+    one UpperEstimate per row: the largest mean by ``best_of`` (the first on
+    ties; a NaN mean wins, so an undefined payoff is never hidden), the
+    policy attaining it, its standard error and every member's entry.
+    """
+    policies = build_policies(family, len(sigma))
+    normals = np.random.default_rng(seed).standard_normal((steps, n_paths, sigma.dim))
+
+    def one(policy):
+        bundle = simulate_gbm(sigma, policy, n_paths, steps, T, seed, normals=normals)
+        return [(float(row.mean()), stderr(row)) for row in np.atleast_2d(payoff(bundle))]
+
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            results = list(pool.map(one, policies))
+    else:
+        results = [one(p) for p in policies]
+    names, estimates = [pol.describe() for pol in policies], []
+    for row in zip(*results):
+        best = best_of([mean for mean, _ in row])
+        per_policy = tuple((name, *entry) for name, entry in zip(names, row))
+        estimates.append(UpperEstimate(row[best][0], policies[best], row[best][1],
+                                       per_policy))
+    return estimates
 
 
 def estimate_upper_expectation(
@@ -299,26 +314,14 @@ def estimate_upper_expectation(
     numbers), so each member's estimate is dominated by the returned value
     exactly, and scaling the payoff scales the value exactly.  Returns the
     achieving policy, the standard error of its mean and every member's
-    mean and standard error.
+    mean and standard error.  A member whose mean is NaN wins, so a payoff
+    that is undefined along some policy's paths gives NaN, never a finite
+    value from the other members.
     """
     x0 = as_point(x0, sigma.dim)
-    policies = build_policies(policy_family, len(sigma))
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((steps, n_paths, sigma.dim))
-
-    def one(policy):
-        return _policy_mean(sigma, policy, f, x0, T, steps, n_paths, seed, normals)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, policies))
-    else:
-        results = [one(p) for p in policies]
-    best = max(range(len(policies)), key=lambda i: results[i][0])
-    per_policy = tuple(
-        (pol.describe(), mean, se) for pol, (mean, se) in zip(policies, results)
-    )
-    return UpperEstimate(results[best][0], policies[best], results[best][1], per_policy)
+    return _policy_sup(sigma, policy_family, n_paths, steps, T, seed,
+                       lambda bundle: evaluate_rows(f, x0 + bundle.terminal),
+                       threads)[0]
 
 
 def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: int) -> float:
@@ -380,24 +383,16 @@ def nested_expectation(
     broadcast: it is called with x of shape (n_outer, 1, N) and y of shape
     (1, n_inner, N) and must return an (n_outer, n_inner) array.
     """
-    n = sigma.dim
-    inner_policies = build_policies(inner_spec.family, len(sigma))
-    outer_policies = build_policies(outer_spec.family, len(sigma))
-
     inner_samples = [
         simulate_gbm(
             sigma, pol, inner_spec.n_paths, inner_spec.steps, inner_spec.T,
             split_seed(inner_spec.seed, 1),
         ).terminal
-        for pol in inner_policies
+        for pol in build_policies(inner_spec.family, len(sigma))
     ]
 
-    best = -math.inf
-    for pol in outer_policies:
-        x = simulate_gbm(
-            sigma, pol, outer_spec.n_paths, outer_spec.steps, outer_spec.T,
-            split_seed(outer_spec.seed, 0),
-        ).terminal
+    def outer_payoff(bundle):
+        x = bundle.terminal
         g_vals = np.empty(x.shape[0])
         # Row means do not depend on how the outer rows are blocked, so the
         # payoff is evaluated NESTED_ROWS outer rows at a time.
@@ -414,6 +409,7 @@ def nested_expectation(
                 mean_inner = vals.mean(axis=1)
                 g_rows = mean_inner if g_rows is None else np.maximum(g_rows, mean_inner)
             g_vals[start:start + NESTED_ROWS] = g_rows
-        best = max(best, float(g_vals.mean()))
-    return best
+        return g_vals
 
+    return _policy_sup(sigma, outer_spec.family, outer_spec.n_paths, outer_spec.steps,
+                       outer_spec.T, split_seed(outer_spec.seed, 0), outer_payoff)[0].value

@@ -115,6 +115,12 @@ def _positive(value):
     return float(value)
 
 
+def _nonnegative(value):
+    if not float(value) >= 0.0:
+        raise ValueError(f"must be nonnegative, got {value!r}")
+    return float(value)
+
+
 def _reject_constant(token):
     raise UsageError(f"malformed JSON config: non-standard number {token}")
 
@@ -347,8 +353,8 @@ def _run_sigma_integral(cfg, rep):
     quad_steps = _param(cfg, "quad_steps", 2000, _count)
     steps = _param(cfg, "steps", 32, _count)
     n_paths = _param(cfg, "n_paths", 20_000, _count)
-    closed_tol = _param(cfg, "closed_tol", 1e-6, float)
-    frob_tol = _param(cfg, "frobenius_tol", 0.05, float)
+    closed_tol = _param(cfg, "closed_tol", 1e-6, _nonnegative)
+    frob_tol = _param(cfg, "frobenius_tol", 0.05, _nonnegative)
     if a_diag.size != cfg.sigma.dim:
         raise UsageError("a_diag length must equal the covariance-set dimension")
 
@@ -428,6 +434,9 @@ def _run_gheat(cfg, rep):
 
     with _bad_params("box"):
         prob = PdeProblem(1, cfg.sigma, f_grid, T, (box,))
+    lo, hi = prob.domain_box[0]
+    if not lo <= x0 <= hi:
+        raise UsageError(f"param 'x0': {x0} lies outside the box [{lo}, {hi}]")
     sol = solve_gheat(prob, mesh)
     h = sol.axes[0][1] - sol.axes[0][0]
     disc = 2.0 * (h**2 + sol.dt)
@@ -463,7 +472,7 @@ def _run_gpde(cfg, rep):
     steps = _param(cfg, "steps", 64, _count)
     n_paths = _param(cfg, "n_paths", 20_000, _count)
     n_probes = _param(cfg, "n_probes", 10, _count)
-    c_disc = _param(cfg, "c_disc", 10.0, float)
+    c_disc = _param(cfg, "c_disc", 10.0, _nonnegative)
 
     f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
     with _bad_params("a_diag", "box"):
@@ -509,7 +518,10 @@ def _run_ou(cfg, rep):
         raise UsageError(f"param 'substeps': {substeps} does not divide "
                          f"'steps' = {steps}")
     beta = _param(cfg, "beta", 0.5, float)
+    quad_steps = _param(cfg, "quad_steps", 2000, _count)
     a_mat = np.diag(a_diag)
+    with _bad_params("a_diag", "beta"):
+        cond = convolution_condition(a_mat, cfg.sigma, beta, T, quad_steps)
 
     bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T,
                           cfg.seed)
@@ -539,8 +551,6 @@ def _run_ou(cfg, rep):
     gap = flow_property_discrepancy(mild, a_mat, steps // 3)
     rep.check("flow-property", gap, 0.0, 1e-10)
 
-    cond = convolution_condition(a_mat, cfg.sigma, beta, T,
-                                 _param(cfg, "quad_steps", 2000, _count))
     rep.check("convolution-condition", cond.value, 0.0, 0.0, cond.finite)
     n_out = min(mild.n_paths, _param(cfg, "export_paths", 20, lambda v: _count(v, 0)))
     rep.csv("ou_paths.csv", ["path", "coord"] + [f"t={t:.10g}" for t in mild.times],

@@ -217,26 +217,27 @@ def stderr(vals: np.ndarray) -> float:
     return float(vals.std(ddof=1) / math.sqrt(vals.size)) if vals.size > 1 else 0.0
 
 
+def best_of(means) -> int:
+    """Index of the largest mean, the first on ties; a NaN mean wins, never hidden."""
+    return max(range(len(means)), key=lambda i: (math.isnan(means[i]), means[i]))
+
+
 def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEstimate:
     """Static evaluator with the standard error of the achieving extreme.
 
     Common random numbers: one block of standard normals is pushed through
     every extreme's square root, which makes positive homogeneity,
     monotonicity and subadditivity of the estimate exact, not just within
-    Monte Carlo noise.
+    Monte Carlo noise.  The extreme is chosen by ``best_of``.
     """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
-    rng = np.random.default_rng(seed)
-    z = rng.standard_normal((n, gn.dim))
+    z = np.random.default_rng(seed).standard_normal((n, gn.dim))
     sqrt_scale = math.sqrt(gn.scale)
-    best: StaticEstimate | None = None
-    for i, root in enumerate(gn.sigma.roots):
-        vals = evaluate_rows(f, z @ (sqrt_scale * root).T)
-        mean = float(vals.mean())
-        if best is None or mean > best.value:
-            best = StaticEstimate(mean, stderr(vals), i)
-    return best
+    vals = [evaluate_rows(f, z @ (sqrt_scale * root).T) for root in gn.sigma.roots]
+    means = [float(v.mean()) for v in vals]
+    best = best_of(means)
+    return StaticEstimate(means[best], stderr(vals[best]), best)
 
 
 def static_upper_expectation(gn: GNormal, f: Callable, n: int, seed: int) -> float:

@@ -36,13 +36,8 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .covariance_set import CovarianceSet
-from .control_sim import (
-    PathBundle,
-    PolicyFamily,
-    build_policies,
-    simulate_gbm,
-)
-from .g_normal import as_point, evaluate_rows, stderr
+from .control_sim import PathBundle, PolicyFamily, _policy_sup, simulate_gbm
+from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords
 from .stoch_integral import _generator_diag, convolution_path
 
@@ -489,36 +484,25 @@ def mc_value(
 def mc_values(
     problem: PdeProblem, probes, t0: float, control_spec: McControlSpec
 ) -> list[McValue]:
-    """``mc_value`` at each probe, sharing simulations between probes.
+    """``mc_value`` at each probe, simulating every policy once for all probes.
 
-    A policy that does not read the state drives the same convolution at
-    every probe, which differs only in the flow term exp((T - t0) A) x0; it
-    is simulated once.  A feedback policy is simulated once per probe.
+    The mild terminal state at a probe x0 is the convolution of the driving
+    paths, which does not depend on x0, plus the flow term exp((T - t0) A) x0,
+    so each policy's convolution is computed once and shifted per probe.  A
+    NaN mean wins a probe's supremum (see ``control_sim._policy_sup``).
     """
     if not 0.0 <= t0 < problem.T:
         raise ValueError(f"t0 must lie in [0, T), got {t0}")
-    sigma, steps, n_paths = problem.sigma, control_spec.steps, control_spec.n_paths
+    sigma, steps = problem.sigma, control_spec.steps
     x0s = [as_point(x0, sigma.dim) for x0 in probes]
     diag = _generator_diag(problem.a_gen, sigma.dim)
     flow_T = np.exp((problem.T - t0) * diag)
-    best = [(-math.inf, 0.0)] * len(x0s)
-    for pol in build_policies(control_spec.family, len(sigma)):
-        if pol.reads_state:
-            terminals = (
-                ou_mild_path(problem.a_gen, sigma, pol, x0, t0, problem.T, steps,
-                             n_paths, control_spec.seed).terminal
-                for x0 in x0s
-            )
-        else:
-            raw = simulate_gbm(sigma, pol, n_paths, steps, problem.T - t0,
-                               control_spec.seed)
-            conv_T = convolution_path(np.diag(diag), raw, substeps=steps)[:, -1]
-            del raw  # free the paths before the next policy is simulated
-            terminals = (conv_T + flow_T * x0 for x0 in x0s)
-        for i, terminal in enumerate(terminals):
-            vals = evaluate_rows(problem.terminal_f, terminal)
-            mean = float(vals.mean())
-            if mean > best[i][0]:
-                best[i] = (mean, stderr(vals))
-    return [McValue(value, se) for value, se in best]
 
+    def payoff(bundle):
+        conv_T = convolution_path(np.diag(diag), bundle, substeps=steps)[:, -1]
+        rows = [evaluate_rows(problem.terminal_f, conv_T + flow_T * x0) for x0 in x0s]
+        return np.reshape(rows, (len(x0s), bundle.n_paths))
+
+    return [McValue(est.value, est.stderr) for est in _policy_sup(
+        sigma, control_spec.family, control_spec.n_paths, steps, problem.T - t0,
+        control_spec.seed, payoff)]

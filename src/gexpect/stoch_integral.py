@@ -11,14 +11,12 @@ integral interchange pathwise, and evaluates semigroup convolutions.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .control_sim import PathBundle, build_policies, simulate_gbm
-from .g_normal import stderr
+from .control_sim import PathBundle, _policy_sup
 from .operator_core import SymOperator, as_matrix
 
 __all__ = [
@@ -207,20 +205,14 @@ def _moment_sup(phi, sigma, p, policies, n_paths, seed):
     lhs policy.  Common random numbers across policies.
     """
     T, steps = _uniform_grid_of(phi)
-    policies = build_policies(policies, len(sigma))
-    rng = np.random.default_rng(seed)
-    normals = rng.standard_normal((steps, n_paths, sigma.dim))
-    lhs_best, se_best, rhs_best = -math.inf, 0.0, -math.inf
-    for pol in policies:
-        bundle = simulate_gbm(sigma, pol, n_paths, steps, T, seed, normals=normals)
+
+    def payoff(bundle):
         res = integrate_elementary(phi, bundle)
-        lhs_vals = np.sum(res.values**2, axis=1) ** (p / 2.0)
-        lhs = float(lhs_vals.mean())
-        rhs = float(np.mean(res.integrand_sq_paths ** (p / 2.0)))
-        if lhs > lhs_best:
-            lhs_best, se_best = lhs, stderr(lhs_vals)
-        rhs_best = max(rhs_best, rhs)
-    return lhs_best, rhs_best, se_best
+        return np.stack([np.sum(res.values**2, axis=1) ** (p / 2.0),
+                         res.integrand_sq_paths ** (p / 2.0)])
+
+    lhs, rhs = _policy_sup(sigma, policies, n_paths, steps, T, seed, payoff)
+    return lhs.value, rhs.value, lhs.stderr
 
 
 def ito_isometry_check(
@@ -312,20 +304,17 @@ def fubini_check(
     for weight, phi in zip(w, phis):
         lhs += weight * integrate_elementary(phi, paths).values
 
-    idx = _partition_indices(phis[0], paths)
-    rhs = np.zeros_like(lhs)
-    for k in range(phis[0].n_blocks):
-        t_k = base[k]
-        states_k = paths.states[:, idx[k], :]
-        combined = None
+    def combined(t, states):
+        k = int(np.searchsorted(base, t))
+        total = None
         for weight, phi in zip(w, phis):
-            term = weight * phi.block_values(k, t_k, states_k)
-            combined = term if combined is None else combined + term
-        db = paths.states[:, idx[k + 1], :] - paths.states[:, idx[k], :]
-        if combined.ndim == 2:
-            rhs += db @ combined.T
-        else:
-            rhs += np.einsum("nij,nj->ni", combined, db)
+            term = weight * phi.block_values(k, t, states)
+            total = term if total is None else total + term
+        return total
+
+    rhs = integrate_elementary(
+        ElementaryProcess.adapted(base, combined, phis[0].out_dim, phis[0].in_dim), paths
+    ).values
     diff = float(np.max(np.linalg.norm(lhs - rhs, axis=1))) if lhs.size else 0.0
     return FubiniCheck(diff, bool(diff <= 1e-10))
 

@@ -164,6 +164,19 @@ class TestRun:
         ({"kind": "ou", "params": {"steps": 20, "substeps": 7}}, "'substeps'"),
         ({"kind": "bdg", "params": {"p_values": [1, 3]}}, "'p_values'"),
         ({"kind": "bdg", "params": {"p_values": []}}, "'bdg'"),
+        ({"kind": "ou", "params": {"beta": 1.5, "steps": 20, "n_paths": 50}}, "'beta'"),
+        ({"kind": "ou", "params": {"beta": 0.0, "steps": 20, "n_paths": 50}}, "'beta'"),
+        ({"kind": "ou", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"a_diag": [1.0], "steps": 20, "n_paths": 50}}, "'a_diag'"),
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"x0": 9.0, "nodes": 21, "lattice_steps": 20, "n_paths": 50}},
+         "'x0'"),
+        ({"kind": "sigma_integral", "params": {"closed_tol": -1.0, "n_paths": 50}},
+         "'closed_tol'"),
+        ({"kind": "sigma_integral", "params": {"frobenius_tol": -1.0, "n_paths": 50}},
+         "'frobenius_tol'"),
+        ({"kind": "gpde", "params": {"c_disc": -1.0, "nodes": 9, "n_paths": 50,
+                                     "n_probes": 1, "scalar_nodes": 21}}, "'c_disc'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, overrides, key):
         if isinstance(overrides, dict):

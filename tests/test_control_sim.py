@@ -270,11 +270,20 @@ class TestUpperExpectation:
         assert a.value == b.value and a.policy.name == b.policy.name
 
     def test_empty_family_rejected(self, band_1d):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="policy family is empty"):
             estimate_upper_expectation(
-                band_1d, lambda x: x[:, 0], 0.0, 1.0, 4, 100,
-                PolicyFamily(constants=False), seed=0,
+                band_1d, lambda x: x[:, 0], 0.0, 1.0, 4, 100, [], seed=0,
             )
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_member_is_never_hidden(self):
+        # the payoff is 0/0 on the zero extreme's paths, which stay at x0
+        f = lambda x: (x[:, 0] - 0.3) / (x[:, 0] - 0.3)
+        for extremes in ([[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]):
+            est = estimate_upper_expectation(CovarianceSet(extremes), f, 0.3, 1.0, 4,
+                                             200, PolicyFamily(), seed=1)
+            assert math.isnan(est.value), extremes
+            assert est.policy.index == extremes.index([[0.0]])
 
 
 class TestNested:

@@ -247,6 +247,15 @@ class TestStaticEvaluator:
         )
         assert value == 2.5
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_mean_is_never_hidden(self):
+        # x / x is 0/0 under the zero extreme
+        for extremes in ([[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]):
+            gn = GNormal(CovarianceSet(extremes))
+            est = static_upper_report(gn, lambda x: x[:, 0] / x[:, 0], n=100, seed=3)
+            assert math.isnan(est.value), extremes
+            assert est.extreme_index == extremes.index([[0.0]])
+
     def test_linear_is_centered(self, spread_2d):
         gn = GNormal(spread_2d)
         est = static_upper_report(gn, lambda x: x[:, 0], n=40000, seed=17)

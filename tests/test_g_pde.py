@@ -261,7 +261,7 @@ class TestMcValue:
 
     def test_single_path_has_zero_stderr(self, band_1d):
         # one sample gives no spread estimate: stderr 0 and no warning, for
-        # shared (constant) and per-probe (feedback) simulations alike
+        # constant and feedback policies alike
         prob = PdeProblem(1, band_1d, f_square, 0.5, ((-2.0, 2.0),))
         family = PolicyFamily(bang_bang_stat=lambda s: s[:, 0])
         spec = McControlSpec(steps=4, n_paths=1, family=family, seed=2)
@@ -269,6 +269,15 @@ class TestMcValue:
             warnings.simplefilter("error")
             got = mc_values(prob, [0.0, 0.3], 0.0, spec)
         assert [mc.stderr for mc in got] == [0.0, 0.0]
+
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_nan_mean_is_never_hidden(self):
+        # paths of the zero extreme stay at the probe, where the payoff is 0/0
+        f = lambda p: (p[..., 0] - 0.3) / (p[..., 0] - 0.3)
+        for extremes in ([[[1.0]], [[0.0]]], [[[0.0]], [[1.0]]]):
+            prob = PdeProblem(1, CovarianceSet(extremes), f, 0.5, ((-2.0, 2.0),))
+            got = mc_values(prob, [0.3], 0.0, McControlSpec(steps=4, n_paths=200))
+            assert math.isnan(got[0].value), extremes
 
     def test_rejects_bad_t0(self, band_1d):
         prob = PdeProblem(1, band_1d, f_square, 1.0, ((-2.0, 2.0),))
