@@ -19,6 +19,7 @@ viscosity solution of the one-dimensional fully nonlinear heat equation.
 from __future__ import annotations
 
 import math
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
@@ -52,9 +53,9 @@ class ControlPolicy:
 
     ``kind`` is one of constant / time_table / feedback.  A feedback rule is
     called once per step with ``(t_k, states_k)`` where ``states_k`` is the
-    (n_paths, N) array of positions already fixed at time t_k, and must
-    return per-path factor indices; the simulator's call order is what
-    enforces adaptedness.
+    (n_paths, N) array of positions already fixed at time t_k (a buffer that
+    later steps overwrite), and must return per-path factor indices; the
+    simulator's call order is what enforces adaptedness.
     """
 
     kind: str
@@ -76,34 +77,24 @@ class ControlPolicy:
     def feedback(cls, rule: Callable, name: str = "feedback") -> "ControlPolicy":
         return cls(kind="feedback", rule=rule, name=name)
 
-    @property
-    def reads_state(self) -> bool:
-        """False for constant and time-table policies, whose choice is fixed."""
-        return self.kind not in ("constant", "time_table")
-
-    def _fixed_index(self, k, n_factors) -> int:
-        """Factor index at step k of a policy that does not read the state."""
-        index = int(self.index)
-        if self.kind == "time_table":
-            if k >= len(self.table):
-                raise ValueError(
-                    f"time-table policy covers {len(self.table)} steps, "
-                    f"needed step {k}"
-                )
-            index = self.table[k]
-        _check_index_range(index, index, n_factors)
-        return index
-
-    def select_indices(self, k, t, states, n_factors) -> np.ndarray:
-        """Factor index per path for step k starting at time t."""
-        n_paths = states.shape[0]
-        if not self.reads_state:
-            return np.full(n_paths, self._fixed_index(k, n_factors), dtype=int)
-        if self.kind != "feedback":
+    def select_indices(self, k, t, states, n_factors):
+        """Factor index for step k starting at time t: one int for a constant or
+        time-table policy, whose choice is fixed, else one index per path."""
+        if self.kind == "feedback":
+            raw = np.asarray(self.rule(t, states))
+            idx = np.broadcast_to(raw.astype(int), (states.shape[0],)).copy()
+        elif self.kind == "constant":
+            idx = int(self.index)
+        elif self.kind != "time_table":
             raise ValueError(f"unknown policy kind {self.kind!r}")
-        raw = np.asarray(self.rule(t, states))
-        idx = np.broadcast_to(raw.astype(int), (n_paths,)).copy()
-        _check_index_range(idx.min(), idx.max(), n_factors)
+        elif k < len(self.table):
+            idx = self.table[k]
+        else:
+            raise ValueError(
+                f"time-table policy covers {len(self.table)} steps, needed step {k}"
+            )
+        if np.min(idx) < 0 or np.max(idx) >= n_factors:
+            raise ValueError(f"policy produced factor index outside [0, {n_factors})")
         return idx
 
     def describe(self) -> str:
@@ -131,11 +122,6 @@ class PolicyFamily:
                 for i in range(n_factors) for j in range(n_factors) if i != j
             ]
         return policies
-
-
-def _check_index_range(lowest, highest, n_factors) -> None:
-    if lowest < 0 or highest >= n_factors:
-        raise ValueError(f"policy produced factor index outside [0, {n_factors})")
 
 
 def _bang_bang_rule(stat: Callable, i: int, j: int) -> Callable:
@@ -195,6 +181,70 @@ class UpperEstimate(NamedTuple):
     per_policy: tuple[tuple[str, float, float], ...] = ()
 
 
+def _grid(steps, T, n_paths=1) -> np.ndarray:
+    """The uniform time grid of a simulation, once its sizes are checked."""
+    if steps < 1:
+        raise ValueError(f"steps must be >= 1, got {steps}")
+    if not T > 0.0:
+        raise ValueError(f"horizon must be positive, got T={T}")
+    if n_paths < 1:
+        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
+    return np.linspace(0.0, T, steps + 1)
+
+
+def _walk(sigma, policy, n_paths, steps, T, seed, store=None):
+    """The package's one path loop: paths from zero, generated a step at a time.
+
+    Yields ``(k, t_k, x_k, dx_k, x_{k+1})`` for each step k, with (n_paths, N)
+    states and increment ``dx_k = gamma Z_k sqrt(dt)``, the factor chosen by
+    the policy from ``(t_k, x_k)``.  Step k's normals are drawn from
+    ``default_rng(seed)`` just before the step: the same stream as one
+    (steps, n_paths, N) draw, so walks from one seed share their normals.
+    Two state buffers and one increment buffer are reused, so a yielded array
+    is valid until the next step, unless ``store=(states, increments)`` gives
+    time-major arrays for every step.  Sizes are checked at the call.
+    """
+    times, gammas = _grid(steps, T, n_paths), sigma.roots
+    sqrt_dt = math.sqrt(T / steps)
+    # indices wrap, so without a store the buffers are reused
+    states, increments = store or (np.zeros((2, n_paths, sigma.dim)),
+                                   np.empty((1, n_paths, sigma.dim)))
+    states[0] = 0.0
+
+    def generate():
+        rng = np.random.default_rng(seed)
+        for k in range(steps):
+            x, x_next = states[k % len(states)], states[(k + 1) % len(states)]
+            dx = increments[k % len(increments)]
+            rng.standard_normal(out=dx)
+            idx = policy.select_indices(k, times[k], x, len(sigma))
+            lowest, highest = np.min(idx), np.max(idx)
+            # the normals become the increment in place
+            # (np.matmul buffers an input that overlaps its output)
+            if lowest == highest:
+                np.matmul(dx, gammas[lowest].T, out=dx)
+                dx *= sqrt_dt
+            else:
+                for i in np.unique(idx):
+                    mask = idx == i
+                    dx[mask] = (dx[mask] @ gammas[i].T) * sqrt_dt
+            np.add(x, dx, out=x_next)
+            yield k, times[k], x, dx, x_next
+
+    return generate()
+
+
+def _replay(paths: PathBundle, start: int = 0):
+    """A stored bundle as the stream of ``_walk``, from grid index ``start``."""
+    return ((k, paths.times[k], paths.states[:, k, :], paths.increments[:, k, :],
+             paths.states[:, k + 1, :]) for k in range(start, paths.n_steps))
+
+
+def _terminal(walk) -> np.ndarray:
+    """The last state of a path stream, (n_paths, N)."""
+    return deque(walk, maxlen=1)[0][-1]
+
+
 def simulate_gbm(
     sigma: CovarianceSet,
     policy: ControlPolicy,
@@ -202,56 +252,19 @@ def simulate_gbm(
     steps: int,
     T: float,
     seed: int,
-    normals: np.ndarray | None = None,
 ) -> PathBundle:
-    """Simulate paths started at zero under an adapted volatility policy.
+    """Simulate and store paths started at zero under an adapted volatility policy.
 
     Each increment over ``[t_k, t_{k+1}]`` is ``gamma Z_k sqrt(dt)`` with the
     factor chosen by the policy from ``(t_k, states_k)``.  Deterministic for
-    a given seed.  ``normals`` injects a pre-drawn (steps, n_paths, N) block
-    of standard normals for common-random-number comparisons; it is only
-    read.  By default the same block is drawn from the seed straight into
-    ``increments``, and each step overwrites its own normals with its
-    increment, so no separate normals block is held.
+    a given seed.  The "store all" consumer of ``_walk``, for callers that
+    need whole paths; estimators that fold each path stream ``_walk``.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not T > 0.0:
-        raise ValueError(f"horizon must be positive, got T={T}")
-    if n_paths < 1:
-        raise ValueError(f"n_paths must be >= 1, got {n_paths}")
-
-    gammas, n_factors, n = sigma.roots, len(sigma), sigma.dim
-    dt = T / steps
-    sqrt_dt = math.sqrt(dt)
-    times = np.linspace(0.0, T, steps + 1)
-    increments = np.empty((steps, n_paths, n))
-    if normals is None:
-        # drawn in place: step k overwrites its own normals with its increment
-        # (np.matmul buffers an input that overlaps its output)
-        normals = np.random.default_rng(seed).standard_normal(out=increments)
-    elif normals.shape != (steps, n_paths, n):
-        raise ValueError(
-            f"normals must have shape {(steps, n_paths, n)}, got {normals.shape}"
-        )
-
-    states = np.empty((steps + 1, n_paths, n))
-    states[0] = 0.0
-    for k in range(steps):
-        z, db = normals[k], increments[k]
-        if policy.reads_state:
-            idx = policy.select_indices(k, times[k], states[k], n_factors)
-            lowest, highest = idx.min(), idx.max()
-        else:
-            lowest = highest = policy._fixed_index(k, n_factors)
-        if lowest == highest:
-            np.matmul(z, gammas[lowest].T, out=db)
-            db *= sqrt_dt
-        else:
-            for i in np.unique(idx):
-                mask = idx == i
-                db[mask] = (z[mask] @ gammas[i].T) * sqrt_dt
-        np.add(states[k], db, out=states[k + 1])
+    times = _grid(steps, T, n_paths)
+    states = np.empty((steps + 1, n_paths, sigma.dim))
+    increments = np.empty((steps, n_paths, sigma.dim))
+    for _ in _walk(sigma, policy, n_paths, steps, T, seed, store=(states, increments)):
+        pass
     return PathBundle(times, states.transpose(1, 0, 2), increments.transpose(1, 0, 2),
                       seed, policy, sigma)
 
@@ -269,19 +282,18 @@ def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
 def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff, threads=1):
     """Common-random-number supremum of Monte Carlo means over a policy family.
 
-    One (steps, n_paths, N) block of standard normals is drawn from ``seed``
-    and every policy of ``family`` is simulated on it.  ``payoff`` reduces a
-    bundle to per-path values, shaped (n_paths,) or (rows, n_paths).  Returns
-    one UpperEstimate per row: the largest mean by ``best_of`` (the first on
+    Every policy of ``family`` runs one ``_walk`` from ``seed``, so all see the
+    same normals and no path block is held.  ``payoff`` folds a walk into
+    per-path values, shaped (n_paths,) or (rows, n_paths).  Returns one
+    UpperEstimate per row: the largest mean by ``best_of`` (the first on
     ties; a NaN mean wins, so an undefined payoff is never hidden), the
     policy attaining it, its standard error and every member's entry.
     """
     policies = build_policies(family, len(sigma))
-    normals = np.random.default_rng(seed).standard_normal((steps, n_paths, sigma.dim))
 
     def one(policy):
-        bundle = simulate_gbm(sigma, policy, n_paths, steps, T, seed, normals=normals)
-        return [(float(row.mean()), stderr(row)) for row in np.atleast_2d(payoff(bundle))]
+        values = payoff(_walk(sigma, policy, n_paths, steps, T, seed))
+        return [(float(row.mean()), stderr(row)) for row in np.atleast_2d(values)]
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -320,7 +332,7 @@ def estimate_upper_expectation(
     """
     x0 = as_point(x0, sigma.dim)
     return _policy_sup(sigma, policy_family, n_paths, steps, T, seed,
-                       lambda bundle: evaluate_rows(f, x0 + bundle.terminal),
+                       lambda walk: evaluate_rows(f, x0 + _terminal(walk)),
                        threads)[0]
 
 
@@ -333,10 +345,7 @@ def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: in
     value converges first order in 1/steps to the viscosity solution at
     (0, x0) and is monotone in the terminal data.
     """
-    if steps < 1:
-        raise ValueError(f"steps must be >= 1, got {steps}")
-    if not T > 0.0:
-        raise ValueError(f"horizon must be positive, got T={T}")
+    _grid(steps, T)
     up, down = band.sigma_up_sq, band.sigma_down_sq
     if up == 0.0:
         return float(np.asarray(f(np.array([x0])))[0])
@@ -384,15 +393,13 @@ def nested_expectation(
     (1, n_inner, N) and must return an (n_outer, n_inner) array.
     """
     inner_samples = [
-        simulate_gbm(
-            sigma, pol, inner_spec.n_paths, inner_spec.steps, inner_spec.T,
-            split_seed(inner_spec.seed, 1),
-        ).terminal
+        _terminal(_walk(sigma, pol, inner_spec.n_paths, inner_spec.steps, inner_spec.T,
+                        split_seed(inner_spec.seed, 1)))
         for pol in build_policies(inner_spec.family, len(sigma))
     ]
 
-    def outer_payoff(bundle):
-        x = bundle.terminal
+    def outer_payoff(walk):
+        x = _terminal(walk)
         g_vals = np.empty(x.shape[0])
         # Row means do not depend on how the outer rows are blocked, so the
         # payoff is evaluated NESTED_ROWS outer rows at a time.

@@ -29,6 +29,7 @@ from .control_sim import (
     ControlPolicy,
     NestedSpec,
     PolicyFamily,
+    _walk,
     estimate_upper_expectation,
     lattice_1d,
     nested_expectation,
@@ -57,11 +58,11 @@ from .g_pde import (
 from .stoch_integral import (
     BDG_CONSTANTS,
     ElementaryProcess,
+    _convolve,
+    _integrate,
     bdg_check,
     convolution_condition,
-    convolution_path,
     fubini_check,
-    integrate_elementary,
     ito_isometry_check,
     sigma_of_integral,
 )
@@ -234,17 +235,19 @@ class ExperimentConfig:
             raise UsageError(f"invalid sigma: {exc!r}") from exc
         if not isinstance(doc.get("params", {}), dict):
             raise UsageError("params must be a JSON object")
-        seed = doc["seed"]
+        seed, source = doc["seed"], "seed"
         if not isinstance(seed, int) or isinstance(seed, bool):
             raise UsageError("seed must be an integer (no implicit randomness)")
         override = os.environ.get(SEED_OVERRIDE_ENV)
         if override is not None:
             try:
-                seed = int(override)
+                seed, source = int(override), SEED_OVERRIDE_ENV
             except ValueError as exc:
                 raise UsageError(
                     f"{SEED_OVERRIDE_ENV} must be an integer, got {override!r}"
                 ) from exc
+        if seed < 0:
+            raise UsageError(f"{source} must be a nonnegative integer, got {seed}")
         out_dir = Path(out_override or doc.get("output_dir", "gexpect-out"))
         return cls(name=str(doc["name"]), kind=doc["kind"], sigma=sigma,
                    params=dict(doc.get("params", {})), seed=seed, output_dir=out_dir)
@@ -372,12 +375,9 @@ def _run_sigma_integral(cfg, rep):
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
     for i in range(len(cfg.sigma)):
-        # no name holds the bundle, so it is freed before the next draw
-        vals = integrate_elementary(
-            phi,
-            simulate_gbm(cfg.sigma, ControlPolicy.constant(i), n_paths, steps, T,
-                         split_seed(cfg.seed, i)),
-        ).values
+        walk = _walk(cfg.sigma, ControlPolicy.constant(i), n_paths, steps, T,
+                     split_seed(cfg.seed, i))
+        vals = _integrate(phi, cfg.sigma, part, n_paths, walk).values
         emp = vals.T @ vals / n_paths
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
         rep.check(f"empirical-extreme-{i}", diff, 0.0, frob_tol, n_paths=n_paths)
@@ -523,22 +523,20 @@ def _run_ou(cfg, rep):
     with _bad_params("a_diag", "beta"):
         cond = convolution_condition(a_mat, cfg.sigma, beta, T, quad_steps)
 
-    bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T,
-                          cfg.seed)
-    conv = convolution_path(a_mat, bundle, substeps=substeps)
-    dt = T / steps
+    walk = _walk(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T, cfg.seed)
+    times, dt = np.linspace(0.0, T, steps + 1), T / steps
     q0 = np.diag(cfg.sigma.matrices[0])
     rows = []
-    for idx in range(1, conv.shape[1]):
-        k = idx * substeps
-        t = bundle.times[k]
+    for k, conv in _convolve(np.exp(dt * a_diag), walk, substeps,
+                             np.zeros((n_paths, cfg.sigma.dim))):
+        t = times[k]
         # exact covariance of the discrete left-point recursion
         m = np.arange(1, k + 1)
         exact = np.array(
             [q0[d] * dt * np.sum(np.exp(2.0 * a_diag[d] * m * dt))
              for d in range(cfg.sigma.dim)]
         )
-        emp = np.var(conv[:, idx, :], axis=0)
+        emp = np.var(conv, axis=0)
         se = exact * math.sqrt(2.0 / n_paths)
         ok = bool(np.all(np.abs(emp - exact) <= 3.0 * se + 1e-12))
         rep.check(f"variance-t{t:.3g}", float(emp[0]), float(exact[0]),
@@ -670,6 +668,8 @@ def main(argv=None) -> int:
         return 2
     try:
         if args.command == "run":
+            if args.threads < 1:
+                raise UsageError(f"--threads must be at least 1, got {args.threads}")
             report, report_path = run(args.config, args.out, threads=args.threads)
             status = "ok" if report["ok"] else "CHECK FAILED"
             print(f"{status}: {len(report['records'])} records -> {report_path}")

@@ -36,10 +36,10 @@ import numpy as np
 from scipy.interpolate import RegularGridInterpolator
 
 from .covariance_set import CovarianceSet
-from .control_sim import PathBundle, PolicyFamily, _policy_sup, simulate_gbm
+from .control_sim import PathBundle, PolicyFamily, _policy_sup, _replay, simulate_gbm
 from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords
-from .stoch_integral import _generator_diag, convolution_path
+from .stoch_integral import _convolve, _generator_diag, convolution_path
 
 __all__ = [
     "PdeProblem",
@@ -460,14 +460,9 @@ def flow_property_discrepancy(
     if not 0 <= split_index < bundle.n_steps:
         raise ValueError("split index must be an interior grid index")
     dt = float(bundle.times[1] - bundle.times[0])
-    decay = np.exp(dt * diag)
-    x = bundle.states[:, split_index, :].copy()
-    worst = 0.0
-    for k in range(split_index, bundle.n_steps):
-        x = (x + bundle.increments[:, k, :]) * decay
-        gap = float(np.max(np.abs(x - bundle.states[:, k + 1, :])))
-        worst = max(worst, gap)
-    return worst
+    restart = _convolve(np.exp(dt * diag), _replay(bundle, split_index), 1,
+                        bundle.states[:, split_index, :].copy())
+    return max(float(np.max(np.abs(x - bundle.states[:, k, :]))) for k, x in restart)
 
 
 def mc_value(
@@ -497,12 +492,14 @@ def mc_values(
     x0s = [as_point(x0, sigma.dim) for x0 in probes]
     diag = _generator_diag(problem.a_gen, sigma.dim)
     flow_T = np.exp((problem.T - t0) * diag)
+    n_paths, T = control_spec.n_paths, problem.T - t0
 
-    def payoff(bundle):
-        conv_T = convolution_path(np.diag(diag), bundle, substeps=steps)[:, -1]
+    def payoff(walk):
+        # every=steps: the fold yields once, the terminal convolution
+        [(_, conv_T)] = _convolve(np.exp(T / steps * diag), walk, steps,
+                                  np.zeros((n_paths, sigma.dim)))
         rows = [evaluate_rows(problem.terminal_f, conv_T + flow_T * x0) for x0 in x0s]
-        return np.reshape(rows, (len(x0s), bundle.n_paths))
+        return np.reshape(rows, (len(x0s), n_paths))
 
     return [McValue(est.value, est.stderr) for est in _policy_sup(
-        sigma, control_spec.family, control_spec.n_paths, steps, problem.T - t0,
-        control_spec.seed, payoff)]
+        sigma, control_spec.family, n_paths, steps, T, control_spec.seed, payoff)]

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .control_sim import PathBundle, _policy_sup
+from .control_sim import PathBundle, _policy_sup, _replay
 from .operator_core import SymOperator, as_matrix
 
 __all__ = [
@@ -146,14 +146,6 @@ class ConvolutionCondition(NamedTuple):
     finite: bool
 
 
-def _partition_indices(phi: ElementaryProcess, bundle: PathBundle) -> np.ndarray:
-    idx = np.searchsorted(bundle.times, phi.partition)
-    idx = np.clip(idx, 0, bundle.times.size - 1)
-    if np.any(np.abs(bundle.times[idx] - phi.partition) > 1e-12):
-        raise ValueError("integrand partition is not a subset of the path grid")
-    return idx
-
-
 def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
     """sup over extremes of ||block sqrt(Q)||_F^2, per path if block is."""
     if block.ndim == 2:
@@ -168,26 +160,41 @@ def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralR
 
     The partition must be a subset of the bundle's time grid.  Also returns,
     per path, the isometry right-hand quantity (time integral of the squared
-    integrand norm).
+    integrand norm).  Replays the paths through the fold of a streamed walk.
     """
-    if phi.in_dim != paths.dim:
+    return _integrate(phi, paths.sigma, paths.times, paths.n_paths, _replay(paths))
+
+
+def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
+    """``integrate_elementary`` folded over a path stream on the grid ``times``.
+
+    A left state is copied only for a block of several steps: walks reuse it.
+    """
+    if phi.in_dim != sigma.dim:
         raise ValueError(
-            f"integrand acts on dim {phi.in_dim}, paths live in dim {paths.dim}"
+            f"integrand acts on dim {phi.in_dim}, paths live in dim {sigma.dim}"
         )
-    idx = _partition_indices(phi, paths)
-    n_paths, roots = paths.n_paths, paths.sigma.roots
+    idx = np.clip(np.searchsorted(times, phi.partition), 0, times.size - 1)
+    if np.any(np.abs(times[idx] - phi.partition) > 1e-12):
+        raise ValueError("integrand partition is not a subset of the path grid")
     values = np.zeros((n_paths, phi.out_dim))
     integrand_acc = np.zeros(n_paths)
-    for k in range(phi.n_blocks):
-        t_k = phi.partition[k]
+    k = 0
+    for step, _, x, _, x_next in stream:
+        if step == idx[k]:
+            left = x if idx[k + 1] == step + 1 else x.copy()
+        if step + 1 < idx[k + 1]:
+            continue
         dt_k = phi.partition[k + 1] - phi.partition[k]
-        db = paths.states[:, idx[k + 1], :] - paths.states[:, idx[k], :]
-        block = phi.block_values(k, t_k, paths.states[:, idx[k], :])
+        block = phi.block_values(k, phi.partition[k], left)
         if block.ndim == 2:
-            values += db @ block.T
+            values += (x_next - left) @ block.T
         else:
-            values += np.einsum("nij,nj->ni", block, db)
-        integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, roots)
+            values += np.einsum("nij,nj->ni", block, x_next - left)
+        integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, sigma.roots)
+        k += 1
+        if k == phi.n_blocks:
+            break
     return IntegralResult(values, n_paths, integrand_acc)
 
 
@@ -206,8 +213,8 @@ def _moment_sup(phi, sigma, p, policies, n_paths, seed):
     """
     T, steps = _uniform_grid_of(phi)
 
-    def payoff(bundle):
-        res = integrate_elementary(phi, bundle)
+    def payoff(walk):
+        res = _integrate(phi, sigma, phi.partition, n_paths, walk)
         return np.stack([np.sum(res.values**2, axis=1) ** (p / 2.0),
                          res.integrand_sq_paths ** (p / 2.0)])
 
@@ -341,25 +348,33 @@ def convolution_path(a_gen, paths: PathBundle, substeps: int = 1) -> np.ndarray:
     exact one-step recursion I_{k+1} = exp(dt A) (I_k + dB_k); values are
     returned on every ``substeps``-th grid time as an
     (n_paths, n_coarse + 1, N) view of time-major storage.  A zero generator
-    returns the paths themselves exactly.
+    returns the paths themselves exactly.  Replays the paths through the fold
+    of a streamed walk.
     """
     diag = _generator_diag(a_gen, paths.dim)
     if substeps < 1 or paths.n_steps % substeps != 0:
         raise ValueError(
             f"substeps={substeps} does not divide the {paths.n_steps}-step grid"
         )
-    dt = float(paths.times[1] - paths.times[0])
-    decay = np.exp(dt * diag)
-    n_coarse = paths.n_steps // substeps
-    out = np.empty((n_coarse + 1, paths.n_paths, paths.dim))
-    out[0] = 0.0
-    current = np.zeros((paths.n_paths, paths.dim))
-    for k in range(paths.n_steps):
-        current += paths.increments[:, k, :]
-        current *= decay
-        if (k + 1) % substeps == 0:
-            out[(k + 1) // substeps] = current
+    decay = np.exp(float(paths.times[1] - paths.times[0]) * diag)
+    out = np.zeros((paths.n_steps // substeps + 1, paths.n_paths, paths.dim))
+    for k, current in _convolve(decay, _replay(paths), substeps,
+                                np.zeros((paths.n_paths, paths.dim))):
+        out[k // substeps] = current
     return out.transpose(1, 0, 2)
+
+
+def _convolve(decay, stream, every, start):
+    """Fold a path stream into I_{k+1} = decay (I_k + dB_k), from ``start``.
+
+    Yields ``(k + 1, I_{k+1})`` whenever ``every`` divides k + 1; the yielded
+    array is ``start``, updated in place.
+    """
+    for k, _, _, dx, _ in stream:
+        start += dx
+        start *= decay
+        if (k + 1) % every == 0:
+            yield k + 1, start
 
 
 def convolution_condition(

@@ -177,14 +177,24 @@ class TestRun:
          "'frobenius_tol'"),
         ({"kind": "gpde", "params": {"c_disc": -1.0, "nodes": 9, "n_paths": 50,
                                      "n_probes": 1, "scalar_nodes": 21}}, "'c_disc'"),
+        ({"seed": -1}, "seed"),
+        # "env" and "argv" are not config keys: the test sets them around the run
+        ({"env": {"GEXPECT_SEED_OVERRIDE": "-3"}}, "GEXPECT_SEED_OVERRIDE"),
+        ({"argv": ["--threads", "0"]}, "--threads"),
     ])
-    def test_malformed_input_is_usage_error(self, tmp_path, capsys, overrides, key):
+    def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
+                                            overrides, key):
+        argv = []
         if isinstance(overrides, dict):
+            overrides = dict(overrides)
+            for name, value in overrides.pop("env", {}).items():
+                monkeypatch.setenv(name, value)
+            argv = overrides.pop("argv", [])
             cfg = write_config(tmp_path, **overrides)
         else:  # a whole document that is not an object
             cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(overrides))
-        assert main(["run", str(cfg)]) == 2
+        assert main(["run", str(cfg), *argv]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err

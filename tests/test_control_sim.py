@@ -116,23 +116,30 @@ class TestSimulate:
             assert np.array_equal(fast.states[:, k + 1, :], x)
 
     @pytest.mark.parametrize("kind", ["constant", "time_table", "mixed_feedback"])
-    def test_normals_drawn_in_place_match_injected(self, spread_2d, kind):
-        # drawing straight into the increments must give the paths of the same
-        # normals injected, and an injected block must never be written
-        policy = {
-            "constant": ControlPolicy.constant(1),
-            "time_table": ControlPolicy.time_table((0, 1, 1, 0)),
-            "mixed_feedback": ControlPolicy.feedback(
-                lambda t, states: (states[:, 0] >= 0.0).astype(int)
+    def test_drawn_paths_match_hand_built_reference(self, spread_2d, kind):
+        # a step's normals, drawn just before the step, are the seed's one
+        # (steps, n_paths, N) draw, mapped per path by the chosen factor
+        steps, n_paths, sqrt_dt = 4, 200, math.sqrt(1.0 / 4)
+        policy, choose = {
+            "constant": (ControlPolicy.constant(1), lambda k, x: np.full(n_paths, 1)),
+            "time_table": (ControlPolicy.time_table((0, 1, 1, 0)),
+                           lambda k, x: np.full(n_paths, (0, 1, 1, 0)[k])),
+            "mixed_feedback": (
+                ControlPolicy.feedback(lambda t, states: (states[:, 0] >= 0.0).astype(int)),
+                lambda k, x: (x[:, 0] >= 0.0).astype(int),
             ),
         }[kind]
-        normals = np.random.default_rng(21).standard_normal((4, 200, 2))
-        before = normals.copy()
-        injected = simulate_gbm(spread_2d, policy, 200, 4, 1.0, seed=0, normals=normals)
-        drawn = simulate_gbm(spread_2d, policy, 200, 4, 1.0, seed=21)
-        assert np.array_equal(normals, before)
-        assert np.array_equal(drawn.states, injected.states)
-        assert np.array_equal(drawn.increments, injected.increments)
+        drawn = simulate_gbm(spread_2d, policy, n_paths, steps, 1.0, seed=21)
+        normals = np.random.default_rng(21).standard_normal((steps, n_paths, 2))
+        x = np.zeros((n_paths, 2))
+        for k in range(steps):
+            idx, db = choose(k, x), np.empty((n_paths, 2))
+            for i in np.unique(idx):
+                mask = idx == i
+                db[mask] = (normals[k][mask] @ spread_2d.roots[i].T) * sqrt_dt
+            x = x + db
+            assert np.array_equal(drawn.increments[:, k, :], db)
+            assert np.array_equal(drawn.states[:, k + 1, :], x)
 
     def test_float_constant_index_selects_factor(self, spread_2d):
         as_float = simulate_gbm(spread_2d, ControlPolicy.constant(1.0), 50, 3, 1.0, seed=4)
@@ -143,6 +150,49 @@ class TestSimulate:
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 5, 1.0, seed=3)
         assert bundle.states[:, 2, :].flags.c_contiguous
         assert bundle.increments[:, 2, :].flags.c_contiguous
+
+
+class TestWalk:
+    """The one path loop: streamed steps are the stored paths, bit for bit."""
+
+    POLICIES = {
+        "constant": ControlPolicy.constant(1),
+        "time_table": ControlPolicy.time_table((0, 1, 1, 0, 1)),
+        "mixed_feedback": ControlPolicy.feedback(
+            lambda t, states: (states[:, 0] >= 0.0).astype(int)
+        ),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(POLICIES))
+    def test_walk_equals_stored_paths(self, spread_2d, kind):
+        policy = self.POLICIES[kind]
+        stored = simulate_gbm(spread_2d, policy, 300, 5, 1.5, seed=13)
+        walk = control_sim._walk(spread_2d, policy, 300, 5, 1.5, seed=13)
+        count = 0
+        for count, (k, t, x, dx, x_next) in enumerate(walk, 1):
+            assert t == stored.times[k]
+            assert np.array_equal(x, stored.states[:, k, :])
+            assert np.array_equal(dx, stored.increments[:, k, :])
+            assert np.array_equal(x_next, stored.states[:, k + 1, :])
+        assert count == 5
+
+    def test_sizes_checked_at_call(self, band_1d):
+        # a generator would check nothing before its first step
+        with pytest.raises(ValueError, match="steps"):
+            control_sim._walk(band_1d, ControlPolicy.constant(0), 10, 0, 1.0, seed=0)
+
+    def test_policy_sup_members_share_normals(self, spread_2d):
+        # each constant member of the family supremum equals its own one-policy
+        # run from the same seed, so every member saw the seed's normals
+        f = lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2
+        family = PolicyFamily(bang_bang_stat=first_coord)
+        est = estimate_upper_expectation(spread_2d, f, [0.1, 0.0], 1.0, 6, 2000,
+                                         family, seed=17)
+        assert len(est.per_policy) == 4
+        for i in range(2):
+            alone = estimate_upper_expectation(spread_2d, f, [0.1, 0.0], 1.0, 6, 2000,
+                                               [ControlPolicy.constant(i)], seed=17)
+            assert est.per_policy[i] == alone.per_policy[0]
 
 
 class TestLattice:

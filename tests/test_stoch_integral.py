@@ -5,8 +5,8 @@ import pytest
 from scipy.special import gamma as gamma_fn
 from scipy.special import gammainc
 
-from gexpect import CovarianceSet
-from gexpect.control_sim import ControlPolicy, PolicyFamily, simulate_gbm
+from gexpect import CovarianceSet, stoch_integral
+from gexpect.control_sim import ControlPolicy, PolicyFamily, _walk, simulate_gbm
 from gexpect.g_normal import GNormal, gaussian_even_moment, project_band
 from gexpect.stoch_integral import (
     BDG_CONSTANTS,
@@ -351,6 +351,47 @@ class TestConvolution:
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 5, 4, 1.0, seed=1)
         with pytest.raises(ValueError):
             convolution_path(np.array([[0.0, 0.1], [0.1, 0.0]]), bundle)
+
+
+class TestStreaming:
+    """A streamed walk folds to the same bits as its stored bundle."""
+
+    POLICY = ControlPolicy.feedback(lambda t, states: (states[:, 1] >= 0.0).astype(int))
+
+    @pytest.mark.parametrize("form", ["deterministic", "adapted"])
+    def test_integral(self, spread_2d, form):
+        # a strict subset of the grid, not starting at 0, ending before T, with
+        # blocks of 1, 3 and 4 steps
+        n, steps, T = 400, 12, 1.2
+        times = np.linspace(0.0, T, steps + 1)
+        part = times[[2, 3, 6, 10]]
+        if form == "deterministic":
+            rng = np.random.default_rng(4)
+            phi = ElementaryProcess.deterministic(
+                part, [rng.standard_normal((3, 2)) for _ in range(3)])
+        else:
+            phi = ElementaryProcess.adapted(
+                part, lambda t, x: np.tanh(x)[:, None, :] + t * np.ones((1, 3, 2)), 3, 2)
+        stored = integrate_elementary(
+            phi, simulate_gbm(spread_2d, self.POLICY, n, steps, T, seed=8))
+        streamed = stoch_integral._integrate(
+            phi, spread_2d, times, n, _walk(spread_2d, self.POLICY, n, steps, T, seed=8))
+        assert np.array_equal(streamed.values, stored.values)
+        assert np.array_equal(streamed.integrand_sq_paths, stored.integrand_sq_paths)
+
+    @pytest.mark.parametrize("substeps", [1, 4])
+    def test_convolution(self, spread_2d, substeps):
+        n, steps, T = 300, 8, 1.0
+        a = np.diag([-0.5, -2.0])
+        stored = convolution_path(a, simulate_gbm(spread_2d, self.POLICY, n, steps, T,
+                                                  seed=9), substeps=substeps)
+        streamed = [(k, conv.copy()) for k, conv in stoch_integral._convolve(
+            np.exp(T / steps * np.diag(a)), _walk(spread_2d, self.POLICY, n, steps, T,
+                                                  seed=9),
+            substeps, np.zeros((n, 2)))]
+        assert [k for k, _ in streamed] == list(range(substeps, steps + 1, substeps))
+        for k, conv in streamed:
+            assert np.array_equal(conv, stored[:, k // substeps, :])
 
 
 class TestConvolutionCondition:
