@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
@@ -192,8 +191,8 @@ def _grid(steps, T, n_paths=1) -> np.ndarray:
     return np.linspace(0.0, T, steps + 1)
 
 
-def _walk(sigma, policy, n_paths, steps, T, seed, store=None):
-    """The package's one path loop: paths from zero, generated a step at a time.
+def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, store=None):
+    """The package's one path loop: paths from ``x0``, generated a step at a time.
 
     Yields ``(k, t_k, x_k, dx_k, x_{k+1})`` for each step k, with (n_paths, N)
     states and increment ``dx_k = gamma Z_k sqrt(dt)``, the factor chosen by
@@ -209,7 +208,7 @@ def _walk(sigma, policy, n_paths, steps, T, seed, store=None):
     # indices wrap, so without a store the buffers are reused
     states, increments = store or (np.zeros((2, n_paths, sigma.dim)),
                                    np.empty((1, n_paths, sigma.dim)))
-    states[0] = 0.0
+    states[0] = x0
 
     def generate():
         rng = np.random.default_rng(seed)
@@ -279,27 +278,20 @@ def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
     return out
 
 
-def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff, threads=1):
+def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff, x0=0.0):
     """Common-random-number supremum of Monte Carlo means over a policy family.
 
-    Every policy of ``family`` runs one ``_walk`` from ``seed``, so all see the
-    same normals and no path block is held.  ``payoff`` folds a walk into
-    per-path values, shaped (n_paths,) or (rows, n_paths).  Returns one
-    UpperEstimate per row: the largest mean by ``best_of`` (the first on
+    Every policy of ``family`` runs one ``_walk`` from ``x0`` and ``seed``, so
+    all see the same normals and no path block is held.  ``payoff`` folds a
+    walk into per-path values, shaped (n_paths,) or (rows, n_paths).  Returns
+    one UpperEstimate per row: the largest mean by ``best_of`` (the first on
     ties; a NaN mean wins, so an undefined payoff is never hidden), the
     policy attaining it, its standard error and every member's entry.
     """
-    policies = build_policies(family, len(sigma))
-
-    def one(policy):
-        values = payoff(_walk(sigma, policy, n_paths, steps, T, seed))
-        return [(float(row.mean()), stderr(row)) for row in np.atleast_2d(values)]
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(one, policies))
-    else:
-        results = [one(p) for p in policies]
+    policies, results = build_policies(family, len(sigma)), []
+    for policy in policies:
+        rows = np.atleast_2d(payoff(_walk(sigma, policy, n_paths, steps, T, seed, x0)))
+        results.append([(float(row.mean()), stderr(row)) for row in rows])
     names, estimates = [pol.describe() for pol in policies], []
     for row in zip(*results):
         best = best_of([mean for mean, _ in row])
@@ -318,22 +310,21 @@ def estimate_upper_expectation(
     n_paths: int,
     policy_family,
     seed: int,
-    threads: int = 1,
 ) -> UpperEstimate:
     """Supremum over the enumerated policy family of Monte Carlo means.
 
-    Every policy sees the same underlying normal draws (common random
-    numbers), so each member's estimate is dominated by the returned value
-    exactly, and scaling the payoff scales the value exactly.  Returns the
-    achieving policy, the standard error of its mean and every member's
-    mean and standard error.  A member whose mean is NaN wins, so a payoff
-    that is undefined along some policy's paths gives NaN, never a finite
-    value from the other members.
+    Every policy walks from ``x0`` on the same normal draws (common random
+    numbers), so a feedback rule reads the true state, each member's
+    estimate is dominated by the returned value exactly, and scaling the
+    payoff scales the value exactly.  Returns the achieving policy, the
+    standard error of its mean and every member's mean and standard error.
+    A member whose mean is NaN wins, so a payoff that is undefined along
+    some policy's paths gives NaN, never a finite value from the other
+    members.
     """
-    x0 = as_point(x0, sigma.dim)
     return _policy_sup(sigma, policy_family, n_paths, steps, T, seed,
-                       lambda walk: evaluate_rows(f, x0 + _terminal(walk)),
-                       threads)[0]
+                       lambda walk: evaluate_rows(f, _terminal(walk)),
+                       x0=as_point(x0, sigma.dim))[0]
 
 
 def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: int) -> float:

@@ -86,8 +86,8 @@ class CovarianceSet:
     def roots(self) -> np.ndarray:
         """Symmetric square roots of the extremes as a read-only (k, N, N) array.
 
-        Computed on first use (threads racing on it store equal arrays); each
-        root ``g`` reproduces its extreme ``Q`` to ``||g @ g.T - Q||_F <= 1e-9``.
+        Computed on first use; each root ``g`` reproduces its extreme ``Q`` to
+        ``||g @ g.T - Q||_F <= 1e-9``.
         """
         if self._roots is None:
             roots = np.stack([psd_sqrt(q).entries for q in self.extremes])

@@ -11,10 +11,12 @@ centered second differences, first-order upwind transport, and a combined
 diffusion/advection CFL bound; without a pinned step, dt is ``CFL_SAFETY``
 times that bound.  Boundary ghosts extend the solution linearly (odd
 reflection), so the scheme sees no curvature at the box edge: affine
-profiles are invariant, the update stays monotone, and boundary pollution
-of curved solutions decays into the interior.  The
-transport generator is restricted to diagonal nonpositive matrices, which
-keeps the semigroup explicit and the upwind stencils inside the grid.
+profiles are invariant and boundary pollution of curved solutions decays
+into the interior.  The update is monotone only for diagonal extremes: for
+Q_ab != 0 the centred cross difference gives two corner neighbours the
+weight -|Q_ab| / (4 h_a h_b) < 0 (see ROADMAP.md, item 2).  The transport
+generator is restricted to diagonal nonpositive matrices, which keeps the
+semigroup explicit and the upwind stencils inside the grid.
 
 Each solve builds one stencil object that owns every buffer the steps use.
 A step copies u into the interior of one (n + 2)^d padded buffer, writes the

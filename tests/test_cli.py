@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from gexpect import CovarianceSet
-from gexpect.experiment_cli import _Report, main
+from gexpect.experiment_cli import MC_Z, _Report, main, run
 from gexpect.g_pde import MeshSpec, PdeProblem, solve_gheat
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -117,13 +117,26 @@ class TestRun:
         )
         assert main(["run", str(cfg)]) == 0
 
-    def test_isometry_kind_with_threads(self, tmp_path):
+    def test_isometry_kind(self, tmp_path):
         cfg = write_config(
             tmp_path, kind="isometry",
             sigma={"dim": 1, "extremes": [[1], [0.25]], "label": "band"},
             params={"steps": 4, "n_paths": 800, "trials": 2},
         )
-        assert main(["run", str(cfg), "--threads", "2"]) == 0
+        assert main(["run", str(cfg)]) == 0
+
+    def test_threads_flag_is_unrecognized(self, tmp_path, capsys):
+        # runs are serial: the flag is gone, and argparse rejects it
+        assert main(["run", str(write_config(tmp_path)), "--threads", "2"]) == 2
+        err = capsys.readouterr().err
+        assert "unrecognized arguments: --threads" in err
+        assert "Traceback" not in err
+
+    def test_run_rejects_threads_other_than_one(self, tmp_path):
+        cfg = write_config(tmp_path)
+        with pytest.raises(ValueError, match="threads must be 1"):
+            run(cfg, threads=2)
+        assert run(cfg, threads=1)[0]["ok"] is True
 
     def test_nested_kind_product(self, tmp_path):
         cfg = write_config(
@@ -178,23 +191,20 @@ class TestRun:
         ({"kind": "gpde", "params": {"c_disc": -1.0, "nodes": 9, "n_paths": 50,
                                      "n_probes": 1, "scalar_nodes": 21}}, "'c_disc'"),
         ({"seed": -1}, "seed"),
-        # "env" and "argv" are not config keys: the test sets them around the run
+        # "env" is not a config key: the test sets it around the run
         ({"env": {"GEXPECT_SEED_OVERRIDE": "-3"}}, "GEXPECT_SEED_OVERRIDE"),
-        ({"argv": ["--threads", "0"]}, "--threads"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
-        argv = []
         if isinstance(overrides, dict):
             overrides = dict(overrides)
             for name, value in overrides.pop("env", {}).items():
                 monkeypatch.setenv(name, value)
-            argv = overrides.pop("argv", [])
             cfg = write_config(tmp_path, **overrides)
         else:  # a whole document that is not an object
             cfg = tmp_path / "config.json"
             cfg.write_text(json.dumps(overrides))
-        assert main(["run", str(cfg), *argv]) == 2
+        assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
@@ -223,7 +233,7 @@ class TestReport:
 
     @staticmethod
     def sink(tmp_path):
-        return _Report(SimpleNamespace(seed=7), tmp_path, 1)
+        return _Report(SimpleNamespace(seed=7), tmp_path)
 
     def test_check_schema_adds_seed_with_n_paths(self, tmp_path):
         rep = self.sink(tmp_path)
@@ -243,6 +253,23 @@ class TestReport:
         rep = self.sink(tmp_path)
         rep.check("c", lhs, rhs, tol)
         assert rep.records[0]["ok"] is ok
+
+    @pytest.mark.parametrize("se, slack", [(0.1, 0.0), (0.37, 0.02), (2.5, 1e-3)])
+    def test_single_monte_carlo_check_allows_three_standard_errors(self, tmp_path,
+                                                                  se, slack):
+        assert MC_Z == 3.0
+        assert self.sink(tmp_path).mc_tol(se, slack) == 3.0 * se + slack
+        assert self.sink(tmp_path).mc_tol(se, slack, family=1) == 3.0 * se + slack
+
+    def test_family_tolerance_keeps_the_single_check_error_rate(self, tmp_path):
+        # Bonferroni: m comparisons at alpha / m each, alpha = 2 Phi(-3)
+        tols = [self.sink(tmp_path).mc_tol(1.0, family=m) for m in (1, 2, 10, 100)]
+        assert tols[0] == 3.0
+        assert tols[2] == pytest.approx(3.6425, abs=1e-4)
+        assert tols == sorted(tols) and len(set(tols)) == 4
+        se = np.array([0.5, 2.0])
+        assert np.array_equal(self.sink(tmp_path).mc_tol(se, 0.1, family=10),
+                              tols[2] * se + 0.1)
 
     @pytest.mark.parametrize("ok", [True, None])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "tolerance"])

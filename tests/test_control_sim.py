@@ -310,14 +310,28 @@ class TestUpperExpectation:
             )
             assert static.value <= dynamic.value + 3.0 * (static.stderr + dynamic.stderr)
 
-    def test_threads_do_not_change_result(self, band_1d):
-        f = lambda x: x[:, 0] ** 2
-        a = estimate_upper_expectation(band_1d, f, 0.0, 1.0, 8, 2000,
-                                       PolicyFamily(bang_bang_stat=first_coord), seed=29)
-        b = estimate_upper_expectation(band_1d, f, 0.0, 1.0, 8, 2000,
-                                       PolicyFamily(bang_bang_stat=first_coord), seed=29,
-                                       threads=4)
-        assert a.value == b.value and a.policy.name == b.policy.name
+    def test_feedback_rule_reads_the_true_state(self, band_1d):
+        # a bang-bang member switches on X_t = x0 + B_t, not on B_t
+        x0, f = -0.6, lambda x: x[:, 0] ** 3
+        est = estimate_upper_expectation(band_1d, f, x0, 1.0, 16, 4000,
+                                         PolicyFamily(bang_bang_stat=first_coord), seed=3)
+        name, mean, _ = est.per_policy[2]
+        assert name == "bang[stat>=0:0,else:1]"
+        rule = lambda t, states: np.where(x0 + states[:, 0] >= 0.0, 0, 1)
+        paths = simulate_gbm(band_1d, ControlPolicy.feedback(rule), 4000, 16, 1.0, seed=3)
+        assert mean == pytest.approx(np.mean(f(x0 + paths.terminal)), rel=1e-12)
+
+    def test_feedback_optimum_stays_below_lattice(self, band_1d):
+        # x^3 is convex right of 0 and concave left of it: switching on the
+        # sign of the state wins, and a lower bound stays below the lattice
+        x0, lattice_steps = -0.6, 2000
+        est = estimate_upper_expectation(band_1d, lambda x: x[:, 0] ** 3, x0, 1.0, 64,
+                                         40_000, PolicyFamily(bang_bang_stat=first_coord),
+                                         seed=3)
+        lattice = lattice_1d(VolatilityBand(1.0, 0.25), lambda y: y**3, x0, 1.0,
+                             lattice_steps)
+        assert est.policy.kind == "feedback"
+        assert est.value <= lattice + 3.0 * est.stderr + 6.0 / lattice_steps
 
     def test_empty_family_rejected(self, band_1d):
         with pytest.raises(ValueError, match="policy family is empty"):
