@@ -16,7 +16,6 @@ from gexpect import (
     covset_sum,
     g_eval,
     l2sigma_norm,
-    psd_sqrt,
     schatten_norm,
 )
 
@@ -33,7 +32,7 @@ print(f"G(diag(1,-1)) = {g_eval(sigma, b):.4f}"
 print(f"G(-diag(1,-1)) = {g_eval(sigma, -b.entries):.4f}   -- sup is one-sided\n")
 
 # Schatten norms of an extreme, and the integrand norm of a test operator.
-q = sigma.extremes[1]
+q = sigma.matrices[1]
 print("Schatten norms of the spiked extreme:",
       [round(schatten_norm(q, p), 3) for p in (1, 2, float('inf'))])
 phi = np.array([[1.0, 0.5]])
@@ -53,7 +52,7 @@ print("midpoint of extremes inside hull:", covset_contains(sigma, mid))
 print("1.5 x spiked extreme inside hull:", covset_contains(sigma, 1.5 * sigma.matrices[1]))
 
 # The factor of each extreme reproduces it: gamma gamma^T = Q.
-gamma = psd_sqrt(sigma.extremes[0]).entries
+gamma = sigma.roots[0]
 print("factor check ||gamma gamma^T - Q|| =",
       float(np.linalg.norm(gamma @ gamma.T - sigma.matrices[0])), "\n")
 

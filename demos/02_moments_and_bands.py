@@ -45,7 +45,7 @@ for h in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
           f"[{band.sigma_down_sq:.4f}, {band.sigma_up_sq:.4f}]")
 
 # Per-measure sampling: the empirical covariance of one factor converges.
-draws = sample_gaussian(sigma.extremes[0], 100_000, seed=7)
+draws = sample_gaussian(sigma.matrices[0], 100_000, seed=7)
 emp = draws.T @ draws / draws.shape[0]
 print("\nempirical covariance of extreme 0 (100k draws):")
 print(np.round(emp, 3))

@@ -1,10 +1,12 @@
 """Covariance-set calculus.
 
 A covariance set is stored by finitely many extreme points (symmetric PSD
-trace-class operators); the convex hull is implicit.  Since the supremum of
-any linear functional over a convex hull is attained at an extreme point,
-evaluation of the induced sublinear functional (``g_eval(sigma, a)``), of
-integrand norms and of all covariance-set algebra is exact for this class.
+trace-class operators), validated once and held as read-only arrays: the
+(k, N, N) matrices, their eigenvalues and their square roots.  The convex
+hull is implicit.  Since the supremum of any linear functional over a convex
+hull is attained at an extreme point, evaluation of the induced sublinear
+functional (``g_eval(sigma, a)``), of integrand norms and of all
+covariance-set algebra is exact for this class.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import json
 import numpy as np
 from scipy.optimize import nnls
 
-from .operator_core import PsdOperator, as_matrix, psd_sqrt, trace_product
+from .operator_core import PsdOperator, _psd_power, _psd_stack, as_matrix
 
 __all__ = [
     "DEDUP_TOL",
@@ -32,39 +34,41 @@ __all__ = [
 DEDUP_TOL = 1e-12
 
 
+def _count(value, least=1):
+    """A JSON integer: not a bool, no fractional part, at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
+        raise ValueError(f"expected an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"must be at least {least}, got {value!r}")
+    return int(value)
+
+
 class CovarianceSet:
     """Finite-extreme-point representation of a covariance set.
 
     Parameters
     ----------
     extremes : iterable of PsdOperator or matrix-like
-        Extreme points, all of one dimension; deduplicated under Frobenius
-        distance ``DEDUP_TOL`` (first occurrence kept).
+        PSD extreme points of one dimension, validated like ``PsdOperator``;
+        deduplicated under Frobenius distance ``DEDUP_TOL`` (first one kept).
     label : str
         Free-form identifier carried through the algebra.
+
+    Held as read-only arrays: ``matrices``, ``eigenvalues`` and ``roots``.
     """
 
-    __slots__ = ("extremes", "label", "_stack", "_roots")
+    __slots__ = ("matrices", "eigenvalues", "label", "_roots")
 
     def __init__(self, extremes, label: str = ""):
-        ops = [e if isinstance(e, PsdOperator) else PsdOperator(e) for e in extremes]
-        if not ops:
-            raise ValueError("a covariance set needs at least one extreme point")
-        dim = ops[0].dim
-        for op in ops:
-            if op.dim != dim:
-                raise ValueError("all extremes must share one dimension")
-        kept: list[PsdOperator] = []
-        for op in ops:
-            if all(
-                np.linalg.norm(op.entries - k.entries) > DEDUP_TOL for k in kept
-            ):
-                kept.append(op)
-        stack = np.stack([op.entries for op in kept])
-        stack.flags.writeable = False
-        object.__setattr__(self, "extremes", tuple(kept))
+        stack, eigenvalues, _ = _psd_stack(extremes)
+        kept = [0]
+        for i in range(1, len(stack)):
+            if np.linalg.norm(stack[kept] - stack[i], axis=(1, 2)).min() > DEDUP_TOL:
+                kept.append(i)
+        for name, arr in (("matrices", stack[kept]), ("eigenvalues", eigenvalues[kept])):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
         object.__setattr__(self, "label", str(label))
-        object.__setattr__(self, "_stack", stack)
         object.__setattr__(self, "_roots", None)
 
     def __setattr__(self, name, value):
@@ -72,15 +76,10 @@ class CovarianceSet:
 
     @property
     def dim(self) -> int:
-        return self.extremes[0].dim
+        return self.matrices.shape[1]
 
     def __len__(self) -> int:
-        return len(self.extremes)
-
-    @property
-    def matrices(self) -> np.ndarray:
-        """Extremes stacked as a read-only (k, N, N) array."""
-        return self._stack
+        return len(self.matrices)
 
     @property
     def roots(self) -> np.ndarray:
@@ -90,26 +89,24 @@ class CovarianceSet:
         ``||g @ g.T - Q||_F <= 1e-9``.
         """
         if self._roots is None:
-            roots = np.stack([psd_sqrt(q).entries for q in self.extremes])
-            for g, q in zip(roots, self._stack):
-                if np.linalg.norm(g @ g.T - q) > 1e-9:
-                    raise ValueError("square root does not reproduce its extreme")
+            roots = _psd_power(self.matrices, 0.5)
+            errors = roots @ np.swapaxes(roots, 1, 2) - self.matrices
+            if np.linalg.norm(errors, axis=(1, 2)).max() > 1e-9:
+                raise ValueError("square root does not reproduce its extreme")
             roots.flags.writeable = False
             object.__setattr__(self, "_roots", roots)
         return self._roots
 
     def max_trace(self) -> float:
-        return float(max(np.trace(m) for m in self._stack))
+        return float(max(np.trace(m) for m in self.matrices))
 
     def spectral_radius(self) -> float:
-        return float(
-            max(np.max(np.abs(np.linalg.eigvalsh(m))) for m in self._stack)
-        )
+        return float(np.abs(self.eigenvalues).max())
 
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
-            "extremes": [m.reshape(-1).tolist() for m in self._stack],
+            "extremes": [m.reshape(-1).tolist() for m in self.matrices],
             "label": self.label,
         }
 
@@ -118,7 +115,7 @@ class CovarianceSet:
 
     @classmethod
     def from_dict(cls, doc: dict) -> "CovarianceSet":
-        n = int(doc["dim"])
+        n = _count(doc["dim"])
         mats = [np.asarray(row, dtype=float).reshape(n, n) for row in doc["extremes"]]
         return cls(mats, label=doc.get("label", ""))
 
@@ -163,9 +160,7 @@ def l2sigma_norm(phi, sigma: CovarianceSet) -> float:
 def covset_scale(sigma: CovarianceSet, a: float) -> CovarianceSet:
     """Covariance set of a scaled variable: every extreme multiplied by a**2."""
     s = float(a) ** 2
-    return CovarianceSet(
-        [m * s for m in sigma.matrices], label=f"scale({sigma.label},{a:g})"
-    )
+    return CovarianceSet(sigma.matrices * s, label=f"scale({sigma.label},{a:g})")
 
 
 def covset_sum(s1: CovarianceSet, s2: CovarianceSet) -> CovarianceSet:
@@ -194,9 +189,10 @@ def covset_contains(
 
     Exact path: nonnegative least squares over simplex weights (the convex
     combination must reproduce ``b`` with residual ~ 0).  Certificate path:
-    on ``directions`` random symmetric test directions A the support
-    inequality 1/2 Tr[A b] <= g_eval(A) + 1e-9 must hold whenever the exact
-    path says "inside"; a contradiction signals broken numerics and raises.
+    when the exact path says "inside", the support inequality
+    1/2 Tr[A b] <= G(A) + 1e-9 must hold on ``directions`` random symmetric
+    test directions A; a contradiction signals broken numerics and raises.
+    Outside the hull no certificate can fail, so none is drawn.
 
     Returns the exact-path verdict.
     """
@@ -214,13 +210,12 @@ def covset_contains(
     target = np.concatenate([op.entries.reshape(-1), [ones_scale]])
     _, residual = nnls(a_mat, target)
     inside = residual <= 1e-9 * (1.0 + float(np.linalg.norm(target)))
-
-    rng = np.random.default_rng(seed)
-    for _ in range(directions):
-        raw = rng.standard_normal((n, n))
-        a_dir = (raw + raw.T) / 2.0
-        slack = g_eval(sigma, a_dir) + 1e-9 - 0.5 * trace_product(a_dir, op.entries)
-        if inside and slack < 0.0:
+    if inside:
+        raw = np.random.default_rng(seed).standard_normal((directions, n, n))
+        a_dir = (raw + np.swapaxes(raw, 1, 2)) / 2.0
+        support = 0.5 * np.einsum("dij,qji->dq", a_dir, sigma.matrices).max(axis=1)
+        value = 0.5 * np.einsum("dij,ji->d", a_dir, op.entries)
+        if np.any(value > support + 1e-9):
             raise RuntimeError(
                 "support-function certificate contradicts membership verdict"
             )

@@ -25,7 +25,7 @@ from pathlib import Path
 import numpy as np
 from scipy.special import ndtr, ndtri
 
-from .covariance_set import CovarianceSet
+from .covariance_set import CovarianceSet, _count
 from .control_sim import (
     ControlPolicy,
     NestedSpec,
@@ -37,6 +37,7 @@ from .control_sim import (
     simulate_gbm,
 )
 from .g_normal import (
+    MC_Z,
     GNormal,
     moment_bounds_check,
     moment_constant,
@@ -71,7 +72,6 @@ from .stoch_integral import (
 __all__ = ["ExperimentConfig", "run", "emit_plotdata", "main", "KINDS"]
 
 SEED_OVERRIDE_ENV = "GEXPECT_SEED_OVERRIDE"
-MC_Z = 3.0  # standard errors that one Monte Carlo comparison allows
 
 
 class UsageError(Exception):
@@ -101,15 +101,6 @@ def _choice(cfg, key, default, known):
         raise UsageError(f"param {key!r}: unknown value {value!r}; "
                          f"known: {', '.join(sorted(known))}")
     return value
-
-
-def _count(value, least=1):
-    """An integer param: not a bool, no fractional part, at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
-        raise ValueError(f"expected an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"must be at least {least}, got {value!r}")
-    return int(value)
 
 
 def _positive(value):
@@ -290,7 +281,7 @@ def _run_moments(cfg, rep):
     rep.check("second-moment-mc", est.value, exact, rep.mc_tol(est.stderr), n_paths=n)
     rep.table("moments", ["m", "lower", "value", "upper"], rows)
     if cfg.params.get("dump_samples"):
-        draws = sample_gaussian(cfg.sigma.extremes[0], min(n, 10_000), cfg.seed)
+        draws = sample_gaussian(cfg.sigma.matrices[0], min(n, 10_000), cfg.seed)
         rep.csv("samples.csv", [f"x{i}" for i in range(draws.shape[1])], draws.tolist())
 
 
@@ -357,8 +348,8 @@ def _run_bdg(cfg, rep):
     for pv in p_values:
         chk = bdg_check(phi, cfg.sigma, pv, PolicyFamily(), n_paths,
                         split_seed(cfg.seed, pv))
-        rep.check(f"bdg-p{pv}", chk.lhs, chk.rhs, rep.mc_tol(chk.stderr), chk.ok,
-                  n_paths=n_paths)
+        rep.check(f"bdg-p{pv}", chk.lhs, BDG_CONSTANTS[pv] * chk.rhs,
+                  rep.mc_tol(chk.stderr), chk.ok, n_paths=n_paths)
 
 
 def _run_sigma_integral(cfg, rep):

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .operator_core import as_coords, as_matrix, psd_sqrt
+from .operator_core import as_coords, psd_sqrt
 
 __all__ = [
     "GNormal",
@@ -43,10 +43,10 @@ MOMENT_CONSTANT_MAX_DIM = 8
 
 
 def split_seed(seed: int, index: int) -> int:
-    """Derive an independent sub-seed from (seed, worker index).
+    """Derive an independent sub-seed from (seed, index).
 
-    SplitMix64 finalizer over the pair; this is the documented splitting rule
-    for parallel workers, so runs stay reproducible regardless of scheduling.
+    SplitMix64 finalizer over the pair; this is the documented rule for
+    deriving the seed of each trial, policy or probe from one run seed.
     """
     z = ((int(seed) & _MASK64) + (int(index) + 1) * 0x9E3779B97F4A7C15) & _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
@@ -98,13 +98,8 @@ class StaticEstimate(NamedTuple):
     extreme_index: int
 
 
-def _eigenvalues_psd(q) -> np.ndarray:
-    w = np.linalg.eigvalsh(as_matrix(q))
-    return np.clip(w, 0.0, None)
-
-
-def gaussian_even_moment(q, m: int) -> float:
-    """E ||X||^(2m) for a single centered Gaussian with covariance ``q``.
+def _even_moment(eigenvalues, m: int) -> float:
+    """E ||X||^(2m) for a centered Gaussian whose covariance has these eigenvalues.
 
     Uses the exact recursion for the derivatives of
     F(eps) = det(1 - eps q)^(-1/2) at zero:
@@ -112,17 +107,23 @@ def gaussian_even_moment(q, m: int) -> float:
         F_r = (r-1)!/2 * sum_{j<r} F_j / j! * Tr[q^(r-j)],   F_0 = 1,
 
     and E ||X||^(2m) = 2^m * F_m, with the trace powers read off the
-    eigenvalues.  m = 0 is rejected to keep the contract sharp.
+    eigenvalues (clamped at zero).  m = 0 is rejected to keep the contract
+    sharp.
     """
     if m < 1:
         raise ValueError(f"moment order must be >= 1, got {m}")
-    w = _eigenvalues_psd(q)
+    w = np.clip(eigenvalues, 0.0, None)
     trace_pow = [0.0] + [float(np.sum(w**k)) for k in range(1, m + 1)]
     f = [1.0]
     for r in range(1, m + 1):
         acc = sum(f[j] / math.factorial(j) * trace_pow[r - j] for j in range(r))
         f.append(math.factorial(r - 1) / 2.0 * acc)
     return float(2.0**m * f[m])
+
+
+def gaussian_even_moment(q, m: int) -> float:
+    """E ||X||^(2m) under N(0, q), q PSD; the recursion is in ``_even_moment``."""
+    return _even_moment(CovarianceSet([q]).eigenvalues[0], m)
 
 
 def moment_constant(m: int) -> float:
@@ -132,7 +133,7 @@ def moment_constant(m: int) -> float:
     worst case), i.e. the double factorial (2m-1)!!.  Certified for
     m <= MOMENT_CONSTANT_MAX_ORDER and dim <= MOMENT_CONSTANT_MAX_DIM.
     """
-    return gaussian_even_moment(np.eye(1), m)
+    return _even_moment(np.ones(1), m)
 
 
 def moment_upper(gn: GNormal, m: int) -> float:
@@ -140,7 +141,7 @@ def moment_upper(gn: GNormal, m: int) -> float:
 
     For m = 1 this is exactly scale * sup Tr Q.
     """
-    per = [gaussian_even_moment(q, m) for q in gn.sigma.matrices]
+    per = [_even_moment(w, m) for w in gn.sigma.eigenvalues]
     return float(gn.scale**m * max(per))
 
 
@@ -151,13 +152,9 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     certified K_m of ``moment_constant``.
     """
     value = moment_upper(gn, m)
-    lower = float(
-        gn.scale**m
-        * max(np.sum(_eigenvalues_psd(q) ** m) for q in gn.sigma.matrices)
-    )
-    upper = float(
-        gn.scale**m * max(np.trace(q) for q in gn.sigma.matrices) ** m
-    )
+    w = np.clip(gn.sigma.eigenvalues, 0.0, None)
+    lower = float(gn.scale**m * max(np.sum(row**m) for row in w))
+    upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
     k_m = moment_constant(m)
     tol = 1.0 + 1e-12
     ok = (lower <= k_m * value * tol) and (value <= k_m * upper * tol)
@@ -210,6 +207,9 @@ def evaluate_rows(f: Callable, x: np.ndarray) -> np.ndarray:
             f"got shape {vals.shape} for n={x.shape[0]}"
         )
     return vals
+
+
+MC_Z = 3.0  # standard errors that one Monte Carlo comparison allows
 
 
 def stderr(vals: np.ndarray) -> float:

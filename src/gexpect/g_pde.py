@@ -8,15 +8,15 @@ the solver is cross-validated against.
 
 Backward time stepping u(t - dt) = u(t) + dt * (<A x, Du> + G(D^2 u)) with
 centered second differences, first-order upwind transport, and a combined
-diffusion/advection CFL bound; without a pinned step, dt is ``CFL_SAFETY``
-times that bound.  Boundary ghosts extend the solution linearly (odd
-reflection), so the scheme sees no curvature at the box edge: affine
-profiles are invariant and boundary pollution of curved solutions decays
-into the interior.  The update is monotone only for diagonal extremes: for
-Q_ab != 0 the centred cross difference gives two corner neighbours the
-weight -|Q_ab| / (4 h_a h_b) < 0 (see ROADMAP.md, item 2).  The transport
-generator is restricted to diagonal nonpositive matrices, which keeps the
-semigroup explicit and the upwind stencils inside the grid.
+diffusion/advection CFL bound; dt is ``CFL_SAFETY`` times that bound.
+Boundary ghosts extend the solution linearly (odd reflection), so the scheme
+sees no curvature at the box edge: affine profiles are invariant and
+boundary pollution of curved solutions decays into the interior.  The update
+is monotone only for diagonal extremes: for Q_ab != 0 the centred cross
+difference gives two corner neighbours the weight -|Q_ab| / (4 h_a h_b) < 0
+(see ROADMAP.md, item 2).  The transport generator is restricted to diagonal
+nonpositive matrices, which keeps the semigroup explicit and the upwind
+stencils inside the grid.
 
 Each solve builds one stencil object that owns every buffer the steps use.
 A step copies u into the interior of one (n + 2)^d padded buffer, writes the
@@ -47,7 +47,6 @@ __all__ = [
     "PdeProblem",
     "MeshSpec",
     "GridSolution",
-    "CflError",
     "McControlSpec",
     "McValue",
     "solve_gheat",
@@ -59,18 +58,8 @@ __all__ = [
     "mc_values",
 ]
 
-# Fraction of the CFL bound used as the time step when none is pinned.
+# Fraction of the CFL bound used as the time step.
 CFL_SAFETY = 0.9
-
-
-class CflError(ValueError):
-    """Raised when a pinned time step violates the stability bound."""
-
-    def __init__(self, dt: float, required_dt: float):
-        self.required_dt = required_dt
-        super().__init__(
-            f"time step {dt:g} violates the CFL bound; need dt <= {required_dt:g}"
-        )
 
 
 @dataclass(frozen=True)
@@ -107,14 +96,9 @@ class PdeProblem:
 
 @dataclass(frozen=True)
 class MeshSpec:
-    """Spatial resolution and optional pinned time step.
-
-    ``nodes`` is one count for every axis or a per-axis tuple; ``dt`` of None
-    picks ``CFL_SAFETY`` times the CFL bound.
-    """
+    """Spatial resolution: one node count for every axis or a per-axis tuple."""
 
     nodes: object = 61
-    dt: float | None = None
 
     def nodes_per_axis(self, dim: int) -> tuple[int, ...]:
         if np.isscalar(self.nodes):
@@ -354,12 +338,7 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
     lam = problem.sigma.spectral_radius()
     rate = 2.0 * dim * lam / float(np.min(h)) ** 2 + adv_rate
     dt_max = 1.0 / rate if rate > 0.0 else problem.T
-    if mesh_spec.dt is not None:
-        if mesh_spec.dt > dt_max * (1.0 + 1e-12):
-            raise CflError(mesh_spec.dt, dt_max)
-        n_steps = max(1, math.ceil(problem.T / mesh_spec.dt - 1e-12))
-    else:
-        n_steps = max(1, math.ceil(problem.T / (CFL_SAFETY * dt_max)))
+    n_steps = max(1, math.ceil(problem.T / (CFL_SAFETY * dt_max)))
     dt = problem.T / n_steps
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)

@@ -2,8 +2,9 @@
 
 The ambient separable Hilbert space is truncated to R^N with the standard
 basis, so operators are plain dense symmetric matrices and vectors are 1-d
-arrays.  Everything here is immutable after construction and safe to share
-between concurrent workers.
+arrays.  Everything here is immutable after construction.  Symmetric and PSD
+validation and square roots each have one batched private routine, which
+the operator classes and ``covariance_set`` share.
 """
 
 from __future__ import annotations
@@ -33,10 +34,55 @@ PSD_EIGEN_TOL = 1e-10
 
 
 def _square(entries) -> np.ndarray:
-    m = np.array(entries, dtype=float)
+    m = as_matrix(entries)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
+
+
+def _symmetric(stack: np.ndarray) -> np.ndarray:
+    """Exactly symmetric copy of a (k, N, N) stack: each upper triangle mirrored."""
+    skew = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
+    bad = np.flatnonzero(skew > SYMMETRY_TOL)
+    if bad.size:
+        raise ValueError(f"matrix is not symmetric (max asymmetry {skew[bad[0]]:.3e})")
+    return np.triu(stack) + np.swapaxes(np.triu(stack, 1), 1, 2)
+
+
+def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Validate k >= 1 matrix-likes of one dimension as PSD operators at once.
+
+    Returns the exactly symmetric (k, N, N) stack with drift clamped, the
+    ascending eigenvalues of each stored matrix as a (k, N) array, and each
+    matrix's smallest eigenvalue before clamping.
+    """
+    squares = [_square(m) for m in mats]
+    if not squares:
+        raise ValueError("a covariance set needs at least one extreme point")
+    if any(m.shape != squares[0].shape for m in squares):
+        raise ValueError("all extremes must share one dimension")
+    stack = _symmetric(np.stack(squares))
+    eigenvalues = np.linalg.eigvalsh(stack)
+    floor = eigenvalues[:, 0].copy()
+    bad = np.flatnonzero(floor < -PSD_EIGEN_TOL)
+    if bad.size:
+        raise ValueError(
+            f"operator is not PSD: smallest eigenvalue {floor[bad[0]]:.3e} "
+            f"below -{PSD_EIGEN_TOL:g}"
+        )
+    drift = np.flatnonzero(floor < 0.0)
+    if drift.size:
+        stack[drift] = _psd_power(stack[drift], 1.0)
+        eigenvalues[drift] = np.linalg.eigvalsh(stack[drift])
+    return stack, eigenvalues, floor
+
+
+def _psd_power(stack: np.ndarray, power: float) -> np.ndarray:
+    """Symmetric Q^power of each matrix in a (k, N, N) stack, eigenvalues clipped
+    at zero: power 1 clamps drift, power 0.5 gives the square roots."""
+    vals, vecs = np.linalg.eigh(stack)
+    vals = np.clip(vals, 0.0, None) ** power
+    return _symmetric((vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2))
 
 
 class SymOperator:
@@ -50,11 +96,7 @@ class SymOperator:
     __slots__ = ("entries",)
 
     def __init__(self, entries):
-        m = _square(entries)
-        skew = float(np.max(np.abs(m - m.T)))
-        if skew > SYMMETRY_TOL:
-            raise ValueError(f"matrix is not symmetric (max asymmetry {skew:.3e})")
-        exact = np.triu(m) + np.triu(m, 1).T
+        exact = _symmetric(_square(entries)[None])[0]
         exact.flags.writeable = False
         object.__setattr__(self, "entries", exact)
 
@@ -89,34 +131,20 @@ class PsdOperator:
     anything smaller raises.  ``eigen_floor`` records the pre-clamp minimum.
     """
 
-    __slots__ = ("base", "eigen_floor")
+    __slots__ = ("entries", "eigen_floor")
 
     def __init__(self, base):
-        op = base if isinstance(base, SymOperator) else SymOperator(base)
-        w = np.linalg.eigvalsh(op.entries)
-        floor = float(w[0])
-        if floor < -PSD_EIGEN_TOL:
-            raise ValueError(
-                f"operator is not PSD: smallest eigenvalue {floor:.3e} "
-                f"below -{PSD_EIGEN_TOL:g}"
-            )
-        if floor < 0.0:
-            vals, vecs = np.linalg.eigh(op.entries)
-            vals = np.clip(vals, 0.0, None)
-            op = SymOperator((vecs * vals) @ vecs.T)
-        object.__setattr__(self, "base", op)
-        object.__setattr__(self, "eigen_floor", floor)
+        stack, _, floor = _psd_stack([base])
+        stack.flags.writeable = False
+        object.__setattr__(self, "entries", stack[0])
+        object.__setattr__(self, "eigen_floor", float(floor[0]))
 
     def __setattr__(self, name, value):
         raise AttributeError("PsdOperator is immutable")
 
     @property
-    def entries(self) -> np.ndarray:
-        return self.base.entries
-
-    @property
     def dim(self) -> int:
-        return self.base.dim
+        return self.entries.shape[0]
 
     def __repr__(self) -> str:
         return f"PsdOperator(dim={self.dim}, eigen_floor={self.eigen_floor:.3e})"
@@ -124,9 +152,7 @@ class PsdOperator:
 
 def as_matrix(a) -> np.ndarray:
     """Coerce SymOperator / PsdOperator / array-like to a float ndarray."""
-    if isinstance(a, PsdOperator):
-        return a.entries
-    if isinstance(a, SymOperator):
+    if isinstance(a, (SymOperator, PsdOperator)):
         return a.entries
     return np.asarray(a, dtype=float)
 
@@ -163,12 +189,10 @@ def schatten_norm(a, p: float) -> float:
 def psd_sqrt(q) -> SymOperator:
     """Symmetric square root S of a PSD operator, S @ S == q.
 
-    Input failing the PSD invariant is rejected by ``PsdOperator``.
+    Input that is not a ``PsdOperator`` is validated (and clamped) like one.
     """
-    op = q if isinstance(q, PsdOperator) else PsdOperator(q)
-    vals, vecs = np.linalg.eigh(op.entries)
-    vals = np.sqrt(np.clip(vals, 0.0, None))
-    return SymOperator((vecs * vals) @ vecs.T)
+    stack = q.entries[None] if isinstance(q, PsdOperator) else _psd_stack([q])[0]
+    return SymOperator(_psd_power(stack, 0.5)[0])
 
 
 def outer(x, y) -> np.ndarray:

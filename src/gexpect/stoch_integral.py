@@ -17,6 +17,7 @@ import numpy as np
 
 from .covariance_set import CovarianceSet
 from .control_sim import PathBundle, _policy_sup, _replay
+from .g_normal import MC_Z
 from .operator_core import SymOperator, as_matrix
 
 __all__ = [
@@ -233,11 +234,11 @@ def ito_isometry_check(
 
     lhs is the policy supremum of the mean squared integral norm, rhs the
     supremum of the mean time integral of the squared integrand norm
-    (deterministic when the integrand is); ok allows three standard errors
+    (deterministic when the integrand is); ok allows ``MC_Z`` standard errors
     of noise on the lhs.
     """
     lhs, rhs, se = _moment_sup(phi, sigma, 2, policies, n_paths, seed)
-    return IsometryCheck(lhs, rhs, bool(lhs <= rhs + 3.0 * se), se)
+    return IsometryCheck(lhs, rhs, bool(lhs <= rhs + MC_Z * se), se)
 
 
 def bdg_check(
@@ -252,7 +253,7 @@ def bdg_check(
 
     Supported p: 1, 2, 4 (p = 2 reduces to the isometry check with constant
     one).  ``cp_estimate`` is lhs/rhs (zero when rhs vanishes); ok allows
-    three standard errors on the lhs.
+    ``MC_Z`` standard errors on the lhs.
     """
     p = float(p)
     if p not in (1.0, 2.0, 4.0):
@@ -260,7 +261,7 @@ def bdg_check(
     c_p = BDG_CONSTANTS[int(p)]
     lhs, rhs, se = _moment_sup(phi, sigma, p, policies, n_paths, seed)
     cp_estimate = lhs / rhs if rhs > 0.0 else 0.0
-    return BdgCheck(lhs, rhs, bool(lhs <= c_p * rhs + 3.0 * se), cp_estimate, se)
+    return BdgCheck(lhs, rhs, bool(lhs <= c_p * rhs + MC_Z * se), cp_estimate, se)
 
 
 def sigma_of_integral(
@@ -330,7 +331,7 @@ def _generator_diag(a_gen, dim: int) -> np.ndarray:
     """Spectrum of a diagonal nonpositive generator; None is the zero generator."""
     if a_gen is None:
         return np.zeros(dim)
-    op = a_gen if isinstance(a_gen, SymOperator) else SymOperator(as_matrix(a_gen))
+    op = SymOperator(a_gen)
     if op.dim != dim:
         raise ValueError(f"generator dim {op.dim} != problem dim {dim}")
     if not op.is_diagonal(1e-12):

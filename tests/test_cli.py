@@ -193,6 +193,8 @@ class TestRun:
         ({"seed": -1}, "seed"),
         # "env" is not a config key: the test sets it around the run
         ({"env": {"GEXPECT_SEED_OVERRIDE": "-3"}}, "GEXPECT_SEED_OVERRIDE"),
+        ({"sigma": {"dim": 2.5, "extremes": [[1, 0, 0, 1]]}}, "sigma"),
+        ({"sigma": {"dim": "2", "extremes": [[1, 0, 0, 1]]}}, "sigma"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -376,3 +378,14 @@ def test_shipped_configs_load(name, tmp_path):
         "moments", "band", "isometry", "bdg", "sigma_integral",
         "fubini", "gheat", "gpde", "ou", "nested",
     }
+
+
+@pytest.mark.parametrize("name", ["bdg", "isometry"])
+def test_inequality_records_show_the_rule_that_decides_them(name, tmp_path, monkeypatch):
+    """A one-sided Monte Carlo record is ok exactly when lhs <= rhs + tolerance."""
+    monkeypatch.delenv("GEXPECT_SEED_OVERRIDE", raising=False)
+    assert main(["run", str(CONFIG_DIR / f"{name}.json"), "--out", str(tmp_path)]) == 0
+    records = json.loads((tmp_path / "report.json").read_text())["records"]
+    assert records
+    for rec in records:
+        assert rec["ok"] == (rec["lhs"] <= rec["rhs"] + rec["tolerance"]), rec

@@ -14,6 +14,8 @@ from gexpect import (
     psd_sqrt,
     trace_product,
 )
+from gexpect import covariance_set
+from gexpect.operator_core import PSD_EIGEN_TOL
 
 from conftest import random_psd, random_sym
 
@@ -41,6 +43,66 @@ class TestConstruction:
         assert back.dim == cs.dim
         for a, b in zip(cs.matrices, back.matrices):
             assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("dim", [2.5, "2", True])
+    def test_from_dict_rejects_a_dim_that_is_not_an_integer(self, dim):
+        with pytest.raises(ValueError, match="integer"):
+            CovarianceSet.from_dict({"dim": dim, "extremes": [[1, 0, 0, 1]]})
+
+    def test_from_dict_accepts_an_integral_float_dim(self):
+        cs = CovarianceSet.from_dict({"dim": 2.0, "extremes": [[1, 0, 0, 1]]})
+        assert cs.dim == 2
+
+
+def near_psd(rng, n):
+    """Correlated PSD matrix whose smallest eigenvalue is -5e-11, inside the clamp."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (basis * np.r_[-5e-11, np.arange(1.0, n)]) @ basis.T
+    return (q + q.T) / 2.0
+
+
+class TestOneArraySet:
+    """The set's arrays equal what the per-extreme operators compute, bit for bit."""
+
+    def battery(self):
+        rng = np.random.default_rng(31)
+        for n in (1, 2, 3, 5, 8):
+            a, b, c = (random_psd(rng, n) for _ in range(3))
+            # a near-copy of the first extreme comes second and is dropped
+            yield [a, a + 1e-14 * np.eye(n), b, near_psd(rng, n), c]
+
+    def test_battery_covers_a_clamped_extreme(self):
+        floors = [PsdOperator(q).eigen_floor for mats in self.battery() for q in mats]
+        assert any(-PSD_EIGEN_TOL <= f < 0.0 for f in floors)
+
+    def test_arrays_equal_per_extreme_operators(self):
+        for mats in self.battery():
+            cs = CovarianceSet(mats)
+            kept = [mats[0]] + mats[2:]
+            assert len(cs) == len(kept)
+            for i, q in enumerate(kept):
+                op = PsdOperator(q)
+                assert np.array_equal(cs.matrices[i], op.entries)
+                # eigenvalues of the stored (clamped) extreme
+                assert np.array_equal(cs.eigenvalues[i], np.linalg.eigvalsh(op.entries))
+                assert np.array_equal(cs.roots[i], psd_sqrt(q).entries)
+
+    def test_arrays_are_read_only(self, correlated_2d):
+        for arr in (correlated_2d.matrices, correlated_2d.eigenvalues):
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        assert not hasattr(correlated_2d, "extremes")
+
+    @pytest.mark.parametrize("mats, message", [
+        ([], "at least one extreme point"),
+        ([np.eye(2), np.eye(3)], "share one dimension"),
+        ([np.eye(2), np.zeros((2, 3))], "expected a square matrix"),
+        ([np.eye(2), [[1.0, 1.0], [0.0, 1.0]]], "not symmetric"),
+        ([np.eye(2), np.diag([1.0, -1e-6])], "not PSD"),
+    ])
+    def test_invalid_extremes_keep_their_messages(self, mats, message):
+        with pytest.raises(ValueError, match=message):
+            CovarianceSet(mats)
 
 
 class TestRoots:
@@ -119,7 +181,7 @@ class TestL2SigmaNorm:
         phi = rng.standard_normal((3, 2))
         by_sqrt = max(
             float(np.linalg.norm(phi @ psd_sqrt(q).entries))
-            for q in correlated_2d.extremes
+            for q in correlated_2d.matrices
         )
         assert l2sigma_norm(phi, correlated_2d) == pytest.approx(by_sqrt, abs=1e-10)
 
@@ -197,7 +259,7 @@ class TestAlgebra:
 
 class TestMembership:
     def test_extremes_belong(self, spread_2d):
-        for q in spread_2d.extremes:
+        for q in spread_2d.matrices:
             assert covset_contains(spread_2d, q) is True
 
     def test_midpoint_belongs(self, spread_2d):
@@ -229,6 +291,18 @@ class TestMembership:
         with pytest.raises(ValueError):
             covset_contains(spread_2d, np.eye(3))
 
+    def test_direction_block_is_the_per_direction_stream(self):
+        block = np.random.default_rng(9).standard_normal((32, 3, 3))
+        rng = np.random.default_rng(9)
+        loop = np.stack([rng.standard_normal((3, 3)) for _ in range(32)])
+        assert np.array_equal(block, loop)
+
+    def test_certificates_catch_a_wrong_inside_verdict(self, spread_2d, monkeypatch):
+        # an exact path that calls every point "inside"
+        monkeypatch.setattr(covariance_set, "nnls", lambda a, b: (None, 0.0))
+        with pytest.raises(RuntimeError, match="certificate"):
+            covset_contains(spread_2d, 3.0 * spread_2d.matrices[1])
+
     def test_rejects_zero_directions(self, spread_2d):
         with pytest.raises(ValueError):
-            covset_contains(spread_2d, spread_2d.extremes[0], directions=0)
+            covset_contains(spread_2d, spread_2d.matrices[0], directions=0)

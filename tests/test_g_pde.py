@@ -8,7 +8,6 @@ from gexpect import CovarianceSet
 from gexpect.control_sim import ControlPolicy, PolicyFamily, lattice_1d
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
-    CflError,
     GridSolution,
     McControlSpec,
     MeshSpec,
@@ -94,12 +93,6 @@ class TestGHeat:
         prob = band_problem(f_square, a_gen=np.array([[-1.0]]))
         with pytest.raises(ValueError):
             solve_gheat(prob)
-
-    def test_cfl_rejection_reports_required_dt(self):
-        prob = band_problem(f_square)
-        with pytest.raises(CflError) as info:
-            solve_gheat(prob, MeshSpec(nodes=41, dt=1.0))
-        assert info.value.required_dt < 1.0
 
     def test_monotone_in_terminal_data_1d(self):
         rng = np.random.default_rng(17)
