@@ -43,6 +43,10 @@ def _count(value, least=1):
     return int(value)
 
 
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON number {token}")
+
+
 class CovarianceSet:
     """Finite-extreme-point representation of a covariance set.
 
@@ -100,9 +104,6 @@ class CovarianceSet:
     def max_trace(self) -> float:
         return float(max(np.trace(m) for m in self.matrices))
 
-    def spectral_radius(self) -> float:
-        return float(np.abs(self.eigenvalues).max())
-
     def to_dict(self) -> dict:
         return {
             "dim": self.dim,
@@ -121,7 +122,7 @@ class CovarianceSet:
 
     @classmethod
     def from_json(cls, text: str) -> "CovarianceSet":
-        return cls.from_dict(json.loads(text))
+        return cls.from_dict(json.loads(text, parse_constant=_reject_constant))
 
     def __repr__(self) -> str:
         return f"CovarianceSet(dim={self.dim}, extremes={len(self)}, label={self.label!r})"

@@ -51,6 +51,8 @@ from .g_pde import (
     McControlSpec,
     MeshSpec,
     PdeProblem,
+    _decompose,
+    _mesh_axes,
     flow_property_discrepancy,
     mc_values,
     ou_mild_path,
@@ -474,6 +476,8 @@ def _run_gpde(cfg, rep):
     f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
     with _bad_params("a_diag", "box"):
         prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
+    with _bad_params("sigma"):
+        _decompose(cfg.sigma.matrices, _mesh_axes(prob, mesh))
     sol = solve_gpde(prob, mesh)
     h = sol.axes[0][1] - sol.axes[0][0]
     probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (

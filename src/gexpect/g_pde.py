@@ -6,26 +6,26 @@ in one to three truncated dimensions, plus the probabilistic side: mild-
 solution paths of the associated linear SDE and the Monte Carlo value that
 the solver is cross-validated against.
 
-Backward time stepping u(t - dt) = u(t) + dt * (<A x, Du> + G(D^2 u)) with
-centered second differences, first-order upwind transport, and a combined
-diffusion/advection CFL bound; dt is ``CFL_SAFETY`` times that bound.
-Boundary ghosts extend the solution linearly (odd reflection), so the scheme
-sees no curvature at the box edge: affine profiles are invariant and
-boundary pollution of curved solutions decays into the interior.  The update
-is monotone only for diagonal extremes: for Q_ab != 0 the centred cross
-difference gives two corner neighbours the weight -|Q_ab| / (4 h_a h_b) < 0
-(see ROADMAP.md, item 2).  The transport generator is restricted to diagonal
-nonpositive matrices, which keeps the semigroup explicit and the upwind
-stencils inside the grid.
+Backward time stepping u(t - dt) = u(t) + dt * (<A x, Du> + G(D^2 u)).  The
+diffusion is a wide directional stencil (Bonnans-Zidani 2003): each extreme
+is written as Q_ab / (h_a h_b) = sum_j w_j v_j v_j^T with w >= 0 over integer
+grid directions v_j, and Tr[Q D^2 u] is sum_j w_j (u(x + v_j) - 2 u(x) +
+u(x - v_j)).  At a node where x + v_j or x - v_j leaves the grid, v_j adds no
+curvature.  Transport is first-order upwind.  The update's centre weight is
+1 - dt * rate with rate = max over extremes of sum_j w_j plus the upwind
+rate, so dt = ``CFL_SAFETY`` / rate keeps every weight nonnegative: the
+scheme is monotone and L-infinity stable for every extreme that has such a
+decomposition within ``MAX_STENCIL_RADIUS``; an extreme without one is
+rejected.  For diagonal extremes the directions are the axes and the rate is
+sum_a Q_aa / h_a^2.  Transport reads one ghost layer that extends the solution
+linearly (odd reflection), so affine profiles are invariant.  The transport
+generator is restricted to diagonal nonpositive matrices, which keeps the
+semigroup explicit and the upwind stencils inside the grid.
 
 Each solve builds one stencil object that owns every buffer the steps use.
-A step copies u into the interior of one (n + 2)^d padded buffer, writes the
-ghosts in place and takes one forward-difference array per axis; the second,
-cross, upwind and centered differences are all read from those.  The raw
-second and cross differences are stacked in one (m, nodes) array, with
-m = d + the number of correlated axis pairs, and G(D^2 u) is one matrix
-product with the rows (Q_aa / 2 h_a^2, Q_ab / 4 h_a h_b) of each extreme Q
-followed by a max over the extremes.
+The sums u(x + v_j) + u(x - v_j) and u itself are stacked in one
+(J + 1, nodes) array, and G(D^2 u) is one matrix product with the rows
+(w_q / 2, -sum_j w_qj) of the extremes followed by a max over the extremes.
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 from scipy.interpolate import RegularGridInterpolator
+from scipy.optimize import nnls
 
 from .covariance_set import CovarianceSet
 from .control_sim import PathBundle, PolicyFamily, _policy_sup, _replay, simulate_gbm
@@ -60,6 +61,8 @@ __all__ = [
 
 # Fraction of the CFL bound used as the time step.
 CFL_SAFETY = 0.9
+# Largest stencil radius max_a |v_a| searched for an extreme's directions.
+MAX_STENCIL_RADIUS = 8
 
 
 @dataclass(frozen=True)
@@ -168,25 +171,108 @@ class McControlSpec:
     seed: int = 0
 
 
+def _mesh_axes(problem: PdeProblem, mesh_spec: MeshSpec) -> list[np.ndarray]:
+    counts = mesh_spec.nodes_per_axis(problem.dim)
+    return [np.linspace(lo, hi, c) for (lo, hi), c in zip(problem.domain_box, counts)]
+
+
+def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
+    """Integer grid directions and nonnegative weights for every extreme.
+
+    Returns the directions v as the rows of a (J, d) integer array (first
+    nonzero entry positive, gcd 1) and a (k, J) array w >= 0 with
+    Q_ab / (h_a h_b) = sum_j w[q, j] v_ja v_jb for each of the k extremes Q.
+    Each extreme takes the smallest radius max_a |v_a| at which ``nnls``
+    leaves no residual.  Its columns are the unit-trace atoms v v^T / |v|^2,
+    so the active set enters the direction of largest Rayleigh quotient
+    first, the shortest one on ties: a diagonal extreme gets the axes alone.
+    Raises ValueError for an extreme with no such weights within
+    ``MAX_STENCIL_RADIUS`` (a rank-deficient extreme with an irrational
+    kernel has none at any radius).
+    """
+    h = np.array([ax[1] - ax[0] for ax in axes])
+    dim = h.size
+    span = np.arange(-MAX_STENCIL_RADIUS, MAX_STENCIL_RADIUS + 1)
+    grid = np.stack(np.meshgrid(*[span] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    dirs = grid[(lead > 0) & (np.gcd.reduce(grid, axis=1) == 1)]
+    radius, length = np.max(np.abs(dirs), axis=1), np.sum(dirs * dirs, axis=1)
+    order = np.lexsort((length, radius))
+    dirs, radius, length = dirs[order], radius[order], length[order]
+    rows, cols = np.triu_indices(dim)
+    atoms = (dirs[:, rows] * dirs[:, cols] / length[:, None]).T
+
+    weights = np.zeros((len(extremes), len(dirs)))
+    for q, mat in enumerate(extremes):
+        target = (mat / np.outer(h, h))[rows, cols]
+        for r in range(1, MAX_STENCIL_RADIUS + 1):
+            n = int(np.searchsorted(radius, r, side="right"))
+            w, resid = nnls(atoms[:, :n], target)
+            if resid <= 1e-12 * np.linalg.norm(target):
+                weights[q, :n] = w / length[:n]
+                break
+        else:
+            raise ValueError(
+                f"extreme {q} {np.asarray(mat).tolist()} has no nonnegative weights "
+                f"on integer grid directions of radius <= {MAX_STENCIL_RADIUS} "
+                f"at spacing h = {h.tolist()}"
+            )
+    used = np.any(weights > 0.0, axis=0)
+    return dirs[used], weights[:, used]
+
+
 class _Stencil:
     """The scheme's spatial operator on one grid, evaluated in reused buffers.
 
-    The nodes plus one ghost layer live in a C-ordered ``(n + 2)^d`` buffer,
-    read flat: a shift by one node along axis ``a`` is a shift by
-    ``strides[a]``, so every difference is one contiguous operation over the
-    flat range ``[lo, hi)`` that holds all nodes.  Entries of that range off
-    the nodes are finite by-products that no node reads.
+    G(D^2 u) reads the nodes flat in C order.  A direction v is a flat shift
+    by s = |sum_a v_a n_a|, n_a the node strides, so u(x + v) + u(x - v) is
+    one contiguous sum over the flat range where both shifts stay in the
+    array.  On the layers of nodes where x + v or x - v leaves the grid
+    (there the flat shift wraps into another row) the sum is then set to
+    2 u(x), so that v adds no curvature there.
+
+    Transport and the residual's kink test read a second buffer: the nodes
+    plus one ghost layer, a C-ordered ``(n + 2)^d`` array read flat in the
+    same way over the range ``[lo, hi)`` that holds all nodes.  Entries of
+    that range off the nodes are finite by-products that no node reads.
     """
 
     def __init__(self, axes, extremes, gen_diag):
         dim = len(axes)
         counts = tuple(ax.size for ax in axes)
         h = np.array([ax[1] - ax[0] for ax in axes])
+
+        # sums u(x + v) + u(x - v) on the nodes, then u itself, stacked for one
+        # contraction with the rows (w_q / 2, -sum_j w_qj): the last column of
+        # _coef is minus the centre weight per unit dt
+        dirs, weights = _decompose(extremes, axes)
+        self._coef = np.hstack([weights / 2.0, -np.sum(weights, axis=1, keepdims=True)])
+        nodes = math.prod(counts)
+        node_strides = [math.prod(counts[a + 1:]) for a in range(dim)]
+        self._entries = np.zeros((len(dirs) + 1, nodes))
+        u_flat = self._entries[-1]
+        self._rows = []
+        for row, v in zip(self._entries, dirs):
+            # k = 2 s, capped where v leaves the grid at every node (empty views)
+            k = min(2 * abs(int(np.dot(v, node_strides))), nodes)
+            box, u_box = row.reshape(counts), u_flat.reshape(counts)
+            layers = []
+            for a, width in enumerate(np.abs(v)):
+                if width:
+                    for layer in ((slice(None),) * a + (slice(None, width),),
+                                  (slice(None),) * a + (slice(-width, None),)):
+                        layers.append((u_box[layer], box[layer]))
+            self._rows.append((u_flat[k:], u_flat[:nodes - k],
+                               row[k // 2:k // 2 + nodes - k], layers))
+        self._acc = np.zeros((len(extremes), nodes))
+        self._g = np.zeros(nodes)
+        self._g_nodes = self._g.reshape(counts)
+
         shape = tuple(c + 2 for c in counts)
         strides = [math.prod(shape[a + 1:]) for a in range(dim)]
         size = math.prod(shape)
         lo, hi = sum(strides), size - sum(strides)
-        self._shape, self._lo, self._hi = shape, lo, hi
+        self._shape, self._strides, self._lo, self._hi = shape, strides, lo, hi
         self.padded = np.zeros(shape)
         flat = self.padded.reshape(-1)
         self._u = self.padded[(slice(1, -1),) * dim]
@@ -209,39 +295,21 @@ class _Stencil:
         self._centered_ops = [(self._fd[a, s:size - s], self._fd[a, :size - 2 * s],
                                self._c[s:size - s]) for a, s in enumerate(strides)]
 
-        # raw second and cross differences, stacked for one contraction
-        pairs = [(a, b) for a in range(dim) for b in range(a + 1, dim)
-                 if any(q[a, b] != 0.0 for q in extremes)]
-        self._entries = np.zeros((dim + len(pairs), size))
-        self._seconds = [(self._fd[a, lo:hi], self._fd[a, lo - s:hi - s],
-                          self._entries[a, lo:hi]) for a, s in enumerate(strides)]
-        # cross (a, b) = c_a one node ahead along b minus c_a one node behind
-        self._crosses = {}
-        for row, (a, b) in enumerate(pairs, start=dim):
-            s = strides[b]
-            self._crosses.setdefault(a, []).append(
-                (self._c[lo + s:hi + s], self._c[lo - s:hi - s],
-                 self._entries[row, lo:hi]))
-        self._coef = np.array([
-            [q[a, a] / (2.0 * h[a] ** 2) for a in range(dim)]
-            + [q[a, b] / (4.0 * h[a] * h[b]) for a, b in pairs]
-            for q in extremes
-        ])
-        self._acc = np.zeros((len(extremes), size))
-        self._rhs = np.zeros(size)
-
         # upwind transport: the generator is nonpositive and the axes ascend, so
         # v > 0 (forward difference) on a leading block of each axis and v <= 0
         # (backward difference) on the rest; each block is one slab product
         self._upwind, self._centered_rates = [], []
         self._t = np.zeros(size)
+        self._t_nodes = self._nodes(self._t)
         fd_box = self._fd.reshape(dim, *shape)
         t_box = self._t.reshape(shape)
+        adv_rate = 0.0
         for a in range(dim):
             if gen_diag[a] == 0.0:
                 continue
             v = (gen_diag[a] * axes[a]).reshape((-1,) + (1,) * (dim - a - 1))
             n_pos = int(np.count_nonzero(v > 0.0))
+            adv_rate += float(np.max(np.abs(v))) / h[a]
 
             def along(arr, start, stop, a=a):
                 return arr[(slice(None),) * a + (slice(start, stop),)]
@@ -256,11 +324,15 @@ class _Stencil:
             ))
             self._centered_rates.append((a, v / (2.0 * h[a])))
 
+        # the update's centre weight is 1 - dt * rate at worst
+        self.rate = float(np.max(-self._coef[:, -1])) + adv_rate
+
     def _nodes(self, flat: np.ndarray) -> np.ndarray:
         return flat.reshape(self._shape)[(slice(1, -1),) * len(self._shape)]
 
     def load(self, u: np.ndarray) -> None:
-        """Copy u in, write the ghosts and take the forward differences.
+        """Copy u into the padded buffer, write the ghosts and take the forward
+        differences.
 
         The ghosts are ``2 edge - next``, axis by axis over the region np.pad
         writes, so ``padded`` equals np.pad's odd reflection bit for bit.
@@ -276,43 +348,50 @@ class _Stencil:
         here, behind, out = self._centered_ops[a]
         np.add(here, behind, out=out)
 
-    def g_of_hessian(self) -> np.ndarray:
-        """Flat buffer holding 1/2 max over extremes of Tr[Q D^2 u] on [lo, hi)."""
-        lo, hi = self._lo, self._hi
-        for ahead, behind, out in self._seconds:
-            np.subtract(ahead, behind, out=out)
-        for a, ops in self._crosses.items():
-            self._centered(a)
-            for ahead, behind, out in ops:
-                np.subtract(ahead, behind, out=out)
-        np.matmul(self._coef, self._entries[:, lo:hi], out=self._acc[:, lo:hi])
-        np.max(self._acc[:, lo:hi], axis=0, out=self._rhs[lo:hi])
-        return self._rhs
+    def g_of_hessian(self, u: np.ndarray) -> np.ndarray:
+        """1/2 max over extremes of Tr[Q D^2 u] at the nodes, in a reused buffer."""
+        np.copyto(self._entries[-1], u.reshape(-1))
+        for ahead, behind, out, layers in self._rows:
+            np.add(ahead, behind, out=out)
+            for u_layer, layer in layers:
+                np.multiply(u_layer, 2.0, out=layer)
+        np.matmul(self._coef, self._entries, out=self._acc)
+        np.max(self._acc, axis=0, out=self._g)
+        return self._g_nodes
 
     def rhs(self, u: np.ndarray) -> np.ndarray:
         """<A x, Du> + G(D^2 u) at the nodes, with upwind transport.
 
         A view of a buffer that the next call overwrites.
         """
-        self.load(u)
-        rhs = self.g_of_hessian()
-        lo, hi = self._lo, self._hi
+        rhs = self.g_of_hessian(u)
+        if self._upwind:
+            self.load(u)
         for slabs in self._upwind:
             for diff, rate, out in slabs:
                 np.multiply(diff, rate, out=out)
-            rhs[lo:hi] += self._t[lo:hi]
-        return self._nodes(rhs)
+            rhs += self._t_nodes
+        return rhs
 
     def residual_terms(self, u: np.ndarray):
         """G(D^2 u) plus centered transport, and the largest |raw second
-        difference| over the axes, at the nodes."""
+        difference| over the axes, at the nodes.
+
+        The first is a view of a buffer that the next call overwrites.
+        """
+        terms = self.g_of_hessian(u)
         self.load(u)
-        terms = self._nodes(self.g_of_hessian()).copy()
+        c_nodes = self._nodes(self._c)
         for a, rate in self._centered_rates:
             self._centered(a)
-            terms += rate * self._nodes(self._c)
-        dim = len(self._seconds)
-        jumps = np.max(np.abs(self._entries[:dim]), axis=0)
+            np.multiply(c_nodes, rate, out=c_nodes)
+            terms += c_nodes
+        lo, hi = self._lo, self._hi
+        jumps, second = np.zeros(self._c.size), self._c[lo:hi]
+        for a, s in enumerate(self._strides):
+            np.subtract(self._fd[a, lo:hi], self._fd[a, lo - s:hi - s], out=second)
+            np.abs(second, out=second)
+            np.maximum(jumps[lo:hi], second, out=jumps[lo:hi])
         return terms, self._nodes(jumps)
 
     def march(self, values: np.ndarray, dt: float) -> None:
@@ -323,35 +402,24 @@ class _Stencil:
 
 
 def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
-    dim = problem.dim
-    counts = mesh_spec.nodes_per_axis(dim)
-    axes = [
-        np.linspace(lo, hi, c) for (lo, hi), c in zip(problem.domain_box, counts)
-    ]
-    h = np.array([ax[1] - ax[0] for ax in axes])
-    gen_diag = problem.generator_diag()
-    adv_rate = 0.0
-    for a in range(dim):
-        if gen_diag[a] != 0.0:
-            adv_rate += float(np.max(np.abs(gen_diag[a] * axes[a]))) / h[a]
-
-    lam = problem.sigma.spectral_radius()
-    rate = 2.0 * dim * lam / float(np.min(h)) ** 2 + adv_rate
-    dt_max = 1.0 / rate if rate > 0.0 else problem.T
+    axes = _mesh_axes(problem, mesh_spec)
+    counts = tuple(ax.size for ax in axes)
+    stencil = _Stencil(axes, problem.sigma.matrices, problem.generator_diag())
+    dt_max = 1.0 / stencil.rate if stencil.rate > 0.0 else problem.T
     n_steps = max(1, math.ceil(problem.T / (CFL_SAFETY * dt_max)))
     dt = problem.T / n_steps
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     terminal = np.asarray(problem.terminal_f(points), dtype=float)
-    if terminal.shape != tuple(counts):
+    if terminal.shape != counts:
         raise ValueError(
-            f"terminal data must map (...,{dim}) points to a {tuple(counts)} grid, "
+            f"terminal data must map (...,{problem.dim}) points to a {counts} grid, "
             f"got {terminal.shape}"
         )
 
     values = np.empty((n_steps + 1, *counts))
     values[n_steps] = terminal
-    _Stencil(axes, problem.sigma.matrices, gen_diag).march(values, dt)
+    stencil.march(values, dt)
     return GridSolution(axes, dt, values, cfl_ratio=dt / dt_max)
 
 

@@ -42,6 +42,8 @@ def _square(entries) -> np.ndarray:
 
 def _symmetric(stack: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy of a (k, N, N) stack: each upper triangle mirrored."""
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("matrix entries must be finite")
     skew = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
     bad = np.flatnonzero(skew > SYMMETRY_TOL)
     if bad.size:

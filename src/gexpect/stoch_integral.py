@@ -152,7 +152,7 @@ def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
     if block.ndim == 2:
         prod = np.einsum("ij,qjk->qik", block, roots)
         return float(np.max(np.sum(prod * prod, axis=(1, 2))))
-    prod = np.einsum("nij,qjk->nqik", block, roots)
+    prod = np.matmul(block[:, None], roots[None])
     return np.max(np.sum(prod * prod, axis=(2, 3)), axis=1)
 
 

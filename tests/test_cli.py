@@ -195,6 +195,13 @@ class TestRun:
         ({"env": {"GEXPECT_SEED_OVERRIDE": "-3"}}, "GEXPECT_SEED_OVERRIDE"),
         ({"sigma": {"dim": 2.5, "extremes": [[1, 0, 0, 1]]}}, "sigma"),
         ({"sigma": {"dim": "2", "extremes": [[1, 0, 0, 1]]}}, "sigma"),
+        ({"sigma": {"dim": 1, "extremes": [["nan"], [0.25]]}}, "finite"),
+        ({"sigma": {"dim": 1, "extremes": [["inf"], [0.25]]}}, "finite"),
+        # rank one along (1, sqrt 2): no integer grid direction carries it
+        ({"kind": "gpde", "sigma": {"dim": 2, "extremes": [
+            [1.0, math.sqrt(2.0), math.sqrt(2.0), 2.0], [1, 0, 0, 1]]},
+          "params": {"nodes": 9, "n_paths": 50, "n_probes": 1, "scalar_nodes": 21}},
+         "extreme 0"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -209,6 +216,16 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_sigma_file_with_nonstandard_number_is_usage_error(self, tmp_path, capsys,
+                                                               token):
+        (tmp_path / "sigma.json").write_text(
+            f'{{"dim": 1, "extremes": [[{token}], [0.25]], "label": "band"}}')
+        assert main(["run", str(write_config(tmp_path, sigma="sigma.json"))]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and token in err
         assert "Traceback" not in err
 
     def test_nan_check_value_is_null_and_fails(self, tmp_path):

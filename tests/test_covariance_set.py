@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,18 @@ class TestConstruction:
     def test_from_dict_rejects_a_dim_that_is_not_an_integer(self, dim):
         with pytest.raises(ValueError, match="integer"):
             CovarianceSet.from_dict({"dim": dim, "extremes": [[1, 0, 0, 1]]})
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceSet([[[bad]]])
+        with pytest.raises(ValueError, match="finite"):
+            CovarianceSet([np.eye(2), [[1.0, bad], [bad, 1.0]]])
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_from_json_rejects_nonstandard_numbers(self, token):
+        with pytest.raises(ValueError, match=token):
+            CovarianceSet.from_json(f'{{"dim": 1, "extremes": [[{token}], [0.25]]}}')
 
     def test_from_dict_accepts_an_integral_float_dim(self):
         cs = CovarianceSet.from_dict({"dim": 2.0, "extremes": [[1, 0, 0, 1]]})

@@ -20,7 +20,7 @@ from gexpect.g_pde import (
     solve_gheat,
     solve_gpde,
 )
-from gexpect.g_pde import _Stencil
+from gexpect.g_pde import CFL_SAFETY, MAX_STENCIL_RADIUS, _Stencil, _decompose
 
 
 def band_problem(f, T=0.5, box=((-3.0, 3.0),), a_gen=None):
@@ -173,6 +173,74 @@ class TestGPde:
         assert residual_check(sol, prob) < 0.2
 
 
+def corr_psd(rng, n, radius=1.3):
+    """Correlated PSD matrix scaled to the given spectral radius."""
+    raw = rng.standard_normal((n, n))
+    q = raw @ raw.T + 0.2 * np.eye(n)
+    return q * (radius / np.linalg.eigvalsh(q)[-1])
+
+
+def bump(p):
+    return np.maximum(0.0, 1.0 - 20.0 * np.linalg.norm(p, axis=-1))
+
+
+class TestMonotoneScheme:
+    # comparison for the ordered pair f = 0 <= g = bump: every slice of the
+    # solution for g lies above the one for f
+    @pytest.mark.parametrize("extremes", [
+        [[[1.0, 0.3], [0.3, 1.0]]],
+        [[[1.0, 0.6], [0.6, 1.0]]],
+        [[[1.0, 0.9], [0.9, 1.0]]],
+        [[[1.0, 0.9], [0.9, 0.85]], [[0.5, -0.2], [-0.2, 0.3]]],  # not diagonally dominant
+        *[[corr_psd(np.random.default_rng(seed), 2) for _ in range(3)]
+          for seed in range(20)],
+        *[[corr_psd(np.random.default_rng(seed), 3) for _ in range(3)]
+          for seed in range(6)],
+    ])
+    def test_ordered_pair_stays_ordered_for_correlated_sets(self, extremes):
+        sigma = CovarianceSet(extremes)
+        dim, nodes = sigma.dim, (41 if sigma.dim == 2 else 21)
+        box = ((-2.0, 2.0),) * dim
+        zero = lambda p: np.zeros(p.shape[:-1])
+        sf = solve_gheat(PdeProblem(dim, sigma, zero, 0.3, box), MeshSpec(nodes=nodes))
+        sg = solve_gheat(PdeProblem(dim, sigma, bump, 0.3, box), MeshSpec(nodes=nodes))
+        assert float(np.min(sg.values - sf.values)) >= -1e-12
+
+    def test_maximum_principle_for_rank_one_extreme(self):
+        f = lambda p: np.sin(2.0 * p[..., 0]) * np.cos(3.0 * p[..., 1]) * np.sin(p[..., 2] + 0.5)
+        prob = PdeProblem(3, CovarianceSet([np.ones((3, 3))]), f, 1.0, ((-2.0, 2.0),) * 3)
+        sol = solve_gheat(prob, MeshSpec(nodes=21))
+        assert np.max(np.abs(sol.values[0])) <= np.max(np.abs(sol.values[-1])) + 1e-12
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_dt_comes_from_the_centre_weight(self, dim):
+        # diagonal extremes take the axes: rate = max_q sum_a Q_aa / h_a^2 + upwind
+        if dim == 1:
+            sigma, gen, box, nodes = CovarianceSet([[[1.0]], [[0.25]]]), [-0.8], ((-3.0, 3.0),), 61
+        else:
+            sigma = CovarianceSet([np.diag([1.0, 0.5]), np.diag([0.3, 0.9])])
+            gen, box, nodes = [-1.0, -0.5], ((-2.0, 2.0), (-1.0, 1.5)), (21, 31)
+        T = 0.4
+        prob = PdeProblem(dim, sigma, lambda p: p[..., 0] ** 2, T, box, a_gen=np.diag(gen))
+        sol = solve_gpde(prob, MeshSpec(nodes=nodes))
+        h = np.array([ax[1] - ax[0] for ax in sol.axes])
+        adv = sum(abs(g) * max(abs(lo), abs(hi)) / h_a
+                  for g, (lo, hi), h_a in zip(gen, box, h))
+        rate = max(float(np.sum(np.diag(q) / h**2)) for q in sigma.matrices) + adv
+        assert sol.dt == T / math.ceil(T * rate / CFL_SAFETY)
+
+    def test_rejects_extreme_without_directions(self):
+        # rank one along (1, sqrt 2): no integer direction carries its kernel
+        q = np.array([[1.0, math.sqrt(2.0)], [math.sqrt(2.0), 2.0]])
+        axes = [np.linspace(-1.0, 1.0, 11)] * 2
+        with pytest.raises(ValueError, match=rf"extreme 1 .* <= {MAX_STENCIL_RADIUS}"):
+            _decompose([np.eye(2), q], axes)
+        prob = PdeProblem(2, CovarianceSet([q]), lambda p: p[..., 0], 0.1,
+                          ((-1.0, 1.0),) * 2)
+        with pytest.raises(ValueError, match="extreme 0"):
+            solve_gheat(prob, MeshSpec(nodes=11))
+
+
 class TestOuPaths:
     def test_zero_noise_is_pure_flow(self):
         sigma = CovarianceSet([np.zeros((2, 2))])
@@ -285,43 +353,49 @@ def _pad(u):
     return np.pad(u, 1, mode="reflect", reflect_type="odd")
 
 
-def _shift(padded, offsets):
-    return padded[tuple(slice(1 + o, n + 1 + o)
-                        for o, n in zip(offsets, np.array(padded.shape) - 2))]
+def _shift(padded, offsets, depth):
+    return padded[tuple(slice(depth + o, n + depth + o)
+                        for o, n in zip(offsets, np.array(padded.shape) - 2 * depth))]
 
 
 def reference_terms(u, axes, extremes, gen_diag):
-    """G(D^2 u), upwind and centered transport and |raw second difference|,
-    from np.pad ghosts and one extreme at a time."""
+    """G(D^2 u), upwind and centered transport and |raw axis second difference|,
+    one extreme at a time.
+
+    G uses the stencil's directions and weights, reads u through a zero
+    np.pad as deep as the widest direction and drops a direction wherever
+    x + v or x - v leaves the grid; the transport and the axis second
+    differences read np.pad's odd reflection."""
     dim = u.ndim
     h = [ax[1] - ax[0] for ax in axes]
+    dirs, weights = _decompose(extremes, axes)
+    depth = int(np.max(np.abs(dirs), initial=1))
+    wide = np.pad(u, depth)
+    index = np.indices(u.shape)
+    seconds = []
+    for v in dirs:
+        ahead, behind = _shift(wide, v, depth), _shift(wide, -v, depth)
+        inside = np.all([(i + abs(k) < n) & (i - abs(k) >= 0)
+                         for i, k, n in zip(index, v, u.shape)], axis=0)
+        seconds.append(np.where(inside, (ahead + behind) - 2.0 * u, 0.0))
+    g = np.max([0.5 * sum(w * s for w, s in zip(row, seconds)) for row in weights],
+               axis=0)
+
     padded = _pad(u)
 
-    def at(*moves):
+    def at(axis, step):
         offsets = [0] * dim
-        for axis, step in moves:
-            offsets[axis] = step
-        return _shift(padded, offsets)
+        offsets[axis] = step
+        return _shift(padded, offsets, 1)
 
-    second = [(at((a, 1)) - 2.0 * u + at((a, -1))) / h[a] ** 2 for a in range(dim)]
-    cross = {
-        (a, b): (at((a, 1), (b, 1)) + at((a, -1), (b, -1))
-                 - at((a, 1), (b, -1)) - at((a, -1), (b, 1))) / (4.0 * h[a] * h[b])
-        for a in range(dim) for b in range(a + 1, dim)
-    }
-    g = np.max([
-        0.5 * (sum(q[a, a] * second[a] for a in range(dim))
-               + sum(2.0 * q[a, b] * c for (a, b), c in cross.items()))
-        for q in extremes
-    ], axis=0)
     grids = np.meshgrid(*axes, indexing="ij")
     upwind, centered = np.zeros_like(u), np.zeros_like(u)
     for a in range(dim):
         v = gen_diag[a] * grids[a]
-        ahead, behind = at((a, 1)), at((a, -1))
+        ahead, behind = at(a, 1), at(a, -1)
         upwind += v * np.where(v > 0.0, (ahead - u) / h[a], (u - behind) / h[a])
         centered += v * (ahead - behind) / (2.0 * h[a])
-    jumps = np.max([np.abs(second[a]) * h[a] ** 2 for a in range(dim)], axis=0)
+    jumps = np.max([np.abs(at(a, 1) - 2.0 * u + at(a, -1)) for a in range(dim)], axis=0)
     return g, upwind, centered, jumps
 
 
@@ -373,6 +447,24 @@ class TestStencil:
         stencil = _Stencil(axes, extremes, gen_diag)
         stencil.load(u)
         assert np.array_equal(stencil.padded, _pad(u))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_directions_reproduce_the_extremes(self, dim):
+        rng = np.random.default_rng(40 + dim)
+        for _ in range(4):
+            axes, extremes, _, _ = random_case(rng, dim, False)
+            h = np.array([ax[1] - ax[0] for ax in axes])
+            for mats in (extremes, [np.diag(np.diag(q)) for q in extremes]):
+                dirs, weights = _decompose(mats, axes)
+                lead = dirs[np.arange(len(dirs)), np.argmax(dirs != 0, axis=1)]
+                assert np.all(lead > 0) and np.all(np.gcd.reduce(dirs, axis=1) == 1)
+                assert len({tuple(v) for v in dirs}) == len(dirs)
+                assert np.all(weights >= 0.0) and np.all(np.any(weights > 0.0, axis=0))
+                for q, w in zip(mats, weights):
+                    built = np.einsum("j,ja,jb->ab", w, dirs, dirs) * np.outer(h, h)
+                    assert np.max(np.abs(built - q)) <= 1e-12 * np.max(np.abs(q))
+            # diagonal extremes take the axes alone
+            assert np.all(np.sum(np.abs(dirs), axis=1) == 1)
 
     @pytest.mark.parametrize("transport", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])

@@ -31,6 +31,13 @@ class TestSymOperator:
         with pytest.raises(ValueError):
             SymOperator(np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SymOperator([[1.0, bad], [bad, 1.0]])
+        with pytest.raises(ValueError, match="finite"):
+            PsdOperator([[bad]])
+
     def test_immutable(self):
         op = SymOperator.identity(2)
         with pytest.raises(AttributeError):
