@@ -478,11 +478,16 @@ def _run_gpde(cfg, rep):
         prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
     with _bad_params("sigma"):
         _decompose(cfg.sigma.matrices, _mesh_axes(prob, mesh))
-    sol = solve_gpde(prob, mesh)
-    h = sol.axes[0][1] - sol.axes[0][0]
     probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (
         0.5 * (box[1] - box[0]) * 0.25
     )
+    lo, hi = prob.domain_box[0]
+    for probe in probes:
+        if not np.all((lo <= probe) & (probe <= hi)):
+            raise UsageError(f"param 'box': probe {probe.tolist()} lies outside "
+                             f"the box [{lo}, {hi}]")
+    sol = solve_gpde(prob, mesh)
+    h = sol.axes[0][1] - sol.axes[0][0]
     spec = McControlSpec(steps=steps, n_paths=n_paths, seed=cfg.seed)
     rows = []
     mcs = mc_values(prob, probes, 0.0, spec)

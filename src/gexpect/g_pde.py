@@ -17,10 +17,10 @@ rate, so dt = ``CFL_SAFETY`` / rate keeps every weight nonnegative: the
 scheme is monotone and L-infinity stable for every extreme that has such a
 decomposition within ``MAX_STENCIL_RADIUS``; an extreme without one is
 rejected.  For diagonal extremes the directions are the axes and the rate is
-sum_a Q_aa / h_a^2.  Transport reads one ghost layer that extends the solution
-linearly (odd reflection), so affine profiles are invariant.  The transport
-generator is restricted to diagonal nonpositive matrices, which keeps the
-semigroup explicit and the upwind stencils inside the grid.
+sum_a Q_aa / h_a^2.  The transport generator is restricted to diagonal
+nonpositive matrices, which keeps the semigroup explicit, and the box of a
+transported axis must hold 0: the flow contracts toward 0, so every upwind
+neighbour is a grid node and the truncation needs no boundary data.
 
 Each solve builds one stencil object that owns every buffer the steps use.
 The sums u(x + v_j) + u(x - v_j) and u itself are stacked in one
@@ -68,7 +68,8 @@ MAX_STENCIL_RADIUS = 8
 @dataclass(frozen=True)
 class PdeProblem:
     """Terminal-value problem on a box, with covariance set ``sigma`` and an
-    optional diagonal nonpositive transport generator ``a_gen``."""
+    optional diagonal nonpositive transport generator ``a_gen``; the box of
+    each axis with a nonzero rate holds 0."""
 
     dim: int
     sigma: CovarianceSet
@@ -88,7 +89,10 @@ class PdeProblem:
         if len(box) != self.dim or any(hi <= lo for lo, hi in box):
             raise ValueError("domain_box must give a nonempty interval per axis")
         object.__setattr__(self, "domain_box", box)
-        _generator_diag(self.a_gen, self.dim)
+        for a, ((lo, hi), rate) in enumerate(zip(box, self.generator_diag())):
+            if rate != 0.0 and not lo <= 0.0 <= hi:
+                raise ValueError(f"the box [{lo}, {hi}] of transported axis {a} must "
+                                 f"hold 0, where the upwind differences point")
 
     def generator_diag(self) -> np.ndarray:
         return _generator_diag(self.a_gen, self.dim)
@@ -224,17 +228,21 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
 class _Stencil:
     """The scheme's spatial operator on one grid, evaluated in reused buffers.
 
-    G(D^2 u) reads the nodes flat in C order.  A direction v is a flat shift
-    by s = |sum_a v_a n_a|, n_a the node strides, so u(x + v) + u(x - v) is
-    one contiguous sum over the flat range where both shifts stay in the
-    array.  On the layers of nodes where x + v or x - v leaves the grid
-    (there the flat shift wraps into another row) the sum is then set to
+    Every term reads the nodes flat in C order, where a direction v is a flat
+    shift by s = |sum_a v_a n_a|, n_a the node strides.  For G(D^2 u), u(x +
+    v) + u(x - v) is one contiguous sum over the flat range where both shifts
+    stay in the array.  On the layers of nodes where x + v or x - v leaves the
+    grid (there the flat shift wraps into another row) the sum is then set to
     2 u(x), so that v adds no curvature there.
 
-    Transport and the residual's kink test read a second buffer: the nodes
-    plus one ghost layer, a C-ordered ``(n + 2)^d`` array read flat in the
-    same way over the range ``[lo, hi)`` that holds all nodes.  Entries of
-    that range off the nodes are finite by-products that no node reads.
+    Transport and the residual's kink test read the forward differences
+    d_a[p] = u[p + n_a] - u[p] of the same array, with no ghost layer.  The
+    flow contracts toward 0 and ``PdeProblem`` makes a transported axis's
+    box hold 0, so nodes with x_a < 0 read forward and are never last on
+    the axis, and the others read backward (d_a one node behind) and are
+    never first; a box starting at 0 puts that node, of velocity 0, with
+    the forward ones.  Centred and second differences hold at interior
+    nodes, all the residual reads; elsewhere they are finite by-products.
     """
 
     def __init__(self, axes, extremes, gen_diag):
@@ -268,88 +276,50 @@ class _Stencil:
         self._g = np.zeros(nodes)
         self._g_nodes = self._g.reshape(counts)
 
-        shape = tuple(c + 2 for c in counts)
-        strides = [math.prod(shape[a + 1:]) for a in range(dim)]
-        size = math.prod(shape)
-        lo, hi = sum(strides), size - sum(strides)
-        self._shape, self._strides, self._lo, self._hi = shape, strides, lo, hi
-        self.padded = np.zeros(shape)
-        flat = self.padded.reshape(-1)
-        self._u = self.padded[(slice(1, -1),) * dim]
+        # forward differences d_a[p] = u[p + n_a] - u[p], valid for p < nodes - n_a
+        self._fd = np.zeros((dim, nodes))
+        self._fd_ops = [(u_flat[s:], u_flat[:nodes - s], self._fd[a, :nodes - s])
+                        for a, s in enumerate(node_strides)]
+        # d_a[p] and d_a[p - n_a] over the flat range that holds every interior
+        # node: their sum is 2 h_a times the centred difference, their
+        # difference the raw second difference
+        lo = sum(node_strides)
+        self._inner = slice(lo, nodes - lo)
+        self._pairs = [(self._fd[a, self._inner], self._fd[a, lo - s:nodes - lo - s])
+                       for a, s in enumerate(node_strides)]
+        self._c = np.zeros(nodes)
 
-        # ghost slabs of axis a span the padded earlier axes and the nodes of later ones
-        self._ghosts = []
-        for a in range(dim):
-            def roi(i, j, a=a):
-                return self.padded[(slice(None),) * a + (slice(i, j),)
-                                   + (slice(1, -1),) * (dim - a - 1)]
-            self._ghosts += [(roi(0, 1), roi(1, 2), roi(2, 3)),
-                             (roi(-1, None), roi(-2, -1), roi(-3, -2))]
-
-        # forward differences d_a[p] = u[p + s_a] - u[p], valid for p < size - s_a
-        self._fd = np.zeros((dim, size))
-        self._fd_ops = [(flat[s:], flat[:size - s], self._fd[a, :size - s])
-                        for a, s in enumerate(strides)]
-        # centered differences c_a[p] = d_a[p] + d_a[p - s_a], one axis at a time
-        self._c = np.zeros(size)
-        self._centered_ops = [(self._fd[a, s:size - s], self._fd[a, :size - 2 * s],
-                               self._c[s:size - s]) for a, s in enumerate(strides)]
-
-        # upwind transport: the generator is nonpositive and the axes ascend, so
-        # v > 0 (forward difference) on a leading block of each axis and v <= 0
-        # (backward difference) on the rest; each block is one slab product
-        self._upwind, self._centered_rates = [], []
-        self._t = np.zeros(size)
-        self._t_nodes = self._nodes(self._t)
-        fd_box = self._fd.reshape(dim, *shape)
-        t_box = self._t.reshape(shape)
+        # upwind transport: one slab product for the leading block of each axis,
+        # v > 0, and one for the rest, v <= 0; together they write every node
+        self._upwind, self._centered_rates = [], [None] * dim
+        self._t = np.zeros(counts)
+        fd_box = self._fd.reshape(dim, *counts)
         adv_rate = 0.0
         for a in range(dim):
             if gen_diag[a] == 0.0:
                 continue
             v = (gen_diag[a] * axes[a]).reshape((-1,) + (1,) * (dim - a - 1))
-            n_pos = int(np.count_nonzero(v > 0.0))
+            n_pos = max(1, int(np.count_nonzero(v > 0.0)))
             adv_rate += float(np.max(np.abs(v))) / h[a]
 
             def along(arr, start, stop, a=a):
                 return arr[(slice(None),) * a + (slice(start, stop),)]
 
-            # padded index i is node i - 1; the backward difference at node
-            # i - 1 is the forward difference stored at index i - 1
-            self._upwind.append((
-                (along(fd_box[a], 1, 1 + n_pos), v[:n_pos] / h[a],
-                 along(t_box, 1, 1 + n_pos)),
-                (along(fd_box[a], n_pos, counts[a]), v[n_pos:] / h[a],
-                 along(t_box, 1 + n_pos, counts[a] + 1)),
-            ))
-            self._centered_rates.append((a, v / (2.0 * h[a])))
+            self._upwind.append((self._fd_ops[a], (
+                (along(fd_box[a], 0, n_pos), v[:n_pos] / h[a], along(self._t, 0, n_pos)),
+                (along(fd_box[a], n_pos - 1, counts[a] - 1), v[n_pos:] / h[a],
+                 along(self._t, n_pos, counts[a])),
+            )))
+            self._centered_rates[a] = v / (2.0 * h[a])
 
         # the update's centre weight is 1 - dt * rate at worst
         self.rate = float(np.max(-self._coef[:, -1])) + adv_rate
 
-    def _nodes(self, flat: np.ndarray) -> np.ndarray:
-        return flat.reshape(self._shape)[(slice(1, -1),) * len(self._shape)]
-
-    def load(self, u: np.ndarray) -> None:
-        """Copy u into the padded buffer, write the ghosts and take the forward
-        differences.
-
-        The ghosts are ``2 edge - next``, axis by axis over the region np.pad
-        writes, so ``padded`` equals np.pad's odd reflection bit for bit.
-        """
-        self._u[...] = u
-        for ghost, edge, nxt in self._ghosts:
-            np.multiply(edge, 2.0, out=ghost)
-            np.subtract(ghost, nxt, out=ghost)
-        for ahead, here, out in self._fd_ops:
-            np.subtract(ahead, here, out=out)
-
-    def _centered(self, a: int) -> None:
-        here, behind, out = self._centered_ops[a]
-        np.add(here, behind, out=out)
-
     def g_of_hessian(self, u: np.ndarray) -> np.ndarray:
-        """1/2 max over extremes of Tr[Q D^2 u] at the nodes, in a reused buffer."""
+        """1/2 max over extremes of Tr[Q D^2 u] at the nodes, in a reused buffer.
+
+        Also leaves u in the node array that the differences read.
+        """
         np.copyto(self._entries[-1], u.reshape(-1))
         for ahead, behind, out, layers in self._rows:
             np.add(ahead, behind, out=out)
@@ -365,34 +335,34 @@ class _Stencil:
         A view of a buffer that the next call overwrites.
         """
         rhs = self.g_of_hessian(u)
-        if self._upwind:
-            self.load(u)
-        for slabs in self._upwind:
-            for diff, rate, out in slabs:
-                np.multiply(diff, rate, out=out)
-            rhs += self._t_nodes
+        for (ahead, here, diff), slabs in self._upwind:
+            np.subtract(ahead, here, out=diff)
+            for diff_slab, rate, out in slabs:
+                np.multiply(diff_slab, rate, out=out)
+            rhs += self._t
         return rhs
 
     def residual_terms(self, u: np.ndarray):
         """G(D^2 u) plus centered transport, and the largest |raw second
-        difference| over the axes, at the nodes.
+        difference| over the axes, both exact at the interior nodes.
 
         The first is a view of a buffer that the next call overwrites.
         """
         terms = self.g_of_hessian(u)
-        self.load(u)
-        c_nodes = self._nodes(self._c)
-        for a, rate in self._centered_rates:
-            self._centered(a)
-            np.multiply(c_nodes, rate, out=c_nodes)
-            terms += c_nodes
-        lo, hi = self._lo, self._hi
-        jumps, second = np.zeros(self._c.size), self._c[lo:hi]
-        for a, s in enumerate(self._strides):
-            np.subtract(self._fd[a, lo:hi], self._fd[a, lo - s:hi - s], out=second)
-            np.abs(second, out=second)
-            np.maximum(jumps[lo:hi], second, out=jumps[lo:hi])
-        return terms, self._nodes(jumps)
+        c, c_inner = self._c.reshape(terms.shape), self._c[self._inner]
+        jumps = np.zeros(self._c.size)
+        jumps_inner = jumps[self._inner]
+        for (ahead, here, diff), (fwd, bwd), rate in zip(
+                self._fd_ops, self._pairs, self._centered_rates):
+            np.subtract(ahead, here, out=diff)
+            if rate is not None:
+                np.add(fwd, bwd, out=c_inner)
+                np.multiply(c, rate, out=c)
+                terms += c
+            np.subtract(fwd, bwd, out=c_inner)
+            np.abs(c_inner, out=c_inner)
+            np.maximum(jumps_inner, c_inner, out=jumps_inner)
+        return terms, jumps.reshape(terms.shape)
 
     def march(self, values: np.ndarray, dt: float) -> None:
         """Fill values[k - 1] = u + dt * rhs(u), u = values[k], from the end back."""

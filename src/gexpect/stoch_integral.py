@@ -339,7 +339,8 @@ def _generator_diag(a_gen, dim: int) -> np.ndarray:
     diag = np.diag(op.entries)
     if np.any(diag > 1e-12):
         raise ValueError("generator spectrum must be nonpositive")
-    return diag
+    # entries within the tolerance above 0 are 0: no flow away from the origin
+    return np.minimum(diag, 0.0)
 
 
 def convolution_path(a_gen, paths: PathBundle, substeps: int = 1) -> np.ndarray:

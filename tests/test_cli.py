@@ -202,6 +202,14 @@ class TestRun:
             [1.0, math.sqrt(2.0), math.sqrt(2.0), 2.0], [1, 0, 0, 1]]},
           "params": {"nodes": 9, "n_paths": 50, "n_probes": 1, "scalar_nodes": 21}},
          "extreme 0"),
+        # transport toward 0 on a box without 0 would read off the grid
+        ({"kind": "gpde", "params": {"box": [0.5, 2.4], "nodes": 9, "n_paths": 50,
+                                     "n_probes": 1, "scalar_nodes": 21}},
+         "'a_diag', 'box'"),
+        # holds 0 but not the probes at radius (2.4 + 0.1) / 8 around it
+        ({"kind": "gpde", "params": {"box": [-0.1, 2.4], "nodes": 9, "n_paths": 50,
+                                     "n_probes": 10, "scalar_nodes": 21}},
+         "'box'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):

@@ -150,6 +150,24 @@ class TestGPde:
         with pytest.raises(ValueError):
             band_problem(f_square, a_gen=np.array([[0.5]]))
 
+    def test_tiny_positive_rate_is_zero(self):
+        # rates within the tolerance above 0 are accepted as no transport
+        prob = band_problem(f_square, a_gen=np.array([[1e-13]]))
+        assert np.array_equal(prob.generator_diag(), [0.0])
+        assert not prob.has_transport()
+
+    def test_rejects_transport_on_a_box_without_the_origin(self):
+        # the flow contracts toward 0, so on [0.5, 2] the upwind difference
+        # at x = 0.5 would read a node left of the grid
+        f = lambda p: np.maximum(0.0, 1.0 - 20.0 * np.abs(p[..., 0] - 0.55))
+        for box in ((0.5, 2.0), (-2.0, -0.5)):
+            with pytest.raises(ValueError, match="transported axis 0 must hold 0"):
+                PdeProblem(1, CovarianceSet([[[0.01]]]), f, 0.3, (box,),
+                           a_gen=np.array([[-2.0]]))
+        # an axis without transport may lie on one side of 0
+        PdeProblem(2, CovarianceSet([np.eye(2)]), f, 0.3, ((0.5, 2.0), (-1.0, 1.0)),
+                   a_gen=np.diag([0.0, -2.0]))
+
     def test_rejects_nondiagonal_generator(self):
         sigma = CovarianceSet([np.eye(2)])
         with pytest.raises(ValueError):
@@ -205,6 +223,21 @@ class TestMonotoneScheme:
         sf = solve_gheat(PdeProblem(dim, sigma, zero, 0.3, box), MeshSpec(nodes=nodes))
         sg = solve_gheat(PdeProblem(dim, sigma, bump, 0.3, box), MeshSpec(nodes=nodes))
         assert float(np.min(sg.values - sf.values)) >= -1e-12
+
+    @pytest.mark.parametrize("box", [(0.0, 2.0), (-2.0, 0.0)])
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_maximum_principle_with_the_origin_at_a_box_end(self, dim, box):
+        # transport dominates; the data peak next to the origin, where the
+        # upwind differences of the end node read no node beyond the grid
+        extremes = [0.01 * np.eye(dim), 0.01 * (np.eye(dim) + np.ones((dim, dim)))]
+        gen = np.diag([-2.0, -1.0][:dim])
+        peak = 0.05 if box[0] == 0.0 else -0.05
+        f = lambda p: np.maximum(0.0, 1.0 - 20.0 * np.linalg.norm(p - peak, axis=-1))
+        prob = PdeProblem(dim, CovarianceSet(extremes), f, 0.3, (box,) * dim, a_gen=gen)
+        sol = solve_gpde(prob, MeshSpec(nodes=31))
+        terminal = sol.values[-1]
+        assert np.min(terminal) - 1e-12 <= np.min(sol.values[0])
+        assert np.max(sol.values[0]) <= np.max(terminal) + 1e-12
 
     def test_maximum_principle_for_rank_one_extreme(self):
         f = lambda p: np.sin(2.0 * p[..., 0]) * np.cos(3.0 * p[..., 1]) * np.sin(p[..., 2] + 0.5)
@@ -365,7 +398,8 @@ def reference_terms(u, axes, extremes, gen_diag):
     G uses the stencil's directions and weights, reads u through a zero
     np.pad as deep as the widest direction and drops a direction wherever
     x + v or x - v leaves the grid; the transport and the axis second
-    differences read np.pad's odd reflection."""
+    differences read np.pad's odd reflection, whose ghosts the compared
+    values meet only at a zero velocity or off the interior."""
     dim = u.ndim
     h = [ax[1] - ax[0] for ax in axes]
     dirs, weights = _decompose(extremes, axes)
@@ -421,33 +455,29 @@ def reference_residual(solution, problem):
 
 
 def random_case(rng, dim, transport):
-    """Random grid whose axes straddle zero, lie above it or lie below it,
-    correlated extremes, and optional transport with one rate possibly zero."""
+    """Random grid, correlated extremes, and optional transport with one rate
+    possibly zero.  An axis without transport straddles zero, lies above it or
+    lies below it; a transported axis holds zero, inside or at either end."""
     counts = rng.integers(5, 9, size=dim)
-    boxes = [((-2.0, 1.5), (0.5, 2.0), (-3.0, -0.5))[i] for i in rng.integers(0, 3, dim)]
-    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(boxes, counts)]
-    extremes = []
-    for _ in range(3):
-        raw = rng.standard_normal((dim, dim))
-        extremes.append(raw @ raw.T + 0.1 * np.eye(dim))
     gen_diag = np.zeros(dim)
     if transport:
         gen_diag = -rng.uniform(0.2, 2.0, size=dim)
         if dim > 1:
             gen_diag[rng.integers(dim)] = 0.0
+    free = ((-2.0, 1.5), (0.5, 2.0), (-3.0, -0.5))
+    held = ((-2.0, 1.5), (0.0, 2.0), (-2.0, 0.0))
+    picks = rng.integers(0, 3, dim)
+    boxes = [(held if rate else free)[i] for rate, i in zip(gen_diag, picks)]
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(boxes, counts)]
+    extremes = []
+    for _ in range(3):
+        raw = rng.standard_normal((dim, dim))
+        extremes.append(raw @ raw.T + 0.1 * np.eye(dim))
     u = rng.standard_normal(tuple(counts)) * 3.0
     return axes, np.array(extremes), gen_diag, u
 
 
 class TestStencil:
-    @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_ghosts_are_np_pad_odd_reflection(self, dim):
-        rng = np.random.default_rng(30 + dim)
-        axes, extremes, gen_diag, u = random_case(rng, dim, False)
-        stencil = _Stencil(axes, extremes, gen_diag)
-        stencil.load(u)
-        assert np.array_equal(stencil.padded, _pad(u))
-
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_directions_reproduce_the_extremes(self, dim):
         rng = np.random.default_rng(40 + dim)
@@ -474,8 +504,12 @@ class TestStencil:
             axes, extremes, gen_diag, u = random_case(rng, dim, transport)
             g, upwind, centered, jumps = reference_terms(u, axes, extremes, gen_diag)
             stencil = _Stencil(axes, extremes, gen_diag)
-            for got, want in [(stencil.rhs(u).copy(), g + upwind),
-                              *zip(stencil.residual_terms(u), (g + centered, jumps))]:
+            # the residual terms hold at the interior nodes, all residual_check reads
+            interior = (slice(1, -1),) * dim
+            pairs = [(stencil.rhs(u).copy(), g + upwind)]
+            pairs += [(got[interior], want[interior]) for got, want
+                      in zip(stencil.residual_terms(u), (g + centered, jumps))]
+            for got, want in pairs:
                 bound = 1e-12 * np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(got - want) <= bound)
 
