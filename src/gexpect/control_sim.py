@@ -18,6 +18,7 @@ viscosity solution of the one-dimensional fully nonlinear heat equation.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -191,17 +192,20 @@ def _grid(steps, T, n_paths=1) -> np.ndarray:
     return np.linspace(0.0, T, steps + 1)
 
 
-def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, store=None):
+def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, decay=None, store=None):
     """The package's one path loop: paths from ``x0``, generated a step at a time.
 
     Yields ``(k, t_k, x_k, dx_k, x_{k+1})`` for each step k, with (n_paths, N)
     states and increment ``dx_k = gamma Z_k sqrt(dt)``, the factor chosen by
-    the policy from ``(t_k, x_k)``.  Step k's normals are drawn from
-    ``default_rng(seed)`` just before the step: the same stream as one
-    (steps, n_paths, N) draw, so walks from one seed share their normals.
-    Two state buffers and one increment buffer are reused, so a yielded array
-    is valid until the next step, unless ``store=(states, increments)`` gives
-    time-major arrays for every step.  Sizes are checked at the call.
+    the policy from ``(t_k, x_k)``.  The state steps as ``x_{k+1} = x_k +
+    dx_k``, or with a per-coordinate ``decay`` as the mild recursion ``x_{k+1}
+    = decay (x_k + dx_k)``, so the policy reads the state it acts on.  Step
+    k's normals are drawn from ``default_rng(seed)`` just before the step: the
+    same stream as one (steps, n_paths, N) draw, so walks from one seed share
+    their normals.  Two state buffers and one increment buffer are reused, so
+    a yielded array is valid until the next step, unless ``store=(states,
+    increments)`` gives time-major arrays for every step.  Sizes are checked
+    at the call.
     """
     times, gammas = _grid(steps, T, n_paths), sigma.roots
     sqrt_dt = math.sqrt(T / steps)
@@ -228,6 +232,8 @@ def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, store=None):
                     mask = idx == i
                     dx[mask] = (dx[mask] @ gammas[i].T) * sqrt_dt
             np.add(x, dx, out=x_next)
+            if decay is not None:
+                x_next *= decay
             yield k, times[k], x, dx, x_next
 
     return generate()
@@ -278,19 +284,22 @@ def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
     return out
 
 
-def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff, x0=0.0):
+def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff):
     """Common-random-number supremum of Monte Carlo means over a policy family.
 
-    Every policy of ``family`` runs one ``_walk`` from ``x0`` and ``seed``, so
-    all see the same normals and no path block is held.  ``payoff`` folds a
-    walk into per-path values, shaped (n_paths,) or (rows, n_paths).  Returns
-    one UpperEstimate per row: the largest mean by ``best_of`` (the first on
-    ties; a NaN mean wins, so an undefined payoff is never hidden), the
-    policy attaining it, its standard error and every member's entry.
+    ``payoff(policy, walk)`` gives each policy of ``family`` its per-path
+    values, shaped (n_paths,) or (rows, n_paths), folded from the streams
+    ``walk(x0=0.0, decay=None)`` of ``_walk``.  Every stream is drawn from
+    ``seed``, so all policies see the same normals and no path block is
+    held.  Returns one UpperEstimate per row: the largest mean by ``best_of``
+    (the first on ties; a NaN mean wins, so an undefined payoff is never
+    hidden), the policy attaining it, its standard error and every member's
+    entry.
     """
     policies, results = build_policies(family, len(sigma)), []
     for policy in policies:
-        rows = np.atleast_2d(payoff(_walk(sigma, policy, n_paths, steps, T, seed, x0)))
+        walk = functools.partial(_walk, sigma, policy, n_paths, steps, T, seed)
+        rows = np.atleast_2d(payoff(policy, walk))
         results.append([(float(row.mean()), stderr(row)) for row in rows])
     names, estimates = [pol.describe() for pol in policies], []
     for row in zip(*results):
@@ -322,9 +331,9 @@ def estimate_upper_expectation(
     some policy's paths gives NaN, never a finite value from the other
     members.
     """
+    x0 = as_point(x0, sigma.dim)
     return _policy_sup(sigma, policy_family, n_paths, steps, T, seed,
-                       lambda walk: evaluate_rows(f, _terminal(walk)),
-                       x0=as_point(x0, sigma.dim))[0]
+                       lambda _, walk: evaluate_rows(f, _terminal(walk(x0))))[0]
 
 
 def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: int) -> float:
@@ -389,8 +398,8 @@ def nested_expectation(
         for pol in build_policies(inner_spec.family, len(sigma))
     ]
 
-    def outer_payoff(walk):
-        x = _terminal(walk)
+    def outer_payoff(policy, walk):
+        x = _terminal(walk())
         g_vals = np.empty(x.shape[0])
         # Row means do not depend on how the outer rows are blocked, so the
         # payoff is evaluated NESTED_ROWS outer rows at a time.

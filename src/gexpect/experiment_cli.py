@@ -181,10 +181,19 @@ class _Report:
 
     def slice(self, name, sol):
         """The t = 0 slice of a PDE solution, one row per node: coordinates, value."""
-        grids = [*np.meshgrid(*sol.axes, indexing="ij"), sol.values[0]]
+        grids = [*np.meshgrid(*sol.axes, indexing="ij"), sol.time_slice(0)]
         self.csv(name, [f"x{i}" for i in range(len(sol.axes))] + ["u"],
                  ([repr(float(v)) for v in row]
                   for row in zip(*(g.reshape(-1) for g in grids))))
+
+    def solver(self, solves):
+        """The ``solver`` table: one row of grid diagnostics per named PDE solve,
+        with the bytes its checkpoint slices hold and its measured residual."""
+        columns = ["solve", "n_steps", "dt", "h", "cfl_ratio", "bytes_held", "residual"]
+        self.table("solver", columns, [
+            [name, sol.n_steps, sol.dt, max(float(ax[1] - ax[0]) for ax in sol.axes),
+             sol.cfl_ratio, sol.bytes_held, sol.residual]
+            for name, sol in solves])
 
 
 def _floats(value):
@@ -455,7 +464,8 @@ def _run_gheat(cfg, rep):
         rep.check("closed-form", pde, x0**2 + band.sigma_up_sq * T, disc)
     rep.slice("gheat_slice.csv", sol)
     rep.table("profile", ["x", "u0"],
-              [[float(x), float(u)] for x, u in zip(sol.axes[0], sol.values[0])])
+              [[float(x), float(u)] for x, u in zip(sol.axes[0], sol.time_slice(0))])
+    rep.solver([("gheat", sol)])
     rep.table("policy-sweep", ["policy", "value", "stderr"],
               [list(row) for row in est.per_policy])
 
@@ -510,6 +520,7 @@ def _run_gpde(cfg, rep):
     rep.check("scalar-ou-closed-form", got, want, tol1)
     rep.slice("gpde_slice.csv", sol)
     rep.table("probes", ["probe", "x1", "x2", "pde", "mc", "stderr"], rows)
+    rep.solver([("gpde", sol), ("scalar-ou", sol1)])
 
 
 def _run_ou(cfg, rep):

@@ -26,6 +26,11 @@ Each solve builds one stencil object that owns every buffer the steps use.
 The sums u(x + v_j) + u(x - v_j) and u itself are stacked in one
 (J + 1, nodes) array, and G(D^2 u) is one matrix product with the rows
 (w_q / 2, -sum_j w_qj) of the extremes followed by a max over the extremes.
+The solve is one backward march over three rolling slices.  It keeps about
+sqrt(n_steps) checkpoint slices (revolve-style checkpointing, Griewank-Walther
+2000) and measures the strong-form residual on the way, from the G(D^2 u)
+that each sampled step computes anyway; any other slice is re-marched from
+the next checkpoint on demand, bitwise equal.
 """
 
 from __future__ import annotations
@@ -39,7 +44,9 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import nnls
 
 from .covariance_set import CovarianceSet
-from .control_sim import PathBundle, PolicyFamily, _policy_sup, _replay, simulate_gbm
+from .control_sim import (
+    PathBundle, PolicyFamily, _policy_sup, _replay, _terminal, simulate_gbm,
+)
 from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords
 from .stoch_integral import _convolve, _generator_diag, convolution_path
@@ -118,34 +125,51 @@ class MeshSpec:
 
 
 class GridSolution:
-    """Backward-evolved value function on a space-time grid.
+    """Backward-evolved value function on a space-time grid, held as checkpoints.
 
-    ``values[k]`` is the slice at time ``times[k]``; index 0 is the initial
-    time, the last index the terminal data.
+    Slice k is the value at time ``times[k]``; index 0 is the initial time,
+    ``n_steps`` the terminal data.  A solution keeps slice 0, the terminal
+    slice and evenly spaced checkpoint slices between them, at most
+    isqrt(n_steps) + 2 slices in all, and ``residual``, the strong-form
+    residual measured during the solve (see ``residual_check``).  ``time_slice(k)``
+    re-marches any other slice from the next checkpoint up, at most one
+    segment, and ``values`` re-marches the whole (n_steps + 1, ...) array on
+    every read; both use a fresh stencil, and the march is deterministic, so
+    both are bitwise what the solve computed.
     """
 
-    __slots__ = ("axes", "dt", "values", "cfl_ratio")
+    __slots__ = ("axes", "dt", "n_steps", "cfl_ratio", "residual", "_kept", "_spacing",
+                 "_operator", "values")
 
-    def __init__(self, axes, dt, values, cfl_ratio):
-        if not (np.isfinite(values.min()) and np.isfinite(values.max())):
-            raise ValueError("solution values must be finite everywhere")
-        if cfl_ratio > 1.0:
-            raise ValueError(f"unstable configuration: cfl_ratio {cfl_ratio} > 1")
-        object.__setattr__(self, "axes", tuple(axes))
-        object.__setattr__(self, "dt", float(dt))
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "cfl_ratio", float(cfl_ratio))
+    def __init__(self, axes, dt, kept, spacing, operator, cfl_ratio, residual):
+        for name, value in (("axes", tuple(axes)), ("dt", float(dt)),
+                            ("n_steps", max(kept)), ("cfl_ratio", float(cfl_ratio)),
+                            ("residual", residual), ("_kept", kept),
+                            ("_spacing", spacing), ("_operator", operator)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("GridSolution is immutable")
 
-    @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.values.shape[0]) * self.dt
+    def __getattr__(self, name):
+        # reached for ``values`` while its slot is unset: the array is never kept
+        if name != "values":
+            raise AttributeError(f"'GridSolution' object has no attribute {name!r}")
+        top = self._kept[self.n_steps]
+        values = np.empty((self.n_steps + 1, *top.shape))
+        values[-1] = top
+        for k, u, _ in _march(self._stencil(), top, self.n_steps, self.dt):
+            values[k] = u
+        return values
 
     @property
-    def n_steps(self) -> int:
-        return self.values.shape[0] - 1
+    def times(self) -> np.ndarray:
+        return np.arange(self.n_steps + 1) * self.dt
+
+    @property
+    def bytes_held(self) -> int:
+        """Bytes of the stored checkpoint slices."""
+        return sum(u.nbytes for u in self._kept.values())
 
     def time_index(self, t: float) -> int:
         k = int(round(t / self.dt))
@@ -153,11 +177,25 @@ class GridSolution:
             raise ValueError(f"time {t} outside the solved range")
         return k
 
+    def time_slice(self, k: int) -> np.ndarray:
+        """A copy of slice k: a stored checkpoint, or re-marched from the next
+        one up."""
+        if not 0 <= k <= self.n_steps:
+            raise IndexError(f"slice {k} outside 0..{self.n_steps}")
+        top = min(-(-k // self._spacing) * self._spacing, self.n_steps)
+        u = self._kept[top]
+        if top > k:
+            for _, u, _ in _march(self._stencil(), u, top, self.dt, stop=k):
+                pass
+        return u.copy()
+
     def value_at(self, t: float, point) -> float:
         """Multilinear interpolation of the slice nearest to t."""
-        k = self.time_index(t)
-        interp = RegularGridInterpolator(self.axes, self.values[k])
+        interp = RegularGridInterpolator(self.axes, self.time_slice(self.time_index(t)))
         return float(interp(np.atleast_2d(as_coords(point)))[0])
+
+    def _stencil(self) -> "_Stencil":
+        return _Stencil(self.axes, *self._operator)
 
 
 class McValue(NamedTuple):
@@ -329,12 +367,15 @@ class _Stencil:
         np.max(self._acc, axis=0, out=self._g)
         return self._g_nodes
 
-    def rhs(self, u: np.ndarray) -> np.ndarray:
+    def rhs(self, u: np.ndarray, keep=None) -> np.ndarray:
         """<A x, Du> + G(D^2 u) at the nodes, with upwind transport.
 
-        A view of a buffer that the next call overwrites.
+        A view of a buffer that the next call overwrites.  ``keep``, if given,
+        receives a copy of G(D^2 u) before the transport is added.
         """
         rhs = self.g_of_hessian(u)
+        if keep is not None:
+            np.copyto(keep, rhs)
         for (ahead, here, diff), slabs in self._upwind:
             np.subtract(ahead, here, out=diff)
             for diff_slab, rate, out in slabs:
@@ -342,13 +383,14 @@ class _Stencil:
             rhs += self._t
         return rhs
 
-    def residual_terms(self, u: np.ndarray):
+    def residual_terms(self, terms: np.ndarray):
         """G(D^2 u) plus centered transport, and the largest |raw second
-        difference| over the axes, both exact at the interior nodes.
+        difference| over the axes, both exact at the interior nodes, for the
+        u in the node array (the one ``g_of_hessian`` or ``rhs`` last read).
 
-        The first is a view of a buffer that the next call overwrites.
+        ``terms`` holds G(D^2 u) on the nodes and receives the transport in
+        place.
         """
-        terms = self.g_of_hessian(u)
         c, c_inner = self._c.reshape(terms.shape), self._c[self._inner]
         jumps = np.zeros(self._c.size)
         jumps_inner = jumps[self._inner]
@@ -364,33 +406,82 @@ class _Stencil:
             np.maximum(jumps_inner, c_inner, out=jumps_inner)
         return terms, jumps.reshape(terms.shape)
 
-    def march(self, values: np.ndarray, dt: float) -> None:
-        """Fill values[k - 1] = u + dt * rhs(u), u = values[k], from the end back."""
-        for k in range(values.shape[0] - 1, 0, -1):
-            np.multiply(self.rhs(values[k]), dt, out=values[k - 1])
-            values[k - 1] += values[k]
+
+def _march(stencil, top, k_top, dt, stop=0, sample=frozenset()):
+    """The scheme's one backward loop: u_{k-1} = u_k + dt * rhs(u_k), from
+    u_{k_top} = ``top`` down to u_stop.
+
+    Yields ``(k - 1, u_{k-1}, r_k)`` per step.  For k in ``sample`` (below
+    k_top), r_k is the strong-form residual |u_t + G(D^2 u) + <A x, Du>| at
+    slice k, centred in time and space, maximised over the interior nodes
+    whose raw second difference stays within ten times the slice median
+    (kinks are left out); it reuses the step's G(D^2 u_k), and is 0.0 where
+    every node is a kink.  Otherwise r_k is None.  The slices rotate through
+    three buffers, so a yielded one is overwritten two steps later.  Raises
+    ValueError for an unstable step or a non-finite slice.
+    """
+    if dt * stencil.rate > 1.0:
+        raise ValueError(f"unstable configuration: cfl_ratio {dt * stencil.rate} > 1")
+    ring = np.empty((3, *top.shape))
+    ring[k_top % 3] = top
+    g = np.empty(top.shape)
+    interior = (slice(1, -1),) * top.ndim
+    _require_finite(top)
+    for k in range(k_top, stop, -1):
+        u, below = ring[k % 3], ring[(k - 1) % 3]
+        measure = k in sample
+        np.multiply(stencil.rhs(u, keep=g if measure else None), dt, out=below)
+        below += u
+        _require_finite(below)
+        r_k = None
+        if measure:
+            terms, jumps = stencil.residual_terms(g)
+            u_t = (ring[(k + 1) % 3] - below) / (2.0 * dt)
+            resid = np.abs(u_t + terms)[interior]
+            raw_jump = jumps[interior]
+            smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
+            r_k = float(resid[smooth].max()) if np.any(smooth) else 0.0
+        yield k - 1, below, r_k
+
+
+def _require_finite(u: np.ndarray) -> None:
+    if not (np.isfinite(u.min()) and np.isfinite(u.max())):
+        raise ValueError("solution values must be finite everywhere")
 
 
 def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
     axes = _mesh_axes(problem, mesh_spec)
     counts = tuple(ax.size for ax in axes)
-    stencil = _Stencil(axes, problem.sigma.matrices, problem.generator_diag())
+    operator = (problem.sigma.matrices, problem.generator_diag())
+    stencil = _Stencil(axes, *operator)
     dt_max = 1.0 / stencil.rate if stencil.rate > 0.0 else problem.T
     n_steps = max(1, math.ceil(problem.T / (CFL_SAFETY * dt_max)))
     dt = problem.T / n_steps
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
-    terminal = np.asarray(problem.terminal_f(points), dtype=float)
+    terminal = np.array(problem.terminal_f(points), dtype=float)
     if terminal.shape != counts:
         raise ValueError(
             f"terminal data must map (...,{problem.dim}) points to a {counts} grid, "
             f"got {terminal.shape}"
         )
 
-    values = np.empty((n_steps + 1, *counts))
-    values[n_steps] = terminal
-    stencil.march(values, dt)
-    return GridSolution(axes, dt, values, cfl_ratio=dt / dt_max)
+    # at most isqrt(n_steps) + 1 segments between the kept slices
+    spacing = -(-n_steps // (math.isqrt(n_steps) + 1))
+    kept = {n_steps: terminal}
+    # the residual needs 3 interior nodes per axis; it is measured at every
+    # interior slice up to 41 steps, at 40 evenly spread ones beyond
+    residual, sample = None, frozenset()
+    if min(counts) >= 5:
+        residual = 0.0
+        sample = frozenset(np.linspace(1, n_steps - 1, 40).astype(int).tolist()
+                           if n_steps > 41 else range(1, n_steps))
+    for k, u, resid in _march(stencil, terminal, n_steps, dt, sample=sample):
+        if k % spacing == 0:
+            kept[k] = u.copy()
+        if resid is not None:
+            residual = max(residual, resid)
+    return GridSolution(axes, dt, kept, spacing, operator, dt / dt_max, residual)
 
 
 def solve_gheat(problem: PdeProblem, mesh_spec: MeshSpec = MeshSpec()) -> GridSolution:
@@ -413,28 +504,19 @@ def residual_check(solution: GridSolution, problem: PdeProblem) -> float:
 
     Centered differences in space and time on interior nodes; nodes whose raw
     second difference jumps above ten times the slice median are treated as
-    kinks and excluded.  Returns the maximum over sampled interior slices.
+    kinks and excluded.  Returns the maximum over the sampled interior slices
+    (every one up to 41 steps, 40 evenly spread beyond), which the solve
+    measured as it marched.  ``problem`` must have the extremes and the
+    generator of the problem that was solved.
     """
-    counts = solution.values.shape[1:]
-    if any(c < 5 for c in counts):
+    if any(ax.size < 5 for ax in solution.axes):
         raise ValueError("residual check needs >= 3 interior nodes per axis")
-    n_steps = solution.n_steps
-    sample = range(1, n_steps)
-    if n_steps > 41:
-        sample = np.unique(np.linspace(1, n_steps - 1, 40).astype(int))
-
-    stencil = _Stencil(solution.axes, problem.sigma.matrices, problem.generator_diag())
-    interior = (slice(1, -1),) * problem.dim
-    worst = 0.0
-    for k in sample:
-        terms, jumps = stencil.residual_terms(solution.values[k])
-        u_t = (solution.values[k + 1] - solution.values[k - 1]) / (2.0 * solution.dt)
-        resid = np.abs(u_t + terms)[interior]
-        raw_jump = jumps[interior]
-        smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
-        if np.any(smooth):
-            worst = max(worst, float(resid[smooth].max()))
-    return worst
+    extremes, gen_diag = solution._operator
+    if not (np.array_equal(problem.sigma.matrices, extremes)
+            and np.array_equal(problem.generator_diag(), gen_diag)):
+        raise ValueError("the problem's extremes or generator differ from those "
+                         "of the problem that was solved")
+    return solution.residual
 
 
 def ou_mild_path(
@@ -498,12 +580,15 @@ def mc_value(
 def mc_values(
     problem: PdeProblem, probes, t0: float, control_spec: McControlSpec
 ) -> list[McValue]:
-    """``mc_value`` at each probe, simulating every policy once for all probes.
+    """``mc_value`` at each probe, the supremum over the mild paths started there.
 
-    The mild terminal state at a probe x0 is the convolution of the driving
-    paths, which does not depend on x0, plus the flow term exp((T - t0) A) x0,
-    so each policy's convolution is computed once and shifted per probe.  A
-    NaN mean wins a probe's supremum (see ``control_sim._policy_sup``).
+    A constant or time-table member's mild terminal state at a probe x0 is
+    the convolution of its driving paths, which does not depend on x0, plus
+    the flow term exp((T - t0) A) x0, so it walks once for all probes and its
+    convolution is shifted per probe.  A feedback member's rule reads the
+    mild state, which does depend on x0, so it walks once per probe, started
+    there, as x_{k+1} = exp(dt A) (x_k + dx_k).  A NaN mean wins a probe's
+    supremum (see ``control_sim._policy_sup``).
     """
     if not 0.0 <= t0 < problem.T:
         raise ValueError(f"t0 must lie in [0, T), got {t0}")
@@ -512,12 +597,17 @@ def mc_values(
     diag = _generator_diag(problem.a_gen, sigma.dim)
     flow_T = np.exp((problem.T - t0) * diag)
     n_paths, T = control_spec.n_paths, problem.T - t0
+    decay = np.exp(T / steps * diag)
 
-    def payoff(walk):
-        # every=steps: the fold yields once, the terminal convolution
-        [(_, conv_T)] = _convolve(np.exp(T / steps * diag), walk, steps,
-                                  np.zeros((n_paths, sigma.dim)))
-        rows = [evaluate_rows(problem.terminal_f, conv_T + flow_T * x0) for x0 in x0s]
+    def payoff(policy, walk):
+        if policy.kind == "feedback":
+            ends = (_terminal(walk(x0, decay)) for x0 in x0s)
+        else:
+            # every=steps: the fold yields once, the terminal convolution
+            [(_, conv_T)] = _convolve(decay, walk(), steps,
+                                      np.zeros((n_paths, sigma.dim)))
+            ends = (conv_T + flow_T * x0 for x0 in x0s)
+        rows = [evaluate_rows(problem.terminal_f, x) for x in ends]
         return np.reshape(rows, (len(x0s), n_paths))
 
     return [McValue(est.value, est.stderr) for est in _policy_sup(

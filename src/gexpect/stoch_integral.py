@@ -214,8 +214,8 @@ def _moment_sup(phi, sigma, p, policies, n_paths, seed):
     """
     T, steps = _uniform_grid_of(phi)
 
-    def payoff(walk):
-        res = _integrate(phi, sigma, phi.partition, n_paths, walk)
+    def payoff(policy, walk):
+        res = _integrate(phi, sigma, phi.partition, n_paths, walk())
         return np.stack([np.sum(res.values**2, axis=1) ** (p / 2.0),
                          res.integrand_sq_paths ** (p / 2.0)])
 

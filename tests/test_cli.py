@@ -9,7 +9,7 @@ import pytest
 
 from gexpect import CovarianceSet
 from gexpect.experiment_cli import MC_Z, _Report, main, run
-from gexpect.g_pde import MeshSpec, PdeProblem, solve_gheat
+from gexpect.g_pde import MeshSpec, PdeProblem, residual_check, solve_gheat
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -373,7 +373,29 @@ class TestArtifacts:
         sol = solve_gheat(prob, MeshSpec(nodes=11))
         got = np.array(rows[1:], dtype=float)
         assert np.array_equal(got[:, 0], sol.axes[0])
-        assert np.array_equal(got[:, 1], sol.values[0])
+        assert np.array_equal(got[:, 1], sol.time_slice(0))
+
+    def test_solver_tables(self, tmp_path):
+        band = {"dim": 1, "extremes": [[1.0], [0.25]], "label": "band"}
+        cfg = write_config(tmp_path, kind="gheat", sigma=band, params={
+            "T": 0.2, "nodes": 11, "lattice_steps": 50, "steps": 4, "n_paths": 200})
+        assert main(["run", str(cfg)]) in (0, 1)
+        table = load_report(tmp_path)["series"]["solver"]
+        assert table["columns"] == ["solve", "n_steps", "dt", "h", "cfl_ratio",
+                                    "bytes_held", "residual"]
+        prob = PdeProblem(1, CovarianceSet.from_dict(band), lambda p: p[..., 0] ** 2,
+                          0.2, ((-3.0, 3.0),))
+        sol = solve_gheat(prob, MeshSpec(nodes=11))
+        h = float(sol.axes[0][1] - sol.axes[0][0])
+        assert table["rows"] == [["gheat", sol.n_steps, sol.dt, h, sol.cfl_ratio,
+                                  sol.bytes_held, residual_check(sol, prob)]]
+        cfg = write_config(tmp_path, kind="gpde", params={
+            "nodes": 9, "scalar_nodes": 21, "steps": 4, "n_paths": 100, "n_probes": 2})
+        assert main(["run", str(cfg)]) in (0, 1)
+        rows = load_report(tmp_path)["series"]["solver"]["rows"]
+        assert [row[0] for row in rows] == ["gpde", "scalar-ou"]
+        assert all(row[5] <= (math.isqrt(row[1]) + 2) * 8 * n**dim
+                   for row, n, dim in zip(rows, (9, 21), (2, 1)))
 
     def test_ou_paths_csv_and_sidecar(self, tmp_path):
         cfg = write_config(

@@ -3,12 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.interpolate import RegularGridInterpolator
 
 from gexpect import CovarianceSet
 from gexpect.control_sim import ControlPolicy, PolicyFamily, lattice_1d
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
-    GridSolution,
     McControlSpec,
     MeshSpec,
     PdeProblem,
@@ -20,7 +20,7 @@ from gexpect.g_pde import (
     solve_gheat,
     solve_gpde,
 )
-from gexpect.g_pde import CFL_SAFETY, MAX_STENCIL_RADIUS, _Stencil, _decompose
+from gexpect.g_pde import CFL_SAFETY, MAX_STENCIL_RADIUS, _march, _Stencil, _decompose
 
 
 def band_problem(f, T=0.5, box=((-3.0, 3.0),), a_gen=None):
@@ -303,6 +303,24 @@ class TestOuPaths:
             assert flow_property_discrepancy(bundle, a, split) < 1e-10
 
 
+def mild_feedback_terminal(sigma, rule, x0, diag, T, steps, n_paths, seed):
+    """Terminal states of a feedback policy simulated by hand on the mild
+    recursion x_{k+1} = e^{dt A} (x_k + gamma Z_k sqrt(dt)) from x0, the rule
+    reading x_k; normals drawn a step at a time from ``default_rng(seed)``."""
+    rng = np.random.default_rng(seed)
+    dt = T / steps
+    decay = np.exp(dt * diag)
+    x = np.tile(np.asarray(x0, dtype=float), (n_paths, 1))
+    for k in range(steps):
+        z = rng.standard_normal((n_paths, sigma.dim))
+        idx = np.asarray(rule(k * dt, x))
+        dx = np.empty_like(z)
+        for i in np.unique(idx):
+            dx[idx == i] = (z[idx == i] @ sigma.roots[i].T) * math.sqrt(dt)
+        x = decay * (x + dx)
+    return x
+
+
 class TestMcValue:
     def test_constant_payoff(self, band_1d):
         prob = PdeProblem(1, band_1d, lambda p: np.full(p.shape[:-1], 3.0), 1.0,
@@ -347,11 +365,47 @@ class TestMcValue:
         assert got == [mc_value(prob, p, 0.1, spec) for p in probes]
         for probe, mc in zip(probes, got):
             means = [
-                float(np.mean(f(ou_mild_path(a, sigma, pol, probe, 0.1, 0.5, 8, 400,
-                                             seed=7).terminal)))
+                float(np.mean(f(
+                    mild_feedback_terminal(sigma, pol.rule, probe, np.diag(a), 0.4, 8,
+                                           400, seed=7)
+                    if pol.kind == "feedback" else
+                    ou_mild_path(a, sigma, pol, probe, 0.1, 0.5, 8, 400, seed=7).terminal
+                )))
                 for pol in family.build(len(sigma))
             ]
             assert mc.value == max(means)
+
+    def test_feedback_member_reads_the_mild_state(self):
+        # one bang-bang member at probes off 0: its mean is the hand simulation
+        # whose rule reads the mild state started at the probe (the driving
+        # process from 0 would pick both factors about equally often)
+        sigma = CovarianceSet([np.diag([1.0, 0.8]), np.diag([0.1, 0.05])])
+        a = np.diag([-1.0, -2.0])
+        f = lambda p: p[..., 0] ** 2 + p[..., 1]
+        prob = PdeProblem(2, sigma, f, 0.5, ((-2.4, 2.4), (-2.4, 2.4)), a_gen=a)
+        rule = PolicyFamily(bang_bang_stat=lambda s: s[:, 0] - 0.5).build(2)[2].rule
+        spec = McControlSpec(steps=8, n_paths=2000, seed=11,
+                             family=[ControlPolicy.feedback(rule)])
+        probes = [[1.0, 0.2], [-0.4, 0.3]]
+        for probe, mc in zip(probes, mc_values(prob, probes, 0.0, spec)):
+            hand = f(mild_feedback_terminal(sigma, rule, probe, np.diag(a), 0.5, 8, 2000,
+                                            seed=11))
+            assert mc.value == pytest.approx(float(np.mean(hand)), rel=1e-12)
+
+    def test_feedback_family_stays_below_the_pde_value(self, band_1d):
+        # every member is one admissible control, so the supremum over the menu
+        # is at most the viscosity solution, up to the errors of both sides
+        lam, T = 0.8, 0.5
+        f = lambda p: np.cos(2.0 * p[..., 0]) + p[..., 0]
+        prob = PdeProblem(1, band_1d, f, T, ((-3.0, 3.0),), a_gen=np.array([[-lam]]))
+        sol = solve_gpde(prob, MeshSpec(nodes=241))
+        h = sol.axes[0][1] - sol.axes[0][0]
+        family = PolicyFamily(bang_bang_stat=lambda s: np.cos(2.0 * s[:, 0]))
+        spec = McControlSpec(steps=32, n_paths=20_000, family=family, seed=12)
+        probes = [[-0.6], [0.0], [0.7]]
+        for probe, mc in zip(probes, mc_values(prob, probes, 0.0, spec)):
+            pde = sol.value_at(0.0, probe)
+            assert mc.value <= pde + 3.0 * mc.stderr + 10.0 * (h**2 + sol.dt), probe
 
     def test_single_path_has_zero_stderr(self, band_1d):
         # one sample gives no spread estimate: stderr 0 and no warning, for
@@ -508,7 +562,8 @@ class TestStencil:
             interior = (slice(1, -1),) * dim
             pairs = [(stencil.rhs(u).copy(), g + upwind)]
             pairs += [(got[interior], want[interior]) for got, want
-                      in zip(stencil.residual_terms(u), (g + centered, jumps))]
+                      in zip(stencil.residual_terms(stencil.g_of_hessian(u)),
+                             (g + centered, jumps))]
             for got, want in pairs:
                 bound = 1e-12 * np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(got - want) <= bound)
@@ -516,12 +571,101 @@ class TestStencil:
     @pytest.mark.parametrize("transport", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_residual_matches_reference(self, dim, transport):
+        # the residual measured during the march against the one recomputed
+        # from the stored slices, on solved random problems
         rng = np.random.default_rng(20 * dim + transport)
-        axes, extremes, gen_diag, u = random_case(rng, dim, transport)
-        box = tuple((ax[0], ax[-1]) for ax in axes)
-        prob = PdeProblem(dim, CovarianceSet(list(extremes)), lambda p: p[..., 0],
-                          1.0, box, a_gen=np.diag(gen_diag))
-        values = np.stack([u + 0.1 * k * np.sin(u) for k in range(6)])
-        sol = GridSolution(axes, 0.01, values, cfl_ratio=0.5)
-        assert residual_check(sol, prob) == pytest.approx(
-            reference_residual(sol, prob), rel=1e-12, abs=1e-12)
+        # every slice sampled up to 41 steps, 40 of them beyond
+        for steps in (7, 60):
+            prob, mesh = random_problem(rng, dim, transport, steps)
+            sol = solve_gpde(prob, mesh)
+            assert residual_check(sol, prob) == pytest.approx(
+                reference_residual(sol, prob), rel=1e-12, abs=1e-12)
+
+
+def random_problem(rng, dim, transport, steps):
+    """A problem on ``random_case``'s grid whose horizon takes about ``steps``
+    time steps: smooth terminal data plus a little of its noise, so some
+    nodes are kinks."""
+    axes, extremes, gen_diag, u = random_case(rng, dim, transport)
+    c, d = rng.standard_normal(dim), rng.uniform(0.1, 0.5, dim)
+    f = lambda p: np.sin(p @ c) + (p**2) @ d + 0.05 * u
+    box = tuple((ax[0], ax[-1]) for ax in axes)
+    T = steps * CFL_SAFETY / _Stencil(axes, extremes, gen_diag).rate
+    prob = PdeProblem(dim, CovarianceSet(list(extremes)), f, T, box,
+                      a_gen=np.diag(gen_diag))
+    return prob, MeshSpec(nodes=tuple(ax.size for ax in axes))
+
+
+def full_march(prob, sol):
+    """Every slice in one (n_steps + 1, ...) array, marched from the terminal
+    data by a fresh stencil: the algorithm that kept every slice."""
+    stencil = _Stencil(sol.axes, prob.sigma.matrices, prob.generator_diag())
+    points = np.stack(np.meshgrid(*sol.axes, indexing="ij"), axis=-1)
+    values = np.empty((sol.n_steps + 1, *points.shape[:-1]))
+    values[-1] = prob.terminal_f(points)
+    for k in range(sol.n_steps, 0, -1):
+        np.multiply(stencil.rhs(values[k]), sol.dt, out=values[k - 1])
+        values[k - 1] += values[k]
+    return values
+
+
+class TestCheckpoints:
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_slices_are_bitwise_the_full_march(self, dim, transport):
+        rng = np.random.default_rng(50 + 10 * dim + transport)
+        for steps in (1, 30):
+            prob, mesh = random_problem(rng, dim, transport, steps)
+            sol = solve_gpde(prob, mesh)
+            reference = full_march(prob, sol)
+            assert np.array_equal(sol.values, reference)
+            assert all(np.array_equal(sol.time_slice(k), reference[k])
+                       for k in range(sol.n_steps + 1))
+            x = [0.63 * ax[0] + 0.37 * ax[-1] for ax in sol.axes]
+            for k in (0, sol.n_steps // 3, sol.n_steps):
+                t = float(sol.times[k])
+                interp = RegularGridInterpolator(sol.axes, reference[k])
+                assert sol.value_at(t, x) == float(interp([x])[0])
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_held_slices_are_bounded(self, dim):
+        sigma = CovarianceSet([np.eye(dim), 0.3 * np.eye(dim)])
+        for T in (0.001, 0.05, 0.4, 2.0):
+            prob = PdeProblem(dim, sigma, lambda p: np.cos(p[..., 0]), T,
+                              ((-2.0, 2.0),) * dim)
+            sol = solve_gheat(prob, MeshSpec(nodes=11))
+            slice_bytes = 11**dim * 8
+            assert sol.bytes_held <= (math.isqrt(sol.n_steps) + 2) * slice_bytes
+            assert sol.bytes_held >= min(2, sol.n_steps + 1) * slice_bytes
+            # a read slice is a copy: writing to it leaves the solution as it was
+            sol.time_slice(0)[...] = np.nan
+            assert np.all(np.isfinite(sol.time_slice(0)))
+
+    def test_residual_check_needs_the_solved_operator(self):
+        prob = band_problem(f_square, T=0.3, a_gen=np.array([[-0.5]]))
+        sol = solve_gpde(prob, MeshSpec(nodes=41))
+        assert residual_check(sol, prob) == sol.residual
+        other_set = PdeProblem(1, CovarianceSet([[[1.0]], [[0.2]]]), f_square, 0.3,
+                               ((-3.0, 3.0),), a_gen=np.array([[-0.5]]))
+        other_gen = band_problem(f_square, T=0.3, a_gen=np.array([[-0.6]]))
+        for other in (other_set, other_gen, band_problem(f_square, T=0.3)):
+            with pytest.raises(ValueError, match="differ"):
+                residual_check(sol, other)
+        with pytest.raises(ValueError, match="interior nodes"):
+            residual_check(solve_gpde(prob, MeshSpec(nodes=4)), prob)
+
+    def test_every_marched_slice_must_be_finite(self):
+        # finite terminal data whose second differences overflow in the march
+        huge = band_problem(lambda p: 1.7e308 * np.cos(4.0 * p[..., 0]))
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="finite everywhere"):
+            solve_gheat(huge, MeshSpec(nodes=21))
+        bad = band_problem(lambda p: np.where(p[..., 0] > 1.0, np.nan, 0.0))
+        with pytest.raises(ValueError, match="finite everywhere"):
+            solve_gheat(bad, MeshSpec(nodes=21))
+
+    def test_march_rejects_an_unstable_step(self):
+        axes = [np.linspace(-1.0, 1.0, 11)]
+        stencil = _Stencil(axes, [np.eye(1)], np.zeros(1))
+        with pytest.raises(ValueError, match="unstable configuration"):
+            next(_march(stencil, np.zeros(11), 3, 1.01 / stencil.rate))
