@@ -51,8 +51,7 @@ from .g_pde import (
     McControlSpec,
     MeshSpec,
     PdeProblem,
-    _decompose,
-    _mesh_axes,
+    StencilError,
     flow_property_discrepancy,
     mc_values,
     ou_mild_path,
@@ -180,8 +179,10 @@ class _Report:
         _write_csv(self.file(name), header, rows)
 
     def slice(self, name, sol):
-        """The t = 0 slice of a PDE solution, one row per node: coordinates, value."""
-        grids = [*np.meshgrid(*sol.axes, indexing="ij"), sol.time_slice(0)]
+        """The t = 0 slice of a PDE solution, one row per node: the point x
+        whose value u(0, x) the node holds (the node is E(0) x), then the value."""
+        points = (ax / e for ax, e in zip(sol.axes, sol.flow(0)))
+        grids = [*np.meshgrid(*points, indexing="ij"), sol.time_slice(0)]
         self.csv(name, [f"x{i}" for i in range(len(sol.axes))] + ["u"],
                  ([repr(float(v)) for v in row]
                   for row in zip(*(g.reshape(-1) for g in grids))))
@@ -486,26 +487,41 @@ def _run_gpde(cfg, rep):
     f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
     with _bad_params("a_diag", "box"):
         prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
-    with _bad_params("sigma"):
-        _decompose(cfg.sigma.matrices, _mesh_axes(prob, mesh))
     probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (
         0.5 * (box[1] - box[0]) * 0.25
     )
+    # u(0, x) is read at E(0) x, which the box must hold
+    flow_0 = np.exp(T * prob.generator_diag())
     lo, hi = prob.domain_box[0]
     for probe in probes:
-        if not np.all((lo <= probe) & (probe <= hi)):
-            raise UsageError(f"param 'box': probe {probe.tolist()} lies outside "
-                             f"the box [{lo}, {hi}]")
-    sol = solve_gpde(prob, mesh)
+        if not np.all((lo <= flow_0 * probe) & (flow_0 * probe <= hi)):
+            raise UsageError(f"param 'box': probe {probe.tolist()} maps to "
+                             f"{(flow_0 * probe).tolist()}, outside the box [{lo}, {hi}]")
+    try:
+        sol = solve_gpde(prob, mesh)
+    except StencilError as exc:
+        raise UsageError(f"param 'sigma': {exc}") from exc
     h = sol.axes[0][1] - sol.axes[0][0]
+    disc = c_disc * (h**2 + sol.dt)
     spec = McControlSpec(steps=steps, n_paths=n_paths, seed=cfg.seed)
     rows = []
     mcs = mc_values(prob, probes, 0.0, spec)
     for i, (probe, mc) in enumerate(zip(probes, mcs)):
         pde = sol.value_at(0.0, probe)
-        tol = rep.mc_tol(mc.stderr, c_disc * (h**2 + sol.dt))
-        rep.check(f"probe-{i}", pde, mc.value, tol, n_paths=n_paths)
+        rep.check(f"probe-{i}", pde, mc.value, rep.mc_tol(mc.stderr, disc), n_paths=n_paths)
         rows.append([i, float(probe[0]), float(probe[1]), pde, mc.value, mc.stderr])
+
+    # u = sum_i m_i(t) x_i^2 + c(t), m_i(t) = q_i exp(2 a_i (T - t)), when one
+    # extreme's diagonal weighted by q dominates every other's entrywise, so
+    # it attains G at every t: then c(0) = sum_i Q_ii q_i (e^{2 a_i T} - 1) / (2 a_i)
+    weighted = np.diagonal(cfg.sigma.matrices, axis1=1, axis2=2) * quad
+    top = weighted[np.argmax(weighted.sum(axis=1))]
+    if np.all(weighted <= top):
+        rates = 2.0 * prob.generator_diag()
+        growth = np.divide(np.expm1(rates * T), rates, out=np.full(2, T), where=rates != 0.0)
+        for i, probe in enumerate(probes):
+            exact = float(np.sum(quad * np.exp(rates * T) * probe**2 + top * growth))
+            rep.check(f"closed-form-{i}", sol.value_at(0.0, probe), exact, disc)
 
     lam = _param(cfg, "scalar_lambda", 0.8, float)
     band1 = CovarianceSet([[[1.0]], [[0.25]]], label="unit-band")

@@ -6,31 +6,27 @@ in one to three truncated dimensions, plus the probabilistic side: mild-
 solution paths of the associated linear SDE and the Monte Carlo value that
 the solver is cross-validated against.
 
-Backward time stepping u(t - dt) = u(t) + dt * (<A x, Du> + G(D^2 u)).  The
-diffusion is a wide directional stencil (Bonnans-Zidani 2003): each extreme
-is written as Q_ab / (h_a h_b) = sum_j w_j v_j v_j^T with w >= 0 over integer
-grid directions v_j, and Tr[Q D^2 u] is sum_j w_j (u(x + v_j) - 2 u(x) +
-u(x - v_j)).  At a node where x + v_j or x - v_j leaves the grid, v_j adds no
-curvature.  Transport is first-order upwind.  The update's centre weight is
-1 - dt * rate with rate = max over extremes of sum_j w_j plus the upwind
-rate, so dt = ``CFL_SAFETY`` / rate keeps every weight nonnegative: the
-scheme is monotone and L-infinity stable for every extreme that has such a
-decomposition within ``MAX_STENCIL_RADIUS``; an extreme without one is
-rejected.  For diagonal extremes the directions are the axes and the rate is
-sum_a Q_aa / h_a^2.  The transport generator is restricted to diagonal
-nonpositive matrices, which keeps the semigroup explicit, and the box of a
-transported axis must hold 0: the flow contracts toward 0, so every upwind
-neighbour is a grid node and the truncation needs no boundary data.
+A is diagonal and nonpositive, and the solver works in the mild frame
+(Da Prato-Zabczyk): u(t, x) = w(t, E(t) x) with E(t) = exp((T - t) A) cancels
+the transport exactly, and w solves the G-heat equation dw/dt + G_t(D^2 w) =
+0, w(T, .) = f, with extremes Q(t) = E(t) Q E(t).  Slice k of a solution is
+w(t_k, .) on the grid, and u(t_k, x) is read at the node E(t_k) x.
 
-Each solve builds one stencil object that owns every buffer the steps use.
-The sums u(x + v_j) + u(x - v_j) and u itself are stacked in one
-(J + 1, nodes) array, and G(D^2 u) is one matrix product with the rows
-(w_q / 2, -sum_j w_qj) of the extremes followed by a max over the extremes.
-The solve is one backward march over three rolling slices.  It keeps about
-sqrt(n_steps) checkpoint slices (revolve-style checkpointing, Griewank-Walther
-2000) and measures the strong-form residual on the way, from the G(D^2 u)
-that each sampled step computes anyway; any other slice is re-marched from
-the next checkpoint on demand, bitwise equal.
+Backward time stepping w(t - dt) = w(t) + dt * G_t(D^2 w).  The diffusion is
+a wide directional stencil (Bonnans-Zidani 2003): each extreme is written as
+Q_ab / (h_a h_b) = sum_j w_j v_j v_j^T with w >= 0 over integer grid
+directions v_j, and Tr[Q D^2 u] is sum_j w_j (u(x + v_j) - 2 u(x) + u(x -
+v_j)); where x + v_j or x - v_j leaves the grid, v_j adds no curvature.  The
+centre weight is 1 - dt * rate with rate = max over extremes of sum_j w_j,
+so dt * rate <= ``CFL_SAFETY`` makes the scheme monotone and L-infinity
+stable; an extreme with no decomposition within ``MAX_STENCIL_RADIUS``
+raises ``StencilError``.  The solve is one backward march over three rolling
+slices that keeps about sqrt(n_steps) checkpoints (revolve-style, Griewank-
+Walther 2000); Q(t) is frozen over each segment between them at its midpoint
+time, which keeps the scheme second order, and n_steps is the fixed point at
+which every segment's rate meets the bound.  The march measures the
+strong-form residual on the way, and any other slice is re-marched over one
+segment, with its one operator, bitwise equal.
 """
 
 from __future__ import annotations
@@ -53,6 +49,7 @@ from .stoch_integral import _convolve, _generator_diag, convolution_path
 
 __all__ = [
     "PdeProblem",
+    "StencilError",
     "MeshSpec",
     "GridSolution",
     "McControlSpec",
@@ -72,11 +69,14 @@ CFL_SAFETY = 0.9
 MAX_STENCIL_RADIUS = 8
 
 
+class StencilError(ValueError):
+    """An extreme with no nonnegative weights on the grid's integer directions."""
+
+
 @dataclass(frozen=True)
 class PdeProblem:
     """Terminal-value problem on a box, with covariance set ``sigma`` and an
-    optional diagonal nonpositive transport generator ``a_gen``; the box of
-    each axis with a nonzero rate holds 0."""
+    optional diagonal nonpositive transport generator ``a_gen``."""
 
     dim: int
     sigma: CovarianceSet
@@ -96,10 +96,7 @@ class PdeProblem:
         if len(box) != self.dim or any(hi <= lo for lo, hi in box):
             raise ValueError("domain_box must give a nonempty interval per axis")
         object.__setattr__(self, "domain_box", box)
-        for a, ((lo, hi), rate) in enumerate(zip(box, self.generator_diag())):
-            if rate != 0.0 and not lo <= 0.0 <= hi:
-                raise ValueError(f"the box [{lo}, {hi}] of transported axis {a} must "
-                                 f"hold 0, where the upwind differences point")
+        self.generator_diag()  # rejects a generator that is not diagonal nonpositive
 
     def generator_diag(self) -> np.ndarray:
         return _generator_diag(self.a_gen, self.dim)
@@ -127,25 +124,25 @@ class MeshSpec:
 class GridSolution:
     """Backward-evolved value function on a space-time grid, held as checkpoints.
 
-    Slice k is the value at time ``times[k]``; index 0 is the initial time,
-    ``n_steps`` the terminal data.  A solution keeps slice 0, the terminal
-    slice and evenly spaced checkpoint slices between them, at most
-    isqrt(n_steps) + 2 slices in all, and ``residual``, the strong-form
-    residual measured during the solve (see ``residual_check``).  ``time_slice(k)``
-    re-marches any other slice from the next checkpoint up, at most one
-    segment, and ``values`` re-marches the whole (n_steps + 1, ...) array on
-    every read; both use a fresh stencil, and the march is deterministic, so
-    both are bitwise what the solve computed.
+    Slice k is the mild-frame value w(t_k, .) on the grid, t_k = ``times[k]``:
+    u(t_k, x) = w(t_k, E(t_k) x), E(t_k) the diagonal ``flow(k)``.  A
+    solution keeps slice 0, the terminal slice ``n_steps`` and evenly spaced
+    checkpoint slices between them, at most isqrt(n_steps) + 2 in all, and
+    ``residual``, measured during the solve (see ``residual_check``).
+    ``time_slice(k)`` re-marches any other slice over one segment from the
+    next checkpoint up, and ``values`` the whole (n_steps + 1, ...) array on
+    every read; the march is deterministic, so both are bitwise what the
+    solve computed.
     """
 
-    __slots__ = ("axes", "dt", "n_steps", "cfl_ratio", "residual", "_kept", "_spacing",
-                 "_operator", "values")
+    __slots__ = ("axes", "dt", "n_steps", "cfl_ratio", "residual", "_kept", "_segments",
+                 "values")
 
-    def __init__(self, axes, dt, kept, spacing, operator, cfl_ratio, residual):
-        for name, value in (("axes", tuple(axes)), ("dt", float(dt)),
-                            ("n_steps", max(kept)), ("cfl_ratio", float(cfl_ratio)),
+    def __init__(self, segments, kept, cfl_ratio, residual):
+        for name, value in (("axes", tuple(segments.axes)), ("dt", segments.dt),
+                            ("n_steps", segments.n_steps), ("cfl_ratio", float(cfl_ratio)),
                             ("residual", residual), ("_kept", kept),
-                            ("_spacing", spacing), ("_operator", operator)):
+                            ("_segments", segments)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -158,7 +155,7 @@ class GridSolution:
         top = self._kept[self.n_steps]
         values = np.empty((self.n_steps + 1, *top.shape))
         values[-1] = top
-        for k, u, _ in _march(self._stencil(), top, self.n_steps, self.dt):
+        for k, u, _ in _march(self._segments, top, self.n_steps):
             values[k] = u
         return values
 
@@ -171,6 +168,10 @@ class GridSolution:
         """Bytes of the stored checkpoint slices."""
         return sum(u.nbytes for u in self._kept.values())
 
+    def flow(self, k) -> np.ndarray:
+        """The diagonal of E(t_k): slice k holds u(t_k, x) at the node E(t_k) x."""
+        return self._segments.flow(k)
+
     def time_index(self, t: float) -> int:
         k = int(round(t / self.dt))
         if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > self.dt / 2 + 1e-12:
@@ -182,20 +183,20 @@ class GridSolution:
         one up."""
         if not 0 <= k <= self.n_steps:
             raise IndexError(f"slice {k} outside 0..{self.n_steps}")
-        top = min(-(-k // self._spacing) * self._spacing, self.n_steps)
+        spacing = self._segments.spacing
+        top = min(-(-k // spacing) * spacing, self.n_steps)
         u = self._kept[top]
         if top > k:
-            for _, u, _ in _march(self._stencil(), u, top, self.dt, stop=k):
+            for _, u, _ in _march(self._segments, u, top, stop=k):
                 pass
         return u.copy()
 
     def value_at(self, t: float, point) -> float:
-        """Multilinear interpolation of the slice nearest to t."""
-        interp = RegularGridInterpolator(self.axes, self.time_slice(self.time_index(t)))
-        return float(interp(np.atleast_2d(as_coords(point)))[0])
-
-    def _stencil(self) -> "_Stencil":
-        return _Stencil(self.axes, *self._operator)
+        """u at time t and ``point``: the slice nearest to t, interpolated
+        multilinearly at E(t_k) ``point``."""
+        k = self.time_index(t)
+        interp = RegularGridInterpolator(self.axes, self.time_slice(k))
+        return float(interp(np.atleast_2d(self.flow(k) * as_coords(point)))[0])
 
 
 class McValue(NamedTuple):
@@ -213,11 +214,6 @@ class McControlSpec:
     seed: int = 0
 
 
-def _mesh_axes(problem: PdeProblem, mesh_spec: MeshSpec) -> list[np.ndarray]:
-    counts = mesh_spec.nodes_per_axis(problem.dim)
-    return [np.linspace(lo, hi, c) for (lo, hi), c in zip(problem.domain_box, counts)]
-
-
 def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
     """Integer grid directions and nonnegative weights for every extreme.
 
@@ -228,7 +224,7 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
     leaves no residual.  Its columns are the unit-trace atoms v v^T / |v|^2,
     so the active set enters the direction of largest Rayleigh quotient
     first, the shortest one on ties: a diagonal extreme gets the axes alone.
-    Raises ValueError for an extreme with no such weights within
+    Raises StencilError for an extreme with no such weights within
     ``MAX_STENCIL_RADIUS`` (a rank-deficient extreme with an irrational
     kernel has none at any radius).
     """
@@ -254,7 +250,7 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
                 weights[q, :n] = w / length[:n]
                 break
         else:
-            raise ValueError(
+            raise StencilError(
                 f"extreme {q} {np.asarray(mat).tolist()} has no nonnegative weights "
                 f"on integer grid directions of radius <= {MAX_STENCIL_RADIUS} "
                 f"at spacing h = {h.tolist()}"
@@ -264,7 +260,7 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
 
 
 class _Stencil:
-    """The scheme's spatial operator on one grid, evaluated in reused buffers.
+    """G(D^2 u) for one set of extremes on one grid, evaluated in reused buffers.
 
     Every term reads the nodes flat in C order, where a direction v is a flat
     shift by s = |sum_a v_a n_a|, n_a the node strides.  For G(D^2 u), u(x +
@@ -273,20 +269,14 @@ class _Stencil:
     grid (there the flat shift wraps into another row) the sum is then set to
     2 u(x), so that v adds no curvature there.
 
-    Transport and the residual's kink test read the forward differences
-    d_a[p] = u[p + n_a] - u[p] of the same array, with no ghost layer.  The
-    flow contracts toward 0 and ``PdeProblem`` makes a transported axis's
-    box hold 0, so nodes with x_a < 0 read forward and are never last on
-    the axis, and the others read backward (d_a one node behind) and are
-    never first; a box starting at 0 puts that node, of velocity 0, with
-    the forward ones.  Centred and second differences hold at interior
-    nodes, all the residual reads; elsewhere they are finite by-products.
+    The residual's kink test reads the forward differences d_a[p] = u[p +
+    n_a] - u[p] of the same array, one axis at a time, with no ghost layer:
+    d_a[p] - d_a[p - n_a] is the raw second difference, exact at the
+    interior nodes, all the residual reads.
     """
 
-    def __init__(self, axes, extremes, gen_diag):
-        dim = len(axes)
+    def __init__(self, axes, extremes):
         counts = tuple(ax.size for ax in axes)
-        h = np.array([ax[1] - ax[0] for ax in axes])
 
         # sums u(x + v) + u(x - v) on the nodes, then u itself, stacked for one
         # contraction with the rows (w_q / 2, -sum_j w_qj): the last column of
@@ -294,7 +284,7 @@ class _Stencil:
         dirs, weights = _decompose(extremes, axes)
         self._coef = np.hstack([weights / 2.0, -np.sum(weights, axis=1, keepdims=True)])
         nodes = math.prod(counts)
-        node_strides = [math.prod(counts[a + 1:]) for a in range(dim)]
+        node_strides = [math.prod(counts[a + 1:]) for a in range(len(axes))]
         self._entries = np.zeros((len(dirs) + 1, nodes))
         u_flat = self._entries[-1]
         self._rows = []
@@ -314,44 +304,17 @@ class _Stencil:
         self._g = np.zeros(nodes)
         self._g_nodes = self._g.reshape(counts)
 
-        # forward differences d_a[p] = u[p + n_a] - u[p], valid for p < nodes - n_a
-        self._fd = np.zeros((dim, nodes))
-        self._fd_ops = [(u_flat[s:], u_flat[:nodes - s], self._fd[a, :nodes - s])
-                        for a, s in enumerate(node_strides)]
-        # d_a[p] and d_a[p - n_a] over the flat range that holds every interior
-        # node: their sum is 2 h_a times the centred difference, their
-        # difference the raw second difference
+        # d[p] = u[p + n_a] - u[p] for p < nodes - n_a, and d[p], d[p - n_a]
+        # over the flat range that holds every interior node
         lo = sum(node_strides)
         self._inner = slice(lo, nodes - lo)
-        self._pairs = [(self._fd[a, self._inner], self._fd[a, lo - s:nodes - lo - s])
-                       for a, s in enumerate(node_strides)]
-        self._c = np.zeros(nodes)
-
-        # upwind transport: one slab product for the leading block of each axis,
-        # v > 0, and one for the rest, v <= 0; together they write every node
-        self._upwind, self._centered_rates = [], [None] * dim
-        self._t = np.zeros(counts)
-        fd_box = self._fd.reshape(dim, *counts)
-        adv_rate = 0.0
-        for a in range(dim):
-            if gen_diag[a] == 0.0:
-                continue
-            v = (gen_diag[a] * axes[a]).reshape((-1,) + (1,) * (dim - a - 1))
-            n_pos = max(1, int(np.count_nonzero(v > 0.0)))
-            adv_rate += float(np.max(np.abs(v))) / h[a]
-
-            def along(arr, start, stop, a=a):
-                return arr[(slice(None),) * a + (slice(start, stop),)]
-
-            self._upwind.append((self._fd_ops[a], (
-                (along(fd_box[a], 0, n_pos), v[:n_pos] / h[a], along(self._t, 0, n_pos)),
-                (along(fd_box[a], n_pos - 1, counts[a] - 1), v[n_pos:] / h[a],
-                 along(self._t, n_pos, counts[a])),
-            )))
-            self._centered_rates[a] = v / (2.0 * h[a])
+        self._fd = np.zeros(nodes)
+        self._axis_ops = [(u_flat[s:], u_flat[:nodes - s], self._fd[:nodes - s],
+                           self._fd[self._inner], self._fd[lo - s:nodes - lo - s])
+                          for s in node_strides]
 
         # the update's centre weight is 1 - dt * rate at worst
-        self.rate = float(np.max(-self._coef[:, -1])) + adv_rate
+        self.rate = float(np.max(-self._coef[:, -1]))
 
     def g_of_hessian(self, u: np.ndarray) -> np.ndarray:
         """1/2 max over extremes of Tr[Q D^2 u] at the nodes, in a reused buffer.
@@ -367,78 +330,102 @@ class _Stencil:
         np.max(self._acc, axis=0, out=self._g)
         return self._g_nodes
 
-    def rhs(self, u: np.ndarray, keep=None) -> np.ndarray:
-        """<A x, Du> + G(D^2 u) at the nodes, with upwind transport.
-
-        A view of a buffer that the next call overwrites.  ``keep``, if given,
-        receives a copy of G(D^2 u) before the transport is added.
-        """
-        rhs = self.g_of_hessian(u)
-        if keep is not None:
-            np.copyto(keep, rhs)
-        for (ahead, here, diff), slabs in self._upwind:
-            np.subtract(ahead, here, out=diff)
-            for diff_slab, rate, out in slabs:
-                np.multiply(diff_slab, rate, out=out)
-            rhs += self._t
-        return rhs
-
-    def residual_terms(self, terms: np.ndarray):
-        """G(D^2 u) plus centered transport, and the largest |raw second
-        difference| over the axes, both exact at the interior nodes, for the
-        u in the node array (the one ``g_of_hessian`` or ``rhs`` last read).
-
-        ``terms`` holds G(D^2 u) on the nodes and receives the transport in
-        place.
-        """
-        c, c_inner = self._c.reshape(terms.shape), self._c[self._inner]
-        jumps = np.zeros(self._c.size)
+    def jumps(self) -> np.ndarray:
+        """The largest |raw second difference| over the axes at the nodes,
+        exact at the interior ones, for the u in the node array (the one
+        ``g_of_hessian`` last read)."""
+        jumps = np.zeros(self._g.size)
         jumps_inner = jumps[self._inner]
-        for (ahead, here, diff), (fwd, bwd), rate in zip(
-                self._fd_ops, self._pairs, self._centered_rates):
+        for ahead, here, diff, fwd, bwd in self._axis_ops:
             np.subtract(ahead, here, out=diff)
-            if rate is not None:
-                np.add(fwd, bwd, out=c_inner)
-                np.multiply(c, rate, out=c)
-                terms += c
-            np.subtract(fwd, bwd, out=c_inner)
-            np.abs(c_inner, out=c_inner)
-            np.maximum(jumps_inner, c_inner, out=jumps_inner)
-        return terms, jumps.reshape(terms.shape)
+            np.maximum(jumps_inner, np.abs(fwd - bwd), out=jumps_inner)
+        return jumps.reshape(self._g_nodes.shape)
 
 
-def _march(stencil, top, k_top, dt, stop=0, sample=frozenset()):
-    """The scheme's one backward loop: u_{k-1} = u_k + dt * rhs(u_k), from
-    u_{k_top} = ``top`` down to u_stop.
+class _Segments:
+    """The operators of a march of ``n_steps`` steps over [0, T].
 
-    Yields ``(k - 1, u_{k-1}, r_k)`` per step.  For k in ``sample`` (below
-    k_top), r_k is the strong-form residual |u_t + G(D^2 u) + <A x, Du>| at
-    slice k, centred in time and space, maximised over the interior nodes
-    whose raw second difference stays within ten times the slice median
-    (kinks are left out); it reuses the step's G(D^2 u_k), and is 0.0 where
-    every node is a kink.  Otherwise r_k is None.  The slices rotate through
-    three buffers, so a yielded one is overwritten two steps later.  Raises
-    ValueError for an unstable step or a non-finite slice.
+    Checkpoints sit at slice 0, at the terminal slice and at every multiple of
+    ``spacing``, at most isqrt(n_steps) + 1 segments.  The step from slice k
+    down to k - 1 uses Q(t) = E(t) Q E(t) at the midpoint time of the segment
+    that holds it."""
+
+    def __init__(self, axes, extremes, rates, T, n_steps):
+        self.axes, self.extremes, self.rates = axes, extremes, rates
+        self.n_steps, self.dt = n_steps, T / n_steps
+        self.spacing = -(-n_steps // (math.isqrt(n_steps) + 1))
+
+    def flow(self, k) -> np.ndarray:
+        """The diagonal of E(t) = exp((T - t) A) at t = k dt."""
+        return np.exp((self.n_steps - k) * self.dt * self.rates)
+
+    def midpoint_flow(self, k) -> np.ndarray:
+        """E at the midpoint of the segment of the step from slice k down."""
+        lo = (k - 1) // self.spacing * self.spacing
+        return self.flow((lo + min(lo + self.spacing, self.n_steps)) / 2)
+
+    def extremes_at(self, flow) -> np.ndarray:
+        return self.extremes * np.outer(flow, flow)
+
+
+def _plan(problem: PdeProblem, axes) -> tuple[_Segments, float]:
+    """The segments of a solve and their largest rate, the centre weight per
+    unit dt: n_steps starts from the terminal extremes' rate and grows until
+    dt * rate <= ``CFL_SAFETY`` for the operator of every segment it makes."""
+    extremes, rates, T = problem.sigma.matrices, problem.generator_diag(), problem.T
+
+    def steps_for(mats):
+        rate = float(np.max(np.sum(_decompose(mats, axes)[1], axis=1)))
+        return max(1, math.ceil(T * rate / CFL_SAFETY)), rate
+
+    n_steps, rate = steps_for(extremes)
+    while True:
+        segments = _Segments(axes, extremes, rates, T, n_steps)
+        flows = {tuple(segments.midpoint_flow(lo + 1))
+                 for lo in range(0, n_steps, segments.spacing)}
+        need, rate = max(steps_for(segments.extremes_at(np.array(f))) for f in flows)
+        if need <= n_steps:
+            return segments, rate
+        n_steps = need
+
+
+def _march(segments, top, k_top, stop=0, sample=frozenset()):
+    """The scheme's one backward loop: w_{k-1} = w_k + dt * G_k(D^2 w_k), from
+    w_{k_top} = ``top`` down to w_stop, G_k the operator of the step's segment.
+
+    A step whose operator differs from the last step's gets a new stencil,
+    built once the last one is dropped.  Yields ``(k - 1, w_{k-1}, r_k)`` per
+    step.  For k in ``sample`` (below k_top), r_k is the strong-form residual
+    |w_t + G_k(D^2 w)| at slice k, centred in time and space, maximised over
+    the interior nodes whose raw second difference stays within ten times the
+    slice median (kinks are left out); it reuses the step's G_k(D^2 w_k), and
+    is 0.0 where every node is a kink.  Otherwise r_k is None.  The slices
+    rotate through three buffers, so a yielded one is overwritten two steps
+    later.  Raises ValueError for an unstable step or a non-finite slice.
     """
-    if dt * stencil.rate > 1.0:
-        raise ValueError(f"unstable configuration: cfl_ratio {dt * stencil.rate} > 1")
+    dt = segments.dt
     ring = np.empty((3, *top.shape))
     ring[k_top % 3] = top
-    g = np.empty(top.shape)
     interior = (slice(1, -1),) * top.ndim
     _require_finite(top)
+    flow = None
     for k in range(k_top, stop, -1):
+        if not np.array_equal(segments.midpoint_flow(k), flow):
+            stencil = g = None  # one stencil alive at a time
+            flow = segments.midpoint_flow(k)
+            stencil = _Stencil(segments.axes, segments.extremes_at(flow))
+            if dt * stencil.rate > 1.0:
+                raise ValueError(f"unstable configuration: cfl_ratio {dt * stencil.rate} > 1")
         u, below = ring[k % 3], ring[(k - 1) % 3]
-        measure = k in sample
-        np.multiply(stencil.rhs(u, keep=g if measure else None), dt, out=below)
+        g = stencil.g_of_hessian(u)
+        np.multiply(g, dt, out=below)
         below += u
         _require_finite(below)
         r_k = None
-        if measure:
-            terms, jumps = stencil.residual_terms(g)
+        if k in sample:
             u_t = (ring[(k + 1) % 3] - below) / (2.0 * dt)
-            resid = np.abs(u_t + terms)[interior]
-            raw_jump = jumps[interior]
+            resid = np.abs(u_t + g)[interior]
+            raw_jump = stencil.jumps()[interior]
             smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
             r_k = float(resid[smooth].max()) if np.any(smooth) else 0.0
         yield k - 1, below, r_k
@@ -450,13 +437,10 @@ def _require_finite(u: np.ndarray) -> None:
 
 
 def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
-    axes = _mesh_axes(problem, mesh_spec)
-    counts = tuple(ax.size for ax in axes)
-    operator = (problem.sigma.matrices, problem.generator_diag())
-    stencil = _Stencil(axes, *operator)
-    dt_max = 1.0 / stencil.rate if stencil.rate > 0.0 else problem.T
-    n_steps = max(1, math.ceil(problem.T / (CFL_SAFETY * dt_max)))
-    dt = problem.T / n_steps
+    counts = mesh_spec.nodes_per_axis(problem.dim)
+    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(problem.domain_box, counts)]
+    segments, rate = _plan(problem, axes)
+    n_steps = segments.n_steps
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     terminal = np.array(problem.terminal_f(points), dtype=float)
@@ -466,8 +450,6 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
             f"got {terminal.shape}"
         )
 
-    # at most isqrt(n_steps) + 1 segments between the kept slices
-    spacing = -(-n_steps // (math.isqrt(n_steps) + 1))
     kept = {n_steps: terminal}
     # the residual needs 3 interior nodes per axis; it is measured at every
     # interior slice up to 41 steps, at 40 evenly spread ones beyond
@@ -476,12 +458,12 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
         residual = 0.0
         sample = frozenset(np.linspace(1, n_steps - 1, 40).astype(int).tolist()
                            if n_steps > 41 else range(1, n_steps))
-    for k, u, resid in _march(stencil, terminal, n_steps, dt, sample=sample):
-        if k % spacing == 0:
+    for k, u, resid in _march(segments, terminal, n_steps, sample=sample):
+        if k % segments.spacing == 0:
             kept[k] = u.copy()
         if resid is not None:
             residual = max(residual, resid)
-    return GridSolution(axes, dt, kept, spacing, operator, dt / dt_max, residual)
+    return GridSolution(segments, kept, segments.dt * rate, residual)
 
 
 def solve_gheat(problem: PdeProblem, mesh_spec: MeshSpec = MeshSpec()) -> GridSolution:
@@ -492,28 +474,31 @@ def solve_gheat(problem: PdeProblem, mesh_spec: MeshSpec = MeshSpec()) -> GridSo
 
 
 def solve_gpde(problem: PdeProblem, mesh_spec: MeshSpec = MeshSpec()) -> GridSolution:
-    """Solve the full equation with diagonal nonpositive transport.
+    """Solve the full equation with diagonal nonpositive transport, in the
+    mild frame; a zero generator runs the identical march as ``solve_gheat``.
 
-    A zero generator runs the identical stepping kernel as ``solve_gheat``.
+    Raises StencilError when some segment's extremes Q(t) have no stencil.
     """
     return _solve(problem, mesh_spec)
 
 
 def residual_check(solution: GridSolution, problem: PdeProblem) -> float:
-    """Strong-form residual |u_t + <A x, Du> + G(D^2 u)| on smooth interior.
+    """Strong-form residual |w_t + G_t(D^2 w)| of the mild-frame value on
+    smooth interior, with the operator of each step's segment.
 
     Centered differences in space and time on interior nodes; nodes whose raw
     second difference jumps above ten times the slice median are treated as
-    kinks and excluded.  Returns the maximum over the sampled interior slices
-    (every one up to 41 steps, 40 evenly spread beyond), which the solve
-    measured as it marched.  ``problem`` must have the extremes and the
-    generator of the problem that was solved.
+    kinks and excluded.
+    Returns the maximum over the sampled interior slices (every one up to 41
+    steps, 40 evenly spread beyond), which the solve measured as it marched.
+    ``problem`` must have the extremes and the generator of the problem that
+    was solved.
     """
     if any(ax.size < 5 for ax in solution.axes):
         raise ValueError("residual check needs >= 3 interior nodes per axis")
-    extremes, gen_diag = solution._operator
-    if not (np.array_equal(problem.sigma.matrices, extremes)
-            and np.array_equal(problem.generator_diag(), gen_diag)):
+    segments = solution._segments
+    if not (np.array_equal(problem.sigma.matrices, segments.extremes)
+            and np.array_equal(problem.generator_diag(), segments.rates)):
         raise ValueError("the problem's extremes or generator differ from those "
                          "of the problem that was solved")
     return solution.residual
@@ -582,13 +567,17 @@ def mc_values(
 ) -> list[McValue]:
     """``mc_value`` at each probe, the supremum over the mild paths started there.
 
-    A constant or time-table member's mild terminal state at a probe x0 is
-    the convolution of its driving paths, which does not depend on x0, plus
-    the flow term exp((T - t0) A) x0, so it walks once for all probes and its
-    convolution is shifted per probe.  A feedback member's rule reads the
-    mild state, which does depend on x0, so it walks once per probe, started
-    there, as x_{k+1} = exp(dt A) (x_k + dx_k).  A NaN mean wins a probe's
-    supremum (see ``control_sim._policy_sup``).
+    Each extreme Q walks with its exact step covariance per unit dt, Q~_ab =
+    Q_ab (1 - exp(-(a_a + a_b) dt)) / ((a_a + a_b) dt) (Q_ab where a_a + a_b =
+    0), so the left-point mild recursion x_{k+1} = exp(dt A) (x_k + dx_k)
+    has the law of the OU step, int_0^dt e^{sA} Q e^{sA} ds, and every
+    piecewise-constant control is exact in law.  A constant or time-table
+    member's mild terminal state at a probe x0 is the convolution of its
+    driving paths, which does not depend on x0, plus the flow term exp((T -
+    t0) A) x0, so it walks once for all probes and its convolution is shifted
+    per probe.  A feedback member's rule reads the mild state, which does
+    depend on x0, so it walks once per probe, started there.  A NaN mean wins
+    a probe's supremum (see ``control_sim._policy_sup``).
     """
     if not 0.0 <= t0 < problem.T:
         raise ValueError(f"t0 must lie in [0, T), got {t0}")
@@ -598,6 +587,10 @@ def mc_values(
     flow_T = np.exp((problem.T - t0) * diag)
     n_paths, T = control_spec.n_paths, problem.T - t0
     decay = np.exp(T / steps * diag)
+    sums = np.add.outer(diag, diag) * (T / steps)
+    inflation = np.divide(-np.expm1(-sums), sums, out=np.ones_like(sums),
+                          where=sums != 0.0)
+    step_sigma = CovarianceSet(sigma.matrices * inflation, label=sigma.label)
 
     def payoff(policy, walk):
         if policy.kind == "feedback":
@@ -611,4 +604,4 @@ def mc_values(
         return np.reshape(rows, (len(x0s), n_paths))
 
     return [McValue(est.value, est.stderr) for est in _policy_sup(
-        sigma, control_spec.family, n_paths, steps, T, control_spec.seed, payoff)]
+        step_sigma, control_spec.family, n_paths, steps, T, control_spec.seed, payoff)]

@@ -202,14 +202,22 @@ class TestRun:
             [1.0, math.sqrt(2.0), math.sqrt(2.0), 2.0], [1, 0, 0, 1]]},
           "params": {"nodes": 9, "n_paths": 50, "n_probes": 1, "scalar_nodes": 21}},
          "extreme 0"),
-        # transport toward 0 on a box without 0 would read off the grid
+        # u(0, x) is read at E(0) x: a box without 0 holds no E(0) probe, since
+        # the probes lie at radius (2.4 - 0.5) / 8 around 0 and E(0) <= 1
         ({"kind": "gpde", "params": {"box": [0.5, 2.4], "nodes": 9, "n_paths": 50,
                                      "n_probes": 1, "scalar_nodes": 21}},
-         "'a_diag', 'box'"),
-        # holds 0 but not the probes at radius (2.4 + 0.1) / 8 around it
+         "'box'"),
+        # holds 0 but not every probe at radius (2.4 + 0.1) / 8, mapped by
+        # E(0) = diag(e^-0.5, e^-1)
         ({"kind": "gpde", "params": {"box": [-0.1, 2.4], "nodes": 9, "n_paths": 50,
                                      "n_probes": 10, "scalar_nodes": 21}},
          "'box'"),
+        # rank one along (1, 1) at t = T, but E(t) (1, 1) = (e^-s, e^-2s) is no
+        # integer direction for the segment midpoints s = T - t > 0
+        ({"kind": "gpde", "sigma": {"dim": 2, "extremes": [[1, 1, 1, 1], [1, 0, 0, 1]]},
+          "params": {"a_diag": [-1.0, -2.0], "nodes": 9, "n_paths": 50, "n_probes": 1,
+                     "scalar_nodes": 21}},
+         "'sigma'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):

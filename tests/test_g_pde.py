@@ -20,7 +20,9 @@ from gexpect.g_pde import (
     solve_gheat,
     solve_gpde,
 )
-from gexpect.g_pde import CFL_SAFETY, MAX_STENCIL_RADIUS, _march, _Stencil, _decompose
+from gexpect.g_pde import (
+    CFL_SAFETY, MAX_STENCIL_RADIUS, StencilError, _decompose, _march, _Segments, _Stencil,
+)
 
 
 def band_problem(f, T=0.5, box=((-3.0, 3.0),), a_gen=None):
@@ -123,13 +125,18 @@ class TestGHeat:
 
 class TestGPde:
     def test_linear_profile_transported(self):
-        # f = x: u(0, x) = e^{-lam T} x, diffusion term centered out
+        # f = x: u(0, x) = e^{-lam T} x.  In the mild frame w = f at every t,
+        # read at e^{-lam T} x, which a box on either side of 0 may hold
         lam, T = 1.0, 0.5
-        prob = band_problem(lambda p: p[..., 0], T=T, a_gen=np.array([[-lam]]))
-        sol = solve_gpde(prob, MeshSpec(nodes=121))
-        h = sol.axes[0][1] - sol.axes[0][0]
-        want = math.exp(-lam * T) * 1.0
-        assert sol.value_at(0.0, [1.0]) == pytest.approx(want, abs=2.0 * (h + sol.dt))
+        for box, x in (((0.5, 2.0), 1.0), ((-2.0, -0.5), -1.0), ((-3.0, 3.0), 1.0)):
+            prob = band_problem(lambda p: p[..., 0], T=T, box=(box,),
+                                a_gen=np.array([[-lam]]))
+            sol = solve_gpde(prob, MeshSpec(nodes=121))
+            want = math.exp(-lam * T) * x
+            assert sol.value_at(0.0, [x]) == pytest.approx(want, abs=1e-12)
+        # a point whose image E(0) x leaves the box has no value
+        with pytest.raises(ValueError):
+            sol.value_at(0.0, [6.0])
 
     def test_zero_generator_reduces_to_gheat(self):
         prob_plain = band_problem(f_square, T=0.3)
@@ -156,18 +163,6 @@ class TestGPde:
         assert np.array_equal(prob.generator_diag(), [0.0])
         assert not prob.has_transport()
 
-    def test_rejects_transport_on_a_box_without_the_origin(self):
-        # the flow contracts toward 0, so on [0.5, 2] the upwind difference
-        # at x = 0.5 would read a node left of the grid
-        f = lambda p: np.maximum(0.0, 1.0 - 20.0 * np.abs(p[..., 0] - 0.55))
-        for box in ((0.5, 2.0), (-2.0, -0.5)):
-            with pytest.raises(ValueError, match="transported axis 0 must hold 0"):
-                PdeProblem(1, CovarianceSet([[[0.01]]]), f, 0.3, (box,),
-                           a_gen=np.array([[-2.0]]))
-        # an axis without transport may lie on one side of 0
-        PdeProblem(2, CovarianceSet([np.eye(2)]), f, 0.3, ((0.5, 2.0), (-1.0, 1.0)),
-                   a_gen=np.diag([0.0, -2.0]))
-
     def test_rejects_nondiagonal_generator(self):
         sigma = CovarianceSet([np.eye(2)])
         with pytest.raises(ValueError):
@@ -176,6 +171,29 @@ class TestGPde:
                 ((-1.0, 1.0), (-1.0, 1.0)),
                 a_gen=np.array([[-1.0, 0.3], [0.3, -1.0]]),
             )
+
+    def test_closed_form_converges_at_second_order(self):
+        # the gpde config's problem: an ordered set and a convex payoff, so
+        # u(0, x) = sum_i q_i e^{2 a_i T} x_i^2 + sum_i Q_ii q_i (e^{2 a_i T} - 1) / (2 a_i)
+        # with Q the larger extreme
+        sigma = CovarianceSet([np.diag([1.0, 0.8]), np.diag([0.4, 0.2])])
+        a, q, T = np.array([-1.0, -2.0]), np.array([0.5, 0.3]), 0.5
+        prob = PdeProblem(2, sigma, lambda p: (p**2) @ q, T, ((-2.4, 2.4),) * 2,
+                          a_gen=np.diag(a))
+        probes = np.vstack([[0.3, -0.4], np.random.default_rng(1).uniform(-0.6, 0.6, (10, 2))])
+        want = (probes**2) @ (q * np.exp(2 * a * T)) + float(
+            np.sum(np.diag(sigma.matrices[0]) * q * np.expm1(2 * a * T) / (2 * a)))
+        errors = []
+        for nodes in (25, 49, 97):
+            sol = solve_gpde(prob, MeshSpec(nodes=nodes))
+            errors.append(np.abs([sol.value_at(0.0, x) for x in probes] - want))
+        assert errors[1][0] <= 0.003
+        # the largest error over the probes falls 4x per halving of h; one
+        # probe's share of the multilinear interpolation error, up to
+        # sum_a q_a h^2 / 4, depends on where E(0) x sits in its cell, so
+        # (0.3, -0.4) alone falls only 2.5x from 25 to 49 nodes
+        worst = [float(np.max(e)) for e in errors]
+        assert worst[0] >= 3.0 * worst[1] and worst[1] >= 3.0 * worst[2]
 
     def test_residual_small_for_smooth_classical(self):
         s2 = 0.49
@@ -227,8 +245,9 @@ class TestMonotoneScheme:
     @pytest.mark.parametrize("box", [(0.0, 2.0), (-2.0, 0.0)])
     @pytest.mark.parametrize("dim", [1, 2])
     def test_maximum_principle_with_the_origin_at_a_box_end(self, dim, box):
-        # transport dominates; the data peak next to the origin, where the
-        # upwind differences of the end node read no node beyond the grid
+        # transport dominates and the data peak next to the origin, at a box
+        # end: the segment operators E Q E of a correlated set keep the
+        # mild-frame slices within the terminal data's range
         extremes = [0.01 * np.eye(dim), 0.01 * (np.eye(dim) + np.ones((dim, dim)))]
         gen = np.diag([-2.0, -1.0][:dim])
         peak = 0.05 if box[0] == 0.0 else -0.05
@@ -247,7 +266,8 @@ class TestMonotoneScheme:
 
     @pytest.mark.parametrize("dim", [1, 2])
     def test_dt_comes_from_the_centre_weight(self, dim):
-        # diagonal extremes take the axes: rate = max_q sum_a Q_aa / h_a^2 + upwind
+        # diagonal extremes take the axes: rate = max_q sum_a Q_aa / h_a^2 at the
+        # terminal time, and every segment's E Q E has a smaller one
         if dim == 1:
             sigma, gen, box, nodes = CovarianceSet([[[1.0]], [[0.25]]]), [-0.8], ((-3.0, 3.0),), 61
         else:
@@ -257,21 +277,46 @@ class TestMonotoneScheme:
         prob = PdeProblem(dim, sigma, lambda p: p[..., 0] ** 2, T, box, a_gen=np.diag(gen))
         sol = solve_gpde(prob, MeshSpec(nodes=nodes))
         h = np.array([ax[1] - ax[0] for ax in sol.axes])
-        adv = sum(abs(g) * max(abs(lo), abs(hi)) / h_a
-                  for g, (lo, hi), h_a in zip(gen, box, h))
-        rate = max(float(np.sum(np.diag(q) / h**2)) for q in sigma.matrices) + adv
+        rate = max(float(np.sum(np.diag(q) / h**2)) for q in sigma.matrices)
         assert sol.dt == T / math.ceil(T * rate / CFL_SAFETY)
+        assert sol.cfl_ratio < CFL_SAFETY
 
     def test_rejects_extreme_without_directions(self):
         # rank one along (1, sqrt 2): no integer direction carries its kernel
         q = np.array([[1.0, math.sqrt(2.0)], [math.sqrt(2.0), 2.0]])
         axes = [np.linspace(-1.0, 1.0, 11)] * 2
-        with pytest.raises(ValueError, match=rf"extreme 1 .* <= {MAX_STENCIL_RADIUS}"):
+        with pytest.raises(StencilError, match=rf"extreme 1 .* <= {MAX_STENCIL_RADIUS}"):
             _decompose([np.eye(2), q], axes)
         prob = PdeProblem(2, CovarianceSet([q]), lambda p: p[..., 0], 0.1,
                           ((-1.0, 1.0),) * 2)
-        with pytest.raises(ValueError, match="extreme 0"):
+        with pytest.raises(StencilError, match="extreme 0"):
             solve_gheat(prob, MeshSpec(nodes=11))
+
+    def test_flow_can_stretch_an_extreme_past_the_stencil(self):
+        # E Q E keeps Q's correlation 0.3, but E = diag(1, e) shrinks axis 1
+        # against axis 0, and the direction (k, 1) that carries it needs
+        # k >= 0.3 / e: within MAX_STENCIL_RADIUS = 8 at e = e^-1, not at e^-4
+        q = np.array([[1.0, 0.3], [0.3, 1.0]])
+        axes = [np.linspace(-1.0, 1.0, 11)] * 2
+        for e in (math.exp(-1.0), math.exp(-4.0)):
+            flowed = [q * np.outer([1.0, e], [1.0, e])]
+            if e > 0.3 / MAX_STENCIL_RADIUS:
+                _decompose(flowed, axes)
+            else:
+                with pytest.raises(StencilError, match="extreme 0"):
+                    _decompose(flowed, axes)
+
+    def test_rank_one_extreme_is_lost_under_unequal_rates(self):
+        # rank one along (1, 1) decomposes at t = T, but its kernel E(t) (1, 1)
+        # turns off the integer directions for t < T; equal rates keep it
+        sigma = CovarianceSet([np.ones((2, 2))])
+        box = ((-1.0, 1.0),) * 2
+        f = lambda p: np.cos(p[..., 0] + p[..., 1])
+        with pytest.raises(StencilError, match="extreme 0"):
+            solve_gpde(PdeProblem(2, sigma, f, 0.2, box, a_gen=np.diag([-1.0, -2.0])),
+                       MeshSpec(nodes=11))
+        solve_gpde(PdeProblem(2, sigma, f, 0.2, box, a_gen=np.diag([-1.0, -1.0])),
+                   MeshSpec(nodes=11))
 
 
 class TestOuPaths:
@@ -301,6 +346,16 @@ class TestOuPaths:
                               [0.5, -1.0], 0.0, 1.5, 48, 200, seed=3)
         for split in (16, 32):
             assert flow_property_discrepancy(bundle, a, split) < 1e-10
+
+
+def step_set(sigma, diag, dt):
+    """The extremes that mc_values walks: Q_ab (1 - e^{-(a_a + a_b) dt}) /
+    ((a_a + a_b) dt), the exact OU step covariance per unit dt before the
+    decay e^{dt A} (Q_ab where a_a + a_b = 0)."""
+    s = (diag[:, None] + diag[None, :]) * dt
+    safe = np.where(s == 0.0, 1.0, s)
+    factor = np.where(s == 0.0, 1.0, -np.expm1(-safe) / safe)
+    return CovarianceSet([q * factor for q in sigma.matrices], label=sigma.label)
 
 
 def mild_feedback_terminal(sigma, rule, x0, diag, T, steps, n_paths, seed):
@@ -363,13 +418,14 @@ class TestMcValue:
         probes = [[0.0, 0.0], [0.5, -0.5], [-1.0, 0.4]]
         got = mc_values(prob, probes, 0.1, spec)
         assert got == [mc_value(prob, p, 0.1, spec) for p in probes]
+        walked = step_set(sigma, np.diag(a), 0.4 / 8)
         for probe, mc in zip(probes, got):
             means = [
                 float(np.mean(f(
-                    mild_feedback_terminal(sigma, pol.rule, probe, np.diag(a), 0.4, 8,
+                    mild_feedback_terminal(walked, pol.rule, probe, np.diag(a), 0.4, 8,
                                            400, seed=7)
                     if pol.kind == "feedback" else
-                    ou_mild_path(a, sigma, pol, probe, 0.1, 0.5, 8, 400, seed=7).terminal
+                    ou_mild_path(a, walked, pol, probe, 0.1, 0.5, 8, 400, seed=7).terminal
                 )))
                 for pol in family.build(len(sigma))
             ]
@@ -387,10 +443,31 @@ class TestMcValue:
         spec = McControlSpec(steps=8, n_paths=2000, seed=11,
                              family=[ControlPolicy.feedback(rule)])
         probes = [[1.0, 0.2], [-0.4, 0.3]]
+        walked = step_set(sigma, np.diag(a), 0.5 / 8)
         for probe, mc in zip(probes, mc_values(prob, probes, 0.0, spec)):
-            hand = f(mild_feedback_terminal(sigma, rule, probe, np.diag(a), 0.5, 8, 2000,
+            hand = f(mild_feedback_terminal(walked, rule, probe, np.diag(a), 0.5, 8, 2000,
                                             seed=11))
             assert mc.value == pytest.approx(float(np.mean(hand)), rel=1e-12)
+
+    def test_steps_have_the_exact_ou_covariance(self):
+        # two steps of lambda = -2 over T = 0.5: the left-point recursion's
+        # variance is (e^-2 + e^-1) / 4 = 0.126, the OU law's (1 - e^-2) / 4 = 0.216
+        lam, T, x0 = -2.0, 0.5, 0.7
+        prob = PdeProblem(1, CovarianceSet([[[1.0]]]), f_square, T, ((-3.0, 3.0),),
+                          a_gen=np.array([[lam]]))
+        spec = McControlSpec(steps=2, n_paths=40_000, seed=13)
+        [mc] = mc_values(prob, [[x0]], 0.0, spec)
+        want = math.exp(2 * lam * T) * x0**2 + math.expm1(2 * lam * T) / (2 * lam)
+        assert abs(mc.value - want) <= 4.0 * mc.stderr
+        # and across axes: E[x_1 x_2] = Q_12 (1 - e^{(a_1 + a_2) T}) / -(a_1 + a_2)
+        q = np.array([[1.0, 0.6], [0.6, 0.5]])
+        a = np.array([-1.0, -3.0])
+        prob = PdeProblem(2, CovarianceSet([q]), lambda p: p[..., 0] * p[..., 1], T,
+                          ((-3.0, 3.0),) * 2, a_gen=np.diag(a))
+        [mc] = mc_values(prob, [[0.0, 0.0]], 0.0, McControlSpec(steps=1, n_paths=40_000,
+                                                                 seed=14))
+        want = 0.6 * math.expm1((a[0] + a[1]) * T) / (a[0] + a[1])
+        assert abs(mc.value - want) <= 4.0 * mc.stderr
 
     def test_feedback_family_stays_below_the_pde_value(self, band_1d):
         # every member is one admissible control, so the supremum over the menu
@@ -445,17 +522,15 @@ def _shift(padded, offsets, depth):
                         for o, n in zip(offsets, np.array(padded.shape) - 2 * depth))]
 
 
-def reference_terms(u, axes, extremes, gen_diag):
-    """G(D^2 u), upwind and centered transport and |raw axis second difference|,
-    one extreme at a time.
+def reference_terms(u, axes, extremes):
+    """G(D^2 u) and |raw axis second difference|, one extreme at a time.
 
     G uses the stencil's directions and weights, reads u through a zero
     np.pad as deep as the widest direction and drops a direction wherever
-    x + v or x - v leaves the grid; the transport and the axis second
-    differences read np.pad's odd reflection, whose ghosts the compared
-    values meet only at a zero velocity or off the interior."""
+    x + v or x - v leaves the grid; the axis second differences read np.pad's
+    odd reflection, whose ghosts the compared values meet only off the
+    interior."""
     dim = u.ndim
-    h = [ax[1] - ax[0] for ax in axes]
     dirs, weights = _decompose(extremes, axes)
     depth = int(np.max(np.abs(dirs), initial=1))
     wide = np.pad(u, depth)
@@ -476,31 +551,36 @@ def reference_terms(u, axes, extremes, gen_diag):
         offsets[axis] = step
         return _shift(padded, offsets, 1)
 
-    grids = np.meshgrid(*axes, indexing="ij")
-    upwind, centered = np.zeros_like(u), np.zeros_like(u)
-    for a in range(dim):
-        v = gen_diag[a] * grids[a]
-        ahead, behind = at(a, 1), at(a, -1)
-        upwind += v * np.where(v > 0.0, (ahead - u) / h[a], (u - behind) / h[a])
-        centered += v * (ahead - behind) / (2.0 * h[a])
     jumps = np.max([np.abs(at(a, 1) - 2.0 * u + at(a, -1)) for a in range(dim)], axis=0)
-    return g, upwind, centered, jumps
+    return g, jumps
+
+
+def segment_extremes(prob, sol, k):
+    """E Q E for the step from slice k down: E = exp((T - t) A) at the
+    midpoint t of the segment between the checkpoints around the step, which
+    sit at the multiples of ceil(n / (isqrt(n) + 1))."""
+    n = sol.n_steps
+    spacing = -(-n // (math.isqrt(n) + 1))
+    lo = (k - 1) // spacing * spacing
+    flow = np.exp((n - (lo + min(lo + spacing, n)) / 2) * sol.dt * prob.generator_diag())
+    return prob.sigma.matrices * np.outer(flow, flow)
 
 
 def reference_residual(solution, problem):
-    """residual_check's sampling and kink rule over ``reference_terms``."""
+    """residual_check's sampling and kink rule over ``reference_terms``, with
+    the operator of each step's segment."""
     n_steps = solution.n_steps
     sample = range(1, n_steps)
     if n_steps > 41:
         sample = np.unique(np.linspace(1, n_steps - 1, 40).astype(int))
     interior = (slice(1, -1),) * problem.dim
+    values = solution.values
     worst = 0.0
     for k in sample:
-        g, _, centered, jumps = reference_terms(
-            solution.values[k], solution.axes, problem.sigma.matrices,
-            problem.generator_diag())
-        u_t = (solution.values[k + 1] - solution.values[k - 1]) / (2.0 * solution.dt)
-        resid = np.abs(u_t + g + centered)[interior]
+        g, jumps = reference_terms(values[k], solution.axes,
+                                   segment_extremes(problem, solution, k))
+        u_t = (values[k + 1] - values[k - 1]) / (2.0 * solution.dt)
+        resid = np.abs(u_t + g)[interior]
         jumps = jumps[interior]
         smooth = jumps <= 10.0 * float(np.median(jumps))
         if np.any(smooth):
@@ -510,8 +590,7 @@ def reference_residual(solution, problem):
 
 def random_case(rng, dim, transport):
     """Random grid, correlated extremes, and optional transport with one rate
-    possibly zero.  An axis without transport straddles zero, lies above it or
-    lies below it; a transported axis holds zero, inside or at either end."""
+    possibly zero.  Each axis straddles zero, lies above it or lies below it."""
     counts = rng.integers(5, 9, size=dim)
     gen_diag = np.zeros(dim)
     if transport:
@@ -519,10 +598,7 @@ def random_case(rng, dim, transport):
         if dim > 1:
             gen_diag[rng.integers(dim)] = 0.0
     free = ((-2.0, 1.5), (0.5, 2.0), (-3.0, -0.5))
-    held = ((-2.0, 1.5), (0.0, 2.0), (-2.0, 0.0))
-    picks = rng.integers(0, 3, dim)
-    boxes = [(held if rate else free)[i] for rate, i in zip(gen_diag, picks)]
-    axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(boxes, counts)]
+    axes = [np.linspace(*free[i], c) for i, c in zip(rng.integers(0, 3, dim), counts)]
     extremes = []
     for _ in range(3):
         raw = rng.standard_normal((dim, dim))
@@ -553,17 +629,20 @@ class TestStencil:
     @pytest.mark.parametrize("transport", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_operator_matches_reference(self, dim, transport):
+        # with transport, the extremes are a segment operator's E Q E, E =
+        # exp(s A) for some s <= 0.5 (a larger s can stretch a correlated
+        # extreme past every stencil of radius <= MAX_STENCIL_RADIUS)
         rng = np.random.default_rng(10 * dim + transport)
         for _ in range(4):
             axes, extremes, gen_diag, u = random_case(rng, dim, transport)
-            g, upwind, centered, jumps = reference_terms(u, axes, extremes, gen_diag)
-            stencil = _Stencil(axes, extremes, gen_diag)
-            # the residual terms hold at the interior nodes, all residual_check reads
+            flow = np.exp(rng.uniform(0.0, 0.5) * gen_diag)
+            extremes = extremes * np.outer(flow, flow)
+            g, jumps = reference_terms(u, axes, extremes)
+            stencil = _Stencil(axes, extremes)
+            # the jumps hold at the interior nodes, all residual_check reads
             interior = (slice(1, -1),) * dim
-            pairs = [(stencil.rhs(u).copy(), g + upwind)]
-            pairs += [(got[interior], want[interior]) for got, want
-                      in zip(stencil.residual_terms(stencil.g_of_hessian(u)),
-                             (g + centered, jumps))]
+            pairs = [(stencil.g_of_hessian(u).copy(), g),
+                     (stencil.jumps()[interior], jumps[interior])]
             for got, want in pairs:
                 bound = 1e-12 * np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(got - want) <= bound)
@@ -585,26 +664,30 @@ class TestStencil:
 def random_problem(rng, dim, transport, steps):
     """A problem on ``random_case``'s grid whose horizon takes about ``steps``
     time steps: smooth terminal data plus a little of its noise, so some
-    nodes are kinks."""
+    nodes are kinks.  The transport rates are ``random_case``'s over 2 T, so
+    the flow over the horizon, exp(T a), lies in [e^-1, e^-0.1]: a longer
+    flow stretches some random correlated extremes past every stencil (see
+    ``test_flow_can_stretch_an_extreme_past_the_stencil``)."""
     axes, extremes, gen_diag, u = random_case(rng, dim, transport)
     c, d = rng.standard_normal(dim), rng.uniform(0.1, 0.5, dim)
     f = lambda p: np.sin(p @ c) + (p**2) @ d + 0.05 * u
     box = tuple((ax[0], ax[-1]) for ax in axes)
-    T = steps * CFL_SAFETY / _Stencil(axes, extremes, gen_diag).rate
+    T = steps * CFL_SAFETY / _Stencil(axes, extremes).rate
     prob = PdeProblem(dim, CovarianceSet(list(extremes)), f, T, box,
-                      a_gen=np.diag(gen_diag))
+                      a_gen=np.diag(gen_diag / (2.0 * T)))
     return prob, MeshSpec(nodes=tuple(ax.size for ax in axes))
 
 
 def full_march(prob, sol):
     """Every slice in one (n_steps + 1, ...) array, marched from the terminal
-    data by a fresh stencil: the algorithm that kept every slice."""
-    stencil = _Stencil(sol.axes, prob.sigma.matrices, prob.generator_diag())
+    data with a fresh stencil per step for its segment's extremes: the
+    algorithm that kept every slice."""
     points = np.stack(np.meshgrid(*sol.axes, indexing="ij"), axis=-1)
     values = np.empty((sol.n_steps + 1, *points.shape[:-1]))
     values[-1] = prob.terminal_f(points)
     for k in range(sol.n_steps, 0, -1):
-        np.multiply(stencil.rhs(values[k]), sol.dt, out=values[k - 1])
+        stencil = _Stencil(sol.axes, segment_extremes(prob, sol, k))
+        np.multiply(stencil.g_of_hessian(values[k]), sol.dt, out=values[k - 1])
         values[k - 1] += values[k]
     return values
 
@@ -621,11 +704,14 @@ class TestCheckpoints:
             assert np.array_equal(sol.values, reference)
             assert all(np.array_equal(sol.time_slice(k), reference[k])
                        for k in range(sol.n_steps + 1))
-            x = [0.63 * ax[0] + 0.37 * ax[-1] for ax in sol.axes]
+            y = np.array([0.63 * ax[0] + 0.37 * ax[-1] for ax in sol.axes])
             for k in (0, sol.n_steps // 3, sol.n_steps):
-                t = float(sol.times[k])
+                # slice k holds u(t_k, x) at the node E(t_k) x
+                flow = np.exp((sol.n_steps - k) * sol.dt * prob.generator_diag())
+                assert np.array_equal(sol.flow(k), flow)
+                x = y / flow
                 interp = RegularGridInterpolator(sol.axes, reference[k])
-                assert sol.value_at(t, x) == float(interp([x])[0])
+                assert sol.value_at(float(sol.times[k]), x) == float(interp([flow * x])[0])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_held_slices_are_bounded(self, dim):
@@ -666,6 +752,19 @@ class TestCheckpoints:
 
     def test_march_rejects_an_unstable_step(self):
         axes = [np.linspace(-1.0, 1.0, 11)]
-        stencil = _Stencil(axes, [np.eye(1)], np.zeros(1))
+        rate = _Stencil(axes, np.eye(1)[None]).rate
+        segments = _Segments(axes, np.eye(1)[None], np.zeros(1), 3 * 1.01 / rate, 3)
         with pytest.raises(ValueError, match="unstable configuration"):
-            next(_march(stencil, np.zeros(11), 3, 1.01 / stencil.rate))
+            next(_march(segments, np.zeros(11), 3))
+
+    def test_segments_keep_the_centre_weight_nonnegative(self):
+        # a correlated set under unequal rates: n_steps is the fixed point over
+        # the segment operators, and each stencil the march builds is stable
+        sigma = CovarianceSet([[[1.0, 0.9], [0.9, 0.85]], [[0.5, -0.2], [-0.2, 0.3]]])
+        prob = PdeProblem(2, sigma, lambda p: np.cos(p[..., 0] - p[..., 1]), 0.5,
+                          ((-2.0, 2.0),) * 2, a_gen=np.diag([-0.5, -3.0]))
+        sol = solve_gpde(prob, MeshSpec(nodes=21))
+        rates = [_Stencil(sol.axes, segment_extremes(prob, sol, k)).rate
+                 for k in range(1, sol.n_steps + 1)]
+        assert sol.cfl_ratio == pytest.approx(sol.dt * max(rates), rel=1e-15)
+        assert sol.dt * max(rates) <= CFL_SAFETY

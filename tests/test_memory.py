@@ -63,8 +63,8 @@ def test_sigma_integral_config_peak(tmp_path):
 
 
 def test_transported_3d_solve_and_residual_peak():
-    # a correlated, transported 41^3 grid: 113 steps of 0.55 MB slices, 62 MB
-    # if every slice were stored
+    # a correlated, transported 41^3 grid: 73 steps of 0.55 MB slices, 40 MB
+    # if every slice were stored, and a new stencil for each of 9 segments
     rng = np.random.default_rng(1)
     extremes = []
     for _ in range(3):
