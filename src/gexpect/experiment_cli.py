@@ -491,7 +491,7 @@ def _run_gpde(cfg, rep):
         0.5 * (box[1] - box[0]) * 0.25
     )
     # u(0, x) is read at E(0) x, which the box must hold
-    flow_0 = np.exp(T * prob.generator_diag())
+    flow_0 = prob.flow(0.0)
     lo, hi = prob.domain_box[0]
     for probe in probes:
         if not np.all((lo <= flow_0 * probe) & (flow_0 * probe <= hi)):

@@ -19,14 +19,16 @@ directions v_j, and Tr[Q D^2 u] is sum_j w_j (u(x + v_j) - 2 u(x) + u(x -
 v_j)); where x + v_j or x - v_j leaves the grid, v_j adds no curvature.  The
 centre weight is 1 - dt * rate with rate = max over extremes of sum_j w_j,
 so dt * rate <= ``CFL_SAFETY`` makes the scheme monotone and L-infinity
-stable; an extreme with no decomposition within ``MAX_STENCIL_RADIUS``
-raises ``StencilError``.  The solve is one backward march over three rolling
-slices that keeps about sqrt(n_steps) checkpoints (revolve-style, Griewank-
-Walther 2000); Q(t) is frozen over each segment between them at its midpoint
+stable.  A positive definite extreme with no decomposition within
+``MAX_STENCIL_RADIUS`` takes Selling's longer directions, and a singular
+one raises ``StencilError``.  The solve is one backward march over three
+rolling slices that keeps about sqrt(n_steps) checkpoints (revolve-style,
+Griewank-Walther 2000); Q(t) is frozen over each segment between them at its midpoint
 time, which keeps the scheme second order, and n_steps is the fixed point at
 which every segment's rate meets the bound.  The march measures the
-strong-form residual on the way, and any other slice is re-marched over one
-segment, with its one operator, bitwise equal.
+strong-form residual on the way, with the extremes Q(t) of each sampled
+time, and any other slice is re-marched over one segment, with its one
+operator, bitwise equal.
 """
 
 from __future__ import annotations
@@ -96,10 +98,16 @@ class PdeProblem:
         if len(box) != self.dim or any(hi <= lo for lo, hi in box):
             raise ValueError("domain_box must give a nonempty interval per axis")
         object.__setattr__(self, "domain_box", box)
-        self.generator_diag()  # rejects a generator that is not diagonal nonpositive
+        # rejects a generator that is not diagonal nonpositive
+        object.__setattr__(self, "_rates", _generator_diag(self.a_gen, self.dim))
 
     def generator_diag(self) -> np.ndarray:
-        return _generator_diag(self.a_gen, self.dim)
+        return self._rates.copy()
+
+    def flow(self, t: float) -> np.ndarray:
+        """The diagonal of E(t) = exp((T - t) A), which maps x to the node
+        E(t) x where the mild-frame value holds u(t, x)."""
+        return np.exp((self.T - t) * self._rates)
 
     def has_transport(self) -> bool:
         return bool(np.any(self.generator_diag() != 0.0))
@@ -224,9 +232,10 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
     leaves no residual.  Its columns are the unit-trace atoms v v^T / |v|^2,
     so the active set enters the direction of largest Rayleigh quotient
     first, the shortest one on ties: a diagonal extreme gets the axes alone.
-    Raises StencilError for an extreme with no such weights within
-    ``MAX_STENCIL_RADIUS`` (a rank-deficient extreme with an irrational
-    kernel has none at any radius).
+    A positive definite extreme with no such weights within
+    ``MAX_STENCIL_RADIUS`` takes Selling's directions (``_selling``), which
+    reach further.  Raises StencilError for a singular one (a rank-deficient
+    extreme with an irrational kernel has no weights at any radius).
     """
     h = np.array([ax[1] - ax[0] for ax in axes])
     dim = h.size
@@ -242,7 +251,8 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
 
     weights = np.zeros((len(extremes), len(dirs)))
     for q, mat in enumerate(extremes):
-        target = (mat / np.outer(h, h))[rows, cols]
+        scaled = mat / np.outer(h, h)
+        target = scaled[rows, cols]
         for r in range(1, MAX_STENCIL_RADIUS + 1):
             n = int(np.searchsorted(radius, r, side="right"))
             w, resid = nnls(atoms[:, :n], target)
@@ -250,13 +260,54 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
                 weights[q, :n] = w / length[:n]
                 break
         else:
-            raise StencilError(
-                f"extreme {q} {np.asarray(mat).tolist()} has no nonnegative weights "
-                f"on integer grid directions of radius <= {MAX_STENCIL_RADIUS} "
-                f"at spacing h = {h.tolist()}"
-            )
+            wide = _selling(scaled)
+            if wide is None:
+                raise StencilError(
+                    f"extreme {q} {np.asarray(mat).tolist()} has no nonnegative weights "
+                    f"on integer grid directions of radius <= {MAX_STENCIL_RADIUS} "
+                    f"at spacing h = {h.tolist()} and is not positive definite"
+                )
+            for v, w in zip(*wide):
+                hit = np.flatnonzero(np.all(dirs == v, axis=1))
+                if not hit.size:
+                    dirs, weights = np.vstack([dirs, v]), np.pad(weights, ((0, 0), (0, 1)))
+                weights[q, hit[0] if hit.size else -1] = w
     used = np.any(weights > 0.0, axis=0)
     return dirs[used], weights[:, used]
+
+
+def _selling(target):
+    """Directions and weights of a positive definite d x d ``target``, d = 2
+    or 3, by Selling's reduction (Fehrenbach-Mirebeau 2014), or None.
+
+    A superbase e_0..e_d (integer, summing to 0, unimodular) is flipped
+    while some <e_i, D e_j> > 0, i != j, which lowers sum_i <e_i, D e_i>;
+    then D = sum_{i<j} -<e_i, D e_j> v v^T with v the integer direction
+    orthogonal to the e_m, m not in {i, j}.  None for a target whose
+    smallest eigenvalue is below 1e-12 of its largest, or after 10^4 flips.
+    """
+    dim = len(target)
+    eig = np.linalg.eigvalsh(target)
+    if dim == 1 or not eig[0] > 1e-12 * eig[-1]:
+        return None
+    e = np.vstack([np.eye(dim, dtype=np.int64), -np.ones((1, dim), dtype=np.int64)])
+    pairs = [(i, j) for i in range(dim + 1) for j in range(i + 1, dim + 1)]
+    rest = lambda i, j: [m for m in range(dim + 1) if m not in (i, j)]
+    for _ in range(10_000):
+        gram = e @ target @ e.T
+        i, j = max(pairs, key=lambda p: gram[p])
+        if gram[i, j] <= 0.0:
+            break
+        e[rest(i, j)] += (4 - dim) * e[i]  # so that the flipped e still sums to 0
+        e[i] = -e[i]
+    else:
+        return None
+    # v_a = (-1)^a det(the e_m with column a left out): the cross product in
+    # 3-d, e_m rotated by a right angle in 2-d
+    dirs = [np.array([(-1) ** a * round(np.linalg.det(np.delete(e[rest(i, j)], a, axis=1)))
+                      for a in range(dim)]) for i, j in pairs if gram[i, j] < 0.0]
+    return ([v if v[np.argmax(v != 0)] > 0 else -v for v in dirs],
+            [-gram[p] for p in pairs if gram[p] < 0.0])
 
 
 class _Stencil:
@@ -269,19 +320,18 @@ class _Stencil:
     grid (there the flat shift wraps into another row) the sum is then set to
     2 u(x), so that v adds no curvature there.
 
-    The residual's kink test reads the forward differences d_a[p] = u[p +
-    n_a] - u[p] of the same array, one axis at a time, with no ghost layer:
-    d_a[p] - d_a[p - n_a] is the raw second difference, exact at the
-    interior nodes, all the residual reads.
+    The residual reads the same array over the flat range that holds every
+    interior node, with no ghost layer: the kink test the forward differences
+    d_a[p] = u[p + n_a] - u[p], one axis at a time (d_a[p] - d_a[p - n_a] is
+    the raw second difference), and ``retimed`` the centred Hessian.
     """
 
-    def __init__(self, axes, extremes):
+    def __init__(self, axes, dirs, weights):
         counts = tuple(ax.size for ax in axes)
 
         # sums u(x + v) + u(x - v) on the nodes, then u itself, stacked for one
         # contraction with the rows (w_q / 2, -sum_j w_qj): the last column of
         # _coef is minus the centre weight per unit dt
-        dirs, weights = _decompose(extremes, axes)
         self._coef = np.hstack([weights / 2.0, -np.sum(weights, axis=1, keepdims=True)])
         nodes = math.prod(counts)
         node_strides = [math.prod(counts[a + 1:]) for a in range(len(axes))]
@@ -300,7 +350,7 @@ class _Stencil:
                         layers.append((u_box[layer], box[layer]))
             self._rows.append((u_flat[k:], u_flat[:nodes - k],
                                row[k // 2:k // 2 + nodes - k], layers))
-        self._acc = np.zeros((len(extremes), nodes))
+        self._acc = np.zeros((len(weights), nodes))
         self._g = np.zeros(nodes)
         self._g_nodes = self._g.reshape(counts)
 
@@ -312,6 +362,12 @@ class _Stencil:
         self._axis_ops = [(u_flat[s:], u_flat[:nodes - s], self._fd[:nodes - s],
                            self._fd[self._inner], self._fd[lo - s:nodes - lo - s])
                           for s in node_strides]
+        # 1/2 Q_ab / (h_a h_b) per extreme, doubled off the diagonal, from the
+        # weights: the coefficient of the raw centred Hessian entry (a, b)
+        halves = np.einsum("qj,ja,jb->abq", weights, dirs, dirs)
+        self._pairs = [(node_strides[a], node_strides[b],
+                        halves[a, b] * (0.5 if a == b else 1.0), a, b)
+                       for a, b in zip(*np.triu_indices(len(axes))) if np.any(halves[a, b])]
 
         # the update's centre weight is 1 - dt * rate at worst
         self.rate = float(np.max(-self._coef[:, -1]))
@@ -341,6 +397,22 @@ class _Stencil:
             np.maximum(jumps_inner, np.abs(fwd - bwd), out=jumps_inner)
         return jumps.reshape(self._g_nodes.shape)
 
+    def retimed(self, scale) -> np.ndarray:
+        """G(D^2 u) with every extreme Q replaced by S Q S, S = diag(``scale``),
+        at the interior nodes, for the u in the node array: the per-extreme
+        sums of the last ``g_of_hessian`` plus 1/2 Tr[(S Q S - Q) D^2 u], the
+        Hessian in centred differences.  Overwrites that G."""
+        u, lo, hi = self._entries[-1], self._inner.start, self._inner.stop
+        at = lambda shift: u[lo + shift:hi + shift]
+        acc = self._acc[:, self._inner]
+        for s_a, s_b, halves, a, b in self._pairs:
+            raw = (at(s_a) - 2.0 * at(0) + at(-s_a) if a == b else
+                   (at(s_a + s_b) - at(s_a - s_b) - at(s_b - s_a) + at(-s_a - s_b)) / 4.0)
+            for row, c in zip(acc, halves * (scale[a] * scale[b] - 1.0)):
+                row += c * raw
+        np.max(acc, axis=0, out=self._g[self._inner])
+        return self._g_nodes
+
 
 class _Segments:
     """The operators of a march of ``n_steps`` steps over [0, T].
@@ -348,45 +420,45 @@ class _Segments:
     Checkpoints sit at slice 0, at the terminal slice and at every multiple of
     ``spacing``, at most isqrt(n_steps) + 1 segments.  The step from slice k
     down to k - 1 uses Q(t) = E(t) Q E(t) at the midpoint time of the segment
-    that holds it."""
+    that holds it.  ``ops`` keeps each decomposition by its E, so a solve,
+    its plan and its re-marches decompose every segment's extremes once."""
 
-    def __init__(self, axes, extremes, rates, T, n_steps):
-        self.axes, self.extremes, self.rates = axes, extremes, rates
-        self.n_steps, self.dt = n_steps, T / n_steps
+    def __init__(self, problem, axes, n_steps, ops):
+        self.problem, self.axes, self.ops = problem, axes, ops
+        self.n_steps, self.dt = n_steps, problem.T / n_steps
         self.spacing = -(-n_steps // (math.isqrt(n_steps) + 1))
 
     def flow(self, k) -> np.ndarray:
-        """The diagonal of E(t) = exp((T - t) A) at t = k dt."""
-        return np.exp((self.n_steps - k) * self.dt * self.rates)
+        """The diagonal of E(t) at t = k dt."""
+        return self.problem.flow(k * self.dt)
 
-    def midpoint_flow(self, k) -> np.ndarray:
-        """E at the midpoint of the segment of the step from slice k down."""
+    def at(self, flow):
+        """(E, directions, weights, rate) of the extremes E Q E."""
+        key = tuple(flow)
+        if key not in self.ops:
+            mats = self.problem.sigma.matrices * np.outer(flow, flow)
+            dirs, weights = _decompose(mats, self.axes)
+            self.ops[key] = flow, dirs, weights, float(np.max(np.sum(weights, axis=1)))
+        return self.ops[key]
+
+    def operator(self, k):
+        """``at`` the midpoint of the segment of the step from slice k down."""
         lo = (k - 1) // self.spacing * self.spacing
-        return self.flow((lo + min(lo + self.spacing, self.n_steps)) / 2)
-
-    def extremes_at(self, flow) -> np.ndarray:
-        return self.extremes * np.outer(flow, flow)
+        return self.at(self.flow((lo + min(lo + self.spacing, self.n_steps)) / 2))
 
 
 def _plan(problem: PdeProblem, axes) -> tuple[_Segments, float]:
     """The segments of a solve and their largest rate, the centre weight per
     unit dt: n_steps starts from the terminal extremes' rate and grows until
     dt * rate <= ``CFL_SAFETY`` for the operator of every segment it makes."""
-    extremes, rates, T = problem.sigma.matrices, problem.generator_diag(), problem.T
-
-    def steps_for(mats):
-        rate = float(np.max(np.sum(_decompose(mats, axes)[1], axis=1)))
-        return max(1, math.ceil(T * rate / CFL_SAFETY)), rate
-
-    n_steps, rate = steps_for(extremes)
+    ops = {}
+    rate = _Segments(problem, axes, 1, ops).at(problem.flow(problem.T))[3]
     while True:
-        segments = _Segments(axes, extremes, rates, T, n_steps)
-        flows = {tuple(segments.midpoint_flow(lo + 1))
-                 for lo in range(0, n_steps, segments.spacing)}
-        need, rate = max(steps_for(segments.extremes_at(np.array(f))) for f in flows)
-        if need <= n_steps:
+        n_steps = max(1, math.ceil(problem.T * rate / CFL_SAFETY))
+        segments = _Segments(problem, axes, n_steps, ops)
+        rate = max(segments.operator(lo + 1)[3] for lo in range(0, n_steps, segments.spacing))
+        if math.ceil(problem.T * rate / CFL_SAFETY) <= n_steps:
             return segments, rate
-        n_steps = need
 
 
 def _march(segments, top, k_top, stop=0, sample=frozenset()):
@@ -396,26 +468,29 @@ def _march(segments, top, k_top, stop=0, sample=frozenset()):
     A step whose operator differs from the last step's gets a new stencil,
     built once the last one is dropped.  Yields ``(k - 1, w_{k-1}, r_k)`` per
     step.  For k in ``sample`` (below k_top), r_k is the strong-form residual
-    |w_t + G_k(D^2 w)| at slice k, centred in time and space, maximised over
-    the interior nodes whose raw second difference stays within ten times the
-    slice median (kinks are left out); it reuses the step's G_k(D^2 w_k), and
-    is 0.0 where every node is a kink.  Otherwise r_k is None.  The slices
-    rotate through three buffers, so a yielded one is overwritten two steps
-    later.  Raises ValueError for an unstable step or a non-finite slice.
+    |w_t + G_{t_k}(D^2 w)| at slice k with the extremes Q(t_k) of t_k itself
+    (``_Stencil.retimed``), centred in time and space, maximised over the
+    interior nodes whose raw second difference stays within ten times the
+    slice median (kinks are left out), and 0.0 where every node is a kink.
+    Otherwise r_k is None.  The slices rotate through three buffers, so a
+    yielded one is overwritten two steps later.  Raises ValueError for an
+    unstable step or a non-finite slice.
     """
     dt = segments.dt
     ring = np.empty((3, *top.shape))
     ring[k_top % 3] = top
     interior = (slice(1, -1),) * top.ndim
     _require_finite(top)
-    flow = None
+    op = None
     for k in range(k_top, stop, -1):
-        if not np.array_equal(segments.midpoint_flow(k), flow):
-            stencil = g = None  # one stencil alive at a time
-            flow = segments.midpoint_flow(k)
-            stencil = _Stencil(segments.axes, segments.extremes_at(flow))
-            if dt * stencil.rate > 1.0:
-                raise ValueError(f"unstable configuration: cfl_ratio {dt * stencil.rate} > 1")
+        if k == k_top or k % segments.spacing == 0:
+            new = segments.operator(k)
+            if new is not op:
+                stencil = g = None  # one stencil alive at a time
+                op = new
+                stencil = _Stencil(segments.axes, op[1], op[2])
+                if dt * stencil.rate > 1.0:
+                    raise ValueError(f"unstable configuration: cfl_ratio {dt * stencil.rate} > 1")
         u, below = ring[k % 3], ring[(k - 1) % 3]
         g = stencil.g_of_hessian(u)
         np.multiply(g, dt, out=below)
@@ -424,6 +499,9 @@ def _march(segments, top, k_top, stop=0, sample=frozenset()):
         r_k = None
         if k in sample:
             u_t = (ring[(k + 1) % 3] - below) / (2.0 * dt)
+            scale = segments.flow(k) / op[0]
+            if np.any(scale != 1.0):
+                g = stencil.retimed(scale)
             resid = np.abs(u_t + g)[interior]
             raw_jump = stencil.jumps()[interior]
             smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
@@ -484,7 +562,8 @@ def solve_gpde(problem: PdeProblem, mesh_spec: MeshSpec = MeshSpec()) -> GridSol
 
 def residual_check(solution: GridSolution, problem: PdeProblem) -> float:
     """Strong-form residual |w_t + G_t(D^2 w)| of the mild-frame value on
-    smooth interior, with the operator of each step's segment.
+    smooth interior, with the extremes Q(t) of each sampled time: the frozen
+    operator of its segment plus the change to Q(t) in centred differences.
 
     Centered differences in space and time on interior nodes; nodes whose raw
     second difference jumps above ten times the slice median are treated as
@@ -497,8 +576,8 @@ def residual_check(solution: GridSolution, problem: PdeProblem) -> float:
     if any(ax.size < 5 for ax in solution.axes):
         raise ValueError("residual check needs >= 3 interior nodes per axis")
     segments = solution._segments
-    if not (np.array_equal(problem.sigma.matrices, segments.extremes)
-            and np.array_equal(problem.generator_diag(), segments.rates)):
+    if not (np.array_equal(problem.sigma.matrices, segments.problem.sigma.matrices)
+            and np.array_equal(problem.generator_diag(), segments.problem.generator_diag())):
         raise ValueError("the problem's extremes or generator differ from those "
                          "of the problem that was solved")
     return solution.residual

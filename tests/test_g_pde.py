@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import RegularGridInterpolator
 
-from gexpect import CovarianceSet
+from gexpect import CovarianceSet, g_pde
 from gexpect.control_sim import ControlPolicy, PolicyFamily, lattice_1d
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
@@ -292,19 +292,44 @@ class TestMonotoneScheme:
         with pytest.raises(StencilError, match="extreme 0"):
             solve_gheat(prob, MeshSpec(nodes=11))
 
-    def test_flow_can_stretch_an_extreme_past_the_stencil(self):
+    def test_a_stretched_extreme_takes_longer_directions(self):
         # E Q E keeps Q's correlation 0.3, but E = diag(1, e) shrinks axis 1
         # against axis 0, and the direction (k, 1) that carries it needs
-        # k >= 0.3 / e: within MAX_STENCIL_RADIUS = 8 at e = e^-1, not at e^-4
+        # k >= 0.3 / e: within MAX_STENCIL_RADIUS = 8 at e = e^-1, past it at
+        # e^-4, where Selling's reduction finds the directions
         q = np.array([[1.0, 0.3], [0.3, 1.0]])
         axes = [np.linspace(-1.0, 1.0, 11)] * 2
-        for e in (math.exp(-1.0), math.exp(-4.0)):
-            flowed = [q * np.outer([1.0, e], [1.0, e])]
-            if e > 0.3 / MAX_STENCIL_RADIUS:
-                _decompose(flowed, axes)
-            else:
-                with pytest.raises(StencilError, match="extreme 0"):
-                    _decompose(flowed, axes)
+        h = np.array([0.2, 0.2])
+        for e, radius in ((math.exp(-1.0), (1, MAX_STENCIL_RADIUS)),
+                          (math.exp(-4.0), (MAX_STENCIL_RADIUS + 1, 100))):
+            flowed = q * np.outer([1.0, e], [1.0, e])
+            dirs, weights = _decompose([flowed], axes)
+            assert radius[0] <= np.max(np.abs(dirs)) <= radius[1]
+            built = np.einsum("j,ja,jb->ab", weights[0], dirs, dirs) * np.outer(h, h)
+            assert np.max(np.abs(built - flowed)) <= 1e-12
+
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_every_flowed_full_rank_extreme_decomposes(self, dim):
+        # random correlated extremes on random grids, flowed by E = exp(s A)
+        # with |a| s up to 3: nnls within MAX_STENCIL_RADIUS misses some of
+        # them, and Selling's directions carry every one exactly
+        rng = np.random.default_rng(70 + dim)
+        past = 0
+        for _ in range(150):
+            axes, extremes, _, _ = random_case(rng, dim, False)
+            flow = np.exp(-rng.uniform(0.1, 1.0, dim) * rng.uniform(0.0, 3.0))
+            flowed = extremes * np.outer(flow, flow)
+            h = np.array([ax[1] - ax[0] for ax in axes])
+            dirs, weights = _decompose(flowed, axes)
+            lead = dirs[np.arange(len(dirs)), np.argmax(dirs != 0, axis=1)]
+            assert np.all(lead > 0) and np.all(np.gcd.reduce(dirs, axis=1) == 1)
+            assert len({tuple(v) for v in dirs}) == len(dirs)
+            assert np.all(weights >= 0.0)
+            for q, w in zip(flowed, weights):
+                built = np.einsum("j,ja,jb->ab", w, dirs, dirs) * np.outer(h, h)
+                assert np.max(np.abs(built - q)) <= 1e-12 * np.max(np.abs(q))
+            past += int(np.max(np.abs(dirs)) > MAX_STENCIL_RADIUS)
+        assert past > 0
 
     def test_rank_one_extreme_is_lost_under_unequal_rates(self):
         # rank one along (1, 1) decomposes at t = T, but its kernel E(t) (1, 1)
@@ -522,37 +547,54 @@ def _shift(padded, offsets, depth):
                         for o, n in zip(offsets, np.array(padded.shape) - 2 * depth))]
 
 
-def reference_terms(u, axes, extremes):
+def reference_terms(u, axes, extremes, retimed=None):
     """G(D^2 u) and |raw axis second difference|, one extreme at a time.
 
     G uses the stencil's directions and weights, reads u through a zero
-    np.pad as deep as the widest direction and drops a direction wherever
-    x + v or x - v leaves the grid; the axis second differences read np.pad's
-    odd reflection, whose ghosts the compared values meet only off the
-    interior."""
+    np.pad as deep as the widest direction that fits in the grid somewhere
+    and drops a direction wherever x + v or x - v leaves the grid.  With
+    ``retimed``, other extremes of the same count, each extreme's term gains
+    1/2 Tr[(retimed - extreme) D^2 u] in centred differences.  Those and the
+    axis second differences read np.pad's odd reflection, whose ghosts the
+    compared values meet only off the interior."""
     dim = u.ndim
     dirs, weights = _decompose(extremes, axes)
-    depth = int(np.max(np.abs(dirs), initial=1))
+    fits = np.all(np.abs(dirs) < np.array(u.shape), axis=1)
+    depth = int(np.max(np.abs(dirs[fits]), initial=1))
     wide = np.pad(u, depth)
     index = np.indices(u.shape)
     seconds = []
-    for v in dirs:
+    for v, fit in zip(dirs, fits):
+        if not fit:
+            seconds.append(np.zeros_like(u))
+            continue
         ahead, behind = _shift(wide, v, depth), _shift(wide, -v, depth)
         inside = np.all([(i + abs(k) < n) & (i - abs(k) >= 0)
                          for i, k, n in zip(index, v, u.shape)], axis=0)
         seconds.append(np.where(inside, (ahead + behind) - 2.0 * u, 0.0))
-    g = np.max([0.5 * sum(w * s for w, s in zip(row, seconds)) for row in weights],
-               axis=0)
+    terms = [0.5 * sum(w * s for w, s in zip(row, seconds)) for row in weights]
 
     padded = _pad(u)
 
-    def at(axis, step):
+    def at(*steps):
         offsets = [0] * dim
-        offsets[axis] = step
+        for axis, step in steps:
+            offsets[axis] += step
         return _shift(padded, offsets, 1)
 
-    jumps = np.max([np.abs(at(a, 1) - 2.0 * u + at(a, -1)) for a in range(dim)], axis=0)
-    return g, jumps
+    if retimed is not None:
+        h = [ax[1] - ax[0] for ax in axes]
+        for a in range(dim):
+            for b in range(dim):
+                if a == b:
+                    hess = (at((a, 1)) - 2.0 * u + at((a, -1))) / h[a] ** 2
+                else:
+                    hess = (at((a, 1), (b, 1)) - at((a, 1), (b, -1)) - at((a, -1), (b, 1))
+                            + at((a, -1), (b, -1))) / (4.0 * h[a] * h[b])
+                for term, new, old in zip(terms, retimed, extremes):
+                    term += 0.5 * (new[a, b] - old[a, b]) * hess
+    jumps = np.max([np.abs(at((a, 1)) - 2.0 * u + at((a, -1))) for a in range(dim)], axis=0)
+    return np.max(terms, axis=0), jumps
 
 
 def segment_extremes(prob, sol, k):
@@ -562,13 +604,14 @@ def segment_extremes(prob, sol, k):
     n = sol.n_steps
     spacing = -(-n // (math.isqrt(n) + 1))
     lo = (k - 1) // spacing * spacing
-    flow = np.exp((n - (lo + min(lo + spacing, n)) / 2) * sol.dt * prob.generator_diag())
+    flow = np.exp((prob.T - (lo + min(lo + spacing, n)) / 2 * sol.dt) * prob.generator_diag())
     return prob.sigma.matrices * np.outer(flow, flow)
 
 
 def reference_residual(solution, problem):
-    """residual_check's sampling and kink rule over ``reference_terms``, with
-    the operator of each step's segment."""
+    """residual_check's sampling and kink rule over ``reference_terms``: the
+    operator of each step's segment, retimed to the extremes E Q E of the
+    sampled slice's own time (the segment's unchanged where they are equal)."""
     n_steps = solution.n_steps
     sample = range(1, n_steps)
     if n_steps > 41:
@@ -577,8 +620,11 @@ def reference_residual(solution, problem):
     values = solution.values
     worst = 0.0
     for k in sample:
-        g, jumps = reference_terms(values[k], solution.axes,
-                                   segment_extremes(problem, solution, k))
+        flow = np.exp((problem.T - k * solution.dt) * problem.generator_diag())
+        now = problem.sigma.matrices * np.outer(flow, flow)
+        frozen = segment_extremes(problem, solution, k)
+        g, jumps = reference_terms(values[k], solution.axes, frozen,
+                                   None if np.array_equal(now, frozen) else now)
         u_t = (values[k + 1] - values[k - 1]) / (2.0 * solution.dt)
         resid = np.abs(u_t + g)[interior]
         jumps = jumps[interior]
@@ -630,19 +676,25 @@ class TestStencil:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_operator_matches_reference(self, dim, transport):
         # with transport, the extremes are a segment operator's E Q E, E =
-        # exp(s A) for some s <= 0.5 (a larger s can stretch a correlated
-        # extreme past every stencil of radius <= MAX_STENCIL_RADIUS)
+        # exp(s A) for some s <= 2, which can stretch a correlated extreme
+        # past MAX_STENCIL_RADIUS (Selling's directions); the retimed operator
+        # moves them by a further E' = exp(s' A), s' in [-0.3, 0.3]
         rng = np.random.default_rng(10 * dim + transport)
         for _ in range(4):
             axes, extremes, gen_diag, u = random_case(rng, dim, transport)
-            flow = np.exp(rng.uniform(0.0, 0.5) * gen_diag)
+            flow = np.exp(rng.uniform(0.0, 2.0) * gen_diag)
             extremes = extremes * np.outer(flow, flow)
             g, jumps = reference_terms(u, axes, extremes)
-            stencil = _Stencil(axes, extremes)
-            # the jumps hold at the interior nodes, all residual_check reads
+            scale = np.exp(rng.uniform(-0.3, 0.3) * gen_diag)
+            retimed, _ = reference_terms(u, axes, extremes,
+                                         extremes * np.outer(scale, scale))
+            stencil = _Stencil(axes, *_decompose(extremes, axes))
+            # the jumps and the retimed G hold at the interior nodes, all
+            # residual_check reads
             interior = (slice(1, -1),) * dim
             pairs = [(stencil.g_of_hessian(u).copy(), g),
-                     (stencil.jumps()[interior], jumps[interior])]
+                     (stencil.jumps()[interior], jumps[interior]),
+                     (stencil.retimed(scale)[interior], retimed[interior])]
             for got, want in pairs:
                 bound = 1e-12 * np.maximum(1.0, np.abs(want))
                 assert np.all(np.abs(got - want) <= bound)
@@ -664,17 +716,14 @@ class TestStencil:
 def random_problem(rng, dim, transport, steps):
     """A problem on ``random_case``'s grid whose horizon takes about ``steps``
     time steps: smooth terminal data plus a little of its noise, so some
-    nodes are kinks.  The transport rates are ``random_case``'s over 2 T, so
-    the flow over the horizon, exp(T a), lies in [e^-1, e^-0.1]: a longer
-    flow stretches some random correlated extremes past every stencil (see
-    ``test_flow_can_stretch_an_extreme_past_the_stencil``)."""
+    nodes are kinks."""
     axes, extremes, gen_diag, u = random_case(rng, dim, transport)
     c, d = rng.standard_normal(dim), rng.uniform(0.1, 0.5, dim)
     f = lambda p: np.sin(p @ c) + (p**2) @ d + 0.05 * u
     box = tuple((ax[0], ax[-1]) for ax in axes)
-    T = steps * CFL_SAFETY / _Stencil(axes, extremes).rate
+    T = steps * CFL_SAFETY / _Stencil(axes, *_decompose(extremes, axes)).rate
     prob = PdeProblem(dim, CovarianceSet(list(extremes)), f, T, box,
-                      a_gen=np.diag(gen_diag / (2.0 * T)))
+                      a_gen=np.diag(gen_diag))
     return prob, MeshSpec(nodes=tuple(ax.size for ax in axes))
 
 
@@ -686,7 +735,8 @@ def full_march(prob, sol):
     values = np.empty((sol.n_steps + 1, *points.shape[:-1]))
     values[-1] = prob.terminal_f(points)
     for k in range(sol.n_steps, 0, -1):
-        stencil = _Stencil(sol.axes, segment_extremes(prob, sol, k))
+        mats = segment_extremes(prob, sol, k)
+        stencil = _Stencil(sol.axes, *_decompose(mats, sol.axes))
         np.multiply(stencil.g_of_hessian(values[k]), sol.dt, out=values[k - 1])
         values[k - 1] += values[k]
     return values
@@ -707,8 +757,10 @@ class TestCheckpoints:
             y = np.array([0.63 * ax[0] + 0.37 * ax[-1] for ax in sol.axes])
             for k in (0, sol.n_steps // 3, sol.n_steps):
                 # slice k holds u(t_k, x) at the node E(t_k) x
-                flow = np.exp((sol.n_steps - k) * sol.dt * prob.generator_diag())
+                flow = np.exp((prob.T - k * sol.dt) * prob.generator_diag())
                 assert np.array_equal(sol.flow(k), flow)
+                # the map the CLI checks its probes against
+                assert np.array_equal(sol.flow(k), prob.flow(float(sol.times[k])))
                 x = y / flow
                 interp = RegularGridInterpolator(sol.axes, reference[k])
                 assert sol.value_at(float(sol.times[k]), x) == float(interp([flow * x])[0])
@@ -752,8 +804,10 @@ class TestCheckpoints:
 
     def test_march_rejects_an_unstable_step(self):
         axes = [np.linspace(-1.0, 1.0, 11)]
-        rate = _Stencil(axes, np.eye(1)[None]).rate
-        segments = _Segments(axes, np.eye(1)[None], np.zeros(1), 3 * 1.01 / rate, 3)
+        rate = _Stencil(axes, *_decompose(np.eye(1)[None], axes)).rate
+        prob = PdeProblem(1, CovarianceSet([[[1.0]]]), f_square, 3 * 1.01 / rate,
+                          ((-1.0, 1.0),))
+        segments = _Segments(prob, axes, 3, {})
         with pytest.raises(ValueError, match="unstable configuration"):
             next(_march(segments, np.zeros(11), 3))
 
@@ -764,7 +818,26 @@ class TestCheckpoints:
         prob = PdeProblem(2, sigma, lambda p: np.cos(p[..., 0] - p[..., 1]), 0.5,
                           ((-2.0, 2.0),) * 2, a_gen=np.diag([-0.5, -3.0]))
         sol = solve_gpde(prob, MeshSpec(nodes=21))
-        rates = [_Stencil(sol.axes, segment_extremes(prob, sol, k)).rate
+        rates = [_Stencil(sol.axes, *_decompose(segment_extremes(prob, sol, k), sol.axes)).rate
                  for k in range(1, sol.n_steps + 1)]
         assert sol.cfl_ratio == pytest.approx(sol.dt * max(rates), rel=1e-15)
         assert sol.dt * max(rates) <= CFL_SAFETY
+
+    def test_each_operator_is_decomposed_once(self, monkeypatch):
+        # the plan's decompositions serve the march and every re-march; a zero
+        # generator has one operator, decomposed once
+        calls = []
+        monkeypatch.setattr(g_pde, "_decompose",
+                            lambda mats, axes: calls.append(1) or _decompose(mats, axes))
+        heat = PdeProblem(2, CovarianceSet([[[1.0, 0.3], [0.3, 0.5]]]),
+                          lambda p: np.cos(p[..., 0]), 0.5, ((-2.0, 2.0),) * 2)
+        sol = solve_gheat(heat, MeshSpec(nodes=21))
+        sol.values, sol.time_slice(1), sol.value_at(0.0, [0.1, 0.2])
+        assert len(calls) == 1
+        moved = PdeProblem(2, heat.sigma, heat.terminal_f, 0.5, heat.domain_box,
+                           a_gen=np.diag([-0.5, -1.0]))
+        calls.clear()
+        sol = solve_gpde(moved, MeshSpec(nodes=21))
+        planned = len(calls)
+        sol.values, sol.time_slice(1), sol.value_at(0.0, [0.1, 0.2])
+        assert len(calls) == planned
