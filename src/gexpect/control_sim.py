@@ -192,23 +192,25 @@ def _grid(steps, T, n_paths=1) -> np.ndarray:
     return np.linspace(0.0, T, steps + 1)
 
 
-def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, decay=None, store=None):
+def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, rates=None, store=None):
     """The package's one path loop: paths from ``x0``, generated a step at a time.
 
     Yields ``(k, t_k, x_k, dx_k, x_{k+1})`` for each step k, with (n_paths, N)
     states and increment ``dx_k = gamma Z_k sqrt(dt)``, the factor chosen by
     the policy from ``(t_k, x_k)``.  The state steps as ``x_{k+1} = x_k +
-    dx_k``, or with a per-coordinate ``decay`` as the mild recursion ``x_{k+1}
-    = decay (x_k + dx_k)``, so the policy reads the state it acts on.  Step
-    k's normals are drawn from ``default_rng(seed)`` just before the step: the
-    same stream as one (steps, n_paths, N) draw, so walks from one seed share
-    their normals.  Two state buffers and one increment buffer are reused, so
-    a yielded array is valid until the next step, unless ``store=(states,
-    increments)`` gives time-major arrays for every step.  Sizes are checked
-    at the call.
+    dx_k``, or given the ``rates`` of a diagonal A as the package's one live
+    mild recursion ``x_{k+1} = exp(dt A) (x_k + dx_k)``: the convolution
+    integral from 0, the mild state from ``x0``, so the policy reads the state
+    it acts on.  Step k's normals are drawn from ``default_rng(seed)`` just
+    before the step: the same stream as one (steps, n_paths, N) draw, so walks
+    from one seed share their normals.  Two state buffers and one increment
+    buffer are reused, so a yielded array is valid until the next step, unless
+    ``store=(states, increments)`` gives time-major arrays for every step.
+    Sizes are checked at the call.
     """
     times, gammas = _grid(steps, T, n_paths), sigma.roots
     sqrt_dt = math.sqrt(T / steps)
+    decay = None if rates is None else np.exp(T / steps * rates)
     # indices wrap, so without a store the buffers are reused
     states, increments = store or (np.zeros((2, n_paths, sigma.dim)),
                                    np.empty((1, n_paths, sigma.dim)))
@@ -239,10 +241,10 @@ def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, decay=None, store=None
     return generate()
 
 
-def _replay(paths: PathBundle, start: int = 0):
-    """A stored bundle as the stream of ``_walk``, from grid index ``start``."""
+def _replay(paths: PathBundle):
+    """A stored bundle as the stream of ``_walk``."""
     return ((k, paths.times[k], paths.states[:, k, :], paths.increments[:, k, :],
-             paths.states[:, k + 1, :]) for k in range(start, paths.n_steps))
+             paths.states[:, k + 1, :]) for k in range(paths.n_steps))
 
 
 def _terminal(walk) -> np.ndarray:
@@ -265,12 +267,19 @@ def simulate_gbm(
     a given seed.  The "store all" consumer of ``_walk``, for callers that
     need whole paths; estimators that fold each path stream ``_walk``.
     """
+    return _stored(sigma, policy, n_paths, steps, T, seed)
+
+
+def _stored(sigma, policy, n_paths, steps, T, seed, x0=0.0, rates=None, t0=0.0):
+    """``_walk`` run to the end with every state and increment kept: a
+    PathBundle on the grid ``t0 + [0, T]``, holding nothing else."""
     times = _grid(steps, T, n_paths)
     states = np.empty((steps + 1, n_paths, sigma.dim))
     increments = np.empty((steps, n_paths, sigma.dim))
-    for _ in _walk(sigma, policy, n_paths, steps, T, seed, store=(states, increments)):
+    for _ in _walk(sigma, policy, n_paths, steps, T, seed, x0, rates,
+                   store=(states, increments)):
         pass
-    return PathBundle(times, states.transpose(1, 0, 2), increments.transpose(1, 0, 2),
+    return PathBundle(t0 + times, states.transpose(1, 0, 2), increments.transpose(1, 0, 2),
                       seed, policy, sigma)
 
 
@@ -289,7 +298,7 @@ def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff):
 
     ``payoff(policy, walk)`` gives each policy of ``family`` its per-path
     values, shaped (n_paths,) or (rows, n_paths), folded from the streams
-    ``walk(x0=0.0, decay=None)`` of ``_walk``.  Every stream is drawn from
+    ``walk(x0=0.0, rates=None)`` of ``_walk``.  Every stream is drawn from
     ``seed``, so all policies see the same normals and no path block is
     held.  Returns one UpperEstimate per row: the largest mean by ``best_of``
     (the first on ties; a NaN mean wins, so an undefined payoff is never

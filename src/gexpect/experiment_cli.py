@@ -20,6 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -61,7 +62,6 @@ from .g_pde import (
 from .stoch_integral import (
     BDG_CONSTANTS,
     ElementaryProcess,
-    _convolve,
     _integrate,
     bdg_check,
     convolution_condition,
@@ -556,16 +556,17 @@ def _run_ou(cfg, rep):
     with _bad_params("a_diag", "beta"):
         cond = convolution_condition(a_mat, cfg.sigma, beta, T, quad_steps)
 
-    walk = _walk(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T, cfg.seed)
     times, dt = np.linspace(0.0, T, steps + 1), T / steps
+    # from 0 with the rates, the walk's state is the convolution integral
+    walk = _walk(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, T, cfg.seed,
+                 rates=a_diag)
     family = steps // substeps * cfg.sigma.dim  # every coordinate at every record
     q0 = np.diag(cfg.sigma.matrices[0])
     rows = []
-    for k, conv in _convolve(np.exp(dt * a_diag), walk, substeps,
-                             np.zeros((n_paths, cfg.sigma.dim))):
-        t = times[k]
+    for k, _, _, _, conv in islice(walk, substeps - 1, None, substeps):
+        t = times[k + 1]
         # exact covariance of the discrete left-point recursion
-        m = np.arange(1, k + 1)
+        m = np.arange(1, k + 2)
         exact = np.array([q0[d] * dt * np.sum(np.exp(2.0 * a_diag[d] * m * dt))
                           for d in range(cfg.sigma.dim)])
         emp = np.var(conv, axis=0)

@@ -42,12 +42,10 @@ from scipy.interpolate import RegularGridInterpolator
 from scipy.optimize import nnls
 
 from .covariance_set import CovarianceSet
-from .control_sim import (
-    PathBundle, PolicyFamily, _policy_sup, _replay, _terminal, simulate_gbm,
-)
+from .control_sim import PathBundle, PolicyFamily, _policy_sup, _stored, _terminal
 from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords
-from .stoch_integral import _convolve, _generator_diag, convolution_path
+from .stoch_integral import _generator_diag, convolution_path
 
 __all__ = [
     "PdeProblem",
@@ -594,40 +592,35 @@ def ou_mild_path(
     n_paths: int,
     seed: int,
 ) -> PathBundle:
-    """Mild-solution paths: semigroup flow of x0 plus the convolution integral.
-
-    The same increments drive the flow decomposition at any intermediate
-    time, so the pathwise flow property holds by construction (see
-    ``flow_property_discrepancy``).
+    """Mild-solution paths X_{k+1} = exp(dt A) (X_k + dB_k) from X_0 = x0,
+    stored on [t0, T]: the walk of ``mc_values``, so a feedback policy reads
+    the mild state (on a clock that starts at 0).  The states keep the
+    semigroup identity that ``flow_property_discrepancy`` checks.
     """
     if not T > t0:
         raise ValueError(f"need T > t0, got t0={t0}, T={T}")
-    diag = _generator_diag(a_gen, sigma.dim)
-    raw = simulate_gbm(sigma, policy, n_paths, steps, T - t0, seed)
-    conv = convolution_path(np.diag(diag), raw)
-    flow = np.exp(np.outer(raw.times, diag)) * as_point(x0, sigma.dim)[None, :]
-    states = conv + flow[None, :, :]
-    return PathBundle(
-        t0 + raw.times, states, raw.increments, seed, policy, sigma
-    )
+    return _stored(sigma, policy, n_paths, steps, T - t0, seed, as_point(x0, sigma.dim),
+                   _generator_diag(a_gen, sigma.dim), t0)
 
 
 def flow_property_discrepancy(
     bundle: PathBundle, a_gen, split_index: int
 ) -> float:
-    """Max pathwise gap between direct states and the split-restart flow.
-
-    Restarts the mild recursion at ``split_index`` from the stored state and
-    replays the retained increments; algebraically identical to the direct
-    construction, so only rounding noise survives.
+    """Max pathwise gap between the stored states and the semigroup identity
+    X_k = exp((t_k - t_s) A) (X_s - I_s) + I_k for k >= s = ``split_index``,
+    with I = ``convolution_path(a_gen, bundle)``, a fold apart from the walk:
+    mild paths meet it to rounding, and states stepped any other way (say
+    X_{k+1} = exp(dt A) X_k + dB_k) miss it.
     """
     diag = _generator_diag(a_gen, bundle.dim)
     if not 0 <= split_index < bundle.n_steps:
         raise ValueError("split index must be an interior grid index")
-    dt = float(bundle.times[1] - bundle.times[0])
-    restart = _convolve(np.exp(dt * diag), _replay(bundle, split_index), 1,
-                        bundle.states[:, split_index, :].copy())
-    return max(float(np.max(np.abs(x - bundle.states[:, k, :]))) for k, x in restart)
+    conv = convolution_path(a_gen, bundle)[:, split_index:, :]
+    states = bundle.states[:, split_index:, :]
+    times = bundle.times[split_index:]
+    flow = np.exp(np.outer(times - times[0], diag))
+    restart = flow * (states[:, :1] - conv[:, :1]) + conv
+    return float(np.max(np.abs(restart - states)))
 
 
 def mc_value(
@@ -662,10 +655,8 @@ def mc_values(
         raise ValueError(f"t0 must lie in [0, T), got {t0}")
     sigma, steps = problem.sigma, control_spec.steps
     x0s = [as_point(x0, sigma.dim) for x0 in probes]
-    diag = _generator_diag(problem.a_gen, sigma.dim)
-    flow_T = np.exp((problem.T - t0) * diag)
+    diag, flow_T = problem.generator_diag(), problem.flow(t0)
     n_paths, T = control_spec.n_paths, problem.T - t0
-    decay = np.exp(T / steps * diag)
     sums = np.add.outer(diag, diag) * (T / steps)
     inflation = np.divide(-np.expm1(-sums), sums, out=np.ones_like(sums),
                           where=sums != 0.0)
@@ -673,11 +664,9 @@ def mc_values(
 
     def payoff(policy, walk):
         if policy.kind == "feedback":
-            ends = (_terminal(walk(x0, decay)) for x0 in x0s)
+            ends = (_terminal(walk(x0, diag)) for x0 in x0s)
         else:
-            # every=steps: the fold yields once, the terminal convolution
-            [(_, conv_T)] = _convolve(decay, walk(), steps,
-                                      np.zeros((n_paths, sigma.dim)))
+            conv_T = _terminal(walk(0.0, diag))
             ends = (conv_T + flow_T * x0 for x0 in x0s)
         rows = [evaluate_rows(problem.terminal_f, x) for x in ends]
         return np.reshape(rows, (len(x0s), n_paths))

@@ -346,12 +346,13 @@ def _generator_diag(a_gen, dim: int) -> np.ndarray:
 def convolution_path(a_gen, paths: PathBundle, substeps: int = 1) -> np.ndarray:
     """Semigroup convolution integral of the paths on a coarsened grid.
 
-    Left-point elementary approximation on the bundle's (fine) grid, with the
-    exact one-step recursion I_{k+1} = exp(dt A) (I_k + dB_k); values are
-    returned on every ``substeps``-th grid time as an
+    Left-point elementary approximation on the bundle's (fine) grid: the
+    stored increments folded by the mild recursion I_{k+1} = exp(dt A) (I_k +
+    dB_k) from I_0 = 0, the step that ``control_sim._walk`` takes given the
+    rates of A, so a walk from 0 with those rates yields these values bitwise.
+    Values are returned on every ``substeps``-th grid time as an
     (n_paths, n_coarse + 1, N) view of time-major storage.  A zero generator
-    returns the paths themselves exactly.  Replays the paths through the fold
-    of a streamed walk.
+    returns the paths of a bundle started at 0 exactly.
     """
     diag = _generator_diag(a_gen, paths.dim)
     if substeps < 1 or paths.n_steps % substeps != 0:
@@ -360,23 +361,13 @@ def convolution_path(a_gen, paths: PathBundle, substeps: int = 1) -> np.ndarray:
         )
     decay = np.exp(float(paths.times[1] - paths.times[0]) * diag)
     out = np.zeros((paths.n_steps // substeps + 1, paths.n_paths, paths.dim))
-    for k, current in _convolve(decay, _replay(paths), substeps,
-                                np.zeros((paths.n_paths, paths.dim))):
-        out[k // substeps] = current
+    current = np.zeros((paths.n_paths, paths.dim))
+    for k, dx in enumerate(paths.increments.transpose(1, 0, 2), 1):
+        current += dx
+        current *= decay
+        if k % substeps == 0:
+            out[k // substeps] = current
     return out.transpose(1, 0, 2)
-
-
-def _convolve(decay, stream, every, start):
-    """Fold a path stream into I_{k+1} = decay (I_k + dB_k), from ``start``.
-
-    Yields ``(k + 1, I_{k+1})`` whenever ``every`` divides k + 1; the yielded
-    array is ``start``, updated in place.
-    """
-    for k, _, _, dx, _ in stream:
-        start += dx
-        start *= decay
-        if (k + 1) % every == 0:
-            yield k + 1, start
 
 
 def convolution_condition(

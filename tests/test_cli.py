@@ -58,6 +58,25 @@ class TestRun:
         second = strip_timings(load_report(tmp_path))
         assert json.dumps(second, sort_keys=True) == first_text
 
+    @pytest.mark.parametrize("kind, params", [
+        ("ou", {"steps": 12, "n_paths": 200, "substeps": 4, "quad_steps": 100}),
+        ("gpde", {"nodes": 9, "scalar_nodes": 21, "steps": 4, "n_paths": 100,
+                  "n_probes": 2}),
+    ])
+    def test_mild_path_reports_are_byte_identical_modulo_timings(self, tmp_path, kind,
+                                                                 params):
+        # the runners that walk mild paths: the report and every artifact
+        cfg = write_config(tmp_path, kind=kind, params=params)
+        runs = []
+        for _ in range(2):
+            assert main(["run", str(cfg)]) == 0
+            files = {path.name: path.read_bytes() for path in (tmp_path / "out").iterdir()
+                     if path.name != "report.json"}
+            runs.append((json.dumps(strip_timings(load_report(tmp_path)), sort_keys=True),
+                         files))
+        assert runs[0] == runs[1]
+        assert sorted(runs[0][1]) == load_report(tmp_path)["artifacts"]
+
     def test_seed_override_env(self, tmp_path, monkeypatch):
         cfg = write_config(tmp_path)
         assert main(["run", str(cfg)]) == 0

@@ -6,7 +6,7 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from gexpect import CovarianceSet, g_pde
-from gexpect.control_sim import ControlPolicy, PolicyFamily, lattice_1d
+from gexpect.control_sim import ControlPolicy, PathBundle, PolicyFamily, lattice_1d
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
     McControlSpec,
@@ -363,6 +363,11 @@ class TestOuPaths:
         assert np.allclose(raw, rebuilt, atol=1e-12)
         assert bundle.times[0] == 0.25 and bundle.times[-1] == 1.25
 
+    def test_rejects_an_empty_grid(self, band_1d):
+        with pytest.raises(ValueError, match="steps must be >= 1"):
+            ou_mild_path(np.diag([-1.0]), band_1d, ControlPolicy.constant(0), 0.0, 0.0,
+                         1.0, 0, 10, seed=1)
+
     def test_flow_property_pathwise(self):
         # pathwise restart identity at an interior time
         sigma = CovarianceSet([np.diag([1.0, 0.5]), np.diag([0.3, 0.2])])
@@ -371,6 +376,35 @@ class TestOuPaths:
                               [0.5, -1.0], 0.0, 1.5, 48, 200, seed=3)
         for split in (16, 32):
             assert flow_property_discrepancy(bundle, a, split) < 1e-10
+
+    def test_flow_property_fails_off_the_mild_recursion(self):
+        # the same increments stepped as x_{k+1} = e^{dt A} x_k + dx_k are not
+        # mild paths, and the identity against the stored convolution says so
+        sigma = CovarianceSet([np.diag([1.0, 0.5]), np.diag([0.3, 0.2])])
+        a = np.diag([-1.0, -2.0])
+        mild = ou_mild_path(a, sigma, ControlPolicy.constant(0),
+                            [0.5, -1.0], 0.0, 1.5, 48, 200, seed=3)
+        decay = np.exp(1.5 / 48 * np.diag(a))
+        states = mild.states.copy()
+        for k in range(mild.n_steps):
+            states[:, k + 1] = decay * states[:, k] + mild.increments[:, k]
+        other = PathBundle(mild.times, states, mild.increments, mild.seed, mild.policy,
+                           sigma)
+        for split in (0, 16, 32):
+            assert flow_property_discrepancy(mild, a, split) < 1e-10
+            assert flow_property_discrepancy(other, a, split) > 1e-3
+
+    def test_feedback_rule_reads_the_mild_state(self):
+        # the bang-bang rule of TestMcValue's feedback test at probe (1, 0.2): the
+        # stored paths are the hand mild recursion from the probe, to the bit
+        sigma = CovarianceSet([np.diag([1.0, 0.8]), np.diag([0.1, 0.05])])
+        a = np.diag([-1.0, -2.0])
+        rule = PolicyFamily(bang_bang_stat=lambda s: s[:, 0] - 0.5).build(2)[2].rule
+        bundle = ou_mild_path(a, sigma, ControlPolicy.feedback(rule), [1.0, 0.2],
+                              0.0, 0.5, 8, 2000, seed=11)
+        hand = mild_feedback_terminal(sigma, rule, [1.0, 0.2], np.diag(a), 0.5, 8, 2000,
+                                      seed=11)
+        assert np.array_equal(bundle.terminal, hand)
 
 
 def step_set(sigma, diag, dt):
@@ -444,17 +478,23 @@ class TestMcValue:
         got = mc_values(prob, probes, 0.1, spec)
         assert got == [mc_value(prob, p, 0.1, spec) for p in probes]
         walked = step_set(sigma, np.diag(a), 0.4 / 8)
+        policies = family.build(len(sigma))
         for probe, mc in zip(probes, got):
-            means = [
-                float(np.mean(f(
-                    mild_feedback_terminal(walked, pol.rule, probe, np.diag(a), 0.4, 8,
-                                           400, seed=7)
-                    if pol.kind == "feedback" else
-                    ou_mild_path(a, walked, pol, probe, 0.1, 0.5, 8, 400, seed=7).terminal
-                )))
-                for pol in family.build(len(sigma))
-            ]
-            assert mc.value == max(means)
+            means = []
+            for pol in policies:
+                ends = ou_mild_path(a, walked, pol, probe, 0.1, 0.5, 8, 400,
+                                    seed=7).terminal
+                if pol.kind == "feedback":
+                    assert np.array_equal(ends, mild_feedback_terminal(
+                        walked, pol.rule, probe, np.diag(a), 0.4, 8, 400, seed=7))
+                means.append(float(np.mean(f(ends))))
+            best = int(np.argmax(means))
+            if policies[best].kind == "feedback":
+                assert mc.value == means[best]
+            else:
+                # mc_values adds the flow e^{(T - t0) A} x0 to a walk from 0, and
+                # ou_mild_path carries x0 through the recursion: equal to rounding
+                assert mc.value == pytest.approx(means[best], rel=1e-12)
 
     def test_feedback_member_reads_the_mild_state(self):
         # one bang-bang member at probes off 0: its mean is the hand simulation

@@ -381,17 +381,20 @@ class TestStreaming:
 
     @pytest.mark.parametrize("substeps", [1, 4])
     def test_convolution(self, spread_2d, substeps):
+        # the stored fold and the mild walk from 0 are one recursion; a feedback
+        # rule would read different states on the two sides, by design
         n, steps, T = 300, 8, 1.0
         a = np.diag([-0.5, -2.0])
-        stored = convolution_path(a, simulate_gbm(spread_2d, self.POLICY, n, steps, T,
-                                                  seed=9), substeps=substeps)
-        streamed = [(k, conv.copy()) for k, conv in stoch_integral._convolve(
-            np.exp(T / steps * np.diag(a)), _walk(spread_2d, self.POLICY, n, steps, T,
-                                                  seed=9),
-            substeps, np.zeros((n, 2)))]
-        assert [k for k, _ in streamed] == list(range(substeps, steps + 1, substeps))
-        for k, conv in streamed:
-            assert np.array_equal(conv, stored[:, k // substeps, :])
+        table = ControlPolicy.time_table([0, 1, 1, 0, 1, 0, 0, 1])
+        for policy in (ControlPolicy.constant(1), table):
+            stored = convolution_path(a, simulate_gbm(spread_2d, policy, n, steps, T,
+                                                      seed=9), substeps=substeps)
+            streamed = [(k + 1, x.copy()) for k, _, _, _, x in _walk(
+                spread_2d, policy, n, steps, T, seed=9, rates=np.diag(a))
+                if (k + 1) % substeps == 0]
+            assert [k for k, _ in streamed] == list(range(substeps, steps + 1, substeps))
+            for k, conv in streamed:
+                assert np.array_equal(conv, stored[:, k // substeps, :])
 
 
 class TestConvolutionCondition:
