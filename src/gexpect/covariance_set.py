@@ -65,10 +65,15 @@ class CovarianceSet:
 
     def __init__(self, extremes, label: str = ""):
         stack, eigenvalues, _ = _psd_stack(extremes)
-        kept = [0]
-        for i in range(1, len(stack)):
-            if np.linalg.norm(stack[kept] - stack[i], axis=(1, 2)).min() > DEDUP_TOL:
-                kept.append(i)
+        flat = stack.reshape(len(stack), -1)
+        rows = max(1, 2**20 // flat.size)  # at most 2**20 differences in a block of rows
+        dropped = set()
+        for lo in range(1, len(flat), rows):
+            diff = flat[lo : lo + rows, None] - flat[: lo + rows - 1]
+            for i, j in np.argwhere(np.linalg.norm(diff, axis=2) <= DEDUP_TOL).tolist():
+                if j < lo + i and j not in dropped:  # near an earlier kept extreme
+                    dropped.add(lo + i)
+        kept = [i for i in range(len(flat)) if i not in dropped]
         for name, arr in (("matrices", stack[kept]), ("eigenvalues", eigenvalues[kept])):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
@@ -102,7 +107,7 @@ class CovarianceSet:
         return self._roots
 
     def max_trace(self) -> float:
-        return float(max(np.trace(m) for m in self.matrices))
+        return float(np.trace(self.matrices, axis1=1, axis2=2).max())
 
     def to_dict(self) -> dict:
         return {
@@ -135,9 +140,9 @@ def g_eval(sigma: CovarianceSet, a) -> float:
     and positively homogeneous by construction (tested, not enforced).
     """
     m = as_matrix(a)
-    if m.shape[0] != sigma.dim:
+    if m.shape != sigma.matrices.shape[1:]:
         raise ValueError(
-            f"dimension mismatch in g_eval: {m.shape[0]} != {sigma.dim}"
+            f"dimension mismatch in g_eval: {m.shape} != {sigma.matrices.shape[1:]}"
         )
     traces = np.einsum("ij,qji->q", m, sigma.matrices)
     return 0.5 * float(traces.max())

@@ -11,6 +11,7 @@ controls is attained by a constant control (convex or concave payoffs in the
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple
@@ -98,8 +99,8 @@ class StaticEstimate(NamedTuple):
     extreme_index: int
 
 
-def _even_moment(eigenvalues, m: int) -> float:
-    """E ||X||^(2m) for a centered Gaussian whose covariance has these eigenvalues.
+def _even_moment(eigenvalues, m: int) -> np.ndarray:
+    """E ||X||^(2m) under N(0, Q), per row of a (k, N) stack of Q's eigenvalues.
 
     Uses the exact recursion for the derivatives of
     F(eps) = det(1 - eps q)^(-1/2) at zero:
@@ -113,19 +114,20 @@ def _even_moment(eigenvalues, m: int) -> float:
     if m < 1:
         raise ValueError(f"moment order must be >= 1, got {m}")
     w = np.clip(eigenvalues, 0.0, None)
-    trace_pow = [0.0] + [float(np.sum(w**k)) for k in range(1, m + 1)]
+    trace_pow = [0.0] + [np.sum(w**k, axis=-1) for k in range(1, m + 1)]
     f = [1.0]
     for r in range(1, m + 1):
         acc = sum(f[j] / math.factorial(j) * trace_pow[r - j] for j in range(r))
         f.append(math.factorial(r - 1) / 2.0 * acc)
-    return float(2.0**m * f[m])
+    return 2.0**m * f[m]
 
 
 def gaussian_even_moment(q, m: int) -> float:
     """E ||X||^(2m) under N(0, q), q PSD; the recursion is in ``_even_moment``."""
-    return _even_moment(CovarianceSet([q]).eigenvalues[0], m)
+    return float(_even_moment(CovarianceSet([q]).eigenvalues[0], m))
 
 
+@functools.lru_cache
 def moment_constant(m: int) -> float:
     """Certified constant K_m for the moment sandwich, from the recursion.
 
@@ -133,7 +135,7 @@ def moment_constant(m: int) -> float:
     worst case), i.e. the double factorial (2m-1)!!.  Certified for
     m <= MOMENT_CONSTANT_MAX_ORDER and dim <= MOMENT_CONSTANT_MAX_DIM.
     """
-    return _even_moment(np.ones(1), m)
+    return float(_even_moment(np.ones(1), m))
 
 
 def moment_upper(gn: GNormal, m: int) -> float:
@@ -141,8 +143,7 @@ def moment_upper(gn: GNormal, m: int) -> float:
 
     For m = 1 this is exactly scale * sup Tr Q.
     """
-    per = [_even_moment(w, m) for w in gn.sigma.eigenvalues]
-    return float(gn.scale**m * max(per))
+    return float(gn.scale**m * _even_moment(gn.sigma.eigenvalues, m).max())
 
 
 def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
@@ -153,7 +154,7 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     """
     value = moment_upper(gn, m)
     w = np.clip(gn.sigma.eigenvalues, 0.0, None)
-    lower = float(gn.scale**m * max(np.sum(row**m) for row in w))
+    lower = float(gn.scale**m * np.sum(w**m, axis=1).max())
     upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
     k_m = moment_constant(m)
     tol = 1.0 + 1e-12

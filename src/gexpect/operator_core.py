@@ -9,6 +9,7 @@ the operator classes and ``covariance_set`` share.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
@@ -40,15 +41,24 @@ def _square(entries) -> np.ndarray:
     return m
 
 
+@functools.lru_cache
+def _upper(n: int) -> np.ndarray:
+    """Read-only N x N mask of the upper triangle, diagonal included."""
+    mask = np.triu(np.ones((n, n), dtype=bool))
+    mask.flags.writeable = False
+    return mask
+
+
 def _symmetric(stack: np.ndarray) -> np.ndarray:
-    """Exactly symmetric copy of a (k, N, N) stack: each upper triangle mirrored."""
+    """Exactly symmetric copy of a (k, N, N) stack: each upper triangle mirrored
+    (``+ 0.0`` stores every zero as ``+0.0``)."""
     if not np.all(np.isfinite(stack)):
         raise ValueError("matrix entries must be finite")
     skew = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
     bad = np.flatnonzero(skew > SYMMETRY_TOL)
     if bad.size:
         raise ValueError(f"matrix is not symmetric (max asymmetry {skew[bad[0]]:.3e})")
-    return np.triu(stack) + np.swapaxes(np.triu(stack, 1), 1, 2)
+    return np.where(_upper(stack.shape[-1]), stack, np.swapaxes(stack, 1, 2)) + 0.0
 
 
 def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

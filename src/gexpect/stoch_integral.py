@@ -148,12 +148,16 @@ class ConvolutionCondition(NamedTuple):
 
 
 def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
-    """sup over extremes of ||block sqrt(Q)||_F^2, per path if block is."""
+    """sup over extremes of ||block sqrt(Q)||_F^2, per path if block is.
+
+    A per-path (n, m, N) block takes one GEMM per root over its n * m rows.
+    """
     if block.ndim == 2:
         prod = np.einsum("ij,qjk->qik", block, roots)
         return float(np.max(np.sum(prod * prod, axis=(1, 2))))
-    prod = np.matmul(block[:, None], roots[None])
-    return np.max(np.sum(prod * prod, axis=(2, 3)), axis=1)
+    rows = block.reshape(-1, block.shape[-1])
+    per = [np.sum((rows @ g).reshape(len(block), -1) ** 2, axis=1) for g in roots]
+    return np.max(per, axis=0)
 
 
 def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralResult:

@@ -28,6 +28,30 @@ class TestConstruction:
         cs = CovarianceSet([q, q.copy(), np.eye(2)], label="dup")
         assert len(cs) == 2
 
+    def test_dedup_compares_only_with_kept_extremes(self):
+        # C is within DEDUP_TOL of the dropped B, but not of the kept A
+        a = np.diag([1.0, 2.0])
+        step = np.diag([covariance_set.DEDUP_TOL, 0.0])
+        b, c = a + 0.6 * step, a + 1.2 * step
+        cs = CovarianceSet([a, b, c])
+        assert len(cs) == 2
+        assert np.array_equal(cs.matrices, np.stack([a, c]))
+
+    def test_dedup_matches_the_greedy_loop_across_blocks(self):
+        # 450 extremes in 8-d are compared in blocks of 36 rows
+        rng = np.random.default_rng(3)
+        base = [random_sym(rng, 8) + 8.0 * np.eye(8) for _ in range(150)]
+        step = covariance_set.DEDUP_TOL / np.sqrt(8.0) * np.eye(8)
+        mats = np.stack(base + [q + 0.6 * step for q in base] + [q + 1.2 * step for q in base])
+        for order in (np.arange(len(mats)), rng.permutation(len(mats))):
+            kept = [order[0]]
+            for i in order[1:]:
+                dist = np.linalg.norm(mats[kept] - mats[i], axis=(1, 2))
+                if dist.min() > covariance_set.DEDUP_TOL:
+                    kept.append(i)
+            assert np.array_equal(CovarianceSet(mats[order]).matrices, mats[kept])
+        assert len(CovarianceSet(mats)) == 300  # each base and its far copy
+
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             CovarianceSet([])
@@ -149,6 +173,11 @@ class TestGEval:
     def test_dim_mismatch(self, spread_2d):
         with pytest.raises(ValueError):
             g_eval(spread_2d, SymOperator.identity(3))
+
+    @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.ones(2), np.eye(2)[None]])
+    def test_rejects_an_argument_that_is_not_n_by_n(self, spread_2d, a):
+        with pytest.raises(ValueError, match="dimension mismatch in g_eval"):
+            g_eval(spread_2d, a)
 
     def test_monotone_on_psd_ordered_pairs(self, correlated_2d):
         rng = np.random.default_rng(5)

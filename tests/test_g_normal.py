@@ -6,6 +6,7 @@ import pytest
 from gexpect import CovarianceSet, covset_scale, g_eval, outer
 from gexpect.g_normal import (
     GNormal,
+    _even_moment,
     VolatilityBand,
     gaussian_even_moment,
     moment_bounds_check,
@@ -46,6 +47,15 @@ class TestMomentRecursion:
     def test_rejects_order_zero(self):
         with pytest.raises(ValueError):
             gaussian_even_moment(np.eye(2), 0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
+    def test_stacked_rows_equal_row_by_row_calls(self, m):
+        rng = np.random.default_rng(m)
+        for k, n in [(1, 1), (3, 2), (9, 5), (4, 8)]:
+            stack = rng.uniform(-1e-11, 3.0, size=(k, n))  # drift below zero clamps
+            got = _even_moment(stack, m)
+            assert got.shape == (k,)
+            assert got.tolist() == [float(_even_moment(row, m)) for row in stack]
 
     def test_multidim_mc_cross_check(self):
         # rel. error < 1% at 10^6 samples for m <= 3, N <= 4
@@ -109,9 +119,10 @@ class TestMomentBounds:
         assert b.ok
 
     def test_constants_are_double_factorials(self):
-        assert [moment_constant(m) for m in range(1, 6)] == pytest.approx(
-            [1.0, 3.0, 15.0, 105.0, 945.0]
-        )
+        assert [moment_constant(m) for m in range(1, 6)] == [1.0, 3.0, 15.0, 105.0, 945.0]
+        for _ in range(2):  # a cached constant must not hide the rejection
+            with pytest.raises(ValueError, match="order"):
+                moment_constant(0)
 
     def test_ok_on_random_sets(self):
         rng = np.random.default_rng(13)

@@ -79,3 +79,12 @@ def test_transported_3d_solve_and_residual_peak():
         residual_check(solve_gpde(prob, MeshSpec(nodes=41)), prob)
 
     assert traced_peak(solve_and_check) < 40 * 2**20
+
+
+def test_dedup_peak_does_not_grow_with_the_square_of_the_set():
+    # every pairwise difference of 600 extremes in 8-d at once is 184 MB
+    rng = np.random.default_rng(7)
+    raw = rng.standard_normal((600, 8, 8))
+    extremes = raw @ np.swapaxes(raw, 1, 2)
+    extremes = (extremes + np.swapaxes(extremes, 1, 2)) / 2.0
+    assert traced_peak(lambda: CovarianceSet(extremes)) <= 40 * 2**20

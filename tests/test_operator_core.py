@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gexpect import operator_core
 from gexpect.operator_core import (
     PsdOperator,
     SymOperator,
@@ -44,6 +45,22 @@ class TestSymOperator:
             op.entries = np.zeros((2, 2))
         with pytest.raises(ValueError):
             op.entries[0, 0] = 5.0
+
+
+class TestSymmetricMirror:
+    @pytest.mark.parametrize("n", [1, 2, 3, 5, 8])
+    def test_bitwise_equal_to_the_triangle_sum(self, n):
+        rng = np.random.default_rng(n)
+        stack = np.stack([random_sym(rng, n) for _ in range(4)])
+        signed = rng.random((n, n)) < 0.4
+        stack[:, signed | signed.T] = 0.0
+        stack[:, signed] = -0.0  # some pairs hold -0.0 on one side only
+        stack[1] = -0.0
+        stack[2, 0, -1] += 5e-13  # asymmetry within SYMMETRY_TOL
+        got = operator_core._symmetric(stack)
+        want = np.triu(stack) + np.swapaxes(np.triu(stack, 1), 1, 2)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[1]).any()
 
 
 class TestPsdOperator:

@@ -20,6 +20,8 @@ from gexpect.stoch_integral import (
     sigma_of_integral,
 )
 
+from conftest import random_psd
+
 
 class TestIntegrate:
     def test_identity_integrand_telescopes(self, band_1d):
@@ -148,6 +150,29 @@ class TestIsometry:
             phi = ElementaryProcess.adapted(part, rule, out_dim=1, in_dim=1)
             chk = ito_isometry_check(phi, band_1d, family, 4000, seed=100 + trial)
             assert chk.ok, f"trial {trial}: lhs={chk.lhs} rhs={chk.rhs}"
+
+
+def _l2sigma_reference(block, roots):
+    """The broadcast form: every (path, extreme) product as its own matmul."""
+    if block.ndim == 2:
+        return max(float(np.sum((block @ g) ** 2)) for g in roots)
+    prod = np.matmul(block[:, None], roots[None])
+    return np.max(np.sum(prod * prod, axis=(2, 3)), axis=1)
+
+
+class TestL2SigmaPerPath:
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4])
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_matches_the_broadcast_form(self, dim, k):
+        rng = np.random.default_rng(10 * dim + k)
+        roots = CovarianceSet([random_psd(rng, dim) for _ in range(k)]).roots
+        for out_dim in sorted({1, dim, dim + 2}):
+            block = rng.standard_normal((50, out_dim, dim))
+            got = stoch_integral._l2sigma_sq_per_path(block, roots)
+            assert got.shape == (50,)
+            assert got == pytest.approx(_l2sigma_reference(block, roots), rel=1e-13)
+            flat = stoch_integral._l2sigma_sq_per_path(block[0], roots)
+            assert flat == pytest.approx(_l2sigma_reference(block[0], roots), rel=1e-13)
 
 
 class TestBdg:
