@@ -14,9 +14,8 @@ from __future__ import annotations
 import json
 
 import numpy as np
-from scipy.optimize import nnls
 
-from .operator_core import PsdOperator, _psd_power, _psd_stack, as_matrix
+from .operator_core import PsdOperator, _psd_power, _psd_stack, as_matrix, nnls
 
 __all__ = [
     "DEDUP_TOL",

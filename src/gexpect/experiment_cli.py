@@ -22,9 +22,9 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import ndtr, ndtri
 
 from .covariance_set import CovarianceSet, _count
 from .control_sim import (
@@ -142,9 +142,10 @@ class _Report:
         """Tolerance of a Monte Carlo check: z standard errors ``se`` plus ``slack``
         (a discretization bound).  z is ``MC_Z`` for one comparison; a family of
         ``family`` comparisons that must all hold takes the Bonferroni z =
-        ndtri(1 - alpha / (2 family)), alpha = 2 Phi(-MC_Z), so that it fails by
+        Phi^-1(1 - alpha / (2 family)), alpha = 2 Phi(-MC_Z), so that it fails by
         chance no more often than one comparison."""
-        z = MC_Z if family == 1 else -ndtri(ndtr(-MC_Z) / family)
+        tail = 0.5 * math.erfc(MC_Z / math.sqrt(2.0))  # Phi(-MC_Z)
+        z = MC_Z if family == 1 else -NormalDist().inv_cdf(tail / family)
         return z * se + slack
 
     def check(self, name, lhs, rhs, tol, ok=None, n_paths=None):

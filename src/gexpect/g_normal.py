@@ -231,6 +231,13 @@ def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEs
     monotonicity and subadditivity of the estimate exact, not just within
     Monte Carlo noise.  The extreme is chosen by ``best_of``.
     """
+    value, vals, best = _static_best(gn, f, n, seed)
+    return StaticEstimate(value, stderr(vals), best)
+
+
+def _static_best(gn: GNormal, f: Callable, n: int, seed: int):
+    """The largest mean over the extremes, the payoff values behind it and
+    its extreme's index."""
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
     z = np.random.default_rng(seed).standard_normal((n, gn.dim))
@@ -238,7 +245,7 @@ def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEs
     vals = [evaluate_rows(f, z @ (sqrt_scale * root).T) for root in gn.sigma.roots]
     means = [float(v.mean()) for v in vals]
     best = best_of(means)
-    return StaticEstimate(means[best], stderr(vals[best]), best)
+    return means[best], vals[best], best
 
 
 def static_upper_expectation(gn: GNormal, f: Callable, n: int, seed: int) -> float:
@@ -247,6 +254,7 @@ def static_upper_expectation(gn: GNormal, f: Callable, n: int, seed: int) -> flo
     A lower bound for the dynamic (adapted-control) value; coincides with it
     when a constant control attains the supremum.  ``f`` must be vectorized
     over rows: it receives an (n, N) array of draws and returns (n,) values.
+    The value of ``static_upper_report``, without its standard error.
     """
-    return static_upper_report(gn, f, n, seed).value
+    return _static_best(gn, f, n, seed)[0]
 

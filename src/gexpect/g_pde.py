@@ -33,18 +33,17 @@ operator, bitwise equal.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
-from scipy.optimize import nnls
 
 from .covariance_set import CovarianceSet
 from .control_sim import PathBundle, PolicyFamily, _policy_sup, _stored, _terminal
 from .g_normal import as_point, evaluate_rows
-from .operator_core import as_coords
+from .operator_core import as_coords, nnls
 from .stoch_integral import _generator_diag, convolution_path
 
 __all__ = [
@@ -199,10 +198,22 @@ class GridSolution:
 
     def value_at(self, t: float, point) -> float:
         """u at time t and ``point``: the slice nearest to t, interpolated
-        multilinearly at E(t_k) ``point``."""
+        multilinearly at E(t_k) ``point`` (ValueError off the grid), bitwise as
+        scipy's RegularGridInterpolator, which weights a corner left to right
+        in 2-d and by the product of its weights otherwise."""
         k = self.time_index(t)
-        interp = RegularGridInterpolator(self.axes, self.time_slice(k))
-        return float(interp(np.atleast_2d(self.flow(k) * as_coords(point)))[0])
+        u, x, corners = self.time_slice(k), self.flow(k) * as_coords(point), []
+        for ax, xa in zip(self.axes, x, strict=True):
+            if not ax[0] <= xa <= ax[-1]:
+                raise ValueError(f"point {x.tolist()} outside the grid")
+            i = min(int(np.searchsorted(ax, xa, side="right")) - 1, ax.size - 2)
+            y = (xa - ax[i]) / (ax[i + 1] - ax[i])
+            corners.append(((i, 1.0 - y), (i + 1, y)))
+        value = 0.0
+        for index, weights in (zip(*c) for c in itertools.product(*corners)):
+            value += (math.prod((u[index],) + weights) if u.ndim == 2
+                      else u[index] * math.prod(weights))
+        return float(value)
 
 
 class McValue(NamedTuple):
@@ -390,9 +401,11 @@ class _Stencil:
         ``g_of_hessian`` last read)."""
         jumps = np.zeros(self._g.size)
         jumps_inner = jumps[self._inner]
+        tmp = np.empty_like(jumps_inner)
         for ahead, here, diff, fwd, bwd in self._axis_ops:
             np.subtract(ahead, here, out=diff)
-            np.maximum(jumps_inner, np.abs(fwd - bwd), out=jumps_inner)
+            np.abs(np.subtract(fwd, bwd, out=tmp), out=tmp)
+            np.maximum(jumps_inner, tmp, out=jumps_inner)
         return jumps.reshape(self._g_nodes.shape)
 
     def retimed(self, scale) -> np.ndarray:

@@ -4,13 +4,15 @@ The ambient separable Hilbert space is truncated to R^N with the standard
 basis, so operators are plain dense symmetric matrices and vectors are 1-d
 arrays.  Everything here is immutable after construction.  Symmetric and PSD
 validation and square roots each have one batched private routine, which
-the operator classes and ``covariance_set`` share.
+the operator classes and ``covariance_set`` share; hull membership and the
+PDE stencils share the private nonnegative least squares ``nnls``.
 """
 
 from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -32,6 +34,7 @@ SYMMETRY_TOL = 1e-12
 # Eigenvalues in [-PSD_EIGEN_TOL, 0) are treated as floating-point drift and
 # clamped to zero; anything below is rejected.
 PSD_EIGEN_TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 
 
 def _square(entries) -> np.ndarray:
@@ -219,3 +222,82 @@ def trace_product(a, b) -> float:
     ma, mb = as_matrix(a), as_matrix(b)
     _check_same_dim(ma.shape[0], mb.shape[0], "trace_product")
     return float(np.sum(ma * mb.T))
+
+
+def _dot(u, v) -> float:
+    return sum(map(operator.mul, u, v))
+
+
+def _upper_solve(cols, rhs) -> list:
+    """z with sum_k z_k cols[k] = rhs, for the columns of an upper triangle."""
+    z = [0.0] * len(cols)
+    for i in range(len(z) - 1, -1, -1):
+        z[i] = (rhs[i] - sum(cols[k][i] * z[k] for k in range(i + 1, len(z)))) / cols[i][i]
+    return z
+
+
+def _fit(cols, b):
+    """Least-squares weights of the list ``b`` on the lists ``cols`` and the
+    residual, by Gram-Schmidt run twice over [cols | b]; None if a column is
+    within rounding of the span of the ones before it."""
+    qs, rs = [], []
+    for col in cols + [b]:
+        v, r = col, [0.0] * len(qs)
+        for _ in range(2):
+            for i, q in enumerate(qs):
+                c = _dot(q, v)
+                r[i] += c
+                v = [s - c * t for s, t in zip(v, q)]
+        if len(rs) == len(cols):
+            return _upper_solve(rs, r), v
+        norm = math.sqrt(_dot(v, v))
+        if not norm > 100.0 * _EPS * math.sqrt(_dot(col, col)):
+            return None
+        qs.append([s / norm for s in v])
+        rs.append(r + [norm])
+
+
+def nnls(a, b) -> tuple[np.ndarray, float]:
+    """x >= 0 minimising |a x - b|, and that norm, by Lawson and Hanson's
+    active set (Solving Least Squares Problems, 1974, ch. 23): the column of
+    largest gradient a^T (b - a x) enters, the lowest index on ties, unless
+    it would get no positive weight, until no gradient is positive or the
+    residual is within rounding of 0.  Fits are QRs (``_fit``), exact on
+    nearly collinear columns.  A tall ``a`` is first replaced by the R of
+    [a | b], which keeps the minimiser and the residual norm; an R of full
+    rank with positive least-squares weights gives them at once."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    n = a.shape[1]
+    if a.shape[0] > n:  # LAPACK's packed QR of [a | b] holds R^T in its lower triangle
+        rows = np.linalg.qr(np.column_stack([a, b]), mode="raw")[0][:, :n + 1].tolist()
+        cols, b = [row[:j + 1] + [0.0] * (n - j) for j, row in enumerate(rows[:n])], rows[n]
+        if all(abs(c[i]) > 100.0 * _EPS * math.sqrt(_dot(c, c)) for i, c in enumerate(cols)):
+            z = _upper_solve(cols, b)
+            if min(z) > 0.0:
+                return np.array(z), abs(b[n])
+    else:
+        cols, b = a.T.tolist(), b.tolist()
+    at, x, passive, fit = np.array(cols), [0.0] * n, [], (None, b)
+    tol = 100.0 * _EPS * math.sqrt(_dot(b, b))
+    for _ in range(3 * n):
+        rnorm, w = math.sqrt(_dot(fit[1], fit[1])), (at @ fit[1]).tolist()
+        for p in passive:
+            w[p] = 0.0
+        while True:  # the best column that would get a positive weight enters
+            j = max(range(n), key=w.__getitem__)
+            if rnorm <= tol or not w[j] > 0.0:
+                return np.array(x), rnorm
+            new = _fit([cols[p] for p in passive + [j]], b)
+            if new and new[0][-1] > 0.0:
+                break
+            w[j] = 0.0
+        passive, fit = passive + [j], new
+        while min(fit[0], default=1.0) <= 0.0:  # back from x towards the fit to a 0
+            alpha, out = min((x[p] / (x[p] - z), p) for p, z in zip(passive, fit[0]) if z <= 0.0)
+            for p, z in zip(passive, fit[0]):
+                x[p] = 0.0 if p == out else max(x[p] + alpha * (z - x[p]), 0.0)
+            passive = [p for p in passive if x[p] > 0.0]
+            fit = _fit([cols[p] for p in passive], b)
+        for p, z in zip(passive, fit[0]):
+            x[p] = z
+    raise RuntimeError("nnls did not converge")

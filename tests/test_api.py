@@ -7,6 +7,9 @@ up here in milliseconds instead of as a broken demo or benchmark run.
 import ast
 import importlib
 import importlib.util
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,15 @@ def test_script_imports_resolve(path):
     ]
     assert missing == []
 
+
+
+def test_runtime_loads_no_scipy():
+    """The runtime needs numpy alone: the package, the CLI and the PDE solver
+    import no scipy module (the tests keep scipy as their reference)."""
+    src = Path(importlib.util.find_spec("gexpect").origin).parent.parent
+    code = ("import sys, gexpect, gexpect.experiment_cli, gexpect.g_pde; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60,
+                          check=True)
+    assert done.stdout.strip() == "[]"

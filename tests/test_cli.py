@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.special import ndtr, ndtri
 
 from gexpect import CovarianceSet
 from gexpect.experiment_cli import MC_Z, _Report, main, run
@@ -324,6 +325,12 @@ class TestReport:
         se = np.array([0.5, 2.0])
         assert np.array_equal(self.sink(tmp_path).mc_tol(se, 0.1, family=10),
                               tols[2] * se + 0.1)
+
+    def test_family_z_is_the_scipy_normal_quantile(self, tmp_path):
+        sink = self.sink(tmp_path)
+        for family in range(2, 1001):
+            assert sink.mc_tol(1.0, family=family) == pytest.approx(
+                -ndtri(ndtr(-MC_Z) / family), rel=1e-14)
 
     @pytest.mark.parametrize("ok", [True, None])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "tolerance"])

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import nnls as scipy_nnls
 
 from gexpect import (
     CovarianceSet,
@@ -345,6 +346,22 @@ class TestMembership:
         monkeypatch.setattr(covariance_set, "nnls", lambda a, b: (None, 0.0))
         with pytest.raises(RuntimeError, match="certificate"):
             covset_contains(spread_2d, 3.0 * spread_2d.matrices[1])
+
+    @pytest.mark.parametrize("third", [None, np.eye(2)])
+    def test_nearly_collinear_extremes_keep_the_scipy_verdicts(self, third, monkeypatch):
+        # A and C, 1.2 DEDUP_TOL apart, are both kept: two nearly collinear
+        # columns in the exact path
+        a = np.diag([1.0, 2.0])
+        c = a + 1.2 * np.diag([covariance_set.DEDUP_TOL, 0.0])
+        cs = CovarianceSet([a, c] + ([] if third is None else [third]))
+        assert len(cs) == (2 if third is None else 3)
+        inside = [a, c, 0.5 * (a + c), 0.3 * a + 0.7 * c, cs.matrices.mean(axis=0)]
+        outside = [1.5 * a, 0.5 * a, a + np.diag([0.0, 1e-6]), np.diag([1.0 + 1e-3, 1.5]),
+                   2.0 * cs.matrices[-1]]
+        verdicts = [covset_contains(cs, q) for q in inside + outside]
+        assert verdicts == [True] * len(inside) + [False] * len(outside)
+        monkeypatch.setattr(covariance_set, "nnls", scipy_nnls)
+        assert verdicts == [covset_contains(cs, q) for q in inside + outside]
 
     def test_rejects_zero_directions(self, spread_2d):
         with pytest.raises(ValueError):

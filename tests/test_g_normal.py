@@ -267,6 +267,18 @@ class TestStaticEvaluator:
             assert math.isnan(est.value), extremes
             assert est.extreme_index == extremes.index([[0.0]])
 
+    @pytest.mark.filterwarnings("ignore:invalid value")
+    def test_expectation_is_bitwise_the_report_value(self, spread_2d, correlated_2d):
+        bits = lambda v: np.float64(v).tobytes()
+        payoffs = [lambda x: x[:, 0], lambda x: x[:, 0] * x[:, 1] + x[:, 1] ** 2,
+                   lambda x: np.exp(x[:, 1]), lambda x: x[:, 0] / x[:, 0]]
+        for sigma in (spread_2d, correlated_2d, CovarianceSet([np.eye(2), np.zeros((2, 2))])):
+            gn = GNormal(sigma)
+            for seed, f in enumerate(payoffs):
+                value = static_upper_expectation(gn, f, 300, seed)
+                assert type(value) is float
+                assert bits(value) == bits(static_upper_report(gn, f, 300, seed).value)
+
     def test_linear_is_centered(self, spread_2d):
         gn = GNormal(spread_2d)
         est = static_upper_report(gn, lambda x: x[:, 0], n=40000, seed=17)

@@ -805,6 +805,32 @@ class TestCheckpoints:
                 interp = RegularGridInterpolator(sol.axes, reference[k])
                 assert sol.value_at(float(sol.times[k]), x) == float(interp([flow * x])[0])
 
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_value_at_is_bitwise_the_grid_interpolator(self, dim, transport):
+        rng = np.random.default_rng(70 + 10 * dim + transport)
+        prob, mesh = random_problem(rng, dim, transport, 12)
+        sol = solve_gpde(prob, mesh)
+        lo, hi = (np.array([ax[i] for ax in sol.axes]) for i in (0, -1))
+        nodes = [np.array([rng.choice(ax) for ax in sol.axes]) for _ in range(20)]
+        edges = [np.where(rng.random(dim) < 0.5, lo, hi) for _ in range(8)]
+        faces = [np.where(np.arange(dim) == a, side, rng.uniform(lo, hi))
+                 for a in range(dim) for side in (lo[a], hi[a])]
+        inner = list(rng.uniform(lo, hi, size=(60, dim)))
+        bits = lambda v: np.float64(v).tobytes()
+        for k in (0, sol.n_steps // 2, sol.n_steps):
+            interp = RegularGridInterpolator(sol.axes, sol.time_slice(k))
+            for y in nodes + edges + faces + inner:
+                x = y / sol.flow(k)  # read at the node E(t_k) x = y
+                want = interp([sol.flow(k) * x])[0]
+                assert bits(sol.value_at(float(sol.times[k]), x)) == bits(want)
+        off = np.where(np.arange(dim) == 0, hi + 1e-9, lo)
+        for y in (off, np.full(dim, np.nan)):
+            with pytest.raises(ValueError, match="outside the grid"):
+                sol.value_at(0.0, y / sol.flow(0))
+        with pytest.raises(ValueError):
+            sol.value_at(0.0, np.zeros(dim + 1))
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_held_slices_are_bounded(self, dim):
         sigma = CovarianceSet([np.eye(dim), 0.3 * np.eye(dim)])

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import nnls as scipy_nnls
 
 from gexpect import operator_core
 from gexpect.operator_core import (
@@ -197,3 +198,82 @@ class TestTraceProduct:
     def test_dim_mismatch(self):
         with pytest.raises(ValueError):
             trace_product(SymOperator.identity(2), SymOperator.identity(3))
+
+
+class TestNnls:
+    """The Lawson-Hanson solver against scipy's, which stays the reference."""
+
+    @staticmethod
+    def check_against_scipy(a, b, x_tol=1e-12):
+        x, rnorm = operator_core.nnls(a, b)
+        x_ref, r_ref = scipy_nnls(a, b)
+        assert x.shape == (a.shape[1],) and np.all(x >= 0.0)
+        if x_tol is not None:
+            np.testing.assert_allclose(x, x_ref, rtol=0.0, atol=x_tol)
+        assert rnorm == pytest.approx(r_ref, rel=1e-12, abs=1e-12)
+        assert np.linalg.norm(a @ x - b) == pytest.approx(rnorm, rel=1e-10, abs=1e-12)
+        return x, rnorm
+
+    @pytest.mark.parametrize("m, n", [(3, 3), (5, 1), (5, 2), (8, 4), (17, 3), (65, 3),
+                                      (30, 12)])
+    def test_matches_scipy_on_full_rank_problems(self, m, n):
+        rng = np.random.default_rng(100 * m + n)
+        supports = set()
+        for trial in range(60):
+            a = rng.standard_normal((m, n))
+            # mixed-sign weights plus noise: every size of active set turns up
+            b = a @ rng.uniform(-1.0, 1.0, n) + 0.3 * (trial % 3) * rng.standard_normal(m)
+            x, _ = self.check_against_scipy(a, b)
+            supports.add(int(np.count_nonzero(x)))
+        assert len(supports) >= min(n, 3)
+
+    @pytest.mark.parametrize("m, n", [(3, 4), (3, 8), (6, 13), (6, 49)])
+    def test_wide_problems_reach_scipy_residual(self, m, n):
+        # a minimiser is not unique here: the residual and optimality are
+        rng = np.random.default_rng(m + n)
+        for trial in range(20):
+            a = rng.standard_normal((m, n))
+            b = a @ rng.uniform(0.0, 1.0, n) if trial % 2 else rng.standard_normal(m)
+            x, rnorm = self.check_against_scipy(a, b, x_tol=None)
+            assert np.count_nonzero(x) <= m
+            gradient = a.T @ (b - a @ x)
+            assert np.all(gradient <= 1e-12 * (1.0 + np.linalg.norm(b)) * np.linalg.norm(a))
+
+    def test_zero_column_gets_no_weight(self):
+        a = np.array([[1.0, 0.0, 2.0], [0.5, 0.0, -1.0], [2.0, 0.0, 0.3], [1.0, 0.0, 1.0]])
+        for b in ([1.0, 2.0, -1.0, 0.5], [3.0, 0.0, 2.3, 2.0]):
+            x, _ = self.check_against_scipy(a, np.array(b))
+            assert x[1] == 0.0
+
+    @pytest.mark.parametrize("m", [2, 3, 7])
+    def test_rank_deficient_columns(self, m):
+        rng = np.random.default_rng(m)
+        u, v = rng.standard_normal(m), rng.standard_normal(m)
+        a = np.column_stack([u, v, u + v, u, 2.0 * v])
+        for trial in range(20):
+            b = a @ rng.uniform(-0.5, 1.0, 5) + (trial % 2) * rng.standard_normal(m)
+            self.check_against_scipy(a, b, x_tol=None)
+
+    def test_zero_right_hand_side(self):
+        a = np.random.default_rng(4).standard_normal((6, 3))
+        for rows in (6, 2):
+            x, rnorm = operator_core.nnls(a[:rows], np.zeros(rows))
+            assert np.array_equal(x, np.zeros(3)) and rnorm == 0.0
+
+    def test_right_hand_side_outside_the_cone(self):
+        rng = np.random.default_rng(5)
+        for rows in (6, 2):
+            a = rng.uniform(0.1, 1.0, (rows, 3))
+            b = -rng.uniform(0.1, 1.0, rows)
+            x, rnorm = operator_core.nnls(a, b)
+            assert np.array_equal(x, np.zeros(3))
+            assert rnorm == pytest.approx(np.linalg.norm(b), rel=1e-15)
+
+    def test_ties_enter_the_lowest_index(self):
+        # equal gradients at x = 0: the first of the equal columns takes it all
+        x, rnorm = operator_core.nnls(np.array([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0]]),
+                                      np.array([2.0, 2.0]))
+        assert np.array_equal(x, [2.0, 0.0, 0.0]) and rnorm <= 1e-15
+
+    def test_stays_private(self):
+        assert "nnls" not in operator_core.__all__
