@@ -32,13 +32,17 @@ __all__ = [
 # keeps pairwise sums from blowing up.
 DEDUP_TOL = 1e-12
 
+# Random symmetric test directions of the support-function certificate that
+# ``covset_contains`` draws for a point it finds inside the hull.
+CERTIFICATE_DIRECTIONS = 32
 
-def _count(value, least=1):
-    """A JSON integer: not a bool, no fractional part, at least ``least``."""
+
+def _count(value):
+    """A JSON integer: not a bool, no fractional part, at least 1."""
     if isinstance(value, bool) or not isinstance(value, (int, float)) or value % 1:
         raise ValueError(f"expected an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"must be at least {least}, got {value!r}")
+    if value < 1:
+        raise ValueError(f"must be at least 1, got {value!r}")
     return int(value)
 
 
@@ -187,22 +191,19 @@ def covset_conjugate(sigma: CovarianceSet, s) -> CovarianceSet:
     return CovarianceSet(mapped, label=f"conj({sigma.label})")
 
 
-def covset_contains(
-    sigma: CovarianceSet, b, directions: int = 32, seed: int = 0
-) -> bool:
+def covset_contains(sigma: CovarianceSet, b, seed: int = 0) -> bool:
     """Exact membership of a PSD operator in the convex hull of the extremes.
 
     Exact path: nonnegative least squares over simplex weights (the convex
     combination must reproduce ``b`` with residual ~ 0).  Certificate path:
     when the exact path says "inside", the support inequality
-    1/2 Tr[A b] <= G(A) + 1e-9 must hold on ``directions`` random symmetric
-    test directions A; a contradiction signals broken numerics and raises.
+    1/2 Tr[A b] <= G(A) + 1e-9 must hold on ``CERTIFICATE_DIRECTIONS`` random
+    symmetric test directions A; a contradiction signals broken numerics and
+    raises.
     Outside the hull no certificate can fail, so none is drawn.
 
     Returns the exact-path verdict.
     """
-    if directions < 1:
-        raise ValueError("directions must be >= 1")
     op = b if isinstance(b, PsdOperator) else PsdOperator(b)
     if op.dim != sigma.dim:
         raise ValueError(
@@ -216,7 +217,7 @@ def covset_contains(
     _, residual = nnls(a_mat, target)
     inside = residual <= 1e-9 * (1.0 + float(np.linalg.norm(target)))
     if inside:
-        raw = np.random.default_rng(seed).standard_normal((directions, n, n))
+        raw = np.random.default_rng(seed).standard_normal((CERTIFICATE_DIRECTIONS, n, n))
         a_dir = (raw + np.swapaxes(raw, 1, 2)) / 2.0
         support = 0.5 * np.einsum("dij,qji->dq", a_dir, sigma.matrices).max(axis=1)
         value = 0.5 * np.einsum("dij,ji->d", a_dir, op.entries)

@@ -19,14 +19,14 @@ import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
 from statistics import NormalDist
 
 import numpy as np
 
-from .covariance_set import CovarianceSet, _count
+from .covariance_set import CovarianceSet, _count, _reject_constant
 from .control_sim import (
     ControlPolicy,
     NestedSpec,
@@ -91,12 +91,14 @@ def _bad_params(*keys):
 
 def _param(cfg, key, default, cast):
     """``cast`` of one param; a value it rejects is a usage error naming the key."""
+    cfg.read.add(key)
     with _bad_params(key):
         return cast(cfg.params.get(key, default))
 
 
 def _choice(cfg, key, default, known):
     """A string param that must name one of ``known``."""
+    cfg.read.add(key)
     value = cfg.params.get(key, default)
     if not isinstance(value, str) or value not in known:
         raise UsageError(f"param {key!r}: unknown value {value!r}; "
@@ -108,16 +110,6 @@ def _positive(value):
     if not float(value) > 0.0:
         raise ValueError(f"must be positive, got {value!r}")
     return float(value)
-
-
-def _nonnegative(value):
-    if not float(value) >= 0.0:
-        raise ValueError(f"must be nonnegative, got {value!r}")
-    return float(value)
-
-
-def _reject_constant(token):
-    raise UsageError(f"malformed JSON config: non-standard number {token}")
 
 
 def _write_csv(dest, header, rows):
@@ -217,6 +209,8 @@ class ExperimentConfig:
     params: dict
     seed: int
     output_dir: Path
+    # the params keys the run has read through ``_param`` and ``_choice``
+    read: set = field(default_factory=set, repr=False, compare=False)
 
     @classmethod
     def load(cls, path, out_override=None) -> "ExperimentConfig":
@@ -225,7 +219,7 @@ class ExperimentConfig:
             raise UsageError(f"config file not found: {path}")
         try:
             doc = json.loads(path.read_text(), parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:
             raise UsageError(f"malformed JSON config: {exc}") from exc
         required = ("name", "kind", "sigma", "seed")
         if not isinstance(doc, dict):
@@ -281,7 +275,7 @@ def _unit_directions(dim, count, seed):
 def _run_moments(cfg, rep):
     m_max = _param(cfg, "m_max", 3, _count)
     n = _param(cfg, "n_samples", 100_000, _count)
-    gn = _param(cfg, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
+    gn = GNormal(cfg.sigma)
     rows = []
     for m in range(1, m_max + 1):
         b = moment_bounds_check(gn, m)
@@ -289,11 +283,11 @@ def _run_moments(cfg, rep):
                   b.ok)
         rows.append([m, b.lower, b.value, b.upper])
     exact = moment_upper(gn, 1)
-    rep.check("second-moment-exact", exact, gn.scale * cfg.sigma.max_trace(), 1e-12)
+    rep.check("second-moment-exact", exact, cfg.sigma.max_trace(), 1e-12)
     est = static_upper_report(gn, lambda x: np.sum(x * x, axis=1), n, cfg.seed)
     rep.check("second-moment-mc", est.value, exact, rep.mc_tol(est.stderr), n_paths=n)
     rep.table("moments", ["m", "lower", "value", "upper"], rows)
-    if cfg.params.get("dump_samples"):
+    if _param(cfg, "dump_samples", False, bool):
         draws = sample_gaussian(cfg.sigma.matrices[0], min(n, 10_000), cfg.seed)
         rep.csv("samples.csv", [f"x{i}" for i in range(draws.shape[1])], draws.tolist())
 
@@ -301,7 +295,7 @@ def _run_moments(cfg, rep):
 def _run_band(cfg, rep):
     count = _param(cfg, "n_directions", 4, _count)
     n = _param(cfg, "n_samples", 50_000, _count)
-    gn = _param(cfg, "scale", 1.0, lambda v: GNormal(cfg.sigma, scale=float(v)))
+    gn = GNormal(cfg.sigma)
     dirs = _unit_directions(cfg.sigma.dim, count, split_seed(cfg.seed, 991))
     rows = []
     for i, h in enumerate(dirs):
@@ -371,8 +365,6 @@ def _run_sigma_integral(cfg, rep):
     quad_steps = _param(cfg, "quad_steps", 2000, _count)
     steps = _param(cfg, "steps", 32, _count)
     n_paths = _param(cfg, "n_paths", 20_000, _count)
-    closed_tol = _param(cfg, "closed_tol", 1e-6, _nonnegative)
-    frob_tol = _param(cfg, "frobenius_tol", 0.05, _nonnegative)
     if a_diag.size != cfg.sigma.dim:
         raise UsageError("a_diag length must equal the covariance-set dimension")
 
@@ -386,7 +378,7 @@ def _run_sigma_integral(cfg, rep):
         closed = q * factors
         scale = max(1.0, float(np.linalg.norm(closed)))
         diff = float(np.linalg.norm(sigma_i.matrices[i] - closed))
-        rep.check(f"closed-form-extreme-{i}", diff, 0.0, closed_tol * scale)
+        rep.check(f"closed-form-extreme-{i}", diff, 0.0, 1e-6 * scale)
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
     for i in range(len(cfg.sigma)):
@@ -395,7 +387,7 @@ def _run_sigma_integral(cfg, rep):
         vals = _integrate(phi, cfg.sigma, part, n_paths, walk).values
         emp = vals.T @ vals / n_paths
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
-        rep.check(f"empirical-extreme-{i}", diff, 0.0, frob_tol, n_paths=n_paths)
+        rep.check(f"empirical-extreme-{i}", diff, 0.0, 0.05, n_paths=n_paths)
     rows = []
     prev = sigma_of_integral(phi_fn, cfg.sigma, T, 64)
     for m in (128, 256, 512):
@@ -438,14 +430,12 @@ def _run_gheat(cfg, rep):
     f = _TERMINALS[terminal]
     T = _param(cfg, "T", 0.5, _positive)
     x0 = _param(cfg, "x0", 0.3, float)
-    box = _param(cfg, "box", [-3.0, 3.0], tuple)
     mesh = _param(cfg, "nodes", 121, lambda v: _mesh(v, 1))
     lattice_steps = _param(cfg, "lattice_steps", 600, _count)
     steps = _param(cfg, "steps", 16, _count)
     n_paths = _param(cfg, "n_paths", 20_000, _count)
 
-    with _bad_params("box"):
-        prob = PdeProblem(1, cfg.sigma, lambda p: f(p[..., 0]), T, (box,))
+    prob = PdeProblem(1, cfg.sigma, lambda p: f(p[..., 0]), T, ((-3.0, 3.0),))
     lo, hi = prob.domain_box[0]
     if not lo <= x0 <= hi:
         raise UsageError(f"param 'x0': {x0} lies outside the box [{lo}, {hi}]")
@@ -478,26 +468,18 @@ def _run_gpde(cfg, rep):
     a_diag = _param(cfg, "a_diag", [-1.0, -2.0], _floats)
     quad = _param(cfg, "quad_coeffs", [0.5, 0.3], _floats)
     T = _param(cfg, "T", 0.5, _positive)
-    box = _param(cfg, "box", [-2.4, 2.4], tuple)
     mesh = _param(cfg, "nodes", 49, lambda v: _mesh(v, 2))
     steps = _param(cfg, "steps", 64, _count)
     n_paths = _param(cfg, "n_paths", 20_000, _count)
     n_probes = _param(cfg, "n_probes", 10, _count)
-    c_disc = _param(cfg, "c_disc", 10.0, _nonnegative)
+    c_disc = 10.0  # the C of the pinned discretization tolerance C (h^2 + dt)
 
     f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
-    with _bad_params("a_diag", "box"):
+    box = (-2.4, 2.4)
+    with _bad_params("a_diag"):
         prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
-    probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (
-        0.5 * (box[1] - box[0]) * 0.25
-    )
-    # u(0, x) is read at E(0) x, which the box must hold
-    flow_0 = prob.flow(0.0)
-    lo, hi = prob.domain_box[0]
-    for probe in probes:
-        if not np.all((lo <= flow_0 * probe) & (flow_0 * probe <= hi)):
-            raise UsageError(f"param 'box': probe {probe.tolist()} maps to "
-                             f"{(flow_0 * probe).tolist()}, outside the box [{lo}, {hi}]")
+    # at a quarter of the half-width, E(0) x stays in the box: E(0) <= 1
+    probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (0.25 * box[1])
     try:
         sol = solve_gpde(prob, mesh)
     except StencilError as exc:
@@ -524,12 +506,11 @@ def _run_gpde(cfg, rep):
             exact = float(np.sum(quad * np.exp(rates * T) * probe**2 + top * growth))
             rep.check(f"closed-form-{i}", sol.value_at(0.0, probe), exact, disc)
 
-    lam = _param(cfg, "scalar_lambda", 0.8, float)
+    lam = 0.8
     band1 = CovarianceSet([[[1.0]], [[0.25]]], label="unit-band")
-    with _bad_params("scalar_lambda"):
-        prob1 = PdeProblem(1, band1, lambda q: q[..., 0] ** 2, T, ((-3.0, 3.0),),
-                           a_gen=np.array([[-lam]]))
-    sol1 = solve_gpde(prob1, _param(cfg, "scalar_nodes", 241, lambda v: _mesh(v, 1)))
+    prob1 = PdeProblem(1, band1, lambda q: q[..., 0] ** 2, T, ((-3.0, 3.0),),
+                       a_gen=np.array([[-lam]]))
+    sol1 = solve_gpde(prob1, MeshSpec(nodes=241))
     want = math.exp(-2 * lam * T) * 0.25 + (1 - math.exp(-2 * lam * T)) / (2 * lam)
     got = sol1.value_at(0.0, [0.5])
     h1 = sol1.axes[0][1] - sol1.axes[0][0]
@@ -552,10 +533,9 @@ def _run_ou(cfg, rep):
         raise UsageError(f"param 'substeps': {substeps} does not divide "
                          f"'steps' = {steps}")
     beta = _param(cfg, "beta", 0.5, float)
-    quad_steps = _param(cfg, "quad_steps", 2000, _count)
     a_mat = np.diag(a_diag)
     with _bad_params("a_diag", "beta"):
-        cond = convolution_condition(a_mat, cfg.sigma, beta, T, quad_steps)
+        cond = convolution_condition(a_mat, cfg.sigma, beta, T, 2000)
 
     times, dt = np.linspace(0.0, T, steps + 1), T / steps
     # from 0 with the rates, the walk's state is the convolution integral
@@ -583,7 +563,7 @@ def _run_ou(cfg, rep):
     rep.check("flow-property", gap, 0.0, 1e-10)
 
     rep.check("convolution-condition", cond.value, 0.0, 0.0, cond.finite)
-    n_out = min(mild.n_paths, _param(cfg, "export_paths", 20, lambda v: _count(v, 0)))
+    n_out = min(mild.n_paths, 20)
     rep.csv("ou_paths.csv", ["path", "coord"] + [f"t={t:.10g}" for t in mild.times],
             ([i, d] + [repr(float(v)) for v in mild.states[i, :, d]]
              for i in range(n_out) for d in range(mild.dim)))
@@ -616,9 +596,8 @@ def _run_nested(cfg, rep):
         want = 0.0  # four-term product formula with centered projections
         se = band.sigma_up_sq / math.sqrt(n_paths)
     else:
-        c = _param(cfg, "constant", 1.0, float)
-        f2 = lambda x, y, c=c: np.broadcast_to(c, (x.shape[0], y.shape[1]))
-        want, se = c, 0.0
+        f2 = lambda x, y: np.ones((x.shape[0], y.shape[1]))
+        want, se = 1.0, 0.0
     v = nested_expectation(cfg.sigma, f2, inner, outer)
     rep.check(f"nested-{form}", v, want, rep.mc_tol(se), n_paths=n_paths)
 
@@ -648,6 +627,10 @@ def run(config_path, out_override=None, threads: int = 1) -> tuple[dict, Path]:
     t0 = time.perf_counter()
     KINDS[cfg.kind](cfg, rep)
     elapsed = time.perf_counter() - t0
+    unknown = sorted(set(cfg.params) - cfg.read)
+    if unknown:
+        raise UsageError(f"param {', '.join(map(repr, unknown))}: unknown to a "
+                         f"{cfg.kind!r} run")
     if not rep.records:
         raise UsageError(f"a {cfg.kind!r} run with these params records no check")
     report = {"config": cfg.echo(), "records": rep.records,

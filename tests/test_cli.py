@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+from functools import partial
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -8,8 +9,9 @@ import numpy as np
 import pytest
 from scipy.special import ndtr, ndtri
 
-from gexpect import CovarianceSet
+from gexpect import CovarianceSet, experiment_cli
 from gexpect.experiment_cli import MC_Z, _Report, main, run
+from gexpect.g_normal import GNormal
 from gexpect.g_pde import MeshSpec, PdeProblem, residual_check, solve_gheat
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -60,9 +62,8 @@ class TestRun:
         assert json.dumps(second, sort_keys=True) == first_text
 
     @pytest.mark.parametrize("kind, params", [
-        ("ou", {"steps": 12, "n_paths": 200, "substeps": 4, "quad_steps": 100}),
-        ("gpde", {"nodes": 9, "scalar_nodes": 21, "steps": 4, "n_paths": 100,
-                  "n_probes": 2}),
+        ("ou", {"steps": 12, "n_paths": 200, "substeps": 4}),
+        ("gpde", {"nodes": 9, "steps": 4, "n_paths": 100, "n_probes": 2}),
     ])
     def test_mild_path_reports_are_byte_identical_modulo_timings(self, tmp_path, kind,
                                                                  params):
@@ -117,11 +118,11 @@ class TestRun:
         )
         cfg = write_config(
             tmp_path, kind="nested", sigma="sigma.json",
-            params={"form": "constant", "constant": 2.0, "n_paths": 100},
+            params={"form": "constant", "n_paths": 100},
         )
         assert main(["run", str(cfg)]) == 0
         report = load_report(tmp_path)
-        assert report["records"][0]["lhs"] == 2.0
+        assert report["records"][0]["lhs"] == 1.0
 
     def test_out_flag_overrides_dir(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -204,12 +205,13 @@ class TestRun:
         ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
           "params": {"x0": 9.0, "nodes": 21, "lattice_steps": 20, "n_paths": 50}},
          "'x0'"),
-        ({"kind": "sigma_integral", "params": {"closed_tol": -1.0, "n_paths": 50}},
+        # a param that is a constant now is unknown, whatever its value
+        ({"kind": "sigma_integral", "params": {"closed_tol": 1e-6, "n_paths": 50}},
          "'closed_tol'"),
-        ({"kind": "sigma_integral", "params": {"frobenius_tol": -1.0, "n_paths": 50}},
+        ({"kind": "sigma_integral", "params": {"frobenius_tol": 0.05, "n_paths": 50}},
          "'frobenius_tol'"),
-        ({"kind": "gpde", "params": {"c_disc": -1.0, "nodes": 9, "n_paths": 50,
-                                     "n_probes": 1, "scalar_nodes": 21}}, "'c_disc'"),
+        ({"kind": "gpde", "params": {"c_disc": 10.0, "nodes": 9, "n_paths": 50,
+                                     "n_probes": 1}}, "'c_disc'"),
         ({"seed": -1}, "seed"),
         # "env" is not a config key: the test sets it around the run
         ({"env": {"GEXPECT_SEED_OVERRIDE": "-3"}}, "GEXPECT_SEED_OVERRIDE"),
@@ -220,24 +222,57 @@ class TestRun:
         # rank one along (1, sqrt 2): no integer grid direction carries it
         ({"kind": "gpde", "sigma": {"dim": 2, "extremes": [
             [1.0, math.sqrt(2.0), math.sqrt(2.0), 2.0], [1, 0, 0, 1]]},
-          "params": {"nodes": 9, "n_paths": 50, "n_probes": 1, "scalar_nodes": 21}},
+          "params": {"nodes": 9, "n_paths": 50, "n_probes": 1}},
          "extreme 0"),
-        # u(0, x) is read at E(0) x: a box without 0 holds no E(0) probe, since
-        # the probes lie at radius (2.4 - 0.5) / 8 around 0 and E(0) <= 1
-        ({"kind": "gpde", "params": {"box": [0.5, 2.4], "nodes": 9, "n_paths": 50,
-                                     "n_probes": 1, "scalar_nodes": 21}},
-         "'box'"),
-        # holds 0 but not every probe at radius (2.4 + 0.1) / 8, mapped by
-        # E(0) = diag(e^-0.5, e^-1)
-        ({"kind": "gpde", "params": {"box": [-0.1, 2.4], "nodes": 9, "n_paths": 50,
-                                     "n_probes": 10, "scalar_nodes": 21}},
-         "'box'"),
+        # so are the boxes
+        ({"kind": "gpde", "params": {"box": [-2.4, 2.4], "nodes": 9, "n_paths": 50,
+                                     "n_probes": 1}}, "'box'"),
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"box": [-3.0, 3.0], "nodes": 11, "lattice_steps": 20,
+                     "n_paths": 50}}, "'box'"),
         # rank one along (1, 1) at t = T, but E(t) (1, 1) = (e^-s, e^-2s) is no
         # integer direction for the segment midpoints s = T - t > 0
         ({"kind": "gpde", "sigma": {"dim": 2, "extremes": [[1, 1, 1, 1], [1, 0, 0, 1]]},
-          "params": {"a_diag": [-1.0, -2.0], "nodes": 9, "n_paths": 50, "n_probes": 1,
-                     "scalar_nodes": 21}},
+          "params": {"a_diag": [-1.0, -2.0], "nodes": 9, "n_paths": 50, "n_probes": 1}},
          "'sigma'"),
+        # a misspelled key, one per kind
+        ({"params": {"n_samples": 1000, "m_maxx": 2}}, "'m_maxx'"),
+        ({"kind": "band", "params": {"n_samples": 1000, "n_directons": 1}},
+         "'n_directons'"),
+        ({"kind": "isometry", "params": {"steps": 2, "n_paths": 100, "trial": 1}},
+         "'trial'"),
+        ({"kind": "bdg", "params": {"steps": 2, "n_paths": 100, "p_value": [2]}},
+         "'p_value'"),
+        ({"kind": "sigma_integral", "params": {"steps": 4, "n_paths": 50,
+                                               "quadsteps": 100}}, "'quadsteps'"),
+        ({"kind": "fubini", "params": {"steps": 2, "n_paths": 10, "weight": [1.0]}},
+         "'weight'"),
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"nodes": 11, "lattice_steps": 20, "steps": 2, "n_paths": 50,
+                     "termnal": "abs"}}, "'termnal'"),
+        ({"kind": "gpde", "params": {"nodes": 9, "steps": 2, "n_paths": 50,
+                                     "n_probes": 1, "a-diag": [-1.0, -2.0]}},
+         "'a-diag'"),
+        ({"kind": "ou", "params": {"steps": 4, "n_paths": 50, "substeps": 2,
+                                   "Beta": 0.5}}, "'Beta'"),
+        ({"kind": "nested", "params": {"steps": 2, "n_paths": 100, "from": "sum"}},
+         "'from'"),
+        # the other params that are constants now
+        ({"params": {"n_samples": 1000, "scale": 1.0}}, "'scale'"),
+        ({"kind": "band", "params": {"n_samples": 1000, "n_directions": 1,
+                                     "scale": 1.0}}, "'scale'"),
+        ({"kind": "gpde", "params": {"nodes": 9, "steps": 2, "n_paths": 50,
+                                     "n_probes": 1, "scalar_lambda": 0.8}},
+         "'scalar_lambda'"),
+        ({"kind": "gpde", "params": {"nodes": 9, "steps": 2, "n_paths": 50,
+                                     "n_probes": 1, "scalar_nodes": 241}},
+         "'scalar_nodes'"),
+        ({"kind": "ou", "params": {"steps": 4, "n_paths": 50, "substeps": 2,
+                                   "quad_steps": 2000}}, "'quad_steps'"),
+        ({"kind": "ou", "params": {"steps": 4, "n_paths": 50, "substeps": 2,
+                                   "export_paths": 20}}, "'export_paths'"),
+        ({"kind": "nested", "params": {"form": "constant", "n_paths": 100,
+                                       "constant": 1.0}}, "'constant'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -253,6 +288,7 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
+        assert not (tmp_path / "out" / "report.json").exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_sigma_file_with_nonstandard_number_is_usage_error(self, tmp_path, capsys,
@@ -264,9 +300,10 @@ class TestRun:
         assert err.startswith("error:") and token in err
         assert "Traceback" not in err
 
-    def test_nan_check_value_is_null_and_fails(self, tmp_path):
+    def test_nan_check_value_is_null_and_fails(self, tmp_path, monkeypatch):
         # a NaN scale makes every moment NaN: records and series hold null
-        cfg = write_config(tmp_path, params={"scale": "nan", "n_samples": 1000})
+        monkeypatch.setattr(experiment_cli, "GNormal", partial(GNormal, scale=math.nan))
+        cfg = write_config(tmp_path, params={"n_samples": 1000})
         assert main(["run", str(cfg)]) == 1
         text = (tmp_path / "out" / "report.json").read_text()
 
@@ -424,29 +461,28 @@ class TestArtifacts:
         assert table["rows"] == [["gheat", sol.n_steps, sol.dt, h, sol.cfl_ratio,
                                   sol.bytes_held, residual_check(sol, prob)]]
         cfg = write_config(tmp_path, kind="gpde", params={
-            "nodes": 9, "scalar_nodes": 21, "steps": 4, "n_paths": 100, "n_probes": 2})
+            "nodes": 9, "steps": 4, "n_paths": 100, "n_probes": 2})
         assert main(["run", str(cfg)]) in (0, 1)
         rows = load_report(tmp_path)["series"]["solver"]["rows"]
         assert [row[0] for row in rows] == ["gpde", "scalar-ou"]
         assert all(row[5] <= (math.isqrt(row[1]) + 2) * 8 * n**dim
-                   for row, n, dim in zip(rows, (9, 21), (2, 1)))
+                   for row, n, dim in zip(rows, (9, 241), (2, 1)))
 
     def test_ou_paths_csv_and_sidecar(self, tmp_path):
         cfg = write_config(
             tmp_path, kind="ou", sigma={"dim": 2, "extremes": [[1, 0, 0, 1]]},
-            params={"steps": 6, "n_paths": 50, "substeps": 3, "export_paths": 4,
-                    "quad_steps": 100})
+            params={"steps": 6, "n_paths": 50, "substeps": 3})
         assert main(["run", str(cfg)]) in (0, 1)
         out = tmp_path / "out"
         assert load_report(tmp_path)["artifacts"] == ["ou_paths.csv", "ou_paths.json"]
         rows = read_csv(out / "ou_paths.csv")
         assert rows[0][:3] == ["path", "coord", "t=0"] and len(rows[0]) == 2 + 7
-        assert len(rows) == 1 + 4 * 2
+        assert len(rows) == 1 + 20 * 2
         assert [row[:2] for row in rows[1:3]] == [["0", "0"], ["0", "1"]]
         meta = json.loads((out / "ou_paths.json").read_text())
         assert sorted(meta) == ["T", "n_paths", "policy", "seed", "sigma_label",
                                 "steps", "t0"]
-        assert meta["n_paths"] == 4 and meta["steps"] == 6
+        assert meta["n_paths"] == 20 and meta["steps"] == 6
 
 
 @pytest.mark.parametrize("name", [p.stem for p in sorted(CONFIG_DIR.glob("*.json"))])

@@ -362,7 +362,3 @@ class TestMembership:
         assert verdicts == [True] * len(inside) + [False] * len(outside)
         monkeypatch.setattr(covariance_set, "nnls", scipy_nnls)
         assert verdicts == [covset_contains(cs, q) for q in inside + outside]
-
-    def test_rejects_zero_directions(self, spread_2d):
-        with pytest.raises(ValueError):
-            covset_contains(spread_2d, spread_2d.matrices[0], directions=0)
