@@ -44,7 +44,11 @@ __all__ = [
     "build_policies",
 ]
 
-NESTED_ROWS = 256  # outer rows per payoff block in nested_expectation
+# values per block of a Monte Carlo fold (512 KB of float64, about an L2
+# cache): a fold over n paths of per-path arrays with c columns takes
+# max(1, FOLD_ELEMENTS // c) rows at a time, so its temporaries do not grow
+# with n.  Row results do not depend on the blocking.
+FOLD_ELEMENTS = 2**16
 
 
 @dataclass(frozen=True)
@@ -208,7 +212,9 @@ def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, rates=None, store=None
     ``store=(states, increments)`` gives time-major arrays for every step.
     Sizes are checked at the call.
     """
-    times, gammas = _grid(steps, T, n_paths), sigma.roots
+    times = _grid(steps, T, n_paths)
+    # C-contiguous gamma^T: matmul leaves BLAS for a transposed operand
+    gammas_t = np.ascontiguousarray(sigma.roots.transpose(0, 2, 1))
     sqrt_dt = math.sqrt(T / steps)
     decay = None if rates is None else np.exp(T / steps * rates)
     # indices wrap, so without a store the buffers are reused
@@ -227,12 +233,12 @@ def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, rates=None, store=None
             # the normals become the increment in place
             # (np.matmul buffers an input that overlaps its output)
             if lowest == highest:
-                np.matmul(dx, gammas[lowest].T, out=dx)
+                np.matmul(dx, gammas_t[lowest], out=dx)
                 dx *= sqrt_dt
             else:
                 for i in np.unique(idx):
                     mask = idx == i
-                    dx[mask] = (dx[mask] @ gammas[i].T) * sqrt_dt
+                    dx[mask] = (dx[mask] @ gammas_t[i]) * sqrt_dt
             np.add(x, dx, out=x_next)
             if decay is not None:
                 x_next *= decay
@@ -410,10 +416,9 @@ def nested_expectation(
     def outer_payoff(policy, walk):
         x = _terminal(walk())
         g_vals = np.empty(x.shape[0])
-        # Row means do not depend on how the outer rows are blocked, so the
-        # payoff is evaluated NESTED_ROWS outer rows at a time.
-        for start in range(0, x.shape[0], NESTED_ROWS):
-            rows = x[start:start + NESTED_ROWS]
+        block = max(1, FOLD_ELEMENTS // inner_spec.n_paths)
+        for start in range(0, x.shape[0], block):
+            rows = x[start:start + block]
             g_rows = None
             for y in inner_samples:
                 vals = np.asarray(f2(rows[:, None, :], y[None, :, :]), dtype=float)
@@ -424,7 +429,7 @@ def nested_expectation(
                     )
                 mean_inner = vals.mean(axis=1)
                 g_rows = mean_inner if g_rows is None else np.maximum(g_rows, mean_inner)
-            g_vals[start:start + NESTED_ROWS] = g_rows
+            g_vals[start:start + block] = g_rows
         return g_vals
 
     return _policy_sup(sigma, outer_spec.family, outer_spec.n_paths, outer_spec.steps,

@@ -106,6 +106,13 @@ def _choice(cfg, key, default, known):
     return value
 
 
+def _flag(value):
+    """A JSON ``true`` or ``false``; any other value is rejected."""
+    if not isinstance(value, bool):
+        raise TypeError(f"must be true or false, got {value!r}")
+    return value
+
+
 def _positive(value):
     if not float(value) > 0.0:
         raise ValueError(f"must be positive, got {value!r}")
@@ -227,6 +234,11 @@ class ExperimentConfig:
         for key in required:
             if key not in doc:
                 raise UsageError(f"config is missing required key {key!r}")
+        known = {*required, "params", "output_dir"}
+        unknown = sorted(set(doc) - known)
+        if unknown:
+            raise UsageError(f"unknown config key {', '.join(map(repr, unknown))}; "
+                             f"known: {', '.join(sorted(known))}")
         if not isinstance(doc["kind"], str) or doc["kind"] not in KINDS:
             raise UsageError(
                 f"unknown kind {doc['kind']!r}; known: {', '.join(sorted(KINDS))}"
@@ -275,6 +287,7 @@ def _unit_directions(dim, count, seed):
 def _run_moments(cfg, rep):
     m_max = _param(cfg, "m_max", 3, _count)
     n = _param(cfg, "n_samples", 100_000, _count)
+    dump_samples = _param(cfg, "dump_samples", False, _flag)
     gn = GNormal(cfg.sigma)
     rows = []
     for m in range(1, m_max + 1):
@@ -287,7 +300,7 @@ def _run_moments(cfg, rep):
     est = static_upper_report(gn, lambda x: np.sum(x * x, axis=1), n, cfg.seed)
     rep.check("second-moment-mc", est.value, exact, rep.mc_tol(est.stderr), n_paths=n)
     rep.table("moments", ["m", "lower", "value", "upper"], rows)
-    if _param(cfg, "dump_samples", False, bool):
+    if dump_samples:
         draws = sample_gaussian(cfg.sigma.matrices[0], min(n, 10_000), cfg.seed)
         rep.csv("samples.csv", [f"x{i}" for i in range(draws.shape[1])], draws.tolist())
 
@@ -382,10 +395,12 @@ def _run_sigma_integral(cfg, rep):
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
     for i in range(len(cfg.sigma)):
-        walk = _walk(cfg.sigma, ControlPolicy.constant(i), n_paths, steps, T,
-                     split_seed(cfg.seed, i))
-        vals = _integrate(phi, cfg.sigma, part, n_paths, walk).values
+        # one walk and one extreme's values are live at a time
+        vals = _integrate(phi, cfg.sigma, part, n_paths,
+                          _walk(cfg.sigma, ControlPolicy.constant(i), n_paths, steps, T,
+                                split_seed(cfg.seed, i))).values
         emp = vals.T @ vals / n_paths
+        del vals
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
         rep.check(f"empirical-extreme-{i}", diff, 0.0, 0.05, n_paths=n_paths)
     rows = []

@@ -188,7 +188,7 @@ def sample_gaussian(q, n: int, seed: int) -> np.ndarray:
     root = psd_sqrt(q).entries
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, root.shape[0]))
-    return z @ root.T
+    return z @ np.ascontiguousarray(root.T)
 
 
 # Monte Carlo helpers shared by every estimator in the package.
@@ -242,7 +242,9 @@ def _static_best(gn: GNormal, f: Callable, n: int, seed: int):
         raise ValueError(f"need at least one draw, got n={n}")
     z = np.random.default_rng(seed).standard_normal((n, gn.dim))
     sqrt_scale = math.sqrt(gn.scale)
-    vals = [evaluate_rows(f, z @ (sqrt_scale * root).T) for root in gn.sigma.roots]
+    # a C-contiguous root^T keeps the product in BLAS
+    vals = [evaluate_rows(f, z @ np.ascontiguousarray((sqrt_scale * root).T))
+            for root in gn.sigma.roots]
     means = [float(v.mean()) for v in vals]
     best = best_of(means)
     return means[best], vals[best], best

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Sequence
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .control_sim import PathBundle, _policy_sup, _replay
+from .control_sim import FOLD_ELEMENTS, PathBundle, _policy_sup, _replay
 from .g_normal import MC_Z
 from .operator_core import SymOperator, as_matrix
 
@@ -174,6 +174,9 @@ def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
     """``integrate_elementary`` folded over a path stream on the grid ``times``.
 
     A left state is copied only for a block of several steps: walks reuse it.
+    A deterministic block acts on ``FOLD_ELEMENTS``-sized row slices of the
+    paths, and while every block is deterministic the isometry quantity is
+    one number, spread over the paths at the end.
     """
     if phi.in_dim != sigma.dim:
         raise ValueError(
@@ -183,7 +186,8 @@ def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
     if np.any(np.abs(times[idx] - phi.partition) > 1e-12):
         raise ValueError("integrand partition is not a subset of the path grid")
     values = np.zeros((n_paths, phi.out_dim))
-    integrand_acc = np.zeros(n_paths)
+    integrand_acc = 0.0
+    rows = max(1, FOLD_ELEMENTS // max(phi.in_dim, phi.out_dim))
     k = 0
     for step, _, x, _, x_next in stream:
         if step == idx[k]:
@@ -193,13 +197,19 @@ def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
         dt_k = phi.partition[k + 1] - phi.partition[k]
         block = phi.block_values(k, phi.partition[k], left)
         if block.ndim == 2:
-            values += (x_next - left) @ block.T
+            # C-contiguous block^T: matmul leaves BLAS for a transposed operand
+            block_t = np.ascontiguousarray(block.T)
+            for start in range(0, n_paths, rows):
+                part = slice(start, start + rows)
+                values[part] += (x_next[part] - left[part]) @ block_t
         else:
             values += np.einsum("nij,nj->ni", block, x_next - left)
         integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, sigma.roots)
         k += 1
         if k == phi.n_blocks:
             break
+    if np.ndim(integrand_acc) == 0:
+        integrand_acc = np.full(n_paths, integrand_acc)
     return IntegralResult(values, n_paths, integrand_acc)
 
 

@@ -273,6 +273,9 @@ class TestRun:
                                    "export_paths": 20}}, "'export_paths'"),
         ({"kind": "nested", "params": {"form": "constant", "n_paths": 100,
                                        "constant": 1.0}}, "'constant'"),
+        # a misspelled top-level key, and a flag that is not a JSON boolean
+        ({"parms": {"m_max": 2}}, "'parms'"),
+        ({"params": {"n_samples": 1000, "dump_samples": "no"}}, "'dump_samples'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -289,6 +292,7 @@ class TestRun:
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
         assert not (tmp_path / "out" / "report.json").exists()
+        assert not (tmp_path / "out" / "samples.csv").exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_sigma_file_with_nonstandard_number_is_usage_error(self, tmp_path, capsys,

@@ -363,8 +363,10 @@ class TestNested:
         outer = NestedSpec(n_paths=700, seed=6)
         f2 = lambda x, y: np.cos(x[..., 0] - y[..., 0])
         blocked = nested_expectation(band_1d, f2, inner, outer)
-        monkeypatch.setattr(control_sim, "NESTED_ROWS", 10_000)
-        assert nested_expectation(band_1d, f2, inner, outer) == blocked
+        # one outer row per block, then every outer row in one block
+        for budget in (1, 10**9):
+            monkeypatch.setattr(control_sim, "FOLD_ELEMENTS", budget)
+            assert nested_expectation(band_1d, f2, inner, outer) == blocked
 
     def test_sum_of_independent_decomposes(self, band_1d):
         # E[f1(X) + f2(Y)] = E[f1(X)] + E[f2(Y)] for Y independent of X

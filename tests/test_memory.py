@@ -23,6 +23,10 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIGMA = CovarianceSet([np.diag([1.0, 0.8]), np.diag([0.4, 0.2])], label="diag-2d")
 FAMILY = PolicyFamily(bang_bang_stat=lambda s: s[:, 0], bang_bang_name="x1")
 N_PATHS = 20_000
+# traced peaks of two shipped configs, each run first in a fresh process
+# (8.3 and 1.9 MiB, with numpy 2.4), plus 25%
+PEAK_SIGMA_INTEGRAL = 10.4 * 2**20
+PEAK_NESTED = 2.4 * 2**20
 
 
 def traced_peak(fn) -> int:
@@ -60,6 +64,20 @@ def test_sigma_integral_config_peak(tmp_path):
     # 100k paths over 50 steps in 2 dimensions: a stored bundle alone is 160 MB
     peak = traced_peak(lambda: run(CONFIG_DIR / "sigma_integral.json", tmp_path))
     assert peak < 30 * 2**20
+
+
+def test_sigma_integral_config_holds_one_walk(tmp_path):
+    # one walk's three (100k, 2) buffers and one extreme's values, 6.4 MB; a
+    # second walk kept alive adds 4.8 MB, whole-path temporaries per step 3.2 MB
+    peak = traced_peak(lambda: run(CONFIG_DIR / "sigma_integral.json", tmp_path))
+    assert peak < PEAK_SIGMA_INTEGRAL
+
+
+def test_nested_config_peak(tmp_path):
+    # 4,000 outer by 4,000 inner paths in payoff blocks of FOLD_ELEMENTS
+    # values; a block of 256 outer rows would take 8.2 MB an array
+    peak = traced_peak(lambda: run(CONFIG_DIR / "nested.json", tmp_path))
+    assert peak < PEAK_NESTED
 
 
 def test_transported_3d_solve_and_residual_peak():

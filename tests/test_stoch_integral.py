@@ -422,6 +422,41 @@ class TestStreaming:
                 assert np.array_equal(conv, stored[:, k // substeps, :])
 
 
+class TestRowBudget:
+    """Row slices of the fold and its scalar isometry sum change no bit."""
+
+    @pytest.mark.parametrize("form", ["deterministic", "mixed"])
+    def test_budget_does_not_change_the_fold(self, spread_2d, monkeypatch, form):
+        n, steps, T = 301, 6, 1.0
+        times = np.linspace(0.0, T, steps + 1)
+        rng = np.random.default_rng(6)
+        blocks = [rng.standard_normal((3, 2)) for _ in range(steps)]
+        if form == "deterministic":
+            phi = ElementaryProcess.deterministic(times, blocks)
+        else:
+            # one matrix for the first half of the blocks, per-path values after
+            def rule(t, x):
+                k = round(t * steps / T)
+                return blocks[k] if k < steps // 2 else np.tanh(x)[:, None, :] * blocks[k]
+
+            phi = ElementaryProcess.adapted(times, rule, 3, 2)
+        bundle = simulate_gbm(spread_2d, ControlPolicy.constant(0), n, steps, T, seed=4)
+        results = []
+        for budget in (1, 10**9):
+            monkeypatch.setattr(stoch_integral, "FOLD_ELEMENTS", budget)
+            results.append(integrate_elementary(phi, bundle))
+        assert np.array_equal(results[0].values, results[1].values)
+        assert np.array_equal(results[0].integrand_sq_paths,
+                              results[1].integrand_sq_paths)
+        if form == "deterministic":
+            # the scalar sum spread over the paths is the per-path sum
+            acc = np.zeros(n)
+            for block in blocks:
+                acc = acc + T / steps * stoch_integral._l2sigma_sq_per_path(
+                    block, spread_2d.roots)
+            assert np.array_equal(results[0].integrand_sq_paths, acc)
+
+
 class TestConvolutionCondition:
     def test_scalar_incomplete_gamma_oracle(self, spread_2d):
         # sup Tr Q * (2 lam)^(beta - 1) * lower_gamma(1 - beta, 2 lam T)
