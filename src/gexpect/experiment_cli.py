@@ -13,13 +13,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import inspect
 import json
 import math
 import os
 import sys
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
 from statistics import NormalDist
@@ -80,30 +81,13 @@ class UsageError(Exception):
 
 
 @contextmanager
-def _bad_params(*keys):
-    """Report a value these params give that is rejected as a usage error."""
+def _bad_params(kind, *keys):
+    """Report a value these params of a ``kind`` run give as a usage error."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         names = ", ".join(repr(k) for k in keys)
-        raise UsageError(f"param {names}: {exc}") from exc
-
-
-def _param(cfg, key, default, cast):
-    """``cast`` of one param; a value it rejects is a usage error naming the key."""
-    cfg.read.add(key)
-    with _bad_params(key):
-        return cast(cfg.params.get(key, default))
-
-
-def _choice(cfg, key, default, known):
-    """A string param that must name one of ``known``."""
-    cfg.read.add(key)
-    value = cfg.params.get(key, default)
-    if not isinstance(value, str) or value not in known:
-        raise UsageError(f"param {key!r}: unknown value {value!r}; "
-                         f"known: {', '.join(sorted(known))}")
-    return value
+        raise UsageError(f"param {names} of a {kind!r} run: {exc}") from exc
 
 
 def _flag(value):
@@ -113,10 +97,54 @@ def _flag(value):
     return value
 
 
+def _real(value):
+    """A finite JSON number, not a bool."""
+    if type(value) not in (int, float) or not math.isfinite(value):
+        raise TypeError(f"expected a finite number, got {value!r}")
+    return float(value)
+
+
 def _positive(value):
-    if not float(value) > 0.0:
+    if not _real(value) > 0.0:
         raise ValueError(f"must be positive, got {value!r}")
     return float(value)
+
+
+def _items(cast):
+    """A cast to a nonempty JSON list, each item cast by ``cast``."""
+    def cast_items(value):
+        if not isinstance(value, (list, tuple)) or not value:
+            raise TypeError(f"expected a nonempty list, got {value!r}")
+        return [cast(v) for v in value]
+    return cast_items
+
+
+def _floats(value):
+    """One JSON number per coordinate of the set; ``_kwargs`` checks the length."""
+    return np.array(_items(_real)(value))
+
+
+def _one_of(*known):
+    """A cast to a string that names one of ``known``."""
+    def cast(value):
+        if value not in known:
+            raise ValueError(f"unknown value {value!r}; known: {', '.join(sorted(known))}")
+        return value
+    return cast
+
+
+def _powers(value):
+    powers = _items(_count)(value)
+    if not set(powers) <= BDG_CONSTANTS.keys():
+        raise ValueError(f"supported powers are 1, 2, 4; got {powers}")
+    return powers
+
+
+def _mesh(value):
+    """A node count of at least 3 per axis, as a MeshSpec."""
+    mesh = MeshSpec(nodes=_count(value))
+    mesh.nodes_per_axis(1)
+    return mesh
 
 
 def _write_csv(dest, header, rows):
@@ -172,6 +200,7 @@ class _Report:
 
     def file(self, name):
         """Path of an artifact next to the report; the report lists its name."""
+        self.out_dir.mkdir(parents=True, exist_ok=True)
         self.artifacts.append(name)
         return self.out_dir / name
 
@@ -197,17 +226,6 @@ class _Report:
             for name, sol in solves])
 
 
-def _floats(value):
-    return np.asarray(value, dtype=float)
-
-
-def _mesh(value, dim):
-    """A node-count param as a MeshSpec whose counts are checked now."""
-    mesh = MeshSpec(nodes=_count(value))
-    mesh.nodes_per_axis(dim)
-    return mesh
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     name: str
@@ -216,8 +234,6 @@ class ExperimentConfig:
     params: dict
     seed: int
     output_dir: Path
-    # the params keys the run has read through ``_param`` and ``_choice``
-    read: set = field(default_factory=set, repr=False, compare=False)
 
     @classmethod
     def load(cls, path, out_override=None) -> "ExperimentConfig":
@@ -284,10 +300,8 @@ def _unit_directions(dim, count, seed):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _run_moments(cfg, rep):
-    m_max = _param(cfg, "m_max", 3, _count)
-    n = _param(cfg, "n_samples", 100_000, _count)
-    dump_samples = _param(cfg, "dump_samples", False, _flag)
+def _run_moments(cfg, rep, *, m_max: _count = 3, n_samples: _count = 100_000,
+                 dump_samples: _flag = False):
     gn = GNormal(cfg.sigma)
     rows = []
     for m in range(1, m_max + 1):
@@ -297,25 +311,24 @@ def _run_moments(cfg, rep):
         rows.append([m, b.lower, b.value, b.upper])
     exact = moment_upper(gn, 1)
     rep.check("second-moment-exact", exact, cfg.sigma.max_trace(), 1e-12)
-    est = static_upper_report(gn, lambda x: np.sum(x * x, axis=1), n, cfg.seed)
-    rep.check("second-moment-mc", est.value, exact, rep.mc_tol(est.stderr), n_paths=n)
+    est = static_upper_report(gn, lambda x: np.sum(x * x, axis=1), n_samples, cfg.seed)
+    rep.check("second-moment-mc", est.value, exact, rep.mc_tol(est.stderr),
+              n_paths=n_samples)
     rep.table("moments", ["m", "lower", "value", "upper"], rows)
     if dump_samples:
-        draws = sample_gaussian(cfg.sigma.matrices[0], min(n, 10_000), cfg.seed)
+        draws = sample_gaussian(cfg.sigma.matrices[0], min(n_samples, 10_000), cfg.seed)
         rep.csv("samples.csv", [f"x{i}" for i in range(draws.shape[1])], draws.tolist())
 
 
-def _run_band(cfg, rep):
-    count = _param(cfg, "n_directions", 4, _count)
-    n = _param(cfg, "n_samples", 50_000, _count)
+def _run_band(cfg, rep, *, n_directions: _count = 4, n_samples: _count = 50_000):
     gn = GNormal(cfg.sigma)
-    dirs = _unit_directions(cfg.sigma.dim, count, split_seed(cfg.seed, 991))
+    dirs = _unit_directions(cfg.sigma.dim, n_directions, split_seed(cfg.seed, 991))
     rows = []
     for i, h in enumerate(dirs):
         band = project_band(gn, h)
-        est = static_upper_report(gn, lambda x, h=h: (x @ h) ** 2, n, cfg.seed)
+        est = static_upper_report(gn, lambda x, h=h: (x @ h) ** 2, n_samples, cfg.seed)
         rep.check(f"band-mc-up-{i}", est.value, band.sigma_up_sq, rep.mc_tol(est.stderr),
-                  n_paths=n)
+                  n_paths=n_samples)
         rep.check(f"band-order-{i}", band.sigma_down_sq, band.sigma_up_sq, 0.0,
                   band.sigma_down_sq <= band.sigma_up_sq)
         rows.append([i, band.sigma_up_sq, band.sigma_down_sq, est.value, est.stderr])
@@ -326,12 +339,9 @@ def _run_band(cfg, rep):
 _FAMILY = PolicyFamily(bang_bang_stat=lambda s: s[:, 0], bang_bang_name="x1")
 
 
-def _run_isometry(cfg, rep):
-    T = _param(cfg, "T", 1.0, _positive)
-    steps = _param(cfg, "steps", 8, _count)
-    n_paths = _param(cfg, "n_paths", 4000, _count)
-    trials = _param(cfg, "trials", 5, _count)
-    mode = _choice(cfg, "mode", "adapted", ("adapted", "deterministic"))
+def _run_isometry(cfg, rep, *, T: _positive = 1.0, steps: _count = 8,
+                  n_paths: _count = 4000, trials: _count = 5,
+                  mode: _one_of("adapted", "deterministic") = "adapted"):
     part = np.linspace(0.0, T, steps + 1)
     rng = np.random.default_rng(split_seed(cfg.seed, 17))
     dim = cfg.sigma.dim
@@ -353,14 +363,8 @@ def _run_isometry(cfg, rep):
                   chk.ok, n_paths=n_paths)
 
 
-def _run_bdg(cfg, rep):
-    T = _param(cfg, "T", 1.0, _positive)
-    steps = _param(cfg, "steps", 4, _count)
-    n_paths = _param(cfg, "n_paths", 20_000, _count)
-    p_values = _param(cfg, "p_values", [1, 2, 4], lambda vs: [_count(v) for v in vs])
-    if not set(p_values) <= BDG_CONSTANTS.keys():
-        raise UsageError(f"param 'p_values': supported powers are 1, 2, 4; "
-                         f"got {p_values}")
+def _run_bdg(cfg, rep, *, T: _positive = 1.0, steps: _count = 4,
+             n_paths: _count = 20_000, p_values: _powers = (1, 2, 4)):
     rng = np.random.default_rng(split_seed(cfg.seed, 29))
     dim = cfg.sigma.dim
     blocks = [rng.standard_normal((dim, dim)) for _ in range(steps)]
@@ -372,15 +376,9 @@ def _run_bdg(cfg, rep):
                   rep.mc_tol(chk.stderr), chk.ok, n_paths=n_paths)
 
 
-def _run_sigma_integral(cfg, rep):
-    a_diag = _param(cfg, "a_diag", [-0.5, -1.0], _floats)
-    T = _param(cfg, "T", 1.0, _positive)
-    quad_steps = _param(cfg, "quad_steps", 2000, _count)
-    steps = _param(cfg, "steps", 32, _count)
-    n_paths = _param(cfg, "n_paths", 20_000, _count)
-    if a_diag.size != cfg.sigma.dim:
-        raise UsageError("a_diag length must equal the covariance-set dimension")
-
+def _run_sigma_integral(cfg, rep, *, a_diag: _floats = (-0.5, -1.0),
+                        T: _positive = 1.0, quad_steps: _count = 2000,
+                        steps: _count = 32, n_paths: _count = 20_000):
     phi_fn = lambda t: np.diag(np.exp((T - t) * a_diag))
     sigma_i = sigma_of_integral(phi_fn, cfg.sigma, T, quad_steps)
     # closed form per extreme: entry (i, j) integrates exp((T-t)(a_i + a_j))
@@ -414,10 +412,8 @@ def _run_sigma_integral(cfg, rep):
     rep.table("quad-convergence", ["quad_steps", "change"], rows)
 
 
-def _run_fubini(cfg, rep):
-    steps = _param(cfg, "steps", 6, _count)
-    weights = _param(cfg, "weights", [0.5, 0.5], lambda ws: [float(w) for w in ws])
-    n_paths = _param(cfg, "n_paths", 50, _count)
+def _run_fubini(cfg, rep, *, steps: _count = 6, weights: _items(_real) = (0.5, 0.5),
+                n_paths: _count = 50):
     dim = cfg.sigma.dim
     bundle = simulate_gbm(cfg.sigma, ControlPolicy.constant(0), n_paths, steps, 1.0,
                           cfg.seed)
@@ -438,23 +434,15 @@ _TERMINALS = {"square": lambda x: x**2, "neg_square": lambda x: -(x**2),
               "abs": np.abs, "cos": np.cos}
 
 
-def _run_gheat(cfg, rep):
-    if cfg.sigma.dim != 1:
-        raise UsageError("gheat experiment is one-dimensional")
-    terminal = _choice(cfg, "terminal", "square", _TERMINALS)
+def _run_gheat(cfg, rep, *, terminal: _one_of(*_TERMINALS) = "square",
+               T: _positive = 0.5, x0: _real = 0.3, nodes: _mesh = 121,
+               lattice_steps: _count = 600, steps: _count = 16, n_paths: _count = 20_000):
     f = _TERMINALS[terminal]
-    T = _param(cfg, "T", 0.5, _positive)
-    x0 = _param(cfg, "x0", 0.3, float)
-    mesh = _param(cfg, "nodes", 121, lambda v: _mesh(v, 1))
-    lattice_steps = _param(cfg, "lattice_steps", 600, _count)
-    steps = _param(cfg, "steps", 16, _count)
-    n_paths = _param(cfg, "n_paths", 20_000, _count)
-
     prob = PdeProblem(1, cfg.sigma, lambda p: f(p[..., 0]), T, ((-3.0, 3.0),))
     lo, hi = prob.domain_box[0]
     if not lo <= x0 <= hi:
         raise UsageError(f"param 'x0': {x0} lies outside the box [{lo}, {hi}]")
-    sol = solve_gheat(prob, mesh)
+    sol = solve_gheat(prob, nodes)
     h = sol.axes[0][1] - sol.axes[0][0]
     disc = 2.0 * (h**2 + sol.dt)
     band = project_band(GNormal(cfg.sigma), [1.0])
@@ -477,28 +465,21 @@ def _run_gheat(cfg, rep):
               [list(row) for row in est.per_policy])
 
 
-def _run_gpde(cfg, rep):
-    if cfg.sigma.dim != 2:
-        raise UsageError("gpde experiment is two-dimensional")
-    a_diag = _param(cfg, "a_diag", [-1.0, -2.0], _floats)
-    quad = _param(cfg, "quad_coeffs", [0.5, 0.3], _floats)
-    T = _param(cfg, "T", 0.5, _positive)
-    mesh = _param(cfg, "nodes", 49, lambda v: _mesh(v, 2))
-    steps = _param(cfg, "steps", 64, _count)
-    n_paths = _param(cfg, "n_paths", 20_000, _count)
-    n_probes = _param(cfg, "n_probes", 10, _count)
+def _run_gpde(cfg, rep, *, a_diag: _floats = (-1.0, -2.0),
+              quad_coeffs: _floats = (0.5, 0.3), T: _positive = 0.5, nodes: _mesh = 49,
+              steps: _count = 64, n_paths: _count = 20_000, n_probes: _count = 10):
     c_disc = 10.0  # the C of the pinned discretization tolerance C (h^2 + dt)
 
-    f = lambda pts: quad[0] * pts[..., 0] ** 2 + quad[1] * pts[..., 1] ** 2
+    f = lambda pts: quad_coeffs[0] * pts[..., 0] ** 2 + quad_coeffs[1] * pts[..., 1] ** 2
     box = (-2.4, 2.4)
-    with _bad_params("a_diag"):
+    with _bad_params(cfg.kind, "a_diag"):
         prob = PdeProblem(2, cfg.sigma, f, T, (box, box), a_gen=np.diag(a_diag))
-    # at a quarter of the half-width, E(0) x stays in the box: E(0) <= 1
-    probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (0.25 * box[1])
     try:
-        sol = solve_gpde(prob, mesh)
+        sol = solve_gpde(prob, nodes)
     except StencilError as exc:
         raise UsageError(f"param 'sigma': {exc}") from exc
+    # at a quarter of the half-width, E(0) x stays in the box: E(0) <= 1
+    probes = _unit_directions(2, n_probes, split_seed(cfg.seed, 5)) * (0.25 * box[1])
     h = sol.axes[0][1] - sol.axes[0][0]
     disc = c_disc * (h**2 + sol.dt)
     spec = McControlSpec(steps=steps, n_paths=n_paths, seed=cfg.seed)
@@ -512,13 +493,13 @@ def _run_gpde(cfg, rep):
     # u = sum_i m_i(t) x_i^2 + c(t), m_i(t) = q_i exp(2 a_i (T - t)), when one
     # extreme's diagonal weighted by q dominates every other's entrywise, so
     # it attains G at every t: then c(0) = sum_i Q_ii q_i (e^{2 a_i T} - 1) / (2 a_i)
-    weighted = np.diagonal(cfg.sigma.matrices, axis1=1, axis2=2) * quad
+    weighted = np.diagonal(cfg.sigma.matrices, axis1=1, axis2=2) * quad_coeffs
     top = weighted[np.argmax(weighted.sum(axis=1))]
     if np.all(weighted <= top):
         rates = 2.0 * prob.generator_diag()
         growth = np.divide(np.expm1(rates * T), rates, out=np.full(2, T), where=rates != 0.0)
         for i, probe in enumerate(probes):
-            exact = float(np.sum(quad * np.exp(rates * T) * probe**2 + top * growth))
+            exact = float(np.sum(quad_coeffs * np.exp(rates * T) * probe**2 + top * growth))
             rep.check(f"closed-form-{i}", sol.value_at(0.0, probe), exact, disc)
 
     lam = 0.8
@@ -536,20 +517,14 @@ def _run_gpde(cfg, rep):
     rep.solver([("gpde", sol), ("scalar-ou", sol1)])
 
 
-def _run_ou(cfg, rep):
-    a_diag = _param(cfg, "a_diag", [-1.0] * cfg.sigma.dim, _floats)
-    if a_diag.size != cfg.sigma.dim:
-        raise UsageError("a_diag length must equal the covariance-set dimension")
-    T = _param(cfg, "T", 1.0, _positive)
-    steps = _param(cfg, "steps", 200, _count)
-    n_paths = _param(cfg, "n_paths", 20_000, _count)
-    substeps = _param(cfg, "substeps", 10, _count)
+def _run_ou(cfg, rep, *, a_diag: _floats = lambda dim: (-1.0,) * dim,
+            T: _positive = 1.0, steps: _count = 200, n_paths: _count = 20_000,
+            substeps: _count = 10, beta: _real = 0.5):
     if steps % substeps:
         raise UsageError(f"param 'substeps': {substeps} does not divide "
                          f"'steps' = {steps}")
-    beta = _param(cfg, "beta", 0.5, float)
     a_mat = np.diag(a_diag)
-    with _bad_params("a_diag", "beta"):
+    with _bad_params(cfg.kind, "a_diag", "beta"):
         cond = convolution_condition(a_mat, cfg.sigma, beta, T, 2000)
 
     times, dt = np.linspace(0.0, T, steps + 1), T / steps
@@ -592,11 +567,8 @@ def _run_ou(cfg, rep):
     rep.table("variance", cols, rows)
 
 
-def _run_nested(cfg, rep):
-    form = _choice(cfg, "form", "sum", ("sum", "product", "constant"))
-    T = _param(cfg, "T", 1.0, _positive)
-    steps = _param(cfg, "steps", 8, _count)
-    n_paths = _param(cfg, "n_paths", 4000, _count)
+def _run_nested(cfg, rep, *, form: _one_of("sum", "product", "constant") = "sum",
+                T: _positive = 1.0, steps: _count = 8, n_paths: _count = 4000):
     inner = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 1))
     outer = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 2))
     gn = GNormal(cfg.sigma, scale=T)
@@ -631,26 +603,50 @@ KINDS = {
 }
 
 
+def _kwargs(cfg):
+    """The runner's keyword-only params are its kind's params: each takes the
+    config's value or its default (a callable one of the set's dimension), cast
+    by its annotation before the run; an array has one number per coordinate."""
+    dim = cfg.sigma.dim
+    need = {"gheat": 1, "gpde": 2}.get(cfg.kind, dim)
+    if dim != need:
+        raise UsageError(f"a {cfg.kind!r} run needs a {need}-dimensional "
+                         f"covariance set, got dimension {dim}")
+    signature = inspect.signature(KINDS[cfg.kind], eval_str=True)
+    params = [p for p in signature.parameters.values() if p.kind is p.KEYWORD_ONLY]
+    unknown = sorted(set(cfg.params) - {p.name for p in params})
+    if unknown:
+        raise UsageError(f"param {', '.join(map(repr, unknown))}: unknown to a "
+                         f"{cfg.kind!r} run; known: "
+                         f"{', '.join(sorted(p.name for p in params))}")
+    kwargs = {}
+    for p in params:
+        default = p.default(dim) if callable(p.default) else p.default
+        with _bad_params(cfg.kind, p.name):
+            value = kwargs[p.name] = p.annotation(cfg.params.get(p.name, default))
+            if isinstance(value, np.ndarray) and value.size != dim:
+                raise ValueError(f"needs {dim} numbers, one per coordinate, "
+                                 f"got {value.size}")
+    return kwargs
+
+
 def run(config_path, out_override=None, threads: int = 1) -> tuple[dict, Path]:
     """Execute the configured experiment; returns (report dict, report path)."""
     # runs are serial; ``threads`` is kept until perfbench stops passing threads=1
     if threads != 1:
         raise ValueError(f"runs are serial: threads must be 1, got {threads!r}")
     cfg = ExperimentConfig.load(config_path, out_override)
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
+    kwargs = _kwargs(cfg)
     rep = _Report(cfg, cfg.output_dir)
     t0 = time.perf_counter()
-    KINDS[cfg.kind](cfg, rep)
+    KINDS[cfg.kind](cfg, rep, **kwargs)
     elapsed = time.perf_counter() - t0
-    unknown = sorted(set(cfg.params) - cfg.read)
-    if unknown:
-        raise UsageError(f"param {', '.join(map(repr, unknown))}: unknown to a "
-                         f"{cfg.kind!r} run")
     if not rep.records:
         raise UsageError(f"a {cfg.kind!r} run with these params records no check")
     report = {"config": cfg.echo(), "records": rep.records,
               "ok": all(r["ok"] for r in rep.records), "series": rep.series,
               "artifacts": rep.artifacts, "timings": {"total_s": elapsed}}
+    cfg.output_dir.mkdir(parents=True, exist_ok=True)
     report_path = cfg.output_dir / "report.json"
     report_path.write_text(json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
                            + "\n")

@@ -276,6 +276,24 @@ class TestRun:
         # a misspelled top-level key, and a flag that is not a JSON boolean
         ({"parms": {"m_max": 2}}, "'parms'"),
         ({"params": {"n_samples": 1000, "dump_samples": "no"}}, "'dump_samples'"),
+        # a real is a JSON number, not a bool or a string
+        ({"kind": "isometry", "params": {"T": True}}, "'T'"),
+        ({"kind": "isometry", "params": {"T": "2"}}, "'T'"),
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"x0": "0.3"}}, "'x0'"),
+        ({"kind": "gheat", "sigma": {"dim": 1, "extremes": [[1], [0.25]]},
+          "params": {"x0": True}}, "'x0'"),
+        # a per-coordinate vector is a flat list with one number per coordinate
+        ({"kind": "sigma_integral", "params": {"a_diag": [[-0.5, -1.0]]}}, "'a_diag'"),
+        ({"kind": "gpde", "params": {"quad_coeffs": [0.5]}}, "'quad_coeffs'"),
+        ({"kind": "ou", "params": {"a_diag": -1.0}}, "'a_diag'"),
+        # a list param is a nonempty list
+        ({"kind": "fubini", "params": {"weights": []}}, "'weights'"),
+        ({"kind": "fubini", "params": {"weights": 0.5}}, "'weights'"),
+        # a kind that needs one dimension names it
+        ({"kind": "gpde", "sigma": {"dim": 1, "extremes": [[1], [0.25]]}}, "'gpde'"),
+        # an integer too large for a float
+        ({"kind": "isometry", "params": {"T": 10**400}}, "'T'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -291,8 +309,42 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
-        assert not (tmp_path / "out" / "report.json").exists()
-        assert not (tmp_path / "out" / "samples.csv").exists()
+        if "unknown to a" in err:
+            assert "; known: " in err
+        # rejected before anything runs: no output directory is made
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, known", [
+        ("moments", "dump_samples, m_max, n_samples"),
+        ("band", "n_directions, n_samples"),
+        ("isometry", "T, mode, n_paths, steps, trials"),
+        ("bdg", "T, n_paths, p_values, steps"),
+        ("sigma_integral", "T, a_diag, n_paths, quad_steps, steps"),
+        ("fubini", "n_paths, steps, weights"),
+        ("gheat", "T, lattice_steps, n_paths, nodes, steps, terminal, x0"),
+        ("gpde", "T, a_diag, n_paths, n_probes, nodes, quad_coeffs, steps"),
+        ("ou", "T, a_diag, beta, n_paths, steps, substeps"),
+        ("nested", "T, form, n_paths, steps"),
+    ])
+    def test_unknown_param_lists_known_params(self, tmp_path, capsys, kind, known):
+        sigma = {"dim": 1 if kind == "gheat" else 2,
+                 "extremes": [[1], [0.25]] if kind == "gheat" else [[1, 0, 0, 1]]}
+        cfg = write_config(tmp_path, kind=kind, sigma=sigma, params={"n_pathz": 10})
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.strip() == (f"error: param 'n_pathz': unknown to a {kind!r} run; "
+                               f"known: {known}")
+
+    def test_unknown_param_costs_nothing(self, tmp_path, capsys, monkeypatch):
+        # the params are checked before the run: no draw is made
+        def draw(*args, **kwargs):
+            raise AssertionError("static_upper_report was called")
+
+        monkeypatch.setattr(experiment_cli, "static_upper_report", draw)
+        cfg = write_config(tmp_path, params={"n_sample": 1000})
+        assert main(["run", str(cfg)]) == 2
+        assert "'n_sample'" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_sigma_file_with_nonstandard_number_is_usage_error(self, tmp_path, capsys,
