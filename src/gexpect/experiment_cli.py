@@ -140,6 +140,14 @@ def _powers(value):
     return powers
 
 
+def _samples(value):
+    """A Monte Carlo sample size: a count of at least 2, the fewest draws
+    with a standard error."""
+    if _count(value) < 2:
+        raise ValueError(f"must be at least 2, got {value!r}")
+    return int(value)
+
+
 def _mesh(value):
     """A node count of at least 3 per axis, as a MeshSpec."""
     mesh = MeshSpec(nodes=_count(value))
@@ -300,7 +308,7 @@ def _unit_directions(dim, count, seed):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _run_moments(cfg, rep, *, m_max: _count = 3, n_samples: _count = 100_000,
+def _run_moments(cfg, rep, *, m_max: _count = 3, n_samples: _samples = 100_000,
                  dump_samples: _flag = False):
     gn = GNormal(cfg.sigma)
     rows = []
@@ -320,7 +328,7 @@ def _run_moments(cfg, rep, *, m_max: _count = 3, n_samples: _count = 100_000,
         rep.csv("samples.csv", [f"x{i}" for i in range(draws.shape[1])], draws.tolist())
 
 
-def _run_band(cfg, rep, *, n_directions: _count = 4, n_samples: _count = 50_000):
+def _run_band(cfg, rep, *, n_directions: _count = 4, n_samples: _samples = 50_000):
     gn = GNormal(cfg.sigma)
     dirs = _unit_directions(cfg.sigma.dim, n_directions, split_seed(cfg.seed, 991))
     rows = []
@@ -340,7 +348,7 @@ _FAMILY = PolicyFamily(bang_bang_stat=lambda s: s[:, 0], bang_bang_name="x1")
 
 
 def _run_isometry(cfg, rep, *, T: _positive = 1.0, steps: _count = 8,
-                  n_paths: _count = 4000, trials: _count = 5,
+                  n_paths: _samples = 4000, trials: _count = 5,
                   mode: _one_of("adapted", "deterministic") = "adapted"):
     part = np.linspace(0.0, T, steps + 1)
     rng = np.random.default_rng(split_seed(cfg.seed, 17))
@@ -364,7 +372,7 @@ def _run_isometry(cfg, rep, *, T: _positive = 1.0, steps: _count = 8,
 
 
 def _run_bdg(cfg, rep, *, T: _positive = 1.0, steps: _count = 4,
-             n_paths: _count = 20_000, p_values: _powers = (1, 2, 4)):
+             n_paths: _samples = 20_000, p_values: _powers = (1, 2, 4)):
     rng = np.random.default_rng(split_seed(cfg.seed, 29))
     dim = cfg.sigma.dim
     blocks = [rng.standard_normal((dim, dim)) for _ in range(steps)]
@@ -378,7 +386,7 @@ def _run_bdg(cfg, rep, *, T: _positive = 1.0, steps: _count = 4,
 
 def _run_sigma_integral(cfg, rep, *, a_diag: _floats = (-0.5, -1.0),
                         T: _positive = 1.0, quad_steps: _count = 2000,
-                        steps: _count = 32, n_paths: _count = 20_000):
+                        steps: _count = 32, n_paths: _samples = 20_000):
     phi_fn = lambda t: np.diag(np.exp((T - t) * a_diag))
     sigma_i = sigma_of_integral(phi_fn, cfg.sigma, T, quad_steps)
     # closed form per extreme: entry (i, j) integrates exp((T-t)(a_i + a_j))
@@ -436,7 +444,7 @@ _TERMINALS = {"square": lambda x: x**2, "neg_square": lambda x: -(x**2),
 
 def _run_gheat(cfg, rep, *, terminal: _one_of(*_TERMINALS) = "square",
                T: _positive = 0.5, x0: _real = 0.3, nodes: _mesh = 121,
-               lattice_steps: _count = 600, steps: _count = 16, n_paths: _count = 20_000):
+               lattice_steps: _count = 600, steps: _count = 16, n_paths: _samples = 20_000):
     f = _TERMINALS[terminal]
     prob = PdeProblem(1, cfg.sigma, lambda p: f(p[..., 0]), T, ((-3.0, 3.0),))
     lo, hi = prob.domain_box[0]
@@ -467,7 +475,7 @@ def _run_gheat(cfg, rep, *, terminal: _one_of(*_TERMINALS) = "square",
 
 def _run_gpde(cfg, rep, *, a_diag: _floats = (-1.0, -2.0),
               quad_coeffs: _floats = (0.5, 0.3), T: _positive = 0.5, nodes: _mesh = 49,
-              steps: _count = 64, n_paths: _count = 20_000, n_probes: _count = 10):
+              steps: _count = 64, n_paths: _samples = 20_000, n_probes: _count = 10):
     c_disc = 10.0  # the C of the pinned discretization tolerance C (h^2 + dt)
 
     f = lambda pts: quad_coeffs[0] * pts[..., 0] ** 2 + quad_coeffs[1] * pts[..., 1] ** 2
@@ -518,7 +526,7 @@ def _run_gpde(cfg, rep, *, a_diag: _floats = (-1.0, -2.0),
 
 
 def _run_ou(cfg, rep, *, a_diag: _floats = lambda dim: (-1.0,) * dim,
-            T: _positive = 1.0, steps: _count = 200, n_paths: _count = 20_000,
+            T: _positive = 1.0, steps: _count = 200, n_paths: _samples = 20_000,
             substeps: _count = 10, beta: _real = 0.5):
     if steps % substeps:
         raise UsageError(f"param 'substeps': {substeps} does not divide "
@@ -568,7 +576,7 @@ def _run_ou(cfg, rep, *, a_diag: _floats = lambda dim: (-1.0,) * dim,
 
 
 def _run_nested(cfg, rep, *, form: _one_of("sum", "product", "constant") = "sum",
-                T: _positive = 1.0, steps: _count = 8, n_paths: _count = 4000):
+                T: _positive = 1.0, steps: _count = 8, n_paths: _samples = 4000):
     inner = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 1))
     outer = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 2))
     gn = GNormal(cfg.sigma, scale=T)

@@ -41,7 +41,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .control_sim import PathBundle, PolicyFamily, _policy_sup, _stored, _terminal
+from .control_sim import (FOLD_ELEMENTS, PathBundle, PolicyFamily, _policy_sup, _stored,
+                          _terminal)
 from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords, nnls
 from .stoch_integral import _generator_diag, convolution_path
@@ -320,16 +321,26 @@ def _selling(target):
 
 
 class _Stencil:
-    """G(D^2 u) for one set of extremes on one grid, evaluated in reused buffers.
+    """G(D^2 u) for one set of extremes on one grid, evaluated in node tiles.
 
     Every term reads the nodes flat in C order, where a direction v is a flat
-    shift by s = |sum_a v_a n_a|, n_a the node strides.  For G(D^2 u), u(x +
-    v) + u(x - v) is one contiguous sum over the flat range where both shifts
-    stay in the array.  On the layers of nodes where x + v or x - v leaves the
-    grid (there the flat shift wraps into another row) the sum is then set to
-    2 u(x), so that v adds no curvature there.
+    shift by s = |sum_a v_a n_a|, n_a the node strides.  G(D^2 u) runs over
+    tiles of about max(2, ``FOLD_ELEMENTS`` // (J + 1)) consecutive nodes
+    for J directions, so its scratch does not grow with the grid.  A tile is
+    a box: one index on the axes before a lead axis, a range on it and every
+    node of the axes after it.  Its rows hold u(x + v) + u(x - v) per
+    direction, one contiguous sum over the nodes where both flat shifts stay
+    in the array, and u(x) + u(x) last.  On the nodes where x + v or x - v
+    leaves the grid (there the flat shift wraps into another row) the sum is
+    then set to 2 u(x), so that v adds no curvature there; tiles at the same
+    distances from the edges share one index of those entries.  One matrix
+    product with the rows (w_q / 2, -sum_j w_qj / 2) of the extremes and a
+    max over them follow.  A BLAS product can round by the width of its call,
+    but on every stencil tried the tiles changed no bit (the tests check
+    tiles down to two nodes; one node alone would take a matrix-vector
+    product).
 
-    The residual reads the same array over the flat range that holds every
+    The residual reads the same flat u over the range that holds every
     interior node, with no ghost layer: the kink test the forward differences
     d_a[p] = u[p + n_a] - u[p], one axis at a time (d_a[p] - d_a[p - n_a] is
     the raw second difference), and ``retimed`` the centred Hessian.
@@ -337,40 +348,62 @@ class _Stencil:
 
     def __init__(self, axes, dirs, weights):
         counts = tuple(ax.size for ax in axes)
-
-        # sums u(x + v) + u(x - v) on the nodes, then u itself, stacked for one
-        # contraction with the rows (w_q / 2, -sum_j w_qj): the last column of
-        # _coef is minus the centre weight per unit dt
-        self._coef = np.hstack([weights / 2.0, -np.sum(weights, axis=1, keepdims=True)])
         nodes = math.prod(counts)
         node_strides = [math.prod(counts[a + 1:]) for a in range(len(axes))]
-        self._entries = np.zeros((len(dirs) + 1, nodes))
-        u_flat = self._entries[-1]
-        self._rows = []
-        for row, v in zip(self._entries, dirs):
-            # k = 2 s, capped where v leaves the grid at every node (empty views)
-            k = min(2 * abs(int(np.dot(v, node_strides))), nodes)
-            box, u_box = row.reshape(counts), u_flat.reshape(counts)
-            layers = []
-            for a, width in enumerate(np.abs(v)):
-                if width:
-                    for layer in ((slice(None),) * a + (slice(None, width),),
-                                  (slice(None),) * a + (slice(-width, None),)):
-                        layers.append((u_box[layer], box[layer]))
-            self._rows.append((u_flat[k:], u_flat[:nodes - k],
-                               row[k // 2:k // 2 + nodes - k], layers))
+        row_dirs = np.vstack([dirs, np.zeros(len(axes), dtype=int)])
+        widths = np.abs(row_dirs)
+        shifts = [abs(int(s)) for s in row_dirs @ node_strides]
+        self._coef = np.hstack([weights, -np.sum(weights, axis=1, keepdims=True)]) / 2.0
+
+        # tiles of whole index ranges on the lead axis, a last one-node tile
+        # joined to the one before
+        per_tile = max(2, FOLD_ELEMENTS // len(row_dirs))
+        lead = next(a for a, n in enumerate(node_strides) if n <= per_tile)
+        bounds = [*range(0, counts[lead], per_tile // node_strides[lead]), counts[lead]]
+        if (bounds[-1] - bounds[-2]) * node_strides[lead] == 1:
+            del bounds[-2]
+        scratch = np.empty(len(row_dirs) * max(np.diff(bounds)) * node_strides[lead])
         self._acc = np.zeros((len(weights), nodes))
         self._g = np.zeros(nodes)
         self._g_nodes = self._g.reshape(counts)
+        # each index's distance to the nearest edge, capped at the widest
+        # direction along its axis: a tile's edge entries depend on no more
+        dist = [np.minimum(np.minimum(np.arange(c), np.arange(c)[::-1]), r)
+                for c, r in zip(counts, widths.max(axis=0))]
+        edges, self._tiles = {}, []
+        for index in itertools.product(*map(range, counts[:lead])):
+            for i0, i1 in zip(bounds, bounds[1:]):
+                spans = ([slice(i, i + 1) for i in index] + [slice(i0, i1)]
+                         + [slice(0, c) for c in counts[lead + 1:]])
+                first = sum(sp.start * n for sp, n in zip(spans, node_strides))
+                box = [d[sp] for d, sp in zip(dist, spans)]
+                size = math.prod(d.size for d in box)
+                key = tuple(d.tobytes() for d in box[:lead + 1])
+                if key not in edges:
+                    near = np.zeros((len(row_dirs), *(d.size for d in box)), dtype=bool)
+                    for a, d in enumerate(box):
+                        shape = (-1,) + (1,) * a + (d.size,) + (1,) * (len(box) - a - 1)
+                        near |= (d < widths[:, a:a + 1]).reshape(shape)
+                    hit = np.flatnonzero(near)
+                    edges[key] = hit, hit % size
+                rows = scratch[:len(row_dirs) * size].reshape(len(row_dirs), size)
+                sums = []
+                for row, s in zip(rows, shifts):
+                    lo, hi = max(first, s), min(first + size, nodes - s)
+                    if lo < hi:
+                        sums.append((row[lo - first:hi - first], slice(lo + s, hi + s),
+                                     slice(lo - s, hi - s)))
+                self._tiles.append((slice(first, first + size), sums, rows, *edges[key]))
 
         # d[p] = u[p + n_a] - u[p] for p < nodes - n_a, and d[p], d[p - n_a]
         # over the flat range that holds every interior node
         lo = sum(node_strides)
         self._inner = slice(lo, nodes - lo)
         self._fd = np.zeros(nodes)
-        self._axis_ops = [(u_flat[s:], u_flat[:nodes - s], self._fd[:nodes - s],
-                           self._fd[self._inner], self._fd[lo - s:nodes - lo - s])
-                          for s in node_strides]
+        self._tmp = np.zeros(max(0, nodes - 2 * lo))
+        self._jumps = np.zeros(nodes)
+        self._axis_ops = [(s, self._fd[:nodes - s], self._fd[self._inner],
+                           self._fd[lo - s:nodes - lo - s]) for s in node_strides]
         # 1/2 Q_ab / (h_a h_b) per extreme, doubled off the diagonal, from the
         # weights: the coefficient of the raw centred Hessian entry (a, b)
         halves = np.einsum("qj,ja,jb->abq", weights, dirs, dirs)
@@ -379,48 +412,52 @@ class _Stencil:
                        for a, b in zip(*np.triu_indices(len(axes))) if np.any(halves[a, b])]
 
         # the update's centre weight is 1 - dt * rate at worst
-        self.rate = float(np.max(-self._coef[:, -1]))
+        self.rate = float(np.max(np.sum(weights, axis=1)))
 
     def g_of_hessian(self, u: np.ndarray) -> np.ndarray:
         """1/2 max over extremes of Tr[Q D^2 u] at the nodes, in a reused buffer.
 
-        Also leaves u in the node array that the differences read.
+        Keeps u, not a copy of it, as the array that the differences read.
         """
-        np.copyto(self._entries[-1], u.reshape(-1))
-        for ahead, behind, out, layers in self._rows:
-            np.add(ahead, behind, out=out)
-            for u_layer, layer in layers:
-                np.multiply(u_layer, 2.0, out=layer)
-        np.matmul(self._coef, self._entries, out=self._acc)
-        np.max(self._acc, axis=0, out=self._g)
+        self._u = u = u.reshape(-1)
+        for tile, sums, rows, hit, col in self._tiles:
+            for out, ahead, behind in sums:
+                np.add(u[ahead], u[behind], out=out)
+            rows.reshape(-1)[hit] = rows[-1, col]
+            np.matmul(self._coef, rows, out=self._acc[:, tile])
+            np.max(self._acc[:, tile], axis=0, out=self._g[tile])
         return self._g_nodes
 
     def jumps(self) -> np.ndarray:
         """The largest |raw second difference| over the axes at the nodes,
-        exact at the interior ones, for the u in the node array (the one
-        ``g_of_hessian`` last read)."""
-        jumps = np.zeros(self._g.size)
-        jumps_inner = jumps[self._inner]
-        tmp = np.empty_like(jumps_inner)
-        for ahead, here, diff, fwd, bwd in self._axis_ops:
-            np.subtract(ahead, here, out=diff)
+        exact at the interior ones, for the u that ``g_of_hessian`` last
+        read, in a reused buffer."""
+        u, inner, tmp = self._u, self._jumps[self._inner], self._tmp
+        inner.fill(0.0)
+        for s, diff, fwd, bwd in self._axis_ops:
+            np.subtract(u[s:], u[:u.size - s], out=diff)
             np.abs(np.subtract(fwd, bwd, out=tmp), out=tmp)
-            np.maximum(jumps_inner, tmp, out=jumps_inner)
-        return jumps.reshape(self._g_nodes.shape)
+            np.maximum(inner, tmp, out=inner)
+        return self._jumps.reshape(self._g_nodes.shape)
 
     def retimed(self, scale) -> np.ndarray:
         """G(D^2 u) with every extreme Q replaced by S Q S, S = diag(``scale``),
-        at the interior nodes, for the u in the node array: the per-extreme
-        sums of the last ``g_of_hessian`` plus 1/2 Tr[(S Q S - Q) D^2 u], the
-        Hessian in centred differences.  Overwrites that G."""
-        u, lo, hi = self._entries[-1], self._inner.start, self._inner.stop
+        at the interior nodes, for the u that ``g_of_hessian`` last read: its
+        per-extreme sums plus 1/2 Tr[(S Q S - Q) D^2 u], the Hessian in
+        centred differences, in the buffers of ``jumps``.  Overwrites that G."""
+        u, lo, hi = self._u, self._inner.start, self._inner.stop
         at = lambda shift: u[lo + shift:hi + shift]
-        acc = self._acc[:, self._inner]
+        acc, raw, term = self._acc[:, self._inner], self._tmp, self._fd[:hi - lo]
         for s_a, s_b, halves, a, b in self._pairs:
-            raw = (at(s_a) - 2.0 * at(0) + at(-s_a) if a == b else
-                   (at(s_a + s_b) - at(s_a - s_b) - at(s_b - s_a) + at(-s_a - s_b)) / 4.0)
+            if a == b:
+                np.add(np.subtract(at(s_a), np.multiply(at(0), 2.0, out=term), out=raw),
+                       at(-s_a), out=raw)
+            else:
+                np.subtract(at(s_a + s_b), at(s_a - s_b), out=raw)
+                np.subtract(raw, at(s_b - s_a), out=raw)
+                np.divide(np.add(raw, at(-s_a - s_b), out=raw), 4.0, out=raw)
             for row, c in zip(acc, halves * (scale[a] * scale[b] - 1.0)):
-                row += c * raw
+                row += np.multiply(raw, c, out=term)
         np.max(acc, axis=0, out=self._g[self._inner])
         return self._g_nodes
 
@@ -484,8 +521,9 @@ def _march(segments, top, k_top, stop=0, sample=frozenset()):
     interior nodes whose raw second difference stays within ten times the
     slice median (kinks are left out), and 0.0 where every node is a kink.
     Otherwise r_k is None.  The slices rotate through three buffers, so a
-    yielded one is overwritten two steps later.  Raises ValueError for an
-    unstable step or a non-finite slice.
+    yielded one is overwritten two steps later: a sampled step k takes
+    |w_t + G| in the buffer of w_{k+1}, dead once w_t is formed.  Raises
+    ValueError for an unstable step or a non-finite slice.
     """
     dt = segments.dt
     ring = np.empty((3, *top.shape))
@@ -509,14 +547,16 @@ def _march(segments, top, k_top, stop=0, sample=frozenset()):
         _require_finite(below)
         r_k = None
         if k in sample:
-            u_t = (ring[(k + 1) % 3] - below) / (2.0 * dt)
+            resid = ring[(k + 1) % 3]
+            np.subtract(resid, below, out=resid)
+            np.divide(resid, 2.0 * dt, out=resid)
             scale = segments.flow(k) / op[0]
             if np.any(scale != 1.0):
                 g = stencil.retimed(scale)
-            resid = np.abs(u_t + g)[interior]
+            np.abs(np.add(resid, g, out=resid), out=resid)
             raw_jump = stencil.jumps()[interior]
             smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
-            r_k = float(resid[smooth].max()) if np.any(smooth) else 0.0
+            r_k = float(np.max(resid[interior], where=smooth, initial=0.0))
         yield k - 1, below, r_k
 
 
@@ -526,6 +566,10 @@ def _require_finite(u: np.ndarray) -> None:
 
 
 def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
+    """Plan the segments, march once from the terminal data and keep the
+    checkpoints and the sampled residual.  Besides them the march holds three
+    slices and one stencil; the node coordinates are dropped once the
+    terminal slice is made."""
     counts = mesh_spec.nodes_per_axis(problem.dim)
     axes = [np.linspace(lo, hi, c) for (lo, hi), c in zip(problem.domain_box, counts)]
     segments, rate = _plan(problem, axes)
@@ -533,6 +577,7 @@ def _solve(problem: PdeProblem, mesh_spec: MeshSpec) -> GridSolution:
 
     points = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1)
     terminal = np.array(problem.terminal_f(points), dtype=float)
+    del points
     if terminal.shape != counts:
         raise ValueError(
             f"terminal data must map (...,{problem.dim}) points to a {counts} grid, "

@@ -285,7 +285,9 @@ def sigma_of_integral(
 
     Per extreme Q, composite-midpoint quadrature of Phi(t) Q Phi(t)^T over
     [0, T]; midpoint preserves positive semidefiniteness and the result is
-    symmetrized to kill rounding drift.
+    symmetrized to kill rounding drift.  The terms are formed for a block of
+    midpoints at a time, ``FOLD_ELEMENTS`` values, and summed in midpoint
+    order.
     """
     if quad_steps < 1:
         raise ValueError(f"quad_steps must be >= 1, got {quad_steps}")
@@ -293,13 +295,16 @@ def sigma_of_integral(
         raise ValueError(f"horizon must be positive, got T={T}")
     dt = T / quad_steps
     mids = (np.arange(quad_steps) + 0.5) * dt
-    phis = [as_matrix(phi_fn(t)) for t in mids]
+    phis = np.array([as_matrix(phi_fn(t)) for t in mids])
+    rows = max(1, FOLD_ELEMENTS // (phis.shape[1] * max(phis.shape[1:])))
     out = []
     for q in sigma.matrices:
-        acc = np.zeros((phis[0].shape[0], phis[0].shape[0]))
-        for m in phis:
-            acc += m @ q @ m.T
-        acc *= dt
+        acc = np.zeros((1, phis.shape[1], phis.shape[1]))
+        for start in range(0, quad_steps, rows):
+            part = phis[start:start + rows]
+            terms = part @ q @ np.swapaxes(part, 1, 2)
+            acc = np.cumsum(np.concatenate([acc, terms]), axis=0)[-1:]
+        acc = acc[0] * dt
         out.append((acc + acc.T) / 2.0)
     return CovarianceSet(out, label=f"integral({sigma.label})")
 

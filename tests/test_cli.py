@@ -138,6 +138,16 @@ class TestRun:
         )
         assert main(["run", str(cfg)]) == 0
 
+    def test_fubini_runs_one_path(self, tmp_path):
+        # its check is exact per path, so one path is a sample (a Monte Carlo
+        # kind needs two)
+        cfg = write_config(
+            tmp_path, kind="fubini",
+            sigma={"dim": 2, "extremes": [[1, 0, 0, 1]], "label": "id"},
+            params={"steps": 4, "n_paths": 1},
+        )
+        assert main(["run", str(cfg)]) == 0
+
     def test_isometry_kind(self, tmp_path):
         cfg = write_config(
             tmp_path, kind="isometry",
@@ -294,6 +304,11 @@ class TestRun:
         ({"kind": "gpde", "sigma": {"dim": 1, "extremes": [[1], [0.25]]}}, "'gpde'"),
         # an integer too large for a float
         ({"kind": "isometry", "params": {"T": 10**400}}, "'T'"),
+        # a Monte Carlo sample of one draw has no standard error
+        ({"params": {"n_samples": 1}}, "'n_samples'"),
+        ({"kind": "band", "params": {"n_samples": 1}}, "'n_samples'"),
+        ({"kind": "bdg", "params": {"n_paths": 1}}, "'n_paths'"),
+        ({"kind": "gpde", "params": {"n_paths": 1}}, "'n_paths'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):

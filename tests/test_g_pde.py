@@ -782,6 +782,42 @@ def full_march(prob, sol):
     return values
 
 
+class TestTileBudget:
+    """The node tiles of the stencil change no bit, though a BLAS product can
+    round by the width of its call."""
+
+    @staticmethod
+    def solves(monkeypatch, prob, mesh):
+        # a budget of 1 makes tiles of two nodes, the fewest; 64 makes tiles
+        # of a few nodes, cut inside an axis; 10^9 one tile of the whole grid
+        for budget in (1, 64, 10**9):
+            monkeypatch.setattr(g_pde, "FOLD_ELEMENTS", budget)
+            yield solve_gpde(prob, mesh)
+
+    @pytest.mark.parametrize("transport", [False, True])
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_budget_does_not_change_the_solve(self, monkeypatch, dim, transport):
+        rng = np.random.default_rng(100 + 10 * dim + transport)
+        first, *others = self.solves(monkeypatch, *random_problem(rng, dim, transport, 30))
+        for sol in others:
+            assert np.array_equal(sol.values, first.values)
+            assert sol.residual == first.residual
+
+    def test_budget_does_not_change_a_wide_stencil(self, monkeypatch):
+        # four correlated extremes take 20 and more directions, a product
+        # depth at which a dense BLAS product rounds by the width of its call
+        rng = np.random.default_rng(7)
+        extremes = [raw @ raw.T + 0.05 * np.eye(3) for raw in rng.standard_normal((4, 3, 3))]
+        axes = [np.linspace(-2.0, 2.0, 9)] * 3
+        assert len(_decompose(np.array(extremes), axes)[0]) >= 19
+        prob = PdeProblem(3, CovarianceSet(extremes), lambda p: np.sin(p @ [1.0, -0.7, 0.4]),
+                          0.05, ((-2.0, 2.0),) * 3)
+        first, *others = self.solves(monkeypatch, prob, MeshSpec(nodes=9))
+        for sol in others:
+            assert np.array_equal(sol.values, first.values)
+            assert sol.residual == first.residual
+
+
 class TestCheckpoints:
     @pytest.mark.parametrize("transport", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])

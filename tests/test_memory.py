@@ -27,6 +27,9 @@ N_PATHS = 20_000
 # (8.3 and 1.9 MiB, with numpy 2.4), plus 25%
 PEAK_SIGMA_INTEGRAL = 10.4 * 2**20
 PEAK_NESTED = 2.4 * 2**20
+# traced peak of the transported 41^3 solve and its residual below, run first
+# in a fresh process (13.2 MiB with numpy 2.4), plus 25%
+PEAK_3D_SOLVE = 16.5 * 2**20
 
 
 def traced_peak(fn) -> int:
@@ -80,9 +83,8 @@ def test_nested_config_peak(tmp_path):
     assert peak < PEAK_NESTED
 
 
-def test_transported_3d_solve_and_residual_peak():
-    # a correlated, transported 41^3 grid: 73 steps of 0.55 MB slices, 40 MB
-    # if every slice were stored, and a new stencil for each of 9 segments
+def transported_3d_solve():
+    """Solve a correlated, transported 41^3 problem and read its residual."""
     rng = np.random.default_rng(1)
     extremes = []
     for _ in range(3):
@@ -92,11 +94,19 @@ def test_transported_3d_solve_and_residual_peak():
     coeffs = rng.uniform(0.2, 0.6, size=3)
     prob = PdeProblem(3, CovarianceSet(extremes), lambda p: (p**2) @ coeffs, 0.5,
                       ((-2.0, 2.0),) * 3, a_gen=np.diag([-0.5, -1.0, -1.5]))
+    residual_check(solve_gpde(prob, MeshSpec(nodes=41)), prob)
 
-    def solve_and_check():
-        residual_check(solve_gpde(prob, MeshSpec(nodes=41)), prob)
 
-    assert traced_peak(solve_and_check) < 40 * 2**20
+def test_transported_3d_solve_and_residual_peak():
+    # a correlated, transported 41^3 grid: 73 steps of 0.55 MB slices, 40 MB
+    # if every slice were stored, and a new stencil for each of 9 segments
+    assert traced_peak(transported_3d_solve) < 40 * 2**20
+
+
+def test_transported_3d_solve_holds_checkpoints_and_one_tile():
+    # 5.3 MiB of checkpoints, three slices, and one stencil whose scratch is
+    # one node tile; a (directions + 1) x nodes array of sums is 10 MB more
+    assert traced_peak(transported_3d_solve) < PEAK_3D_SOLVE
 
 
 def test_dedup_peak_does_not_grow_with_the_square_of_the_set():

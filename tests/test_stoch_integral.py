@@ -245,6 +245,24 @@ class TestSigmaOfIntegral:
             emp = vals.T @ vals / n
             assert np.linalg.norm(emp - sigma_i.matrices[i]) < 0.05
 
+    @pytest.mark.parametrize("out_dim", [1, 2, 3])
+    def test_blocks_are_bitwise_the_midpoint_loop(self, spread_2d, monkeypatch, out_dim):
+        # the loop that formed and added one midpoint term at a time; a budget
+        # of 40 values cuts 101 midpoints into blocks of a few terms
+        T, steps = 1.3, 101
+        raw = np.random.default_rng(8).standard_normal((2, out_dim, 2))
+        phi_fn = lambda t: raw[0] * math.cos(t) + raw[1] * t
+        mids = (np.arange(steps) + 0.5) * (T / steps)
+        for budget in (40, 10**9):
+            monkeypatch.setattr(stoch_integral, "FOLD_ELEMENTS", budget)
+            got = sigma_of_integral(phi_fn, spread_2d, T, steps)
+            for q, out in zip(spread_2d.matrices, got.matrices):
+                acc = np.zeros((out_dim, out_dim))
+                for t in mids:
+                    acc += phi_fn(t) @ q @ phi_fn(t).T
+                acc *= T / steps
+                assert np.array_equal(out, (acc + acc.T) / 2.0)
+
     def test_power_of_two_scaling_is_exact(self, spread_2d):
         phi_fn = lambda t: np.array([[1.0 + t, 0.3], [0.0, 1.0 - 0.5 * t]])
         base = sigma_of_integral(phi_fn, spread_2d, 1.0, 64)
