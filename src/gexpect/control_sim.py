@@ -28,7 +28,7 @@ import numpy as np
 
 from .covariance_set import CovarianceSet
 from .g_normal import (
-    VolatilityBand, as_point, best_of, evaluate_rows, split_seed, stderr,
+    VolatilityBand, as_point, best_of, evaluate_rows, split_seed,
 )
 
 __all__ = [
@@ -45,9 +45,9 @@ __all__ = [
 ]
 
 # values per block of a Monte Carlo fold (512 KB of float64, about an L2
-# cache): a fold over n paths of per-path arrays with c columns takes
-# max(1, FOLD_ELEMENTS // c) rows at a time, so its temporaries do not grow
-# with n.  Row results do not depend on the blocking.
+# cache): ``_policy_sup`` walks max(1, FOLD_ELEMENTS // N) paths at a time, so
+# no estimator's arrays grow with n_paths.  The block size is part of the
+# stream: a run of at most one block draws what one walk from its seed draws.
 FOLD_ELEMENTS = 2**16
 
 
@@ -210,7 +210,7 @@ def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, rates=None, store=None
     from one seed share their normals.  Two state buffers and one increment
     buffer are reused, so a yielded array is valid until the next step, unless
     ``store=(states, increments)`` gives time-major arrays for every step.
-    Sizes are checked at the call.
+    ``_policy_sup`` bounds n_paths by its path blocks.  Sizes are checked at the call.
     """
     times = _grid(steps, T, n_paths)
     # C-contiguous gamma^T: matmul leaves BLAS for a transposed operand
@@ -299,23 +299,43 @@ def build_policies(policies, n_factors: int) -> list[ControlPolicy]:
     return out
 
 
+def _pool(row, n_a=0, mean_a=0.0, m2_a=0.0):
+    """``row`` pooled into the fold (count, mean, sum of squared deviations) of
+    earlier rows (Chan, Golub and LeVeque, 1983); with no such rows, the row's
+    own fold, bit for bit the sums of ``row.mean()`` and ``stderr(row)``."""
+    n_b, mean_b = row.size, row.mean()
+    m2_b = np.sum((row - mean_b) ** 2)
+    if not n_a:
+        return n_b, mean_b, m2_b
+    n, delta = n_a + n_b, mean_b - mean_a
+    return n, mean_a + delta * n_b / n, m2_a + m2_b + delta * delta * n_a * n_b / n
+
+
 def _policy_sup(sigma, family, n_paths, steps, T, seed, payoff):
     """Common-random-number supremum of Monte Carlo means over a policy family.
 
-    ``payoff(policy, walk)`` gives each policy of ``family`` its per-path
-    values, shaped (n_paths,) or (rows, n_paths), folded from the streams
-    ``walk(x0=0.0, rates=None)`` of ``_walk``.  Every stream is drawn from
-    ``seed``, so all policies see the same normals and no path block is
-    held.  Returns one UpperEstimate per row: the largest mean by ``best_of``
-    (the first on ties; a NaN mean wins, so an undefined payoff is never
-    hidden), the policy attaining it, its standard error and every member's
-    entry.
+    ``payoff(policy, walk)`` yields each policy of ``family`` its rows of
+    per-path values, folded from the streams ``walk(x0=0.0, rates=None)`` of
+    ``_walk``.  Paths are walked in blocks of max(1, FOLD_ELEMENTS // N), block
+    0 from ``seed`` and block b >= 1 from ``[seed, b]``, so all policies see the
+    same normals and memory grows with neither steps nor paths; ``_pool``
+    pools each row over the blocks.  Returns one UpperEstimate per row: the
+    largest mean by ``best_of`` (the first on ties; a NaN mean wins, so an
+    undefined payoff is never hidden), the policy attaining it, its standard
+    error and every member's entry.
     """
+    _grid(steps, T, n_paths)
     policies, results = build_policies(family, len(sigma)), []
+    block = max(1, FOLD_ELEMENTS // sigma.dim)
     for policy in policies:
-        walk = functools.partial(_walk, sigma, policy, n_paths, steps, T, seed)
-        rows = np.atleast_2d(payoff(policy, walk))
-        results.append([(float(row.mean()), stderr(row)) for row in rows])
+        folds = {}
+        for b, start in enumerate(range(0, n_paths, block)):
+            walk = functools.partial(_walk, sigma, policy, min(block, n_paths - start),
+                                     steps, T, [seed, b] if b else seed)
+            for r, row in enumerate(payoff(policy, walk)):
+                folds[r] = _pool(row, *folds.get(r, ()))
+        results.append([(float(mean), math.sqrt(m2 / (n - 1)) / math.sqrt(n) if n > 1
+                         else 0.0) for n, mean, m2 in folds.values()])
     names, estimates = [pol.describe() for pol in policies], []
     for row in zip(*results):
         best = best_of([mean for mean, _ in row])
@@ -348,7 +368,7 @@ def estimate_upper_expectation(
     """
     x0 = as_point(x0, sigma.dim)
     return _policy_sup(sigma, policy_family, n_paths, steps, T, seed,
-                       lambda _, walk: evaluate_rows(f, _terminal(walk(x0))))[0]
+                       lambda _, walk: [evaluate_rows(f, _terminal(walk(x0)))])[0]
 
 
 def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: int) -> float:
@@ -430,7 +450,7 @@ def nested_expectation(
                 mean_inner = vals.mean(axis=1)
                 g_rows = mean_inner if g_rows is None else np.maximum(g_rows, mean_inner)
             g_vals[start:start + block] = g_rows
-        return g_vals
+        return [g_vals]
 
     return _policy_sup(sigma, outer_spec.family, outer_spec.n_paths, outer_spec.steps,
                        outer_spec.T, split_seed(outer_spec.seed, 0), outer_payoff)[0].value

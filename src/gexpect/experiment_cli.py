@@ -32,6 +32,7 @@ from .control_sim import (
     ControlPolicy,
     NestedSpec,
     PolicyFamily,
+    _policy_sup,
     _walk,
     estimate_upper_expectation,
     lattice_1d,
@@ -400,13 +401,13 @@ def _run_sigma_integral(cfg, rep, *, a_diag: _floats = (-0.5, -1.0),
         rep.check(f"closed-form-extreme-{i}", diff, 0.0, 1e-6 * scale)
     part = np.linspace(0.0, T, steps + 1)
     phi = ElementaryProcess.deterministic(part, [phi_fn(t) for t in part[:-1]])
+    def products(_, walk):  # the products I_a I_b of the integral's coordinates
+        cols = _integrate(phi, cfg.sigma, part, walk()).values.T
+        return (col_a * col_b for col_a in cols for col_b in cols)
     for i in range(len(cfg.sigma)):
-        # one walk and one extreme's values are live at a time
-        vals = _integrate(phi, cfg.sigma, part, n_paths,
-                          _walk(cfg.sigma, ControlPolicy.constant(i), n_paths, steps, T,
-                                split_seed(cfg.seed, i))).values
-        emp = vals.T @ vals / n_paths
-        del vals
+        ests = _policy_sup(cfg.sigma, [ControlPolicy.constant(i)], n_paths, steps, T,
+                           split_seed(cfg.seed, i), products)
+        emp = np.reshape([est.value for est in ests], (cfg.sigma.dim,) * 2)
         diff = float(np.linalg.norm(emp - sigma_i.matrices[i]))
         rep.check(f"empirical-extreme-{i}", diff, 0.0, 0.05, n_paths=n_paths)
     rows = []

@@ -726,8 +726,7 @@ def mc_values(
         else:
             conv_T = _terminal(walk(0.0, diag))
             ends = (conv_T + flow_T * x0 for x0 in x0s)
-        rows = [evaluate_rows(problem.terminal_f, x) for x in ends]
-        return np.reshape(rows, (len(x0s), n_paths))
+        return (evaluate_rows(problem.terminal_f, x) for x in ends)
 
     return [McValue(est.value, est.stderr) for est in _policy_sup(
         step_sigma, control_spec.family, n_paths, steps, T, control_spec.seed, payoff)]

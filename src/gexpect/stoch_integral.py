@@ -167,16 +167,16 @@ def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralR
     per path, the isometry right-hand quantity (time integral of the squared
     integrand norm).  Replays the paths through the fold of a streamed walk.
     """
-    return _integrate(phi, paths.sigma, paths.times, paths.n_paths, _replay(paths))
+    return _integrate(phi, paths.sigma, paths.times, _replay(paths))
 
 
-def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
+def _integrate(phi, sigma, times, stream) -> IntegralResult:
     """``integrate_elementary`` folded over a path stream on the grid ``times``.
 
     A left state is copied only for a block of several steps: walks reuse it.
-    A deterministic block acts on ``FOLD_ELEMENTS``-sized row slices of the
-    paths, and while every block is deterministic the isometry quantity is
-    one number, spread over the paths at the end.
+    ``values`` takes its rows from the first block's product, added to in
+    place after, and while every block is deterministic the isometry quantity
+    is one number, spread over the paths at the end.
     """
     if phi.in_dim != sigma.dim:
         raise ValueError(
@@ -185,9 +185,7 @@ def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
     idx = np.clip(np.searchsorted(times, phi.partition), 0, times.size - 1)
     if np.any(np.abs(times[idx] - phi.partition) > 1e-12):
         raise ValueError("integrand partition is not a subset of the path grid")
-    values = np.zeros((n_paths, phi.out_dim))
-    integrand_acc = 0.0
-    rows = max(1, FOLD_ELEMENTS // max(phi.in_dim, phi.out_dim))
+    values = integrand_acc = 0.0
     k = 0
     for step, _, x, _, x_next in stream:
         if step == idx[k]:
@@ -198,10 +196,7 @@ def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
         block = phi.block_values(k, phi.partition[k], left)
         if block.ndim == 2:
             # C-contiguous block^T: matmul leaves BLAS for a transposed operand
-            block_t = np.ascontiguousarray(block.T)
-            for start in range(0, n_paths, rows):
-                part = slice(start, start + rows)
-                values[part] += (x_next[part] - left[part]) @ block_t
+            values += (x_next - left) @ np.ascontiguousarray(block.T)
         else:
             values += np.einsum("nij,nj->ni", block, x_next - left)
         integrand_acc = integrand_acc + dt_k * _l2sigma_sq_per_path(block, sigma.roots)
@@ -209,8 +204,8 @@ def _integrate(phi, sigma, times, n_paths, stream) -> IntegralResult:
         if k == phi.n_blocks:
             break
     if np.ndim(integrand_acc) == 0:
-        integrand_acc = np.full(n_paths, integrand_acc)
-    return IntegralResult(values, n_paths, integrand_acc)
+        integrand_acc = np.full(len(values), integrand_acc)
+    return IntegralResult(values, len(values), integrand_acc)
 
 
 def _uniform_grid_of(phi: ElementaryProcess) -> tuple[float, int]:
@@ -229,9 +224,9 @@ def _moment_sup(phi, sigma, p, policies, n_paths, seed):
     T, steps = _uniform_grid_of(phi)
 
     def payoff(policy, walk):
-        res = _integrate(phi, sigma, phi.partition, n_paths, walk())
-        return np.stack([np.sum(res.values**2, axis=1) ** (p / 2.0),
-                         res.integrand_sq_paths ** (p / 2.0)])
+        res = _integrate(phi, sigma, phi.partition, walk())
+        return (np.sum(res.values**2, axis=1) ** (p / 2.0),
+                res.integrand_sq_paths ** (p / 2.0))
 
     lhs, rhs = _policy_sup(sigma, policies, n_paths, steps, T, seed, payoff)
     return lhs.value, rhs.value, lhs.stderr

@@ -13,7 +13,9 @@ from gexpect.control_sim import (
     nested_expectation,
     simulate_gbm,
 )
-from gexpect.g_normal import GNormal, VolatilityBand, project_band, static_upper_report
+from gexpect.g_normal import (
+    GNormal, VolatilityBand, project_band, split_seed, static_upper_report, stderr,
+)
 
 
 def first_coord(states):
@@ -181,9 +183,13 @@ class TestWalk:
         with pytest.raises(ValueError, match="steps"):
             control_sim._walk(band_1d, ControlPolicy.constant(0), 10, 0, 1.0, seed=0)
 
-    def test_policy_sup_members_share_normals(self, spread_2d):
+    @pytest.mark.parametrize("budget", [control_sim.FOLD_ELEMENTS, 2000],
+                             ids=["one_block", "two_blocks"])
+    def test_policy_sup_members_share_normals(self, spread_2d, monkeypatch, budget):
         # each constant member of the family supremum equals its own one-policy
-        # run from the same seed, so every member saw the seed's normals
+        # run from the same seed, so every member saw the seed's normals, in
+        # every path block
+        monkeypatch.setattr(control_sim, "FOLD_ELEMENTS", budget)
         f = lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2
         family = PolicyFamily(bang_bang_stat=first_coord)
         est = estimate_upper_expectation(spread_2d, f, [0.1, 0.0], 1.0, 6, 2000,
@@ -193,6 +199,63 @@ class TestWalk:
             alone = estimate_upper_expectation(spread_2d, f, [0.1, 0.0], 1.0, 6, 2000,
                                                [ControlPolicy.constant(i)], seed=17)
             assert est.per_policy[i] == alone.per_policy[0]
+
+
+class TestPathBlocks:
+    """``_policy_sup`` walks blocks of max(1, FOLD_ELEMENTS // N) paths and pools
+    each row's moments over them."""
+
+    F = staticmethod(lambda x: np.sin(3.0 * x[:, 0]) + x[:, 1] ** 2)
+    FAMILY = PolicyFamily(bang_bang_stat=first_coord)
+    X0 = np.array([0.1, -0.2])
+
+    def hand_rows(self, sigma, policy, sizes, seed):
+        """The payoff rows of a policy's blocks, walked by hand."""
+        return [self.F(control_sim._terminal(control_sim._walk(
+            sigma, policy, size, 6, 1.0, [seed, b] if b else seed, self.X0)))
+            for b, size in enumerate(sizes)]
+
+    def test_pooled_blocks_are_the_concatenated_rows(self, spread_2d, monkeypatch):
+        # 3,501 paths in blocks of 1,000: four blocks, the last of 501 paths
+        monkeypatch.setattr(control_sim, "FOLD_ELEMENTS", 2000)
+        est = estimate_upper_expectation(spread_2d, self.F, self.X0, 1.0, 6, 3501,
+                                         self.FAMILY, seed=21)
+        policies = self.FAMILY.build(len(spread_2d))
+        assert len(est.per_policy) == len(policies) == 4
+        for pol, (_, mean, se) in zip(policies, est.per_policy):
+            row = np.concatenate(self.hand_rows(spread_2d, pol, [1000] * 3 + [501], 21))
+            assert row.size == 3501
+            assert mean == pytest.approx(row.mean(), rel=1e-12, abs=0.0)
+            assert se == pytest.approx(stderr(row), rel=1e-12, abs=0.0)
+
+    def test_one_block_is_one_walk_bit_for_bit(self, spread_2d):
+        # n <= the block: every member's entry is a hand walk from the seed
+        est = estimate_upper_expectation(spread_2d, self.F, self.X0, 1.0, 6, 3501,
+                                         self.FAMILY, seed=21)
+        for pol, entry in zip(self.FAMILY.build(len(spread_2d)), est.per_policy):
+            (row,) = self.hand_rows(spread_2d, pol, [3501], 21)
+            assert entry == (pol.describe(), float(row.mean()), stderr(row))
+
+    def test_later_blocks_do_not_reuse_split_seeds(self, band_1d, monkeypatch):
+        # block 5 draws from [seed, 5], not split_seed(seed, 5): a caller that
+        # seeds _policy_sup with s and draws elsewhere from split_seed(s, 5)
+        # (as the gpde runner does) gets independent normals
+        monkeypatch.setattr(control_sim, "FOLD_ELEMENTS", 10)
+        unit = CovarianceSet([[[1.0]]])
+        seen = []
+
+        def payoff(_, walk):  # one unit step: the terminal state is the normals
+            seen.append(control_sim._terminal(walk())[:, 0].copy())
+            return [seen[-1]]
+
+        control_sim._policy_sup(unit, [ControlPolicy.constant(0)], 60, 1, 1.0, 9,
+                                payoff)
+        assert [len(z) for z in seen] == [10] * 6
+        assert np.array_equal(seen[0], np.random.default_rng(9).standard_normal(10))
+        assert np.array_equal(seen[5],
+                              np.random.default_rng([9, 5]).standard_normal(10))
+        assert not np.any(seen[5] == np.random.default_rng(split_seed(9, 5))
+                          .standard_normal(10))
 
 
 class TestLattice:
@@ -363,8 +426,9 @@ class TestNested:
         outer = NestedSpec(n_paths=700, seed=6)
         f2 = lambda x, y: np.cos(x[..., 0] - y[..., 0])
         blocked = nested_expectation(band_1d, f2, inner, outer)
-        # one outer row per block, then every outer row in one block
-        for budget in (1, 10**9):
+        # one outer row per block (700 // 600), then every outer row in one
+        # block; either budget walks the 700 outer paths in one path block
+        for budget in (700, 10**9):
             monkeypatch.setattr(control_sim, "FOLD_ELEMENTS", budget)
             assert nested_expectation(band_1d, f2, inner, outer) == blocked
 

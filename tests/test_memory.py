@@ -1,5 +1,6 @@
-"""Memory is bounded by the design: streamed estimators hold no path block,
-and a PDE solve holds checkpoint slices, not every slice."""
+"""Memory is bounded by the design: streamed estimators hold no (steps,
+n_paths) path block and walk paths in blocks of ``FOLD_ELEMENTS // N``, and a
+PDE solve holds checkpoint slices, not every slice."""
 
 import tracemalloc
 from pathlib import Path
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 from gexpect import CovarianceSet
+from gexpect import control_sim
 from gexpect.control_sim import PolicyFamily, estimate_upper_expectation
 from gexpect.experiment_cli import run
 from gexpect.g_pde import (
@@ -18,6 +20,7 @@ from gexpect.g_pde import (
     residual_check,
     solve_gpde,
 )
+from gexpect.stoch_integral import ElementaryProcess, bdg_check
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 SIGMA = CovarianceSet([np.diag([1.0, 0.8]), np.diag([0.4, 0.2])], label="diag-2d")
@@ -42,16 +45,24 @@ def traced_peak(fn) -> int:
         tracemalloc.stop()
 
 
-def upper(steps):
+def upper(steps, n_paths=N_PATHS):
     estimate_upper_expectation(SIGMA, lambda x: x[:, 0] ** 2 - x[:, 1], [0.2, 0.1],
-                               1.0, steps, N_PATHS, FAMILY, seed=3)
+                               1.0, steps, n_paths, FAMILY, seed=3)
 
 
-def probes(steps):
+def probes(steps, n_paths=N_PATHS):
     prob = PdeProblem(2, SIGMA, lambda p: p[..., 0] ** 2 + 0.5 * p[..., 1] ** 2, 0.5,
                       ((-2.0, 2.0), (-2.0, 2.0)), a_gen=np.diag([-1.0, -2.0]))
-    spec = McControlSpec(steps=steps, n_paths=N_PATHS, family=FAMILY, seed=3)
+    spec = McControlSpec(steps=steps, n_paths=n_paths, family=FAMILY, seed=3)
     mc_values(prob, [[0.0, 0.0], [0.5, -0.5], [-0.3, 0.2]], 0.0, spec)
+
+
+def bdg(steps, n_paths):
+    rng = np.random.default_rng(4)
+    phi = ElementaryProcess.deterministic(
+        np.linspace(0.0, 1.0, steps + 1),
+        [rng.standard_normal((2, 2)) for _ in range(steps)])
+    bdg_check(phi, SIGMA, 4, PolicyFamily(), n_paths, seed=3)
 
 
 @pytest.mark.parametrize("estimator", [upper, probes], ids=["upper", "mc_values"])
@@ -61,6 +72,18 @@ def test_peak_does_not_grow_with_steps(estimator):
     short = traced_peak(lambda: estimator(8))
     long = traced_peak(lambda: estimator(128))
     assert long <= 1.1 * short
+
+
+@pytest.mark.parametrize("estimator", [upper, probes, bdg],
+                         ids=["upper", "mc_values", "bdg_check"])
+def test_peak_does_not_grow_with_paths(estimator):
+    # one path block, then eight: walking every path at once makes the second
+    # peak five to eight times the first (23, 41 and 25 MB against 4.8, 5.2 and
+    # 3.7 MB, with numpy 2.4)
+    block = control_sim.FOLD_ELEMENTS // SIGMA.dim
+    one = traced_peak(lambda: estimator(4, block))
+    eight = traced_peak(lambda: estimator(4, 8 * block))
+    assert eight <= 1.1 * one
 
 
 def test_sigma_integral_config_peak(tmp_path):

@@ -418,7 +418,7 @@ class TestStreaming:
         stored = integrate_elementary(
             phi, simulate_gbm(spread_2d, self.POLICY, n, steps, T, seed=8))
         streamed = stoch_integral._integrate(
-            phi, spread_2d, times, n, _walk(spread_2d, self.POLICY, n, steps, T, seed=8))
+            phi, spread_2d, times, _walk(spread_2d, self.POLICY, n, steps, T, seed=8))
         assert np.array_equal(streamed.values, stored.values)
         assert np.array_equal(streamed.integrand_sq_paths, stored.integrand_sq_paths)
 
@@ -440,39 +440,23 @@ class TestStreaming:
                 assert np.array_equal(conv, stored[:, k // substeps, :])
 
 
-class TestRowBudget:
-    """Row slices of the fold and its scalar isometry sum change no bit."""
+class TestScalarIsometrySum:
+    """While every block is deterministic the isometry quantity is one sum."""
 
-    @pytest.mark.parametrize("form", ["deterministic", "mixed"])
-    def test_budget_does_not_change_the_fold(self, spread_2d, monkeypatch, form):
+    def test_scalar_sum_is_the_per_path_sum(self, spread_2d):
         n, steps, T = 301, 6, 1.0
         times = np.linspace(0.0, T, steps + 1)
         rng = np.random.default_rng(6)
         blocks = [rng.standard_normal((3, 2)) for _ in range(steps)]
-        if form == "deterministic":
-            phi = ElementaryProcess.deterministic(times, blocks)
-        else:
-            # one matrix for the first half of the blocks, per-path values after
-            def rule(t, x):
-                k = round(t * steps / T)
-                return blocks[k] if k < steps // 2 else np.tanh(x)[:, None, :] * blocks[k]
-
-            phi = ElementaryProcess.adapted(times, rule, 3, 2)
+        phi = ElementaryProcess.deterministic(times, blocks)
         bundle = simulate_gbm(spread_2d, ControlPolicy.constant(0), n, steps, T, seed=4)
-        results = []
-        for budget in (1, 10**9):
-            monkeypatch.setattr(stoch_integral, "FOLD_ELEMENTS", budget)
-            results.append(integrate_elementary(phi, bundle))
-        assert np.array_equal(results[0].values, results[1].values)
-        assert np.array_equal(results[0].integrand_sq_paths,
-                              results[1].integrand_sq_paths)
-        if form == "deterministic":
-            # the scalar sum spread over the paths is the per-path sum
-            acc = np.zeros(n)
-            for block in blocks:
-                acc = acc + T / steps * stoch_integral._l2sigma_sq_per_path(
-                    block, spread_2d.roots)
-            assert np.array_equal(results[0].integrand_sq_paths, acc)
+        result = integrate_elementary(phi, bundle)
+        # the scalar sum spread over the paths is the per-path sum
+        acc = np.zeros(n)
+        for block in blocks:
+            acc = acc + T / steps * stoch_integral._l2sigma_sq_per_path(
+                block, spread_2d.roots)
+        assert np.array_equal(result.integrand_sq_paths, acc)
 
 
 class TestConvolutionCondition:
