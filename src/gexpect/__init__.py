@@ -5,9 +5,8 @@ Layered modules, bottom up: ``operator_core`` (dense symmetric matrices),
 ``g_normal`` (moments, bands, per-measure sampling), ``control_sim``
 (controlled Gaussian paths and policy optimization), ``stoch_integral``
 (elementary integrals and inequality checks), ``g_pde`` (monotone
-finite differences and the probabilistic representation, ``mc_value`` and
-``mc_values``), and
-``experiment_cli`` (reproducible experiment runner).
+finite differences and the probabilistic representation, ``mc_values``),
+and ``experiment_cli`` (reproducible experiment runner).
 """
 
 from .operator_core import (

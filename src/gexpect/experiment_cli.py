@@ -41,6 +41,7 @@ from .control_sim import (
 )
 from .g_normal import (
     MC_Z,
+    MOMENT_CONSTANT_MAX_ORDER,
     GNormal,
     moment_bounds_check,
     moment_constant,
@@ -135,10 +136,21 @@ def _one_of(*known):
 
 
 def _powers(value):
+    """Distinct BDG powers, each with a certified constant."""
     powers = _items(_count)(value)
     if not set(powers) <= BDG_CONSTANTS.keys():
         raise ValueError(f"supported powers are 1, 2, 4; got {powers}")
+    if len(set(powers)) < len(powers):
+        raise ValueError(f"each power names one record, got a repeat in {powers}")
     return powers
+
+
+def _moment_order(value):
+    """A moment order up to ``MOMENT_CONSTANT_MAX_ORDER``, the last certified one."""
+    if _count(value) > MOMENT_CONSTANT_MAX_ORDER:
+        raise ValueError(f"moment constants are certified up to order "
+                         f"{MOMENT_CONSTANT_MAX_ORDER}, got {value!r}")
+    return int(value)
 
 
 def _samples(value):
@@ -309,12 +321,13 @@ def _unit_directions(dim, count, seed):
     return dirs / np.linalg.norm(dirs, axis=1, keepdims=True)
 
 
-def _run_moments(cfg, rep, *, m_max: _count = 3, n_samples: _samples = 100_000,
+def _run_moments(cfg, rep, *, m_max: _moment_order = 3, n_samples: _samples = 100_000,
                  dump_samples: _flag = False):
     gn = GNormal(cfg.sigma)
+    with _bad_params(cfg.kind, "sigma"):  # a dimension past the certified one
+        bounds = [moment_bounds_check(gn, m) for m in range(1, m_max + 1)]
     rows = []
-    for m in range(1, m_max + 1):
-        b = moment_bounds_check(gn, m)
+    for m, b in enumerate(bounds, 1):
         rep.check(f"moment-bounds-m{m}", b.value, moment_constant(m) * b.upper, 0.0,
                   b.ok)
         rows.append([m, b.lower, b.value, b.upper])
@@ -542,6 +555,10 @@ def _run_ou(cfg, rep, *, a_diag: _floats = lambda dim: (-1.0,) * dim,
                  rates=a_diag)
     family = steps // substeps * cfg.sigma.dim  # every coordinate at every record
     q0 = np.diag(cfg.sigma.matrices[0])
+    # names carry the fewest digits, at least 3, that tell the record times apart
+    stamps = times[substeps::substeps]
+    digits = next(d for d in range(3, 18)
+                  if len({f"{t:.{d}g}" for t in stamps}) == len(stamps))
     rows = []
     for k, _, _, _, conv in islice(walk, substeps - 1, None, substeps):
         t = times[k + 1]
@@ -551,7 +568,7 @@ def _run_ou(cfg, rep, *, a_diag: _floats = lambda dim: (-1.0,) * dim,
                           for d in range(cfg.sigma.dim)])
         emp = np.var(conv, axis=0)
         tol = rep.mc_tol(exact * math.sqrt(2.0 / n_paths), family=family)
-        rep.check(f"variance-t{t:.3g}", emp[0], exact[0], tol[0],
+        rep.check(f"variance-t{t:.{digits}g}", emp[0], exact[0], tol[0],
                   np.all(np.abs(emp - exact) <= tol + 1e-12), n_paths=n_paths)
         rows.append([float(t)] + [float(v) for v in emp] + [float(v) for v in exact])
 

@@ -150,8 +150,14 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     """Sandwich sup Tr[Q^m] <= E||X||^(2m) <= (sup Tr Q)^m up to K_m.
 
     ``ok`` asserts lower <= K_m * value and value <= K_m * upper with the
-    certified K_m of ``moment_constant``.
+    certified K_m of ``moment_constant``.  An order above
+    ``MOMENT_CONSTANT_MAX_ORDER`` or a dimension above
+    ``MOMENT_CONSTANT_MAX_DIM`` is not certified and raises ValueError.
     """
+    if m > MOMENT_CONSTANT_MAX_ORDER or gn.dim > MOMENT_CONSTANT_MAX_DIM:
+        raise ValueError(
+            f"moment constants are certified up to order {MOMENT_CONSTANT_MAX_ORDER} "
+            f"and dimension {MOMENT_CONSTANT_MAX_DIM}, got order {m} in dimension {gn.dim}")
     value = moment_upper(gn, m)
     w = np.clip(gn.sigma.eigenvalues, 0.0, None)
     lower = float(gn.scale**m * np.sum(w**m, axis=1).max())

@@ -36,13 +36,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .control_sim import (FOLD_ELEMENTS, PathBundle, PolicyFamily, _policy_sup, _stored,
-                          _terminal)
+from .control_sim import (FOLD_ELEMENTS, PathBundle, PolicyFamily, UpperEstimate,
+                          _policy_sup, _stored, _terminal)
 from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords, nnls
 from .stoch_integral import _generator_diag, convolution_path
@@ -53,13 +53,11 @@ __all__ = [
     "MeshSpec",
     "GridSolution",
     "McControlSpec",
-    "McValue",
     "solve_gheat",
     "solve_gpde",
     "residual_check",
     "ou_mild_path",
     "flow_property_discrepancy",
-    "mc_value",
     "mc_values",
 ]
 
@@ -215,11 +213,6 @@ class GridSolution:
             value += (math.prod((u[index],) + weights) if u.ndim == 2
                       else u[index] * math.prod(weights))
         return float(value)
-
-
-class McValue(NamedTuple):
-    value: float
-    stderr: float
 
 
 @dataclass(frozen=True)
@@ -681,21 +674,13 @@ def flow_property_discrepancy(
     return float(np.max(np.abs(restart - states)))
 
 
-def mc_value(
-    problem: PdeProblem, x0, t0: float, control_spec: McControlSpec
-) -> McValue:
-    """Monte Carlo value sup over policies of mean terminal payoff.
-
-    Policies share the seed (hence the driving noise); the returned standard
-    error belongs to the achieving policy.
-    """
-    return mc_values(problem, [x0], t0, control_spec)[0]
-
-
 def mc_values(
     problem: PdeProblem, probes, t0: float, control_spec: McControlSpec
-) -> list[McValue]:
-    """``mc_value`` at each probe, the supremum over the mild paths started there.
+) -> list[UpperEstimate]:
+    """The Monte Carlo value at each probe, the supremum over policies of mean
+    terminal payoff on the mild paths started there: one ``_policy_sup``
+    estimate per probe (the value, the policy attaining it, its standard error
+    and every member's entry), every member on the same driving noise.
 
     Each extreme Q walks with its exact step covariance per unit dt, Q~_ab =
     Q_ab (1 - exp(-(a_a + a_b) dt)) / ((a_a + a_b) dt) (Q_ab where a_a + a_b =
@@ -728,5 +713,5 @@ def mc_values(
             ends = (conv_T + flow_T * x0 for x0 in x0s)
         return (evaluate_rows(problem.terminal_f, x) for x in ends)
 
-    return [McValue(est.value, est.stderr) for est in _policy_sup(
-        step_sigma, control_spec.family, n_paths, steps, T, control_spec.seed, payoff)]
+    return _policy_sup(step_sigma, control_spec.family, n_paths, steps, T,
+                       control_spec.seed, payoff)

@@ -24,7 +24,6 @@ __all__ = [
     "BDG_CONSTANTS",
     "ElementaryProcess",
     "IntegralResult",
-    "IsometryCheck",
     "BdgCheck",
     "FubiniCheck",
     "ConvolutionCondition",
@@ -122,13 +121,6 @@ class IntegralResult(NamedTuple):
     integrand_sq_paths: np.ndarray
 
 
-class IsometryCheck(NamedTuple):
-    lhs: float
-    rhs: float
-    ok: bool
-    stderr: float
-
-
 class BdgCheck(NamedTuple):
     lhs: float
     rhs: float
@@ -215,39 +207,16 @@ def _uniform_grid_of(phi: ElementaryProcess) -> tuple[float, int]:
     return float(phi.partition[-1]), phi.n_blocks
 
 
-def _moment_sup(phi, sigma, p, policies, n_paths, seed):
-    """Policy suprema of mean ||I||^p and mean (int ||Phi||^2 dt)^(p/2).
-
-    Returns (lhs, rhs, se) where se is the standard error of the achieving
-    lhs policy.  Common random numbers across policies.
-    """
-    T, steps = _uniform_grid_of(phi)
-
-    def payoff(policy, walk):
-        res = _integrate(phi, sigma, phi.partition, walk())
-        return (np.sum(res.values**2, axis=1) ** (p / 2.0),
-                res.integrand_sq_paths ** (p / 2.0))
-
-    lhs, rhs = _policy_sup(sigma, policies, n_paths, steps, T, seed, payoff)
-    return lhs.value, rhs.value, lhs.stderr
-
-
 def ito_isometry_check(
     phi: ElementaryProcess,
     sigma: CovarianceSet,
     policies,
     n_paths: int,
     seed: int,
-) -> IsometryCheck:
-    """Empirical second-moment inequality for the elementary integral.
-
-    lhs is the policy supremum of the mean squared integral norm, rhs the
-    supremum of the mean time integral of the squared integrand norm
-    (deterministic when the integrand is); ok allows ``MC_Z`` standard errors
-    of noise on the lhs.
-    """
-    lhs, rhs, se = _moment_sup(phi, sigma, 2, policies, n_paths, seed)
-    return IsometryCheck(lhs, rhs, bool(lhs <= rhs + MC_Z * se), se)
+) -> BdgCheck:
+    """Empirical second-moment (isometry) inequality for the elementary
+    integral: ``bdg_check`` at p = 2, whose constant is one."""
+    return bdg_check(phi, sigma, 2, policies, n_paths, seed)
 
 
 def bdg_check(
@@ -260,7 +229,9 @@ def bdg_check(
 ) -> BdgCheck:
     """p-th moment inequality with the certified constant table.
 
-    Supported p: 1, 2, 4 (p = 2 reduces to the isometry check with constant
+    lhs is the policy supremum of mean ||I||^p, rhs that of mean (int
+    ||Phi||^2 dt)^(p/2), on common random numbers; ``stderr`` belongs to the
+    lhs winner.  Supported p: 1, 2, 4 (p = 2 is the isometry check, constant
     one).  ``cp_estimate`` is lhs/rhs (zero when rhs vanishes); ok allows
     ``MC_Z`` standard errors on the lhs.
     """
@@ -268,7 +239,15 @@ def bdg_check(
     if p not in (1.0, 2.0, 4.0):
         raise ValueError(f"supported p values are 1, 2, 4; got {p}")
     c_p = BDG_CONSTANTS[int(p)]
-    lhs, rhs, se = _moment_sup(phi, sigma, p, policies, n_paths, seed)
+    T, steps = _uniform_grid_of(phi)
+
+    def payoff(policy, walk):
+        res = _integrate(phi, sigma, phi.partition, walk())
+        return (np.sum(res.values**2, axis=1) ** (p / 2.0),
+                res.integrand_sq_paths ** (p / 2.0))
+
+    moment, norm = _policy_sup(sigma, policies, n_paths, steps, T, seed, payoff)
+    lhs, rhs, se = moment.value, norm.value, moment.stderr
     cp_estimate = lhs / rhs if rhs > 0.0 else 0.0
     return BdgCheck(lhs, rhs, bool(lhs <= c_p * rhs + MC_Z * se), cp_estimate, se)
 

@@ -36,7 +36,7 @@ from gexpect.g_pde import (
     MeshSpec,
     PdeProblem,
     flow_property_discrepancy,
-    mc_value,
+    mc_values,
     ou_mild_path,
     solve_gheat,
     solve_gpde,
@@ -281,8 +281,7 @@ def test_criterion_08_full_p_representation():
         spec = McControlSpec(steps=64, n_paths=20_000, seed=8001)
         rng = np.random.default_rng(8002)
         probes = rng.uniform(-0.6, 0.6, size=(10, 2))
-        for probe in probes:
-            mc = mc_value(prob, probe, 0.0, spec)
+        for probe, mc in zip(probes, mc_values(prob, probes, 0.0, spec)):
             pde = sol.value_at(0.0, probe)
             tol = 3.0 * mc.stderr + c_disc * (h**2 + sol.dt)
             assert abs(pde - mc.value) <= tol, (probe, pde, mc.value)

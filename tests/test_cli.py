@@ -309,6 +309,11 @@ class TestRun:
         ({"kind": "band", "params": {"n_samples": 1}}, "'n_samples'"),
         ({"kind": "bdg", "params": {"n_paths": 1}}, "'n_paths'"),
         ({"kind": "gpde", "params": {"n_paths": 1}}, "'n_paths'"),
+        # the moment constants are certified up to order 5 and dimension 8
+        ({"params": {"m_max": 6}}, "'m_max'"),
+        ({"sigma": {"dim": 9, "extremes": [np.eye(9).ravel().tolist()]}}, "'sigma'"),
+        # each power names one record
+        ({"kind": "bdg", "params": {"p_values": [2, 2]}}, "'p_values'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -566,6 +571,25 @@ def test_shipped_configs_load(name, tmp_path):
         "moments", "band", "isometry", "bdg", "sigma_integral",
         "fubini", "gheat", "gpde", "ou", "nested",
     }
+
+
+def test_record_names_are_unique_in_every_kind(tmp_path, monkeypatch):
+    """No two records of a report share a name, in each kind's shipped config."""
+    monkeypatch.delenv("GEXPECT_SEED_OVERRIDE", raising=False)
+    kinds = set()
+    for path in sorted(CONFIG_DIR.glob("*.json")):
+        report, _ = run(path, tmp_path / path.stem)
+        kinds.add(report["config"]["kind"])
+        names = [rec["name"] for rec in report["records"]]
+        assert len(set(names)) == len(names), (path.stem, names)
+    assert kinds == set(experiment_cli.KINDS)
+    # ou names its records by time: dense times take more digits
+    cfg = write_config(tmp_path, kind="ou", sigma={"dim": 1, "extremes": [[1]]},
+                       params={"steps": 2000, "substeps": 1, "n_paths": 50})
+    report, _ = run(cfg)
+    names = [rec["name"] for rec in report["records"]]
+    assert len(set(names)) == len(names) == 2002
+    assert names[:2] == ["variance-t0.0005", "variance-t0.001"]
 
 
 @pytest.mark.parametrize("name", ["bdg", "isometry"])

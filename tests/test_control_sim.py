@@ -65,8 +65,12 @@ class TestSimulate:
         assert np.linalg.norm(cov_e - cov_l) < 0.02
 
     def test_policy_index_out_of_range(self, band_1d):
-        with pytest.raises(ValueError):
-            simulate_gbm(band_1d, ControlPolicy.constant(7), 10, 4, 1.0, seed=0)
+        # _walk checks every step's indices, whichever kind of policy chose them
+        off_range = ControlPolicy.feedback(lambda t, s: np.where(s[:, 0] >= 0.0, 0, -1))
+        for pol in (ControlPolicy.constant(7), ControlPolicy.time_table([0, 1, 2, 0]),
+                    off_range):
+            with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
+                simulate_gbm(band_1d, pol, 10, 4, 1.0, seed=0)
 
     def test_time_table_policy(self, band_1d):
         pol = ControlPolicy.time_table([0, 1, 0, 1])

@@ -124,6 +124,14 @@ class TestMomentBounds:
             with pytest.raises(ValueError, match="order"):
                 moment_constant(0)
 
+    def test_rejects_uncertified_order_and_dimension(self):
+        # K_m is certified for m <= 5 and dimension <= 8 only
+        assert moment_bounds_check(GNormal(CovarianceSet([np.eye(8)])), 5).ok
+        with pytest.raises(ValueError, match="order 6"):
+            moment_bounds_check(GNormal(CovarianceSet([np.eye(2)])), 6)
+        with pytest.raises(ValueError, match="dimension 9"):
+            moment_bounds_check(GNormal(CovarianceSet([np.eye(9)])), 1)
+
     def test_ok_on_random_sets(self):
         rng = np.random.default_rng(13)
         for _ in range(25):

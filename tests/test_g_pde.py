@@ -13,7 +13,6 @@ from gexpect.g_pde import (
     MeshSpec,
     PdeProblem,
     flow_property_discrepancy,
-    mc_value,
     mc_values,
     ou_mild_path,
     residual_check,
@@ -439,13 +438,14 @@ class TestMcValue:
     def test_constant_payoff(self, band_1d):
         prob = PdeProblem(1, band_1d, lambda p: np.full(p.shape[:-1], 3.0), 1.0,
                           ((-2.0, 2.0),))
-        res = mc_value(prob, 0.0, 0.0, McControlSpec(steps=8, n_paths=500, seed=4))
+        [res] = mc_values(prob, [0.0], 0.0, McControlSpec(steps=8, n_paths=500, seed=4))
         assert res.value == 3.0
 
     def test_driftless_quadratic_closed_form(self, band_1d):
         # A = 0, f = x^2: value = x0^2 + sigma_up^2 (T - t0)
         prob = PdeProblem(1, band_1d, f_square, 1.0, ((-2.0, 2.0),))
-        res = mc_value(prob, 0.4, 0.25, McControlSpec(steps=16, n_paths=40_000, seed=5))
+        [res] = mc_values(prob, [0.4], 0.25,
+                          McControlSpec(steps=16, n_paths=40_000, seed=5))
         want = 0.4**2 + 1.0 * 0.75
         assert abs(res.value - want) <= 3.0 * res.stderr
 
@@ -459,7 +459,7 @@ class TestMcValue:
         h = sol.axes[0][1] - sol.axes[0][0]
         spec = McControlSpec(steps=64, n_paths=20_000, seed=6)
         for probe in ([0.0, 0.0], [0.5, -0.5], [-1.0, 0.4], [0.9, 1.1]):
-            mc = mc_value(prob, probe, 0.0, spec)
+            [mc] = mc_values(prob, [probe], 0.0, spec)
             pde = sol.value_at(0.0, probe)
             tol = 3.0 * mc.stderr + 10.0 * (h**2 + sol.dt) + 4.0 / spec.steps
             assert abs(pde - mc.value) <= tol, (probe, pde, mc.value, tol)
@@ -476,7 +476,10 @@ class TestMcValue:
         spec = McControlSpec(steps=8, n_paths=400, family=family, seed=7)
         probes = [[0.0, 0.0], [0.5, -0.5], [-1.0, 0.4]]
         got = mc_values(prob, probes, 0.1, spec)
-        assert got == [mc_value(prob, p, 0.1, spec) for p in probes]
+        # freshly built bang-bang rules are new objects: compare the winner by name
+        key = lambda est: (est.value, est.stderr, est.policy.describe(), est.per_policy)
+        assert [key(est) for est in got] == [key(mc_values(prob, [p], 0.1, spec)[0])
+                                             for p in probes]
         walked = step_set(sigma, np.diag(a), 0.4 / 8)
         policies = family.build(len(sigma))
         for probe, mc in zip(probes, got):
@@ -495,6 +498,23 @@ class TestMcValue:
                 # mc_values adds the flow e^{(T - t0) A} x0 to a walk from 0, and
                 # ou_mild_path carries x0 through the recursion: equal to rounding
                 assert mc.value == pytest.approx(means[best], rel=1e-12)
+
+    def test_each_probe_names_its_winning_member(self, band_1d):
+        # an estimate is _policy_sup's own: the winner is a member of the family,
+        # here a bang-bang rule, and its per_policy entry is the value and stderr
+        f = lambda p: np.cos(2.0 * p[..., 0]) + p[..., 0]
+        prob = PdeProblem(1, band_1d, f, 0.5, ((-3.0, 3.0),), a_gen=np.array([[-0.8]]))
+        family = PolicyFamily(bang_bang_stat=lambda s: np.cos(2.0 * s[:, 0]))
+        spec = McControlSpec(steps=16, n_paths=2000, family=family, seed=12)
+        names = [pol.describe() for pol in family.build(len(band_1d))]
+        got = mc_values(prob, [[-0.6], [0.0], [0.7], [1.2]], 0.0, spec)
+        assert all(est.policy.kind == "feedback" for est in got)
+        for est in got:
+            assert est.policy.describe() in names
+            assert [name for name, _, _ in est.per_policy] == names
+            entry = {name: (mean, se) for name, mean, se in est.per_policy}
+            assert entry[est.policy.describe()] == (est.value, est.stderr)
+            assert est.value == max(mean for _, mean, _ in est.per_policy)
 
     def test_feedback_member_reads_the_mild_state(self):
         # one bang-bang member at probes off 0: its mean is the hand simulation
@@ -572,7 +592,7 @@ class TestMcValue:
     def test_rejects_bad_t0(self, band_1d):
         prob = PdeProblem(1, band_1d, f_square, 1.0, ((-2.0, 2.0),))
         with pytest.raises(ValueError):
-            mc_value(prob, 0.0, 1.0, McControlSpec(n_paths=10))
+            mc_values(prob, [0.0], 1.0, McControlSpec(n_paths=10))
 
 
 # -- the stencil against an np.pad reference -----------------------------------

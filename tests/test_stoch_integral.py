@@ -180,9 +180,19 @@ class TestBdg:
         phi = ElementaryProcess.constant(1.0, np.eye(2), steps=4)
         iso = ito_isometry_check(phi, nested_2d, PolicyFamily(), 20_000, seed=4)
         bdg = bdg_check(phi, nested_2d, 2, PolicyFamily(), 20_000, seed=4)
-        assert bdg.lhs == pytest.approx(iso.lhs)
-        assert bdg.rhs == pytest.approx(iso.rhs)
+        assert (iso.lhs, iso.rhs, iso.ok, iso.stderr) == (bdg.lhs, bdg.rhs, bdg.ok,
+                                                          bdg.stderr)
         assert BDG_CONSTANTS[2] == 1.0
+
+    def test_p2_reduces_to_isometry_adapted(self, band_1d):
+        # bit for bit under the bang-bang menu too, where the rhs is random
+        rule = lambda t, s: (1.0 + 0.5 * np.tanh(s[:, 0]))[:, None, None]
+        phi = ElementaryProcess.adapted(np.linspace(0.0, 1.0, 9), rule, out_dim=1, in_dim=1)
+        family = PolicyFamily(bang_bang_stat=lambda s: s[:, 0])
+        iso = ito_isometry_check(phi, band_1d, family, 4000, seed=21)
+        bdg = bdg_check(phi, band_1d, 2, family, 4000, seed=21)
+        assert (iso.lhs, iso.rhs, iso.ok, iso.stderr) == (bdg.lhs, bdg.rhs, bdg.ok,
+                                                          bdg.stderr)
 
     def test_zero_integrand(self, band_1d):
         phi = ElementaryProcess.constant(1.0, np.zeros((1, 1)), steps=2)
