@@ -13,12 +13,13 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance_set import CovarianceSet
+from .covariance_set import CovarianceSet, _power_sums
 from .operator_core import as_coords, psd_sqrt
 
 __all__ = [
@@ -42,6 +43,13 @@ _MASK64 = (1 << 64) - 1
 MOMENT_CONSTANT_MAX_ORDER = 5
 MOMENT_CONSTANT_MAX_DIM = 8
 
+# values per block of a Monte Carlo fold (512 KB of float64, about an L2
+# cache): ``control_sim._policy_sup`` walks max(1, FOLD_ELEMENTS // N) paths
+# at a time, so no estimator's arrays grow with n_paths.  The block size is
+# part of the stream: a run of at most one block draws what one walk from its
+# seed draws.  A ``GNormal`` keeps the samples of its last draw up to this size.
+FOLD_ELEMENTS = 2**16
+
 
 def split_seed(seed: int, index: int) -> int:
     """Derive an independent sub-seed from (seed, index).
@@ -57,10 +65,16 @@ def split_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class GNormal:
-    """Law of sqrt(scale) * X for X centered with covariance set ``sigma``."""
+    """Law of sqrt(scale) * X for X centered with covariance set ``sigma``.
+
+    The static evaluator reuses the law's last draw: see ``_samples``.
+    """
 
     sigma: CovarianceSet
     scale: float = 1.0
+    # ((n, seed), samples) of the last draw kept by ``_samples``, swapped
+    # whole, so that no key is read with another draw's samples
+    _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.scale < 0.0:
@@ -99,25 +113,32 @@ class StaticEstimate(NamedTuple):
     extreme_index: int
 
 
-def _even_moment(eigenvalues, m: int) -> np.ndarray:
+def _even_moment(eigenvalues, m: int):
     """E ||X||^(2m) under N(0, Q), per row of a (k, N) stack of Q's eigenvalues.
+
+    The trace powers are read off the eigenvalues, clamped at zero
+    (``covariance_set._power_sums``); the recursion is ``_moment``.
+    """
+    return _moment(_power_sums(eigenvalues, m), m)
+
+
+def _moment(power_sums, m: int):
+    """E ||X||^(2m) under N(0, Q) from ``power_sums[j - 1]`` = Tr[Q^j], j <= m,
+    per entry when each is a row over a stack of Q's.
 
     Uses the exact recursion for the derivatives of
     F(eps) = det(1 - eps q)^(-1/2) at zero:
 
         F_r = (r-1)!/2 * sum_{j<r} F_j / j! * Tr[q^(r-j)],   F_0 = 1,
 
-    and E ||X||^(2m) = 2^m * F_m, with the trace powers read off the
-    eigenvalues (clamped at zero).  m = 0 is rejected to keep the contract
+    and E ||X||^(2m) = 2^m * F_m.  m = 0 is rejected to keep the contract
     sharp.
     """
     if m < 1:
         raise ValueError(f"moment order must be >= 1, got {m}")
-    w = np.clip(eigenvalues, 0.0, None)
-    trace_pow = [0.0] + [np.sum(w**k, axis=-1) for k in range(1, m + 1)]
     f = [1.0]
     for r in range(1, m + 1):
-        acc = sum(f[j] / math.factorial(j) * trace_pow[r - j] for j in range(r))
+        acc = sum(f[j] / math.factorial(j) * power_sums[r - j - 1] for j in range(r))
         f.append(math.factorial(r - 1) / 2.0 * acc)
     return 2.0**m * f[m]
 
@@ -143,7 +164,7 @@ def moment_upper(gn: GNormal, m: int) -> float:
 
     For m = 1 this is exactly scale * sup Tr Q.
     """
-    return float(gn.scale**m * _even_moment(gn.sigma.eigenvalues, m).max())
+    return float(gn.scale**m * _moment(gn.sigma.power_sums(m), m).max())
 
 
 def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
@@ -159,8 +180,7 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
             f"moment constants are certified up to order {MOMENT_CONSTANT_MAX_ORDER} "
             f"and dimension {MOMENT_CONSTANT_MAX_DIM}, got order {m} in dimension {gn.dim}")
     value = moment_upper(gn, m)
-    w = np.clip(gn.sigma.eigenvalues, 0.0, None)
-    lower = float(gn.scale**m * np.sum(w**m, axis=1).max())
+    lower = float(gn.scale**m * gn.sigma.power_sums(m)[m - 1].max())
     upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
     k_m = moment_constant(m)
     tol = 1.0 + 1e-12
@@ -241,16 +261,40 @@ def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEs
     return StaticEstimate(value, stderr(vals), best)
 
 
-def _static_best(gn: GNormal, f: Callable, n: int, seed: int):
-    """The largest mean over the extremes, the payoff values behind it and
-    its extreme's index."""
+def _samples(gn: GNormal, n: int, seed) -> list[np.ndarray]:
+    """One block of n standard normals from ``seed`` pushed through every
+    extreme's root, scaled: one (n, N) array per extreme.
+
+    The law keeps the samples of its last draw when the seed is an integer
+    and they hold at most ``FOLD_ELEMENTS`` values (k * n * N), so repeated
+    calls with one ``(n, seed)``, as a battery on common random numbers makes
+    them, draw once; they are the same bits a fresh draw gives.  A call with
+    another ``(n, seed)`` draws afresh, and its samples replace the kept ones
+    or, when they are not kept, drop them.  Kept samples are read-only.
+    """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
+    key = (n, int(seed)) if isinstance(seed, numbers.Integral) else None
+    last = gn._last
+    if key is not None and last is not None and last[0] == key:
+        return last[1]
+    object.__setattr__(gn, "_last", None)
     z = np.random.default_rng(seed).standard_normal((n, gn.dim))
     sqrt_scale = math.sqrt(gn.scale)
     # a C-contiguous root^T keeps the product in BLAS
-    vals = [evaluate_rows(f, z @ np.ascontiguousarray((sqrt_scale * root).T))
-            for root in gn.sigma.roots]
+    xs = [z @ np.ascontiguousarray((sqrt_scale * root).T) for root in gn.sigma.roots]
+    if key is not None and len(xs) * z.size <= FOLD_ELEMENTS:
+        for x in xs:
+            x.flags.writeable = False
+        object.__setattr__(gn, "_last", (key, xs))
+    return xs
+
+
+def _static_best(gn: GNormal, f: Callable, n: int, seed: int):
+    """The largest mean over the extremes, the payoff values behind it and
+    its extreme's index.  ``f`` gets a writeable array of its own."""
+    vals = [evaluate_rows(f, x if x.flags.writeable else x.copy())
+            for x in _samples(gn, n, seed)]
     means = [float(v.mean()) for v in vals]
     best = best_of(means)
     return means[best], vals[best], best

@@ -548,9 +548,24 @@ def _march(segments, top, k_top, stop=0, sample=frozenset()):
                 g = stencil.retimed(scale)
             np.abs(np.add(resid, g, out=resid), out=resid)
             raw_jump = stencil.jumps()[interior]
-            smooth = raw_jump <= 10.0 * float(np.median(raw_jump))
+            # the jumps are done with their scratch buffer, which holds the interior
+            smooth = raw_jump <= 10.0 * _median(raw_jump, stencil._tmp)
             r_k = float(np.max(resid[interior], where=smooth, initial=0.0))
         yield k - 1, below, r_k
+
+
+def _median(values: np.ndarray, scratch: np.ndarray) -> float:
+    """``np.median(values)`` bit for bit, found by partitioning a copy in
+    ``scratch`` (at least ``values.size`` long) at the middle index or two.
+    np.median also places the largest value, to find a NaN; here one max
+    does that."""
+    part = scratch[:values.size]
+    np.copyto(part.reshape(values.shape), values)
+    half = values.size // 2
+    part.partition([half - 1, half] if values.size % 2 == 0 else half)
+    if np.isnan(part.max()):
+        return math.nan
+    return float(part[half]) if values.size % 2 else float((part[half - 1] + part[half]) / 2.0)
 
 
 def _require_finite(u: np.ndarray) -> None:

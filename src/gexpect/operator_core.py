@@ -54,14 +54,18 @@ def _upper(n: int) -> np.ndarray:
 
 def _symmetric(stack: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy of a (k, N, N) stack: each upper triangle mirrored
-    (``+ 0.0`` stores every zero as ``+0.0``)."""
-    if not np.all(np.isfinite(stack)):
+    (``+= 0.0`` stores every zero as ``+0.0``).  The asymmetry is read off the
+    copy, whose lower triangle differs from the stack's by it."""
+    if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    skew = np.max(np.abs(stack - np.swapaxes(stack, 1, 2)), axis=(1, 2))
-    bad = np.flatnonzero(skew > SYMMETRY_TOL)
-    if bad.size:
-        raise ValueError(f"matrix is not symmetric (max asymmetry {skew[bad[0]]:.3e})")
-    return np.where(_upper(stack.shape[-1]), stack, np.swapaxes(stack, 1, 2)) + 0.0
+    exact = np.where(_upper(stack.shape[-1]), stack, np.swapaxes(stack, 1, 2))
+    skew = np.abs(stack - exact)
+    if skew.max() > SYMMETRY_TOL:
+        per = skew.max(axis=(1, 2))
+        worst = per[np.flatnonzero(per > SYMMETRY_TOL)[0]]
+        raise ValueError(f"matrix is not symmetric (max asymmetry {worst:.3e})")
+    exact += 0.0
+    return exact
 
 
 def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -79,14 +83,14 @@ def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     stack = _symmetric(np.stack(squares))
     eigenvalues = np.linalg.eigvalsh(stack)
     floor = eigenvalues[:, 0].copy()
-    bad = np.flatnonzero(floor < -PSD_EIGEN_TOL)
-    if bad.size:
-        raise ValueError(
-            f"operator is not PSD: smallest eigenvalue {floor[bad[0]]:.3e} "
-            f"below -{PSD_EIGEN_TOL:g}"
-        )
-    drift = np.flatnonzero(floor < 0.0)
-    if drift.size:
+    if floor.min() < 0.0:
+        bad = np.flatnonzero(floor < -PSD_EIGEN_TOL)
+        if bad.size:
+            raise ValueError(
+                f"operator is not PSD: smallest eigenvalue {floor[bad[0]]:.3e} "
+                f"below -{PSD_EIGEN_TOL:g}"
+            )
+        drift = np.flatnonzero(floor < 0.0)
         stack[drift] = _psd_power(stack[drift], 1.0)
         eigenvalues[drift] = np.linalg.eigvalsh(stack[drift])
     return stack, eigenvalues, floor

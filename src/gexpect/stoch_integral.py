@@ -148,8 +148,22 @@ def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
         prod = np.einsum("ij,qjk->qik", block, roots)
         return float(np.max(np.sum(prod * prod, axis=(1, 2))))
     rows = block.reshape(-1, block.shape[-1])
-    per = [np.sum((rows @ g).reshape(len(block), -1) ** 2, axis=1) for g in roots]
+    per = [_row_sums((rows @ g).reshape(len(block), -1) ** 2) for g in roots]
     return np.max(per, axis=0)
+
+
+def _row_sums(a: np.ndarray) -> np.ndarray:
+    """``np.sum(a, axis=1)`` of an (n, L) array, bit for bit.
+
+    numpy adds a row of fewer than eight values left to right, one short
+    reduction per row; the same additions run here a column at a time.
+    """
+    if a.shape[1] >= 8:
+        return np.sum(a, axis=1)
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
+    return out
 
 
 def integrate_elementary(phi: ElementaryProcess, paths: PathBundle) -> IntegralResult:

@@ -72,6 +72,25 @@ class TestSimulate:
             with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
                 simulate_gbm(band_1d, pol, 10, 4, 1.0, seed=0)
 
+    @pytest.mark.filterwarnings("error")
+    def test_non_integral_indices_are_rejected(self, band_1d):
+        # 1.7 would walk factor 1 and NaN would warn, then blame the range
+        for bad in (1.7, math.nan, math.inf):
+            rule = lambda t, s, bad=bad: np.where(s[:, 0] >= 0.0, 0.0, bad)
+            with pytest.raises(ValueError, match=r"policy 'drift' .* not an integer"):
+                simulate_gbm(band_1d, ControlPolicy.feedback(rule, "drift"), 10, 4, 1.0,
+                             seed=0)
+            with pytest.raises(ValueError, match=r"policy 'table\[0, .*\]' .* not an integer"):
+                ControlPolicy.time_table([0, bad, 1, 0])
+            with pytest.raises(ValueError, match=r"policy 'constant\[.*\]' .* not an integer"):
+                ControlPolicy.constant(bad)
+        # whole numbers of any type still walk their factor
+        floats = ControlPolicy.feedback(lambda t, s: np.where(s[:, 0] >= 0.0, 1.0, 0.0))
+        ints = ControlPolicy.feedback(lambda t, s: np.where(s[:, 0] >= 0.0, 1, 0))
+        assert np.array_equal(simulate_gbm(band_1d, floats, 10, 4, 1.0, seed=0).states,
+                              simulate_gbm(band_1d, ints, 10, 4, 1.0, seed=0).states)
+        assert ControlPolicy.time_table([0, 1.0, np.int64(1)]).table == (0, 1, 1)
+
     def test_time_table_policy(self, band_1d):
         pol = ControlPolicy.time_table([0, 1, 0, 1])
         bundle = simulate_gbm(band_1d, pol, 10, 4, 1.0, seed=2)
@@ -145,6 +164,22 @@ class TestSimulate:
                 db[mask] = (normals[k][mask] @ spread_2d.roots[i].T) * sqrt_dt
             x = x + db
             assert np.array_equal(drawn.increments[:, k, :], db)
+            assert np.array_equal(drawn.states[:, k + 1, :], x)
+
+    def test_mixed_step_skips_an_unused_factor(self, spread_2d):
+        # three factors, of which the rule picks 0 and 2 only: each used one
+        # maps its own paths' normals, as in the reference above
+        sigma = CovarianceSet([*spread_2d.matrices, np.diag([0.3, 2.0])])
+        policy = ControlPolicy.feedback(lambda t, states: 2 * (states[:, 1] >= 0.0))
+        drawn = simulate_gbm(sigma, policy, 200, 3, 1.0, seed=22)
+        normals = np.random.default_rng(22).standard_normal((3, 200, 2))
+        x = np.zeros((200, 2))
+        for k in range(3):
+            idx, db = 2 * (x[:, 1] >= 0.0), np.empty((200, 2))
+            for i in (0, 2):
+                mask = idx == i
+                db[mask] = (normals[k][mask] @ sigma.roots[i].T) * math.sqrt(1.0 / 3)
+            x = x + db
             assert np.array_equal(drawn.states[:, k + 1, :], x)
 
     def test_float_constant_index_selects_factor(self, spread_2d):

@@ -18,6 +18,7 @@ from gexpect import (
     trace_product,
 )
 from gexpect import covariance_set
+from gexpect.g_normal import GNormal, moment_bounds_check, moment_upper
 from gexpect.operator_core import PSD_EIGEN_TOL
 
 from conftest import random_psd, random_sym
@@ -154,6 +155,56 @@ class TestRoots:
         assert correlated_2d.roots is roots
         with pytest.raises(ValueError):
             roots[0, 0, 0] = 1.0
+
+
+class TestKeptSpectralSums:
+    """The power sums and hull matrix a set keeps are bitwise a fresh set's."""
+
+    @staticmethod
+    def sets():
+        rng = np.random.default_rng(41)
+        return [[random_psd(rng, n) for _ in range(k)] for n, k in [(1, 2), (2, 3), (5, 1), (8, 4)]]
+
+    def test_power_sums_are_the_clipped_eigenvalue_sums(self):
+        for mats in self.sets():
+            cs = CovarianceSet(mats)
+            w = np.clip(cs.eigenvalues, 0.0, None)
+            # grown from order 2 to 5, then read at lower orders
+            for m in (2, 5, 1, 3):
+                sums = cs.power_sums(m)
+                assert sums.shape == (m, len(cs))
+                for j in range(1, m + 1):
+                    assert sums[j - 1].tobytes() == np.sum(w**j, axis=-1).tobytes()
+            with pytest.raises(ValueError):
+                cs.power_sums(1)[0, 0] = 1.0
+            with pytest.raises(ValueError, match="order"):
+                cs.power_sums(0)
+
+    def test_moment_bounds_of_a_warm_set_are_a_fresh_sets(self):
+        bits = lambda b: [np.float64(v).tobytes() for v in b[:3]] + [b.ok]
+        for mats in self.sets():
+            warm = GNormal(CovarianceSet(mats), scale=1.7)
+            for m in (3, 1, 5, 2, 4):
+                fresh = GNormal(CovarianceSet(mats), scale=1.7)
+                assert bits(moment_bounds_check(warm, m)) == bits(moment_bounds_check(fresh, m))
+                assert moment_upper(warm, m) == moment_upper(fresh, m)
+
+    def test_hull_matrix_is_kept_read_only_and_gives_the_fresh_verdicts(self):
+        rng = np.random.default_rng(43)
+        for mats in self.sets():
+            cs = CovarianceSet(mats)
+            cols = cs.matrices.reshape(len(cs), -1).T
+            scale = max(1.0, float(np.abs(cols).max()))
+            want = np.vstack([cols, np.full((1, len(cs)), scale)])
+            points = [sum(w * q for w, q in zip(rng.dirichlet(np.ones(len(cs))), cs.matrices)),
+                      1.5 * max(cs.matrices, key=np.trace)]
+            verdicts = [covset_contains(cs, p, seed=i) for i, p in enumerate(points)]
+            hull = cs._hull_matrix()
+            assert hull.tobytes() == want.tobytes() and hull is cs._hull_matrix()
+            with pytest.raises(ValueError):
+                hull[0, 0] = 1.0
+            assert verdicts == [covset_contains(CovarianceSet(mats), p, seed=i)
+                                for i, p in enumerate(points)] == [True, False]
 
 
 class TestGEval:

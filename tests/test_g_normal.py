@@ -5,6 +5,7 @@ import pytest
 
 from gexpect import CovarianceSet, covset_scale, g_eval, outer
 from gexpect.g_normal import (
+    FOLD_ELEMENTS,
     GNormal,
     _even_moment,
     VolatilityBand,
@@ -353,3 +354,67 @@ class TestStaticEvaluator:
         gn = GNormal(spread_2d)
         with pytest.raises(ValueError):
             static_upper_expectation(gn, lambda x: 1.0, n=10, seed=0)
+
+
+class TestLastDraw:
+    """A law keeps the samples of its last small (n, seed) draw and reuses them."""
+
+    PAYOFFS = [lambda x: x[:, 0], lambda x: x[:, 0] * x[:, 1] + x[:, 1] ** 2,
+               lambda x: np.exp(x[:, 1]), lambda x: np.full(x.shape[0], 0.5)]
+
+    @staticmethod
+    def bits(v):
+        return np.float64(v).tobytes()
+
+    @pytest.mark.parametrize("scale", [1.0, 0.3])
+    def test_warm_law_is_bitwise_a_fresh_one(self, correlated_2d, scale):
+        warm = GNormal(correlated_2d, scale=scale)
+        for seed in (4, 5):
+            for f in self.PAYOFFS:
+                fresh = GNormal(correlated_2d, scale=scale)
+                value = static_upper_expectation(warm, f, 500, seed)
+                assert self.bits(value) == self.bits(static_upper_expectation(fresh, f, 500, seed))
+                got = static_upper_report(warm, f, 500, seed)
+                want = static_upper_report(GNormal(correlated_2d, scale=scale), f, 500, seed)
+                assert [self.bits(v) for v in got[:2]] == [self.bits(v) for v in want[:2]]
+                assert got.extreme_index == want.extreme_index
+        # the kept draw is no part of the law's value
+        assert warm == GNormal(correlated_2d, scale=scale)
+        assert hash(warm) == hash(GNormal(correlated_2d, scale=scale))
+        assert repr(warm) == repr(GNormal(correlated_2d, scale=scale))
+
+    def test_a_new_n_or_seed_draws_afresh(self, correlated_2d):
+        gn, f = GNormal(correlated_2d), lambda x: x[:, 0] ** 2 - x[:, 1]
+        first = static_upper_expectation(gn, f, 400, 1)
+        for n, seed in [(400, 2), (401, 1), (400, 1)]:
+            want = static_upper_expectation(GNormal(correlated_2d), f, n, seed)
+            got = static_upper_expectation(gn, f, n, seed)
+            assert self.bits(got) == self.bits(want)
+            assert (n, seed) == (400, 1) or got != first
+
+    def test_a_generator_seed_is_never_reused(self, correlated_2d):
+        # a Generator advances with each draw, so its samples cannot be reused
+        gn, f = GNormal(correlated_2d), lambda x: x[:, 0]
+        rng = np.random.default_rng(6)
+        first = static_upper_expectation(gn, f, 300, rng)
+        assert static_upper_expectation(gn, f, 300, rng) != first
+        assert gn._last is None
+
+    def test_a_payoff_that_writes_into_its_argument_changes_no_later_call(self, correlated_2d):
+        gn, f = GNormal(correlated_2d), lambda x: x[:, 0] * x[:, 1]
+
+        def vandal(x):
+            x[:] = 100.0
+            return x[:, 0]
+
+        assert static_upper_expectation(gn, vandal, 300, 8) == 100.0
+        want = static_upper_expectation(GNormal(correlated_2d), f, 300, 8)
+        assert self.bits(static_upper_expectation(gn, f, 300, 8)) == self.bits(want)
+
+    def test_kept_only_up_to_the_fold_budget(self, correlated_2d):
+        gn, f = GNormal(correlated_2d), lambda x: x[:, 0]
+        limit = FOLD_ELEMENTS // (len(correlated_2d) * gn.dim)
+        static_upper_expectation(gn, f, limit, 3)
+        assert gn._last is not None and gn._last[0] == (limit, 3)
+        static_upper_expectation(gn, f, limit + 1, 3)
+        assert gn._last is None

@@ -20,7 +20,8 @@ from gexpect.g_pde import (
     solve_gpde,
 )
 from gexpect.g_pde import (
-    CFL_SAFETY, MAX_STENCIL_RADIUS, StencilError, _decompose, _march, _Segments, _Stencil,
+    CFL_SAFETY, MAX_STENCIL_RADIUS, StencilError, _decompose, _march, _median, _Segments,
+    _Stencil,
 )
 
 
@@ -714,6 +715,21 @@ def random_case(rng, dim, transport):
 
 
 class TestStencil:
+    def test_median_is_numpys_bit_for_bit(self):
+        # the kink filter's median: odd and even counts, ties, a NaN, and a
+        # strided view of the interior as the march hands it over
+        rng = np.random.default_rng(17)
+        scratch = np.full(2000, -1.0)
+        cases = [rng.standard_normal(n) for n in (1, 2, 3, 4, 5, 6, 999, 1000)]
+        cases += [rng.integers(0, 4, size=n).astype(float) for n in (7, 8, 400, 401)]
+        cases += [np.array([0.3, 0.1, 0.3, 0.2]), np.full(6, 0.5),
+                  np.array([0.1, math.nan, 0.2]), rng.uniform(size=(9, 11, 13))[1:-1, 1:-1, 1:-1]]
+        for values in cases:
+            want = np.median(values)
+            got = _median(values, scratch)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes(), values
+
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_directions_reproduce_the_extremes(self, dim):
         rng = np.random.default_rng(40 + dim)

@@ -12,6 +12,7 @@ from gexpect import CovarianceSet
 from gexpect import control_sim
 from gexpect.control_sim import PolicyFamily, estimate_upper_expectation
 from gexpect.experiment_cli import run
+from gexpect.g_normal import GNormal, static_upper_expectation
 from gexpect.g_pde import (
     McControlSpec,
     MeshSpec,
@@ -84,6 +85,17 @@ def test_peak_does_not_grow_with_paths(estimator):
     one = traced_peak(lambda: estimator(4, block))
     eight = traced_peak(lambda: estimator(4, 8 * block))
     assert eight <= 1.1 * one
+
+
+def test_law_keeps_no_large_draw():
+    # a law reuses the samples of its last draw only up to FOLD_ELEMENTS values;
+    # at n = 10**6 they are 32 MB, dropped with the call, and so is a smaller
+    # draw kept before it
+    gn = GNormal(SIGMA)
+    static_upper_expectation(gn, lambda x: x[:, 0], 1000, 5)
+    assert gn._last is not None
+    static_upper_expectation(gn, lambda x: x[:, 0] ** 2, 10**6, 5)
+    assert gn._last is None
 
 
 def test_sigma_integral_config_peak(tmp_path):

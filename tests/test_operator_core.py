@@ -40,6 +40,23 @@ class TestSymOperator:
         with pytest.raises(ValueError, match="finite"):
             PsdOperator([[bad]])
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_nonfinite_anywhere_is_named_before_asymmetry(self, bad):
+        # one-sided and diagonal entries too; no RuntimeWarning on the way
+        for entries in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]],
+                        [[1.0, 0.0], [bad, 1.0]], [[1.0, 5.0], [bad, 1.0]]):
+            with pytest.raises(ValueError, match="finite"):
+                SymOperator(entries)
+            with pytest.raises(ValueError, match="finite"):
+                PsdOperator(entries)
+
+    def test_asymmetry_names_the_first_bad_matrix(self):
+        stack = [np.eye(2), [[1.0, 0.0], [3e-12, 1.0]], [[1.0, 0.5], [0.25, 1.0]]]
+        with pytest.raises(ValueError, match=r"max asymmetry 3\.000e-12"):
+            operator_core._psd_stack(stack)
+        with pytest.raises(ValueError, match=r"max asymmetry 2\.500e-01"):
+            operator_core._psd_stack(stack[::2])
+
     def test_immutable(self):
         op = SymOperator.identity(2)
         with pytest.raises(AttributeError):

@@ -175,6 +175,23 @@ class TestL2SigmaPerPath:
             assert flat == pytest.approx(_l2sigma_reference(block[0], roots), rel=1e-13)
 
 
+    def test_row_sums_are_numpys_bit_for_bit(self):
+        # the per-path squares are summed a column at a time, which must keep
+        # every bit of numpy's row sum, for short rows and long ones
+        rng = np.random.default_rng(12)
+        roots = CovarianceSet([random_psd(rng, 3) for _ in range(2)]).roots
+        for width in range(1, 13):
+            rows = rng.standard_normal((301, width)) * rng.uniform(0.1, 10.0, (301, width))
+            got = stoch_integral._row_sums(rows)
+            assert got.tobytes() == np.sum(rows, axis=1).tobytes()
+        for out_dim in (1, 2, 3, 4):
+            block = rng.standard_normal((301, out_dim, 3))
+            flat = block.reshape(-1, 3)
+            want = np.max([np.sum((flat @ g).reshape(301, -1) ** 2, axis=1) for g in roots],
+                          axis=0)
+            assert stoch_integral._l2sigma_sq_per_path(block, roots).tobytes() == want.tobytes()
+
+
 class TestBdg:
     def test_p2_reduces_to_isometry(self, nested_2d):
         phi = ElementaryProcess.constant(1.0, np.eye(2), steps=4)
