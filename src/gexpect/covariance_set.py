@@ -46,13 +46,6 @@ def _count(value):
     return int(value)
 
 
-def _power_sums(eigenvalues, m: int) -> np.ndarray:
-    """Row j - 1 is ``np.sum(w**j, axis=-1)``, j = 1..m, for the eigenvalues w
-    clipped at zero: Tr[Q^j] for each Q whose eigenvalues are a row."""
-    w = np.clip(eigenvalues, 0.0, None)
-    return np.array([np.sum(w**j, axis=-1) for j in range(1, m + 1)])
-
-
 def _reject_constant(token):
     raise ValueError(f"non-standard JSON number {token}")
 
@@ -68,12 +61,11 @@ class CovarianceSet:
     label : str
         Free-form identifier carried through the algebra.
 
-    Held as read-only arrays: ``matrices``, ``eigenvalues`` and ``roots``;
-    the last, the eigenvalue power sums and the hull matrix of
-    ``covset_contains`` are computed on first use and kept.
+    Held as read-only arrays: ``matrices``, ``eigenvalues`` and ``roots``,
+    the last computed on first use.
     """
 
-    __slots__ = ("matrices", "eigenvalues", "label", "_roots", "_power_sums", "_hull")
+    __slots__ = ("matrices", "eigenvalues", "label", "_roots")
 
     def __init__(self, extremes, label: str = ""):
         stack, eigenvalues, _ = _psd_stack(extremes)
@@ -90,8 +82,7 @@ class CovarianceSet:
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "label", str(label))
-        for name in ("_roots", "_power_sums", "_hull"):
-            object.__setattr__(self, name, None)
+        object.__setattr__(self, "_roots", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("CovarianceSet is immutable")
@@ -119,33 +110,6 @@ class CovarianceSet:
             object.__setattr__(self, "_roots", roots)
         return self._roots
 
-    def power_sums(self, m: int) -> np.ndarray:
-        """Tr[Q^j] for j = 1..m and every extreme Q, from the eigenvalues
-        clipped at zero, as a read-only (m, k) array.
-
-        Kept, and extended when a higher order is asked for.
-        """
-        if m < 1:
-            raise ValueError(f"moment order must be >= 1, got {m}")
-        sums = self._power_sums
-        if sums is None or len(sums) < m:
-            sums = _power_sums(self.eigenvalues, m)
-            sums.flags.writeable = False
-            object.__setattr__(self, "_power_sums", sums)
-        return sums[:m]
-
-    def _hull_matrix(self) -> np.ndarray:
-        """The flattened extremes as the columns of a read-only (N*N + 1, k)
-        matrix, over a last row of max(1, max |Q_ij|) that weighs the sum of
-        the weights; ``covset_contains`` solves on it.  Kept."""
-        if self._hull is None:
-            cols = self.matrices.reshape(len(self), -1).T
-            ones_scale = max(1.0, float(np.abs(cols).max()))
-            hull = np.vstack([cols, np.full((1, len(self)), ones_scale)])
-            hull.flags.writeable = False
-            object.__setattr__(self, "_hull", hull)
-        return self._hull
-
     def max_trace(self) -> float:
         return float(np.trace(self.matrices, axis1=1, axis2=2).max())
 
@@ -162,6 +126,9 @@ class CovarianceSet:
     @classmethod
     def from_dict(cls, doc: dict) -> "CovarianceSet":
         n = _count(doc["dim"])
+        unknown = sorted(set(doc) - {"dim", "extremes", "label"})
+        if unknown:
+            raise ValueError(f"unknown key {unknown}; known: dim, extremes, label")
         mats = [np.asarray(row, dtype=float).reshape(n, n) for row in doc["extremes"]]
         return cls(mats, label=doc.get("label", ""))
 
@@ -247,8 +214,9 @@ def covset_contains(sigma: CovarianceSet, b, seed: int = 0) -> bool:
             f"dimension mismatch in covset_contains: {op.dim} != {sigma.dim}"
         )
     n = sigma.dim
-    a_mat = sigma._hull_matrix()
-    ones_scale = float(a_mat[-1, 0])
+    cols = sigma.matrices.reshape(len(sigma), n * n).T
+    ones_scale = max(1.0, float(np.abs(cols).max()))
+    a_mat = np.vstack([cols, np.full((1, len(sigma)), ones_scale)])
     target = np.concatenate([op.entries.reshape(-1), [ones_scale]])
     _, residual = nnls(a_mat, target)
     inside = residual <= 1e-9 * (1.0 + float(np.linalg.norm(target)))

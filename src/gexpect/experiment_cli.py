@@ -168,6 +168,17 @@ def _mesh(value):
     return mesh
 
 
+def _out_dir(path) -> Path:
+    """``path`` as an output directory; a usage error if it holds a NUL
+    character or a file is in its way."""
+    path = Path(path)
+    if "\0" in str(path):
+        raise UsageError(f"output path {str(path)!r} holds a NUL character")
+    if not next(p for p in (path, *path.parents) if p.exists()).is_dir():
+        raise UsageError(f"output path {str(path)!r} is a file or lies under one")
+    return path
+
+
 def _write_csv(dest, header, rows):
     """Write one CSV artifact: a header line, then one line per row."""
     with open(dest, "w", newline="") as fh:
@@ -306,7 +317,10 @@ class ExperimentConfig:
                 ) from exc
         if seed < 0:
             raise UsageError(f"{source} must be a nonnegative integer, got {seed}")
-        out_dir = Path(out_override or doc.get("output_dir", "gexpect-out"))
+        out_dir = doc.get("output_dir", "gexpect-out")
+        if not isinstance(out_dir, str):
+            raise UsageError(f"output_dir must be a string, got {out_dir!r}")
+        out_dir = _out_dir(out_override or out_dir)
         return cls(name=str(doc["name"]), kind=doc["kind"], sigma=sigma,
                    params=dict(doc.get("params", {})), seed=seed, output_dir=out_dir)
 
@@ -680,7 +694,12 @@ def run(config_path, out_override=None, threads: int = 1) -> tuple[dict, Path]:
 
 
 def emit_plotdata(report: dict, series_name: str, out_dir) -> Path:
-    """Flatten one recorded series to CSV; raises UsageError if malformed or unknown."""
+    """Flatten one recorded series to ``out_dir``/<name>.csv; raises UsageError if
+    it is malformed or unknown, its name is not one plain file name or a file
+    is in the way of ``out_dir``."""
+    name = f"{series_name}.csv"
+    if Path(name).name != name:
+        raise UsageError(f"series name {series_name!r} is not one plain file name")
     series = report.get("series", {}) if isinstance(report, dict) else None
     if not isinstance(series, dict):
         raise UsageError("report must be a JSON object whose key 'series' is an object")
@@ -693,9 +712,9 @@ def emit_plotdata(report: dict, series_name: str, out_dir) -> Path:
             and isinstance(spec.get("columns"), list)):
         raise UsageError(f"series {series_name!r} needs a list 'columns' and a "
                          f"list of lists 'rows'")
-    out_dir = Path(out_dir)
+    out_dir = _out_dir(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    dest = out_dir / f"{series_name}.csv"
+    dest = out_dir / name
     _write_csv(dest, spec["columns"], rows)
     return dest
 

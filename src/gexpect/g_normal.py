@@ -19,7 +19,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .covariance_set import CovarianceSet, _power_sums
+from .covariance_set import CovarianceSet
 from .operator_core import as_coords, psd_sqrt
 
 __all__ = [
@@ -113,13 +113,11 @@ class StaticEstimate(NamedTuple):
     extreme_index: int
 
 
-def _even_moment(eigenvalues, m: int):
-    """E ||X||^(2m) under N(0, Q), per row of a (k, N) stack of Q's eigenvalues.
-
-    The trace powers are read off the eigenvalues, clamped at zero
-    (``covariance_set._power_sums``); the recursion is ``_moment``.
-    """
-    return _moment(_power_sums(eigenvalues, m), m)
+def _power_sums(eigenvalues, m: int) -> np.ndarray:
+    """Row j - 1 is ``np.sum(w**j, axis=-1)``, j = 1..m, for the eigenvalues w
+    clipped at zero: Tr[Q^j] for each Q whose eigenvalues are a row."""
+    w = np.clip(eigenvalues, 0.0, None)
+    return np.array([np.sum(w**j, axis=-1) for j in range(1, m + 1)])
 
 
 def _moment(power_sums, m: int):
@@ -144,8 +142,8 @@ def _moment(power_sums, m: int):
 
 
 def gaussian_even_moment(q, m: int) -> float:
-    """E ||X||^(2m) under N(0, q), q PSD; the recursion is in ``_even_moment``."""
-    return float(_even_moment(CovarianceSet([q]).eigenvalues[0], m))
+    """E ||X||^(2m) under N(0, q), q PSD; the recursion is ``_moment``."""
+    return float(_moment(_power_sums(CovarianceSet([q]).eigenvalues[0], m), m))
 
 
 @functools.lru_cache
@@ -156,7 +154,7 @@ def moment_constant(m: int) -> float:
     worst case), i.e. the double factorial (2m-1)!!.  Certified for
     m <= MOMENT_CONSTANT_MAX_ORDER and dim <= MOMENT_CONSTANT_MAX_DIM.
     """
-    return float(_even_moment(np.ones(1), m))
+    return float(_moment(_power_sums(np.ones(1), m), m))
 
 
 def moment_upper(gn: GNormal, m: int) -> float:
@@ -164,14 +162,15 @@ def moment_upper(gn: GNormal, m: int) -> float:
 
     For m = 1 this is exactly scale * sup Tr Q.
     """
-    return float(gn.scale**m * _moment(gn.sigma.power_sums(m), m).max())
+    return float(gn.scale**m * _moment(_power_sums(gn.sigma.eigenvalues, m), m).max())
 
 
 def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     """Sandwich sup Tr[Q^m] <= E||X||^(2m) <= (sup Tr Q)^m up to K_m.
 
-    ``ok`` asserts lower <= K_m * value and value <= K_m * upper with the
-    certified K_m of ``moment_constant``.  An order above
+    ``value`` is ``moment_upper(gn, m)``; it and ``lower`` read one array of
+    power sums.  ``ok`` asserts lower <= K_m * value and value <= K_m * upper
+    with the certified K_m of ``moment_constant``.  An order above
     ``MOMENT_CONSTANT_MAX_ORDER`` or a dimension above
     ``MOMENT_CONSTANT_MAX_DIM`` is not certified and raises ValueError.
     """
@@ -179,8 +178,9 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
         raise ValueError(
             f"moment constants are certified up to order {MOMENT_CONSTANT_MAX_ORDER} "
             f"and dimension {MOMENT_CONSTANT_MAX_DIM}, got order {m} in dimension {gn.dim}")
-    value = moment_upper(gn, m)
-    lower = float(gn.scale**m * gn.sigma.power_sums(m)[m - 1].max())
+    sums = _power_sums(gn.sigma.eigenvalues, m)
+    value = float(gn.scale**m * _moment(sums, m).max())
+    lower = float(gn.scale**m * sums[m - 1].max())
     upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
     k_m = moment_constant(m)
     tol = 1.0 + 1e-12

@@ -314,6 +314,16 @@ class TestRun:
         ({"sigma": {"dim": 9, "extremes": [np.eye(9).ravel().tolist()]}}, "'sigma'"),
         # each power names one record
         ({"kind": "bdg", "params": {"p_values": [2, 2]}}, "'p_values'"),
+        # an output path is a string that names a directory or nothing yet
+        # ("out" is not a config key: the test writes a file "taken" and sets
+        # output_dir to this path under tmp_path)
+        ({"output_dir": 5}, "output_dir"),
+        ({"output_dir": "out\u0000"}, "NUL"),
+        ({"out": "taken"}, "is a file"),
+        ({"out": "taken/sub"}, "is a file"),
+        # a sigma object has no other keys than dim, extremes and label
+        ({"sigma": {"dim": 1, "extremes": [[1]], "foo": 1}}, "'foo'"),
+        ({"sigma": {"dim": 2, "extremes": [[1, 0, 0, 1]], "lable": "s"}}, "'lable'"),
     ])
     def test_malformed_input_is_usage_error(self, tmp_path, capsys, monkeypatch,
                                             overrides, key):
@@ -321,6 +331,9 @@ class TestRun:
             overrides = dict(overrides)
             for name, value in overrides.pop("env", {}).items():
                 monkeypatch.setenv(name, value)
+            if "out" in overrides:
+                (tmp_path / "taken").write_text("kept\n")
+                overrides["output_dir"] = str(tmp_path / overrides.pop("out"))
             cfg = write_config(tmp_path, **overrides)
         else:  # a whole document that is not an object
             cfg = tmp_path / "config.json"
@@ -333,6 +346,9 @@ class TestRun:
             assert "; known: " in err
         # rejected before anything runs: no output directory is made
         assert not (tmp_path / "out").exists()
+        assert {p.name for p in tmp_path.iterdir()} <= {"config.json", "taken"}
+        if (tmp_path / "taken").exists():
+            assert (tmp_path / "taken").read_text() == "kept\n"
 
     @pytest.mark.parametrize("kind, known", [
         ("moments", "dump_samples, m_max, n_samples"),
@@ -365,6 +381,23 @@ class TestRun:
         assert main(["run", str(cfg)]) == 2
         assert "'n_sample'" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+    def test_out_that_is_a_file_costs_nothing(self, tmp_path, capsys, monkeypatch):
+        # the output path is checked before the run: no draw is made
+        def draw(*args, **kwargs):
+            raise AssertionError("static_upper_report was called")
+
+        monkeypatch.setattr(experiment_cli, "static_upper_report", draw)
+        cfg = write_config(tmp_path)
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        for out in (taken, taken / "sub"):
+            assert main(["run", str(cfg), "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "is a file" in err
+            assert "Traceback" not in err
+        assert taken.read_text() == "kept\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "taken"]
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_sigma_file_with_nonstandard_number_is_usage_error(self, tmp_path, capsys,
@@ -490,6 +523,35 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
+
+    def test_series_name_that_is_not_one_file_name_is_usage_error(self, tmp_path,
+                                                                   capsys):
+        # every name is a series of the report: only the name itself is wrong
+        names = ["a/b", "../esc", str(tmp_path / "abs")]
+        path = tmp_path / "report.json"
+        path.write_text(json.dumps(
+            {"series": {name: {"columns": ["x"], "rows": [[1.0]]} for name in names}}))
+        for name in names:
+            assert main(["plot", str(path), "--series", name,
+                         "--out", str(tmp_path / "plots")]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "not one plain file name" in err
+            assert "Traceback" not in err
+        assert [p.name for p in tmp_path.rglob("*")] == ["report.json"]
+
+    def test_out_that_is_a_file_is_usage_error(self, tmp_path, capsys):
+        cfg = write_config(tmp_path)
+        assert main(["run", str(cfg)]) == 0
+        report_path = tmp_path / "out" / "report.json"
+        taken = tmp_path / "taken"
+        taken.write_text("kept\n")
+        for out in (taken, taken / "sub"):
+            assert main(["plot", str(report_path), "--series", "moments",
+                         "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and "is a file" in err
+            assert "Traceback" not in err
+        assert taken.read_text() == "kept\n"
 
 
 def read_csv(path):

@@ -7,8 +7,9 @@ from gexpect import CovarianceSet, covset_scale, g_eval, outer
 from gexpect.g_normal import (
     FOLD_ELEMENTS,
     GNormal,
-    _even_moment,
     VolatilityBand,
+    _moment,
+    _power_sums,
     gaussian_even_moment,
     moment_bounds_check,
     moment_constant,
@@ -20,7 +21,7 @@ from gexpect.g_normal import (
     static_upper_report,
 )
 
-from conftest import mc_se
+from conftest import mc_se, random_psd
 
 
 class TestMomentRecursion:
@@ -54,9 +55,9 @@ class TestMomentRecursion:
         rng = np.random.default_rng(m)
         for k, n in [(1, 1), (3, 2), (9, 5), (4, 8)]:
             stack = rng.uniform(-1e-11, 3.0, size=(k, n))  # drift below zero clamps
-            got = _even_moment(stack, m)
+            got = _moment(_power_sums(stack, m), m)
             assert got.shape == (k,)
-            assert got.tolist() == [float(_even_moment(row, m)) for row in stack]
+            assert got.tolist() == [float(_moment(_power_sums(row, m), m)) for row in stack]
 
     def test_multidim_mc_cross_check(self):
         # rel. error < 1% at 10^6 samples for m <= 3, N <= 4
@@ -132,6 +133,21 @@ class TestMomentBounds:
             moment_bounds_check(GNormal(CovarianceSet([np.eye(2)])), 6)
         with pytest.raises(ValueError, match="dimension 9"):
             moment_bounds_check(GNormal(CovarianceSet([np.eye(9)])), 1)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_value_and_lower_are_bitwise_their_definitions(self, n):
+        # value is moment_upper's; lower is scale**m max_Q sum_i max(w_i, 0)**m,
+        # with a rank-one extreme whose zero eigenvalues may drift below 0
+        rng = np.random.default_rng(n)
+        v = rng.standard_normal(n)
+        cs = CovarianceSet([random_psd(rng, n), random_psd(rng, n), np.outer(v, v)])
+        gn = GNormal(cs, scale=0.8)
+        w = np.clip(cs.eigenvalues, 0.0, None)
+        for m in range(1, 6):
+            b = moment_bounds_check(gn, m)
+            assert np.float64(b.value).tobytes() == np.float64(moment_upper(gn, m)).tobytes()
+            lower = float(gn.scale**m * np.sum(w**m, axis=1).max())
+            assert np.float64(b.lower).tobytes() == np.float64(lower).tobytes()
 
     def test_ok_on_random_sets(self):
         rng = np.random.default_rng(13)
