@@ -237,7 +237,8 @@ def _walk(sigma, policy, n_paths, steps, T, seed, x0=0.0, rates=None, store=None
             dx = increments[k % len(increments)]
             rng.standard_normal(out=dx)
             idx = policy.select_indices(k, times[k], x)
-            lowest, highest = np.min(idx), np.max(idx)
+            # a constant or time-table policy's one int is its own range
+            lowest, highest = (idx, idx) if isinstance(idx, int) else (np.min(idx), np.max(idx))
             if lowest < 0 or highest >= len(sigma):
                 raise ValueError(f"policy produced factor index outside [0, {len(sigma)})")
             # the normals become the increment in place

@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .operator_core import PsdOperator, _psd_power, _psd_stack, as_matrix, nnls
+from .operator_core import PsdOperator, _mirror, _psd_power, _psd_stack, as_matrix, nnls
 
 __all__ = [
     "DEDUP_TOL",
@@ -55,9 +55,10 @@ class CovarianceSet:
 
     Parameters
     ----------
-    extremes : iterable of PsdOperator or matrix-like
-        PSD extreme points of one dimension, validated like ``PsdOperator``;
-        deduplicated under Frobenius distance ``DEDUP_TOL`` (first one kept).
+    extremes : (k, N, N) array, or iterable of PsdOperator or matrix-like
+        PSD extreme points of one dimension, validated like ``PsdOperator``
+        in one stacked pass (``_psd_stack``); deduplicated under Frobenius
+        distance ``DEDUP_TOL`` (first one kept).
     label : str
         Free-form identifier carried through the algebra.
 
@@ -74,11 +75,13 @@ class CovarianceSet:
         dropped = set()
         for lo in range(1, len(flat), rows):
             diff = flat[lo : lo + rows, None] - flat[: lo + rows - 1]
-            for i, j in np.argwhere(np.linalg.norm(diff, axis=2) <= DEDUP_TOL).tolist():
+            for i, j in zip(*(np.sqrt((diff * diff).sum(axis=2)) <= DEDUP_TOL).nonzero()):
                 if j < lo + i and j not in dropped:  # near an earlier kept extreme
                     dropped.add(lo + i)
-        kept = [i for i in range(len(flat)) if i not in dropped]
-        for name, arr in (("matrices", stack[kept]), ("eigenvalues", eigenvalues[kept])):
+        if dropped:
+            kept = [i for i in range(len(flat)) if i not in dropped]
+            stack, eigenvalues = stack[kept], eigenvalues[kept]
+        for name, arr in (("matrices", stack), ("eigenvalues", eigenvalues)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
         object.__setattr__(self, "label", str(label))
@@ -111,7 +114,7 @@ class CovarianceSet:
         return self._roots
 
     def max_trace(self) -> float:
-        return float(np.trace(self.matrices, axis1=1, axis2=2).max())
+        return float(self.matrices.trace(axis1=1, axis2=2).max())
 
     def to_dict(self) -> dict:
         return {
@@ -180,18 +183,23 @@ def covset_sum(s1: CovarianceSet, s2: CovarianceSet) -> CovarianceSet:
     """Covariance set of a sum of independent variables: pairwise extreme sums."""
     if s1.dim != s2.dim:
         raise ValueError(f"dimension mismatch in covset_sum: {s1.dim} != {s2.dim}")
-    sums = [q1 + q2 for q1 in s1.matrices for q2 in s2.matrices]
+    sums = (s1.matrices[:, None] + s2.matrices[None]).reshape(-1, s1.dim, s1.dim)
     return CovarianceSet(sums, label=f"sum({s1.label},{s2.label})")
 
 
 def covset_conjugate(sigma: CovarianceSet, s) -> CovarianceSet:
-    """Covariance set of a linearly mapped variable: extremes Q -> s Q s^T."""
+    """Covariance set of a linearly mapped variable: extremes Q -> s Q s^T.
+
+    One batched product over the stack, whose upper triangle is mirrored:
+    ``s Q s^T`` rounds asymmetrically by an amount that grows with the
+    norm of ``s``, so a map of any norm conjugates without a symmetry error.
+    """
     m = as_matrix(s)
     if m.ndim != 2 or m.shape[1] != sigma.dim:
         raise ValueError(
             f"operator with {m.shape} columns does not act on dim {sigma.dim}"
         )
-    mapped = [m @ q @ m.T for q in sigma.matrices]
+    mapped = _mirror(m @ sigma.matrices @ m.T)
     return CovarianceSet(mapped, label=f"conj({sigma.label})")
 
 
@@ -208,24 +216,26 @@ def covset_contains(sigma: CovarianceSet, b, seed: int = 0) -> bool:
 
     Returns the exact-path verdict.
     """
-    op = b if isinstance(b, PsdOperator) else PsdOperator(b)
-    if op.dim != sigma.dim:
+    entries = b.entries if isinstance(b, PsdOperator) else _psd_stack([b])[0][0]
+    if len(entries) != sigma.dim:
         raise ValueError(
-            f"dimension mismatch in covset_contains: {op.dim} != {sigma.dim}"
+            f"dimension mismatch in covset_contains: {len(entries)} != {sigma.dim}"
         )
-    n = sigma.dim
-    cols = sigma.matrices.reshape(len(sigma), n * n).T
-    ones_scale = max(1.0, float(np.abs(cols).max()))
-    a_mat = np.vstack([cols, np.full((1, len(sigma)), ones_scale)])
-    target = np.concatenate([op.entries.reshape(-1), [ones_scale]])
+    k, nn, point = len(sigma), entries.size, entries.reshape(-1)
+    flat = sigma.matrices.reshape(k, nn)
+    a_mat, target = np.empty((nn + 1, k)), np.empty(nn + 1)
+    a_mat[:nn], target[:nn] = flat.T, point
+    a_mat[nn] = target[nn] = max(1.0, float(np.abs(flat).max()))
     _, residual = nnls(a_mat, target)
     inside = residual <= 1e-9 * (1.0 + float(np.linalg.norm(target)))
     if inside:
+        n = sigma.dim
         raw = np.random.default_rng(seed).standard_normal((CERTIFICATE_DIRECTIONS, n, n))
-        a_dir = (raw + np.swapaxes(raw, 1, 2)) / 2.0
-        support = 0.5 * np.einsum("dij,qji->dq", a_dir, sigma.matrices).max(axis=1)
-        value = 0.5 * np.einsum("dij,ji->d", a_dir, op.entries)
-        if np.any(value > support + 1e-9):
+        # symmetric directions and extremes: Tr[A Q] is the flat dot product
+        a_dir = ((raw + raw.swapaxes(1, 2)) / 2.0).reshape(CERTIFICATE_DIRECTIONS, nn)
+        support = 0.5 * (a_dir @ flat.T).max(axis=1)
+        value = 0.5 * (a_dir @ point)
+        if (value > support + 1e-9).any():
             raise RuntimeError(
                 "support-function certificate contradicts membership verdict"
             )

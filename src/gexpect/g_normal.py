@@ -116,8 +116,8 @@ class StaticEstimate(NamedTuple):
 def _power_sums(eigenvalues, m: int) -> np.ndarray:
     """Row j - 1 is ``np.sum(w**j, axis=-1)``, j = 1..m, for the eigenvalues w
     clipped at zero: Tr[Q^j] for each Q whose eigenvalues are a row."""
-    w = np.clip(eigenvalues, 0.0, None)
-    return np.array([np.sum(w**j, axis=-1) for j in range(1, m + 1)])
+    w = np.maximum(eigenvalues, 0.0)
+    return np.array([(w**j).sum(axis=-1) for j in range(1, m + 1)])
 
 
 def _moment(power_sums, m: int):
@@ -179,7 +179,9 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
             f"moment constants are certified up to order {MOMENT_CONSTANT_MAX_ORDER} "
             f"and dimension {MOMENT_CONSTANT_MAX_DIM}, got order {m} in dimension {gn.dim}")
     sums = _power_sums(gn.sigma.eigenvalues, m)
-    value = float(gn.scale**m * _moment(sums, m).max())
+    # the recursion on each extreme's floats: on a few extremes the array
+    # operations cost more than their arithmetic, and the values are the same
+    value = float(gn.scale**m * max(_moment(col, m) for col in sums.T.tolist()))
     lower = float(gn.scale**m * sums[m - 1].max())
     upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
     k_m = moment_constant(m)

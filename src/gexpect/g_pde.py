@@ -33,6 +33,7 @@ operator, bitwise equal.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -225,6 +226,27 @@ class McControlSpec:
     seed: int = 0
 
 
+@functools.lru_cache
+def _directions(dim: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Read-only table of the integer directions of radius <= ``MAX_STENCIL_RADIUS``
+    in dimension ``dim`` (first nonzero entry positive, gcd 1), ordered by
+    radius max_a |v_a| and then by squared length: the (J, d) directions, their
+    radii and squared lengths, and the (d (d + 1) / 2, J) upper-triangle
+    entries of the unit-trace atoms v v^T / |v|^2."""
+    span = np.arange(-MAX_STENCIL_RADIUS, MAX_STENCIL_RADIUS + 1)
+    grid = np.stack(np.meshgrid(*[span] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
+    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
+    dirs = grid[(lead > 0) & (np.gcd.reduce(grid, axis=1) == 1)]
+    radius, length = np.max(np.abs(dirs), axis=1), np.sum(dirs * dirs, axis=1)
+    order = np.lexsort((length, radius))
+    dirs, radius, length = dirs[order], radius[order], length[order]
+    rows, cols = np.triu_indices(dim)
+    atoms = (dirs[:, rows] * dirs[:, cols] / length[:, None]).T
+    for arr in (dirs, radius, length, atoms):
+        arr.flags.writeable = False
+    return dirs, radius, length, atoms
+
+
 def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
     """Integer grid directions and nonnegative weights for every extreme.
 
@@ -241,16 +263,8 @@ def _decompose(extremes, axes) -> tuple[np.ndarray, np.ndarray]:
     extreme with an irrational kernel has no weights at any radius).
     """
     h = np.array([ax[1] - ax[0] for ax in axes])
-    dim = h.size
-    span = np.arange(-MAX_STENCIL_RADIUS, MAX_STENCIL_RADIUS + 1)
-    grid = np.stack(np.meshgrid(*[span] * dim, indexing="ij"), axis=-1).reshape(-1, dim)
-    lead = grid[np.arange(len(grid)), np.argmax(grid != 0, axis=1)]
-    dirs = grid[(lead > 0) & (np.gcd.reduce(grid, axis=1) == 1)]
-    radius, length = np.max(np.abs(dirs), axis=1), np.sum(dirs * dirs, axis=1)
-    order = np.lexsort((length, radius))
-    dirs, radius, length = dirs[order], radius[order], length[order]
-    rows, cols = np.triu_indices(dim)
-    atoms = (dirs[:, rows] * dirs[:, cols] / length[:, None]).T
+    dirs, radius, length, atoms = _directions(h.size)
+    rows, cols = np.triu_indices(h.size)
 
     weights = np.zeros((len(extremes), len(dirs)))
     for q, mat in enumerate(extremes):

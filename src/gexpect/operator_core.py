@@ -52,35 +52,48 @@ def _upper(n: int) -> np.ndarray:
     return mask
 
 
-def _symmetric(stack: np.ndarray) -> np.ndarray:
+def _mirror(stack: np.ndarray) -> np.ndarray:
     """Exactly symmetric copy of a (k, N, N) stack: each upper triangle mirrored
-    (``+= 0.0`` stores every zero as ``+0.0``).  The asymmetry is read off the
-    copy, whose lower triangle differs from the stack's by it."""
+    (``+= 0.0`` stores every zero as ``+0.0``)."""
+    exact = np.where(_upper(stack.shape[-1]), stack, stack.swapaxes(1, 2))
+    exact += 0.0
+    return exact
+
+
+def _symmetric(stack: np.ndarray) -> np.ndarray:
+    """``_mirror`` of a (k, N, N) stack, which must be finite and symmetric
+    within ``SYMMETRY_TOL``.  The asymmetry is read off the copy, whose lower
+    triangle differs from the stack's by it."""
     if not np.isfinite(stack).all():
         raise ValueError("matrix entries must be finite")
-    exact = np.where(_upper(stack.shape[-1]), stack, np.swapaxes(stack, 1, 2))
+    exact = _mirror(stack)
     skew = np.abs(stack - exact)
     if skew.max() > SYMMETRY_TOL:
         per = skew.max(axis=(1, 2))
         worst = per[np.flatnonzero(per > SYMMETRY_TOL)[0]]
         raise ValueError(f"matrix is not symmetric (max asymmetry {worst:.3e})")
-    exact += 0.0
     return exact
 
 
 def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Validate k >= 1 matrix-likes of one dimension as PSD operators at once.
+    """Validate k >= 1 matrices of one dimension as PSD operators in one pass.
 
-    Returns the exactly symmetric (k, N, N) stack with drift clamped, the
-    ascending eigenvalues of each stored matrix as a (k, N) array, and each
-    matrix's smallest eigenvalue before clamping.
+    ``mats`` is a (k, N, N) array, taken as it is (converted to float only if
+    it is not), or an iterable of square matrix-likes, which goes through one
+    ``np.asarray``.  Returns a new exactly symmetric (k, N, N) stack with drift
+    clamped, the ascending eigenvalues of each stored matrix as a (k, N)
+    array, and each matrix's smallest eigenvalue before clamping.
     """
-    squares = [_square(m) for m in mats]
-    if not squares:
+    if not isinstance(mats, np.ndarray):
+        mats = [_square(m) for m in mats]
+        if len({m.shape for m in mats}) > 1:
+            raise ValueError("all extremes must share one dimension")
+    stack = np.asarray(mats, dtype=float)
+    if not len(stack):
         raise ValueError("a covariance set needs at least one extreme point")
-    if any(m.shape != squares[0].shape for m in squares):
-        raise ValueError("all extremes must share one dimension")
-    stack = _symmetric(np.stack(squares))
+    if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or stack.shape[1] < 1:
+        raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
+    stack = _symmetric(stack)
     eigenvalues = np.linalg.eigvalsh(stack)
     floor = eigenvalues[:, 0].copy()
     if floor.min() < 0.0:
@@ -98,10 +111,15 @@ def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def _psd_power(stack: np.ndarray, power: float) -> np.ndarray:
     """Symmetric Q^power of each matrix in a (k, N, N) stack, eigenvalues clipped
-    at zero: power 1 clamps drift, power 0.5 gives the square roots."""
+    at zero: power 1 clamps drift, power 0.5 gives the square roots.
+
+    The recomposed product's upper triangle is mirrored without a symmetry
+    check: the stack was checked already, and the product's rounding
+    asymmetry grows with its norm, so an absolute tolerance would reject an
+    exactly symmetric input of large norm."""
     vals, vecs = np.linalg.eigh(stack)
-    vals = np.clip(vals, 0.0, None) ** power
-    return _symmetric((vecs * vals[:, None, :]) @ np.swapaxes(vecs, 1, 2))
+    vals = np.maximum(vals, 0.0) ** power
+    return _mirror((vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2))
 
 
 class SymOperator:

@@ -68,6 +68,7 @@ class TestSimulate:
         # _walk checks every step's indices, whichever kind of policy chose them
         off_range = ControlPolicy.feedback(lambda t, s: np.where(s[:, 0] >= 0.0, 0, -1))
         for pol in (ControlPolicy.constant(7), ControlPolicy.time_table([0, 1, 2, 0]),
+                    ControlPolicy.constant(-1), ControlPolicy.time_table([0, -1, 0, 0]),
                     off_range):
             with pytest.raises(ValueError, match=r"outside \[0, 2\)"):
                 simulate_gbm(band_1d, pol, 10, 4, 1.0, seed=0)

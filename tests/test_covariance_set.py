@@ -154,6 +154,54 @@ class TestOneArraySet:
             CovarianceSet(mats)
 
 
+class TestStackedInput:
+    """A (k, N, N) array goes through the same validation as a list of its
+    matrices and gives the same set."""
+
+    def test_stack_and_list_give_the_same_set(self):
+        rng = np.random.default_rng(33)
+        for n in (1, 2, 5, 8):
+            mats = [random_psd(rng, n) for _ in range(3)] + [near_psd(rng, n)]
+            from_list, from_stack = CovarianceSet(mats), CovarianceSet(np.stack(mats))
+            for name in ("matrices", "eigenvalues", "roots"):
+                assert np.array_equal(getattr(from_list, name), getattr(from_stack, name))
+
+    def test_integer_stack_is_read_as_floats(self):
+        ints = [[[2, 1], [1, 2]], [[1, 0], [0, 3]]]
+        from_stack = CovarianceSet(np.array(ints))
+        assert from_stack.matrices.dtype == np.float64
+        assert np.array_equal(from_stack.matrices, CovarianceSet(ints).matrices)
+        assert np.array_equal(from_stack.matrices, np.array(ints, dtype=float))
+
+    def test_the_set_does_not_share_the_callers_array(self):
+        stack = np.stack([np.eye(2), 2.0 * np.eye(2)])
+        cs = CovarianceSet(stack)
+        stack[0, 0, 0] = 7.0
+        assert stack.flags.writeable
+        assert np.array_equal(cs.matrices, np.stack([np.eye(2), 2.0 * np.eye(2)]))
+
+    @pytest.mark.parametrize("stack, message", [
+        (np.empty((0, 2, 2)), "at least one extreme point"),
+        (np.zeros((2, 2, 3)), r"expected a square matrix, got shape \(2, 3\)"),
+        (np.zeros((2, 0, 0)), r"expected a square matrix, got shape \(0, 0\)"),
+        (np.eye(2), r"expected a square matrix, got shape \(2,\)"),
+    ])
+    def test_malformed_stacks_keep_the_list_messages(self, stack, message):
+        with pytest.raises(ValueError, match=message):
+            CovarianceSet(stack)
+        with pytest.raises(ValueError, match=message):
+            CovarianceSet(list(stack))
+
+    def test_dedup_keeps_the_first_extreme(self):
+        rng = np.random.default_rng(35)
+        a, b = random_psd(rng, 3), random_psd(rng, 3)
+        cs = CovarianceSet(np.stack([a, a + 1e-14 * np.eye(3), b, b]))
+        assert len(cs) == 2
+        assert np.array_equal(cs.matrices, CovarianceSet([a, b]).matrices)
+        assert np.array_equal(cs.eigenvalues, CovarianceSet([a, b]).eigenvalues)
+        assert not cs.matrices.flags.writeable and not cs.eigenvalues.flags.writeable
+
+
 class TestRoots:
     def test_roots_reproduce_extremes(self, correlated_2d):
         roots = correlated_2d.roots
@@ -309,6 +357,33 @@ class TestAlgebra:
         # self-sum produces Q1+Q2 twice; dedup keeps |result| <= |s1|*|s2|
         total = covset_sum(spread_2d, spread_2d)
         assert len(total) == 3
+
+    def test_batched_sum_and_conjugate_equal_the_loops(self):
+        rng = np.random.default_rng(37)
+        for case in range(120):
+            n, k1, k2 = 1 + case % 8, 1 + case % 3, 1 + (case // 3) % 3
+            s1 = CovarianceSet([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(k1)])
+            s2 = CovarianceSet([random_psd(rng, n) + 0.1 * np.eye(n) for _ in range(k2)])
+            pairs = np.stack([q1 + q2 for q1 in s1.matrices for q2 in s2.matrices])
+            assert np.array_equal(covset_sum(s1, s2).matrices, pairs)
+            s = rng.standard_normal((1 + case % n, n))
+            mapped = np.stack([s @ q @ s.T for q in s1.matrices])
+            mirrored = np.triu(mapped) + np.swapaxes(np.triu(mapped, 1), 1, 2)
+            assert np.array_equal(covset_conjugate(s1, s).matrices, mirrored)
+
+    @pytest.mark.parametrize("norm", [1e2, 1e3, 1e4, 1e5, 1e6])
+    def test_conjugate_by_a_map_of_large_norm(self, norm):
+        # s Q s^T rounds asymmetrically, by about 1e-8 at a norm of 1e4
+        rng = np.random.default_rng(0)
+        r, s = rng.standard_normal((3, 3)), norm * rng.standard_normal((3, 3))
+        cs = CovarianceSet([r @ r.T, np.eye(3)])
+        out = covset_conjugate(cs, s)
+        assert np.array_equal(out.matrices, np.swapaxes(out.matrices, 1, 2))
+        for got, q in zip(out.matrices, cs.matrices):
+            want = s @ q @ s.T
+            assert np.linalg.norm(got - want) <= 1e-14 * np.linalg.norm(want)
+        a = random_sym(rng, 3)
+        assert g_eval(out, a) == pytest.approx(g_eval(cs, s.T @ a @ s), rel=1e-12)
 
     def test_conjugate_identity(self, correlated_2d):
         out = covset_conjugate(correlated_2d, np.eye(2))

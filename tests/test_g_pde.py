@@ -20,8 +20,8 @@ from gexpect.g_pde import (
     solve_gpde,
 )
 from gexpect.g_pde import (
-    CFL_SAFETY, MAX_STENCIL_RADIUS, StencilError, _decompose, _march, _median, _Segments,
-    _Stencil,
+    CFL_SAFETY, MAX_STENCIL_RADIUS, StencilError, _decompose, _directions, _march, _median,
+    _Segments, _Stencil,
 )
 
 
@@ -729,6 +729,18 @@ class TestStencil:
             got = _median(values, scratch)
             assert type(got) is float
             assert np.float64(got).tobytes() == np.float64(want).tobytes(), values
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_direction_table_is_built_once_and_read_only(self, dim):
+        table = _directions(dim)
+        assert _directions(dim) is table
+        for kept, fresh in zip(table, _directions.__wrapped__(dim)):
+            assert not kept.flags.writeable
+            assert np.array_equal(kept, fresh)
+        # a decomposition hands out its own copy of the directions
+        axes = [np.linspace(-1.0, 1.0, 11)] * dim
+        dirs, _ = _decompose([np.eye(dim)], axes)
+        assert dirs.flags.writeable
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_directions_reproduce_the_extremes(self, dim):

@@ -88,6 +88,19 @@ class TestPsdOperator:
         assert op.eigen_floor == pytest.approx(-1e-11)
         assert np.linalg.eigvalsh(op.entries)[0] >= 0.0
 
+    def test_exact_rank_one_of_large_norm_is_accepted(self):
+        # the clamp recomposes v v^T with a rounding asymmetry near
+        # 1e-16 |v|^2, above SYMMETRY_TOL at |v|^2 ~ 3e4
+        rng = np.random.default_rng(3)
+        for _ in range(200):
+            v = 100.0 * rng.standard_normal((3, 1))
+            q = v @ v.T
+            op = PsdOperator(q)
+            assert np.array_equal(op.entries, op.entries.T)
+            assert np.linalg.norm(op.entries - q) <= 1e-14 * np.linalg.norm(q)
+            root = psd_sqrt(q).entries
+            assert np.linalg.norm(root @ root - q) <= 1e-12 * np.linalg.norm(q)
+
     def test_rejects_genuinely_indefinite(self):
         with pytest.raises(ValueError):
             PsdOperator(np.diag([1.0, -1e-6]))
