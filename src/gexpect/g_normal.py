@@ -42,6 +42,7 @@ _MASK64 = (1 << 64) - 1
 # Moment-bound constants are certified only this far; see README.
 MOMENT_CONSTANT_MAX_ORDER = 5
 MOMENT_CONSTANT_MAX_DIM = 8
+MOMENT_SLACK = 1e-12  # relative rounding slack of each moment-sandwich inequality
 
 # values per block of a Monte Carlo fold (512 KB of float64, about an L2
 # cache): ``control_sim._policy_sup`` walks max(1, FOLD_ELEMENTS // N) paths
@@ -185,7 +186,7 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     lower = float(gn.scale**m * sums[m - 1].max())
     upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
     k_m = moment_constant(m)
-    tol = 1.0 + 1e-12
+    tol = 1.0 + MOMENT_SLACK
     ok = (lower <= k_m * value * tol) and (value <= k_m * upper * tol)
     return MomentBounds(lower, value, upper, bool(ok))
 

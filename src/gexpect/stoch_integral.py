@@ -137,6 +137,8 @@ class FubiniCheck(NamedTuple):
 class ConvolutionCondition(NamedTuple):
     value: float
     finite: bool
+    coarse: float
+    tolerance: float
 
 
 def _l2sigma_sq_per_path(block, roots: np.ndarray) -> np.ndarray | float:
@@ -269,14 +271,14 @@ def bdg_check(
 def sigma_of_integral(
     phi_fn: Callable, sigma: CovarianceSet, T: float, quad_steps: int
 ) -> CovarianceSet:
-    """Covariance set of the integral of a nonrandom integrand.
+    """Covariance set of the integral of a nonrandom integrand: its ``_integrals``."""
+    return CovarianceSet(_integrals(phi_fn, sigma, T, quad_steps), f"integral({sigma.label})")
 
-    Per extreme Q, composite-midpoint quadrature of Phi(t) Q Phi(t)^T over
-    [0, T]; midpoint preserves positive semidefiniteness and the result is
-    symmetrized to kill rounding drift.  The terms are formed for a block of
-    midpoints at a time, ``FOLD_ELEMENTS`` values, and summed in midpoint
-    order.
-    """
+
+def _integrals(phi_fn: Callable, sigma: CovarianceSet, T: float, quad_steps: int):
+    """Per extreme Q, in order, the composite-midpoint quadrature of Phi(t) Q Phi(t)^T
+    over [0, T] (midpoint keeps it PSD), symmetrized against rounding drift; its
+    terms are formed ``FOLD_ELEMENTS`` values at a time and summed in midpoint order."""
     if quad_steps < 1:
         raise ValueError(f"quad_steps must be >= 1, got {quad_steps}")
     if not T > 0.0:
@@ -294,7 +296,7 @@ def sigma_of_integral(
             acc = np.cumsum(np.concatenate([acc, terms]), axis=0)[-1:]
         acc = acc[0] * dt
         out.append((acc + acc.T) / 2.0)
-    return CovarianceSet(out, label=f"integral({sigma.label})")
+    return out
 
 
 def fubini_check(
@@ -384,8 +386,8 @@ def convolution_condition(
 
     Computes the integral of ||exp(tA)||^2 (in the set norm) times t^(-beta)
     over (0, T] with a graded substitution t = T u^(1/(1-beta)) that absorbs
-    the endpoint singularity; ``finite`` reports convergence under one
-    doubling of the node count (relative change < 1e-4).
+    the endpoint singularity.  ``value`` takes twice the nodes of ``coarse``;
+    ``finite`` reports |value - coarse| <= ``tolerance``, 1e-4 of |value|.
     """
     if not 0.0 < beta < 1.0:
         raise ValueError(f"beta must lie in (0, 1), got {beta}")
@@ -404,6 +406,6 @@ def convolution_condition(
 
     coarse = integral(quad_steps)
     fine = integral(2 * quad_steps)
-    scale = max(abs(fine), 1e-12)
-    return ConvolutionCondition(fine, bool(abs(fine - coarse) <= 1e-4 * scale))
+    tol = 1e-4 * max(abs(fine), 1e-12)
+    return ConvolutionCondition(fine, abs(fine - coarse) <= tol, coarse, tol)
 

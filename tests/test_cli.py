@@ -40,6 +40,15 @@ def strip_timings(report):
     return {k: v for k, v in report.items() if k != "timings"}
 
 
+def rule(rec):
+    """The verdict a record's lhs, rhs, tolerance and side give; null fails."""
+    lhs, rhs, tol = rec["lhs"], rec["rhs"], rec["tolerance"]
+    if None in (lhs, rhs, tol):
+        return False
+    return {"two": abs(lhs - rhs) <= tol, "le": lhs <= rhs + tol,
+            "ge": lhs >= rhs - tol}[rec["side"]]
+
+
 class TestRun:
     def test_moments_smoke_passes(self, tmp_path, capsys):
         cfg = write_config(tmp_path)
@@ -437,14 +446,16 @@ class TestReport:
         return _Report(SimpleNamespace(seed=7), tmp_path)
 
     def test_check_schema_adds_seed_with_n_paths(self, tmp_path):
-        rep = self.sink(tmp_path)
-        rep.check("iso", 1.0, 2.0, 0.1, True, n_paths=100)
-        rep.check("exact", 1.0, 2.0, 0.1, True)
-        assert rep.records == [
-            {"name": "iso", "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1,
-             "ok": True, "n_paths": 100, "seed": 7},
-            {"name": "exact", "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1, "ok": True},
-        ]
+        for side, ok in (("two", False), ("le", True), ("ge", False)):
+            rep = self.sink(tmp_path)
+            rep.check("iso", 1.0, 2.0, 0.1, side, n_paths=100)
+            rep.check("exact", 1.0, 2.0, 0.1, side)
+            assert rep.records == [
+                {"name": "iso", "side": side, "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1,
+                 "ok": ok, "n_paths": 100, "seed": 7},
+                {"name": "exact", "side": side, "lhs": 1.0, "rhs": 2.0, "tolerance": 0.1,
+                 "ok": ok},
+            ]
 
     @pytest.mark.parametrize("lhs, rhs, tol, ok", [
         (1.0, 1.05, 0.1, True), (1.0, 1.2, 0.1, False), (2.0, 1.0, 1.0, True),
@@ -453,7 +464,18 @@ class TestReport:
     def test_ok_defaults_to_closeness(self, tmp_path, lhs, rhs, tol, ok):
         rep = self.sink(tmp_path)
         rep.check("c", lhs, rhs, tol)
-        assert rep.records[0]["ok"] is ok
+        assert rep.records[0]["ok"] is ok and rep.records[0]["side"] == "two"
+
+    @pytest.mark.parametrize("lhs, rhs, tol, le, ge", [
+        (1.0, 1.05, 0.1, True, True), (1.0, 1.2, 0.1, True, False),
+        (2.0, 1.0, 1.0, True, True), (2.0, 1.0, 0.5, False, True),
+        (-1.0, 1.0, 1.5, True, False), (1.0, 1.0, 0.0, True, True),
+    ])
+    def test_one_sided_rules(self, tmp_path, lhs, rhs, tol, le, ge):
+        rep = self.sink(tmp_path)
+        rep.check("le", lhs, rhs, tol, "le")
+        rep.check("ge", lhs, rhs, tol, "ge")
+        assert [rec["ok"] for rec in rep.records] == [le, ge]
 
     @pytest.mark.parametrize("se, slack", [(0.1, 0.0), (0.37, 0.02), (2.5, 1e-3)])
     def test_single_monte_carlo_check_allows_three_standard_errors(self, tmp_path,
@@ -478,14 +500,15 @@ class TestReport:
             assert sink.mc_tol(1.0, family=family) == pytest.approx(
                 -ndtri(ndtr(-MC_Z) / family), rel=1e-14)
 
-    @pytest.mark.parametrize("ok", [True, None])
+    @pytest.mark.parametrize("side", ["two", "le", "ge"])
     @pytest.mark.parametrize("field", ["lhs", "rhs", "tolerance"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_nonfinite_check_is_null_and_fails(self, tmp_path, ok, field, bad):
+    def test_nonfinite_check_is_null_and_fails(self, tmp_path, side, field, bad):
+        # an inf tolerance, lhs of "ge" or rhs of "le" alone would pass
         values = {"lhs": 1.0, "rhs": 1.0, "tolerance": 0.1}
         values[field] = bad
         rep = self.sink(tmp_path)
-        rep.check("x", values["lhs"], values["rhs"], values["tolerance"], ok)
+        rep.check("x", values["lhs"], values["rhs"], values["tolerance"], side)
         rec = rep.records[0]
         assert rec[field] is None and rec["ok"] is False
         json.dumps(rec, allow_nan=False)
@@ -636,7 +659,8 @@ def test_shipped_configs_load(name, tmp_path):
 
 
 def test_record_names_are_unique_in_every_kind(tmp_path, monkeypatch):
-    """No two records of a report share a name, in each kind's shipped config."""
+    """No two records of a report share a name, and each record's ok is its
+    rule's verdict, in each kind's shipped config; every shipped config passes."""
     monkeypatch.delenv("GEXPECT_SEED_OVERRIDE", raising=False)
     kinds = set()
     for path in sorted(CONFIG_DIR.glob("*.json")):
@@ -644,6 +668,9 @@ def test_record_names_are_unique_in_every_kind(tmp_path, monkeypatch):
         kinds.add(report["config"]["kind"])
         names = [rec["name"] for rec in report["records"]]
         assert len(set(names)) == len(names), (path.stem, names)
+        assert report["records"] and report["ok"], path.stem
+        for rec in report["records"]:
+            assert rec["ok"] == rule(rec), (path.stem, rec)
     assert kinds == set(experiment_cli.KINDS)
     # ou names its records by time: dense times take more digits
     cfg = write_config(tmp_path, kind="ou", sigma={"dim": 1, "extremes": [[1]]},
@@ -662,4 +689,48 @@ def test_inequality_records_show_the_rule_that_decides_them(name, tmp_path, monk
     records = json.loads((tmp_path / "report.json").read_text())["records"]
     assert records
     for rec in records:
+        assert rec["side"] == "le", rec
         assert rec["ok"] == (rec["lhs"] <= rec["rhs"] + rec["tolerance"]), rec
+
+
+def test_ou_variance_record_shows_the_failing_coordinate(tmp_path, monkeypatch):
+    """A 2-d ou run whose coordinate 1 is off by a factor 4 in variance: each
+    variance record shows coordinate 1's numbers, and its ok is their rule's."""
+    walk = experiment_cli._walk
+
+    def doubled(*args, **kwargs):
+        for k, *state, conv in walk(*args, **kwargs):
+            yield (k, *state, conv * np.array([1.0, 2.0]))
+
+    monkeypatch.setattr(experiment_cli, "_walk", doubled)
+    cfg = write_config(tmp_path, kind="ou",
+                       sigma={"dim": 2, "extremes": [[0.8, 0, 0, 0.5]]},
+                       params={"steps": 40, "substeps": 10, "n_paths": 2000})
+    assert main(["run", str(cfg)]) == 1
+    report = load_report(tmp_path)
+    records = [rec for rec in report["records"] if rec["name"].startswith("variance-t")]
+    rows = report["series"]["variance"]["rows"]  # t, emp0, emp1, exact0, exact1
+    assert len(records) == len(rows) == 4
+    for rec, row in zip(records, rows):
+        assert (rec["lhs"], rec["rhs"]) == (row[2], row[4])
+        assert rec["ok"] is False and rule(rec) is False
+
+
+@pytest.mark.parametrize("key, value, code", [
+    ("T", 1e-300, 0), ("T", 1e300, 1), ("a_diag", [-1e300, -1e300], 0),
+])
+def test_sigma_integral_pairs_each_extreme_with_its_own_integral(tmp_path, capsys, key,
+                                                                 value, code):
+    """Params under which the two integrals merge into one set member: each
+    extreme is still checked against its own integral.  At T = 1e300 the
+    closed-form records fail, as they should: the midpoints miss the mass of
+    the integrand, which lies in the last unit of [0, T]."""
+    params = {"a_diag": [-0.5, -1.0], "quad_steps": 200, "steps": 4, "n_paths": 200}
+    cfg = write_config(tmp_path, kind="sigma_integral",
+                       sigma={"dim": 2, "extremes": [[1, 0, 0, 1], [0.25, 0, 0, 0.25]]},
+                       params={**params, key: value})
+    assert main(["run", str(cfg)]) == code
+    assert "Traceback" not in capsys.readouterr().err
+    names = [rec["name"] for rec in load_report(tmp_path)["records"]]
+    assert names == ["closed-form-extreme-0", "closed-form-extreme-1",
+                     "empirical-extreme-0", "empirical-extreme-1"]

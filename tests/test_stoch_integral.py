@@ -290,6 +290,15 @@ class TestSigmaOfIntegral:
                 acc *= T / steps
                 assert np.array_equal(out, (acc + acc.T) / 2.0)
 
+    def test_integrals_keep_every_extreme_that_the_set_merges(self):
+        # both integrals underflow to zero: the set keeps one, the list both
+        cs = CovarianceSet([np.eye(2), 0.25 * np.eye(2)])
+        phi_fn = lambda t: np.diag(np.exp((1.0 - t) * np.array([-1e300, -1e300])))
+        merged = sigma_of_integral(phi_fn, cs, 1.0, 8)
+        each = stoch_integral._integrals(phi_fn, cs, 1.0, 8)
+        assert len(merged) == 1 and len(each) == 2
+        assert all(np.array_equal(m, merged.matrices[0]) for m in each)
+
     def test_power_of_two_scaling_is_exact(self, spread_2d):
         phi_fn = lambda t: np.array([[1.0 + t, 0.3], [0.0, 1.0 - 0.5 * t]])
         base = sigma_of_integral(phi_fn, spread_2d, 1.0, 64)
@@ -497,6 +506,14 @@ class TestConvolutionCondition:
         )
         assert res.finite
         assert res.value == pytest.approx(oracle, rel=1e-4)
+
+    @pytest.mark.parametrize("beta, steps", [(0.5, 10), (0.4, 4000), (0.95, 3)])
+    def test_finite_is_the_refinements_within_the_tolerance(self, spread_2d, beta, steps):
+        res = convolution_condition(-0.7 * np.eye(2), spread_2d, beta, 2.0, steps)
+        fine = convolution_condition(-0.7 * np.eye(2), spread_2d, beta, 2.0, 2 * steps)
+        assert res.tolerance == 1e-4 * abs(res.value)
+        assert res.finite == (abs(res.value - res.coarse) <= res.tolerance)
+        assert res.value == fine.coarse
 
     def test_zero_set(self):
         cs = CovarianceSet([np.zeros((2, 2))])
