@@ -12,10 +12,8 @@ and ``experiment_cli`` (reproducible experiment runner).
 from .operator_core import (
     PsdOperator,
     SymOperator,
-    outer,
     psd_sqrt,
     schatten_norm,
-    trace_product,
 )
 from .covariance_set import (
     CovarianceSet,
@@ -32,8 +30,6 @@ __all__ = [
     "PsdOperator",
     "schatten_norm",
     "psd_sqrt",
-    "outer",
-    "trace_product",
     "CovarianceSet",
     "g_eval",
     "l2sigma_norm",

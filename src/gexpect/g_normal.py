@@ -167,11 +167,11 @@ def moment_upper(gn: GNormal, m: int) -> float:
 
 
 def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
-    """Sandwich sup Tr[Q^m] <= E||X||^(2m) <= (sup Tr Q)^m up to K_m.
+    """Sandwich sup Tr[Q^m] <= E||X||^(2m) <= K_m (sup Tr Q)^m.
 
     ``value`` is ``moment_upper(gn, m)``; it and ``lower`` read one array of
-    power sums.  ``ok`` asserts lower <= K_m * value and value <= K_m * upper
-    with the certified K_m of ``moment_constant``.  An order above
+    power sums.  ``ok`` asserts lower <= value and value <= K_m * upper with
+    the certified K_m of ``moment_constant``.  An order above
     ``MOMENT_CONSTANT_MAX_ORDER`` or a dimension above
     ``MOMENT_CONSTANT_MAX_DIM`` is not certified and raises ValueError.
     """
@@ -185,9 +185,8 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     value = float(gn.scale**m * max(_moment(col, m) for col in sums.T.tolist()))
     lower = float(gn.scale**m * sums[m - 1].max())
     upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
-    k_m = moment_constant(m)
     tol = 1.0 + MOMENT_SLACK
-    ok = (lower <= k_m * value * tol) and (value <= k_m * upper * tol)
+    ok = (lower <= value * tol) and (value <= moment_constant(m) * upper * tol)
     return MomentBounds(lower, value, upper, bool(ok))
 
 

@@ -129,7 +129,7 @@ class MeshSpec:
 class GridSolution:
     """Backward-evolved value function on a space-time grid, held as checkpoints.
 
-    Slice k is the mild-frame value w(t_k, .) on the grid, t_k = ``times[k]``:
+    Slice k is the mild-frame value w(t_k, .) on the grid, t_k = k ``dt``:
     u(t_k, x) = w(t_k, E(t_k) x), E(t_k) the diagonal ``flow(k)``.  A
     solution keeps slice 0, the terminal slice ``n_steps`` and evenly spaced
     checkpoint slices between them, at most isqrt(n_steps) + 2 in all, and
@@ -165,10 +165,6 @@ class GridSolution:
         return values
 
     @property
-    def times(self) -> np.ndarray:
-        return np.arange(self.n_steps + 1) * self.dt
-
-    @property
     def bytes_held(self) -> int:
         """Bytes of the stored checkpoint slices."""
         return sum(u.nbytes for u in self._kept.values())
@@ -176,12 +172,6 @@ class GridSolution:
     def flow(self, k) -> np.ndarray:
         """The diagonal of E(t_k): slice k holds u(t_k, x) at the node E(t_k) x."""
         return self._segments.flow(k)
-
-    def time_index(self, t: float) -> int:
-        k = int(round(t / self.dt))
-        if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > self.dt / 2 + 1e-12:
-            raise ValueError(f"time {t} outside the solved range")
-        return k
 
     def time_slice(self, k: int) -> np.ndarray:
         """A copy of slice k: a stored checkpoint, or re-marched from the next
@@ -201,7 +191,9 @@ class GridSolution:
         multilinearly at E(t_k) ``point`` (ValueError off the grid), bitwise as
         scipy's RegularGridInterpolator, which weights a corner left to right
         in 2-d and by the product of its weights otherwise."""
-        k = self.time_index(t)
+        k = int(round(t / self.dt))
+        if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > self.dt / 2 + 1e-12:
+            raise ValueError(f"time {t} outside the solved range")
         u, x, corners = self.time_slice(k), self.flow(k) * as_coords(point), []
         for ax, xa in zip(self.axes, x, strict=True):
             if not ax[0] <= xa <= ax[-1]:

@@ -25,8 +25,6 @@ __all__ = [
     "as_coords",
     "schatten_norm",
     "psd_sqrt",
-    "outer",
-    "trace_product",
 ]
 
 # Asymmetry accepted at construction; storage is exactly symmetric afterwards.
@@ -199,11 +197,6 @@ def as_coords(h) -> np.ndarray:
     return np.asarray(h, dtype=float).reshape(-1)
 
 
-def _check_same_dim(a: int, b: int, what: str) -> None:
-    if a != b:
-        raise ValueError(f"dimension mismatch in {what}: {a} != {b}")
-
-
 def schatten_norm(a, p: float) -> float:
     """Schatten p-norm of a symmetric operator via its eigenvalues.
 
@@ -230,20 +223,6 @@ def psd_sqrt(q) -> SymOperator:
     """
     stack = q.entries[None] if isinstance(q, PsdOperator) else _psd_stack([q])[0]
     return SymOperator(_psd_power(stack, 0.5)[0])
-
-
-def outer(x, y) -> np.ndarray:
-    """Rank-one operator mapping z to <z, y> x, i.e. the matrix x_i * y_j."""
-    xc, yc = as_coords(x), as_coords(y)
-    _check_same_dim(xc.size, yc.size, "outer")
-    return np.outer(xc, yc)
-
-
-def trace_product(a, b) -> float:
-    """Tr[a @ b] = sum_ij a[i, j] * b[j, i]; symmetric in symmetric arguments."""
-    ma, mb = as_matrix(a), as_matrix(b)
-    _check_same_dim(ma.shape[0], mb.shape[0], "trace_product")
-    return float(np.sum(ma * mb.T))
 
 
 def _dot(u, v) -> float:

@@ -41,6 +41,7 @@ __all__ = [
 # the Gaussian fourth-moment factor 3 (p = 4).  An implementation certificate,
 # not a quoted value; adapted-integrand tests use p = 2 only.
 BDG_CONSTANTS = {1: 1.0, 2: 1.0, 4: 3.0}
+FUBINI_TOL = 1e-10  # largest pathwise rounding difference that fubini_check accepts
 
 
 class ElementaryProcess:
@@ -90,11 +91,6 @@ class ElementaryProcess:
     @classmethod
     def adapted(cls, partition, rule, out_dim, in_dim) -> "ElementaryProcess":
         return cls(partition, block_rule=rule, out_dim=out_dim, in_dim=in_dim)
-
-    @classmethod
-    def constant(cls, T: float, block, steps: int = 1) -> "ElementaryProcess":
-        b = as_matrix(block)
-        return cls(np.linspace(0.0, T, steps + 1), blocks=[b] * steps)
 
     @property
     def n_blocks(self) -> int:
@@ -306,7 +302,7 @@ def fubini_check(
 
     Left side integrates each member then combines with the weights; right
     side integrates the weight-combined integrand.  Exact reassociation of a
-    finite sum, so the difference must vanish to rounding (1e-10).
+    finite sum, so the difference must vanish to rounding (``FUBINI_TOL``).
     """
     phis = list(phis)
     w = [float(x) for x in weights]
@@ -333,7 +329,7 @@ def fubini_check(
         ElementaryProcess.adapted(base, combined, phis[0].out_dim, phis[0].in_dim), paths
     ).values
     diff = float(np.max(np.linalg.norm(lhs - rhs, axis=1))) if lhs.size else 0.0
-    return FubiniCheck(diff, bool(diff <= 1e-10))
+    return FubiniCheck(diff, bool(diff <= FUBINI_TOL))
 
 
 def _generator_diag(a_gen, dim: int) -> np.ndarray:

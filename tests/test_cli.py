@@ -693,6 +693,21 @@ def test_inequality_records_show_the_rule_that_decides_them(name, tmp_path, monk
         assert rec["ok"] == (rec["lhs"] <= rec["rhs"] + rec["tolerance"]), rec
 
 
+def test_moment_lower_record_has_no_constant(tmp_path, monkeypatch):
+    """A moments run whose E||X||^(2m) is half of sup Tr[Q^m] for m >= 2 fails
+    exactly its moment-lower records, which K_m times the value would pass."""
+    check = experiment_cli.moment_bounds_check
+
+    def halved(gn, m):
+        b = check(gn, m)
+        return b._replace(value=0.5 * b.lower) if m >= 2 else b
+
+    monkeypatch.setattr(experiment_cli, "moment_bounds_check", halved)
+    assert main(["run", str(write_config(tmp_path, params={"m_max": 3}))]) == 1
+    failed = {rec["name"] for rec in load_report(tmp_path)["records"] if not rec["ok"]}
+    assert failed == {"moment-lower-m2", "moment-lower-m3"}
+
+
 def test_ou_variance_record_shows_the_failing_coordinate(tmp_path, monkeypatch):
     """A 2-d ou run whose coordinate 1 is off by a factor 4 in variance: each
     variance record shows coordinate 1's numbers, and its ok is their rule's."""

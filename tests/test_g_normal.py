@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from gexpect import CovarianceSet, covset_scale, g_eval, outer
+from gexpect import CovarianceSet, covset_scale, g_eval, g_normal
 from gexpect.g_normal import (
     FOLD_ELEMENTS,
     GNormal,
@@ -134,6 +134,17 @@ class TestMomentBounds:
         with pytest.raises(ValueError, match="dimension 9"):
             moment_bounds_check(GNormal(CovarianceSet([np.eye(9)])), 1)
 
+    @pytest.mark.parametrize("m", range(2, 6))
+    def test_lower_edge_has_no_constant(self, m, monkeypatch):
+        # sup Tr[Q^m] <= E||X||^(2m) holds with constant 1: a value of half the
+        # lower edge fails, although K_m (at least 3) times it would not.  K_m
+        # is read before the recursion it comes from is patched
+        monkeypatch.setattr(g_normal, "moment_constant", {m: moment_constant(m)}.get)
+        monkeypatch.setattr(g_normal, "_moment", lambda sums, order: 0.5 * sums[order - 1])
+        b = moment_bounds_check(GNormal(CovarianceSet([np.diag([1.0, 0.5])])), m)
+        assert b.lower / moment_constant(m) < b.value < b.lower
+        assert not b.ok
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_value_and_lower_are_bitwise_their_definitions(self, n):
         # value is moment_upper's; lower is scale**m max_Q sum_i max(w_i, 0)**m,
@@ -186,10 +197,10 @@ class TestProjectionBand:
             h = rng.standard_normal(2)
             band = project_band(GNormal(correlated_2d), h)
             assert band.sigma_up_sq == pytest.approx(
-                2.0 * g_eval(correlated_2d, outer(h, h)), abs=1e-12
+                2.0 * g_eval(correlated_2d, np.outer(h, h)), abs=1e-12
             )
             assert band.sigma_down_sq == pytest.approx(
-                -2.0 * g_eval(correlated_2d, -outer(h, h)), abs=1e-12
+                -2.0 * g_eval(correlated_2d, -np.outer(h, h)), abs=1e-12
             )
 
     def test_band_object_validates_order(self):

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -884,10 +885,10 @@ class TestCheckpoints:
                 flow = np.exp((prob.T - k * sol.dt) * prob.generator_diag())
                 assert np.array_equal(sol.flow(k), flow)
                 # the map the CLI checks its probes against
-                assert np.array_equal(sol.flow(k), prob.flow(float(sol.times[k])))
+                assert np.array_equal(sol.flow(k), prob.flow(k * sol.dt))
                 x = y / flow
                 interp = RegularGridInterpolator(sol.axes, reference[k])
-                assert sol.value_at(float(sol.times[k]), x) == float(interp([flow * x])[0])
+                assert sol.value_at(k * sol.dt, x) == float(interp([flow * x])[0])
 
     @pytest.mark.parametrize("transport", [False, True])
     @pytest.mark.parametrize("dim", [1, 2, 3])
@@ -907,13 +908,24 @@ class TestCheckpoints:
             for y in nodes + edges + faces + inner:
                 x = y / sol.flow(k)  # read at the node E(t_k) x = y
                 want = interp([sol.flow(k) * x])[0]
-                assert bits(sol.value_at(float(sol.times[k]), x)) == bits(want)
+                assert bits(sol.value_at(k * sol.dt, x)) == bits(want)
         off = np.where(np.arange(dim) == 0, hi + 1e-9, lo)
         for y in (off, np.full(dim, np.nan)):
             with pytest.raises(ValueError, match="outside the grid"):
                 sol.value_at(0.0, y / sol.flow(0))
         with pytest.raises(ValueError):
             sol.value_at(0.0, np.zeros(dim + 1))
+
+    def test_value_at_reads_the_nearest_slice_of_the_solved_range(self):
+        prob = band_problem(f_square, T=0.3, a_gen=np.array([[-0.5]]))
+        sol = solve_gpde(prob, MeshSpec(nodes=41))
+        x, dt = np.array([0.7]), sol.dt
+        for t in (-dt, prob.T + dt):
+            with pytest.raises(ValueError, match=f"time {re.escape(str(t))} outside"):
+                sol.value_at(t, x)
+        assert sol.value_at(0.0, x) != sol.value_at(dt, x)
+        assert sol.value_at(0.4 * dt, x) == sol.value_at(0.0, x)
+        assert sol.value_at(0.6 * dt, x) == sol.value_at(dt, x)
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_held_slices_are_bounded(self, dim):

@@ -10,10 +10,8 @@ from gexpect import operator_core
 from gexpect.operator_core import (
     PsdOperator,
     SymOperator,
-    outer,
     psd_sqrt,
     schatten_norm,
-    trace_product,
 )
 
 from conftest import random_sym
@@ -142,7 +140,7 @@ class TestSchattenNorm:
         rng = np.random.default_rng(seed)
         a = SymOperator(random_sym(rng, n))
         b = SymOperator(random_sym(rng, n))
-        lhs = abs(trace_product(a, b))
+        lhs = abs(np.trace(a.entries @ b.entries))
         rhs = schatten_norm(a, math.inf) * schatten_norm(b, 1)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
@@ -177,57 +175,6 @@ class TestPsdSqrt:
         want = np.sort(np.abs(np.linalg.eigvalsh(s_psd.entries)))
         got = np.sort(np.linalg.eigvalsh(again.entries))
         assert np.allclose(got, want, atol=1e-8)
-
-
-class TestOuter:
-    def test_basis_pair(self):
-        # Tr[x (x) y] = <x, y>; here orthogonal, trace 0.
-        m = outer([1.0, 0.0], [0.0, 1.0])
-        assert np.array_equal(m, np.array([[0.0, 1.0], [0.0, 0.0]]))
-        assert np.trace(m) == 0.0
-
-    def test_self_outer(self):
-        m = outer([1.0, 1.0], [1.0, 1.0])
-        assert np.array_equal(m, np.ones((2, 2)))
-        assert np.trace(m) == pytest.approx(2.0)
-
-    def test_componentwise_product_oracle(self):
-        # componentwise product oracle
-        x, y = np.array([2.0, 0.0]), np.array([3.0, 0.0])
-        oracle = x[:, None] * y[None, :]
-        m = outer(x, y)
-        assert np.array_equal(m, oracle)
-        assert np.trace(m) == pytest.approx(6.0)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            outer([1.0, 0.0], [1.0, 0.0, 0.0])
-
-
-class TestTraceProduct:
-    def test_identity_pair(self):
-        i3 = SymOperator.identity(3)
-        assert trace_product(i3, i3) == pytest.approx(3.0)
-
-    def test_diagonal_oracle(self):
-        # 1*3 + 2*4 = 11
-        assert trace_product(
-            SymOperator.diagonal([1.0, 2.0]), SymOperator.diagonal([3.0, 4.0])
-        ) == pytest.approx(11.0)
-
-    def test_zero(self):
-        a = SymOperator([[1.0, 2.0], [2.0, 5.0]])
-        assert trace_product(a, SymOperator(np.zeros((2, 2)))) == 0.0
-
-    def test_symmetric_in_arguments(self):
-        rng = np.random.default_rng(3)
-        a = SymOperator(random_sym(rng, 4))
-        b = SymOperator(random_sym(rng, 4))
-        assert trace_product(a, b) == pytest.approx(trace_product(b, a), rel=1e-12)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ValueError):
-            trace_product(SymOperator.identity(2), SymOperator.identity(3))
 
 
 class TestNnls:

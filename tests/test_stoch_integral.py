@@ -26,13 +26,13 @@ from conftest import random_psd
 class TestIntegrate:
     def test_identity_integrand_telescopes(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 8, 1.0, seed=1)
-        phi = ElementaryProcess.constant(1.0, np.eye(1), steps=8)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 9), [np.eye(1)] * 8)
         res = integrate_elementary(phi, bundle)
         assert np.allclose(res.values, bundle.terminal, atol=1e-14)
 
     def test_zero_integrand(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 8, 1.0, seed=1)
-        phi = ElementaryProcess.constant(1.0, np.zeros((1, 1)), steps=8)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 9), [np.zeros((1, 1))] * 8)
         res = integrate_elementary(phi, bundle)
         assert np.array_equal(res.values, np.zeros((30, 1)))
         assert np.array_equal(res.integrand_sq_paths, np.zeros(30))
@@ -74,13 +74,13 @@ class TestIntegrate:
 
     def test_partition_must_refine_grid(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 10, 8, 1.0, seed=1)
-        phi = ElementaryProcess.constant(1.0, np.eye(1), steps=3)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 4), [np.eye(1)] * 3)
         with pytest.raises(ValueError):
             integrate_elementary(phi, bundle)
 
     def test_coarse_partition_on_fine_grid(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 10, 8, 1.0, seed=1)
-        phi = ElementaryProcess.constant(1.0, 2.0 * np.eye(1), steps=4)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 5), [2.0 * np.eye(1)] * 4)
         res = integrate_elementary(phi, bundle)
         assert np.allclose(res.values, 2.0 * bundle.terminal, atol=1e-14)
 
@@ -120,7 +120,7 @@ class TestIsometry:
         # single-block computation: lhs = T max_Q Tr[Phi Q Phi^T]
         # equality because the extremes are ordered, so one Q attains every sup
         phi0 = np.array([[1.0, 0.5], [0.0, 1.0]])
-        phi = ElementaryProcess.constant(2.0, phi0, steps=4)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 2.0, 5), [phi0] * 4)
         chk = ito_isometry_check(phi, nested_2d, PolicyFamily(), 60_000, seed=9)
         want = 2.0 * max(
             float(np.trace(phi0 @ q @ phi0.T)) for q in nested_2d.matrices
@@ -130,7 +130,7 @@ class TestIsometry:
         assert chk.ok
 
     def test_zero_integrand(self, band_1d):
-        phi = ElementaryProcess.constant(1.0, np.zeros((1, 1)), steps=2)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 3), [np.zeros((1, 1))] * 2)
         chk = ito_isometry_check(phi, band_1d, PolicyFamily(), 500, seed=2)
         assert (chk.lhs, chk.rhs, chk.ok) == (0.0, 0.0, True)
 
@@ -194,7 +194,7 @@ class TestL2SigmaPerPath:
 
 class TestBdg:
     def test_p2_reduces_to_isometry(self, nested_2d):
-        phi = ElementaryProcess.constant(1.0, np.eye(2), steps=4)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 5), [np.eye(2)] * 4)
         iso = ito_isometry_check(phi, nested_2d, PolicyFamily(), 20_000, seed=4)
         bdg = bdg_check(phi, nested_2d, 2, PolicyFamily(), 20_000, seed=4)
         assert (iso.lhs, iso.rhs, iso.ok, iso.stderr) == (bdg.lhs, bdg.rhs, bdg.ok,
@@ -212,7 +212,7 @@ class TestBdg:
                                                           bdg.stderr)
 
     def test_zero_integrand(self, band_1d):
-        phi = ElementaryProcess.constant(1.0, np.zeros((1, 1)), steps=2)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 3), [np.zeros((1, 1))] * 2)
         chk = bdg_check(phi, band_1d, 4, PolicyFamily(), 400, seed=3)
         assert (chk.lhs, chk.rhs, chk.ok, chk.cp_estimate) == (0.0, 0.0, True, 0.0)
 
@@ -220,7 +220,7 @@ class TestBdg:
         # Gaussian fourth-moment oracle: for a scalar Gaussian
         # integral the ratio lhs/rhs is exactly 3
         cs = CovarianceSet([np.array([[0.7]])])
-        phi = ElementaryProcess.constant(1.5, np.array([[1.2]]), steps=3)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.5, 4), [np.array([[1.2]])] * 3)
         chk = bdg_check(phi, cs, 4, PolicyFamily(), 200_000, seed=8)
         var = 1.5 * 1.2**2 * 0.7
         oracle = gaussian_even_moment(np.array([[var]]), 2) / var**2
@@ -229,12 +229,12 @@ class TestBdg:
         assert chk.ok
 
     def test_p1_deterministic(self, nested_2d):
-        phi = ElementaryProcess.constant(1.0, np.eye(2), steps=2)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 3), [np.eye(2)] * 2)
         chk = bdg_check(phi, nested_2d, 1, PolicyFamily(), 20_000, seed=5)
         assert chk.ok and chk.cp_estimate <= 1.0
 
     def test_unsupported_p(self, band_1d):
-        phi = ElementaryProcess.constant(1.0, np.eye(1), steps=2)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 3), [np.eye(1)] * 2)
         with pytest.raises(ValueError):
             bdg_check(phi, band_1d, 3, PolicyFamily(), 100, seed=0)
 
@@ -342,7 +342,7 @@ class TestSigmaOfIntegral:
 class TestFubini:
     def test_single_point_is_bitwise(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 25, 6, 1.0, seed=11)
-        phi = ElementaryProcess.constant(1.0, np.array([[1.7]]), steps=6)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 7), [np.array([[1.7]])] * 6)
         chk = fubini_check([phi], [1.0], bundle)
         assert chk.diff_norm == 0.0 and chk.ok
 
@@ -361,7 +361,7 @@ class TestFubini:
 
     def test_zero_weights(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 10, 4, 1.0, seed=13)
-        phi = ElementaryProcess.constant(1.0, np.array([[2.0]]), steps=4)
+        phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 5), [np.array([[2.0]])] * 4)
         chk = fubini_check([phi, phi], [0.0, 0.0], bundle)
         assert chk.diff_norm == 0.0 and chk.ok
 
@@ -373,14 +373,14 @@ class TestFubini:
             return (1.0 + states**2)[:, None, :]
 
         phi_a = ElementaryProcess.adapted(part, rule, out_dim=1, in_dim=1)
-        phi_b = ElementaryProcess.constant(1.0, np.array([[0.5]]), steps=5)
+        phi_b = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 6), [np.array([[0.5]])] * 5)
         chk = fubini_check([phi_a, phi_b], [0.3, 0.7], bundle)
         assert chk.ok
 
     def test_mismatched_partitions_rejected(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 10, 4, 1.0, seed=15)
-        phi_a = ElementaryProcess.constant(1.0, np.array([[1.0]]), steps=4)
-        phi_b = ElementaryProcess.constant(1.0, np.array([[1.0]]), steps=2)
+        phi_a = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 5), [np.array([[1.0]])] * 4)
+        phi_b = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 3), [np.array([[1.0]])] * 2)
         with pytest.raises(ValueError):
             fubini_check([phi_a, phi_b], [0.5, 0.5], bundle)
 
