@@ -1,6 +1,6 @@
 """Covariance-set calculus from the ground up.
 
-Builds symmetric operators, evaluates the induced sublinear functional,
+Takes symmetric matrices as plain arrays, evaluates the induced sublinear functional,
 walks through the set algebra (scaling, sums, conjugation), tests hull
 membership, and round-trips a set through its JSON form.
 """
@@ -9,7 +9,6 @@ import numpy as np
 
 from gexpect import (
     CovarianceSet,
-    SymOperator,
     covset_conjugate,
     covset_contains,
     covset_scale,
@@ -23,13 +22,13 @@ from gexpect import (
 sigma = CovarianceSet(
     [np.diag([1.0, 1.0]), np.diag([4.0, 0.0])], label="spread-2d"
 )
-a = SymOperator.identity(2)
+a = np.eye(2)
 print(f"G(I) = 1/2 max(Tr Q) = {g_eval(sigma, a):.4f}   (extremes have traces 2 and 4)")
 
-b = SymOperator.diagonal([1.0, -1.0])
+b = np.diag([1.0, -1.0])
 print(f"G(diag(1,-1)) = {g_eval(sigma, b):.4f}"
       "   -- the spiked extreme wins on this direction")
-print(f"G(-diag(1,-1)) = {g_eval(sigma, -b.entries):.4f}   -- sup is one-sided\n")
+print(f"G(-diag(1,-1)) = {g_eval(sigma, -b):.4f}   -- sup is one-sided\n")
 
 # Schatten norms of an extreme, and the integrand norm of a test operator.
 q = sigma.matrices[1]

@@ -9,12 +9,7 @@ finite differences and the probabilistic representation, ``mc_values``),
 and ``experiment_cli`` (reproducible experiment runner).
 """
 
-from .operator_core import (
-    PsdOperator,
-    SymOperator,
-    psd_sqrt,
-    schatten_norm,
-)
+from .operator_core import schatten_norm
 from .covariance_set import (
     CovarianceSet,
     covset_conjugate,
@@ -26,10 +21,7 @@ from .covariance_set import (
 )
 
 __all__ = [
-    "SymOperator",
-    "PsdOperator",
     "schatten_norm",
-    "psd_sqrt",
     "CovarianceSet",
     "g_eval",
     "l2sigma_norm",

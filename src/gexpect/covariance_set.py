@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .operator_core import PsdOperator, _mirror, _psd_power, _psd_stack, as_matrix, nnls
+from .operator_core import _mirror, _psd_power, _psd_stack, as_matrix, nnls
 
 __all__ = [
     "DEDUP_TOL",
@@ -55,10 +55,11 @@ class CovarianceSet:
 
     Parameters
     ----------
-    extremes : (k, N, N) array, or iterable of PsdOperator or matrix-like
-        PSD extreme points of one dimension, validated like ``PsdOperator``
-        in one stacked pass (``_psd_stack``); deduplicated under Frobenius
-        distance ``DEDUP_TOL`` (first one kept).
+    extremes : (k, N, N) array, or iterable of matrix-likes
+        PSD extreme points of one dimension, validated (symmetric within
+        ``SYMMETRY_TOL``, PSD drift clamped) in one stacked pass
+        (``_psd_stack``); deduplicated under Frobenius distance
+        ``DEDUP_TOL`` (first one kept).
     label : str
         Free-form identifier carried through the algebra.
 
@@ -69,7 +70,7 @@ class CovarianceSet:
     __slots__ = ("matrices", "eigenvalues", "label", "_roots")
 
     def __init__(self, extremes, label: str = ""):
-        stack, eigenvalues, _ = _psd_stack(extremes)
+        stack, eigenvalues = _psd_stack(extremes)
         flat = stack.reshape(len(stack), -1)
         rows = max(1, 2**20 // flat.size)  # at most 2**20 differences in a block of rows
         dropped = set()
@@ -216,7 +217,7 @@ def covset_contains(sigma: CovarianceSet, b, seed: int = 0) -> bool:
 
     Returns the exact-path verdict.
     """
-    entries = b.entries if isinstance(b, PsdOperator) else _psd_stack([b])[0][0]
+    entries = _psd_stack([b])[0][0]
     if len(entries) != sigma.dim:
         raise ValueError(
             f"dimension mismatch in covset_contains: {len(entries)} != {sigma.dim}"

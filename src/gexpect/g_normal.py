@@ -20,7 +20,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .operator_core import as_coords, psd_sqrt
+from .operator_core import _psd_power, _psd_stack, as_coords
 
 __all__ = [
     "GNormal",
@@ -213,7 +213,7 @@ def sample_gaussian(q, n: int, seed: int) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"need at least one draw, got n={n}")
-    root = psd_sqrt(q).entries
+    root = _psd_power(_psd_stack([q])[0], 0.5)[0]
     rng = np.random.default_rng(seed)
     z = rng.standard_normal((n, root.shape[0]))
     return z @ np.ascontiguousarray(root.T)

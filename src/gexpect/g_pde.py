@@ -191,7 +191,8 @@ class GridSolution:
         multilinearly at E(t_k) ``point`` (ValueError off the grid), bitwise as
         scipy's RegularGridInterpolator, which weights a corner left to right
         in 2-d and by the product of its weights otherwise."""
-        k = int(round(t / self.dt))
+        steps = t / self.dt
+        k = int(round(steps)) if math.isfinite(steps) else -1  # inf and nan: off the range
         if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > self.dt / 2 + 1e-12:
             raise ValueError(f"time {t} outside the solved range")
         u, x, corners = self.time_slice(k), self.flow(k) * as_coords(point), []

@@ -2,10 +2,11 @@
 
 The ambient separable Hilbert space is truncated to R^N with the standard
 basis, so operators are plain dense symmetric matrices and vectors are 1-d
-arrays.  Everything here is immutable after construction.  Symmetric and PSD
-validation and square roots each have one batched private routine, which
-the operator classes and ``covariance_set`` share; hull membership and the
-PDE stencils share the private nonnegative least squares ``nnls``.
+arrays; there are no operator classes.  Symmetric and PSD validation and
+square roots each have one batched private routine: ``covariance_set``
+reaches them for every set, and the few other modules that take a matrix
+call them where it enters.  Hull membership and the PDE stencils share the
+private nonnegative least squares ``nnls``.
 """
 
 from __future__ import annotations
@@ -19,18 +20,16 @@ import numpy as np
 __all__ = [
     "SYMMETRY_TOL",
     "PSD_EIGEN_TOL",
-    "SymOperator",
-    "PsdOperator",
     "as_matrix",
     "as_coords",
     "schatten_norm",
-    "psd_sqrt",
 ]
 
 # Asymmetry accepted at construction; storage is exactly symmetric afterwards.
 SYMMETRY_TOL = 1e-12
-# Eigenvalues in [-PSD_EIGEN_TOL, 0) are treated as floating-point drift and
-# clamped to zero; anything below is rejected.
+# Eigenvalues in [-PSD_EIGEN_TOL * max(1, r), 0), r the matrix's spectral
+# radius, are treated as floating-point drift and clamped to zero; anything
+# below is rejected.
 PSD_EIGEN_TOL = 1e-10
 _EPS = float(np.finfo(float).eps)
 
@@ -73,14 +72,14 @@ def _symmetric(stack: np.ndarray) -> np.ndarray:
     return exact
 
 
-def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray]:
     """Validate k >= 1 matrices of one dimension as PSD operators in one pass.
 
     ``mats`` is a (k, N, N) array, taken as it is (converted to float only if
     it is not), or an iterable of square matrix-likes, which goes through one
     ``np.asarray``.  Returns a new exactly symmetric (k, N, N) stack with drift
-    clamped, the ascending eigenvalues of each stored matrix as a (k, N)
-    array, and each matrix's smallest eigenvalue before clamping.
+    clamped and the ascending eigenvalues of each stored matrix as a (k, N)
+    array.
     """
     if not isinstance(mats, np.ndarray):
         mats = [_square(m) for m in mats]
@@ -93,18 +92,19 @@ def _psd_stack(mats) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         raise ValueError(f"expected a square matrix, got shape {stack.shape[1:]}")
     stack = _symmetric(stack)
     eigenvalues = np.linalg.eigvalsh(stack)
-    floor = eigenvalues[:, 0].copy()
+    floor = eigenvalues[:, 0]
     if floor.min() < 0.0:
-        bad = np.flatnonzero(floor < -PSD_EIGEN_TOL)
+        bound = PSD_EIGEN_TOL * np.maximum(1.0, np.abs(eigenvalues).max(axis=1))
+        bad = np.flatnonzero(floor < -bound)
         if bad.size:
             raise ValueError(
-                f"operator is not PSD: smallest eigenvalue {floor[bad[0]]:.3e} "
-                f"below -{PSD_EIGEN_TOL:g}"
+                f"operator is not PSD: smallest eigenvalue {floor[bad[0]]:.3e} below "
+                f"-{bound[bad[0]]:.3g} (PSD_EIGEN_TOL x max(1, spectral radius))"
             )
         drift = np.flatnonzero(floor < 0.0)
         stack[drift] = _psd_power(stack[drift], 1.0)
         eigenvalues[drift] = np.linalg.eigvalsh(stack[drift])
-    return stack, eigenvalues, floor
+    return stack, eigenvalues
 
 
 def _psd_power(stack: np.ndarray, power: float) -> np.ndarray:
@@ -120,75 +120,8 @@ def _psd_power(stack: np.ndarray, power: float) -> np.ndarray:
     return _mirror((vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2))
 
 
-class SymOperator:
-    """Real symmetric N x N matrix.
-
-    The constructor accepts anything matrix-like whose asymmetry stays below
-    ``SYMMETRY_TOL`` and stores the upper triangle mirrored, so
-    ``entries == entries.T`` holds exactly afterwards.
-    """
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        exact = _symmetric(_square(entries)[None])[0]
-        exact.flags.writeable = False
-        object.__setattr__(self, "entries", exact)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("SymOperator is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    @classmethod
-    def identity(cls, n: int) -> "SymOperator":
-        return cls(np.eye(n))
-
-    @classmethod
-    def diagonal(cls, values) -> "SymOperator":
-        return cls(np.diag(np.asarray(values, dtype=float)))
-
-    def is_diagonal(self, tol: float = 1e-14) -> bool:
-        off = self.entries - np.diag(np.diag(self.entries))
-        return float(np.max(np.abs(off))) <= tol
-
-    def __repr__(self) -> str:
-        return f"SymOperator(dim={self.dim})"
-
-
-class PsdOperator:
-    """Symmetric positive-semidefinite operator.
-
-    Validation finds the smallest eigenvalue: values in
-    ``[-PSD_EIGEN_TOL, 0)`` are clamped to zero (the matrix is recomposed),
-    anything smaller raises.  ``eigen_floor`` records the pre-clamp minimum.
-    """
-
-    __slots__ = ("entries", "eigen_floor")
-
-    def __init__(self, base):
-        stack, _, floor = _psd_stack([base])
-        stack.flags.writeable = False
-        object.__setattr__(self, "entries", stack[0])
-        object.__setattr__(self, "eigen_floor", float(floor[0]))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PsdOperator is immutable")
-
-    @property
-    def dim(self) -> int:
-        return self.entries.shape[0]
-
-    def __repr__(self) -> str:
-        return f"PsdOperator(dim={self.dim}, eigen_floor={self.eigen_floor:.3e})"
-
-
 def as_matrix(a) -> np.ndarray:
-    """Coerce SymOperator / PsdOperator / array-like to a float ndarray."""
-    if isinstance(a, (SymOperator, PsdOperator)):
-        return a.entries
+    """Coerce an array-like to a float ndarray."""
     return np.asarray(a, dtype=float)
 
 
@@ -205,8 +138,7 @@ def schatten_norm(a, p: float) -> float:
     """
     if p != math.inf and p < 1.0:
         raise ValueError(f"schatten_norm requires p >= 1, got {p}")
-    op = a if isinstance(a, (SymOperator, PsdOperator)) else SymOperator(a)
-    w = np.abs(np.linalg.eigvalsh(op.entries))
+    w = np.abs(np.linalg.eigvalsh(_symmetric(_square(a)[None])[0]))
     if p == math.inf:
         return float(w.max())
     if p == 1.0:
@@ -214,15 +146,6 @@ def schatten_norm(a, p: float) -> float:
     if p == 2.0:
         return float(np.sqrt(np.sum(w * w)))
     return float(np.sum(w**p) ** (1.0 / p))
-
-
-def psd_sqrt(q) -> SymOperator:
-    """Symmetric square root S of a PSD operator, S @ S == q.
-
-    Input that is not a ``PsdOperator`` is validated (and clamped) like one.
-    """
-    stack = q.entries[None] if isinstance(q, PsdOperator) else _psd_stack([q])[0]
-    return SymOperator(_psd_power(stack, 0.5)[0])
 
 
 def _dot(u, v) -> float:

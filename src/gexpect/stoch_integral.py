@@ -18,7 +18,7 @@ import numpy as np
 from .covariance_set import CovarianceSet
 from .control_sim import FOLD_ELEMENTS, PathBundle, _policy_sup, _replay
 from .g_normal import MC_Z
-from .operator_core import SymOperator, as_matrix
+from .operator_core import _square, _symmetric, as_matrix
 
 __all__ = [
     "BDG_CONSTANTS",
@@ -336,12 +336,12 @@ def _generator_diag(a_gen, dim: int) -> np.ndarray:
     """Spectrum of a diagonal nonpositive generator; None is the zero generator."""
     if a_gen is None:
         return np.zeros(dim)
-    op = SymOperator(a_gen)
-    if op.dim != dim:
-        raise ValueError(f"generator dim {op.dim} != problem dim {dim}")
-    if not op.is_diagonal(1e-12):
+    gen = _symmetric(_square(a_gen)[None])[0]
+    if len(gen) != dim:
+        raise ValueError(f"generator dim {len(gen)} != problem dim {dim}")
+    diag = np.diag(gen)
+    if np.abs(gen - np.diag(diag)).max() > 1e-12:
         raise ValueError("generator must be diagonal in the truncation basis")
-    diag = np.diag(op.entries)
     if np.any(diag > 1e-12):
         raise ValueError("generator spectrum must be nonpositive")
     # entries within the tolerance above 0 are 0: no flow away from the origin

@@ -20,6 +20,13 @@ def random_psd(rng, n, scale=1.0):
     return raw @ raw.T / n
 
 
+def near_psd(rng, n):
+    """Correlated PSD matrix whose smallest eigenvalue is -5e-11, inside the clamp."""
+    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    q = (basis * np.r_[-5e-11, np.arange(1.0, n)]) @ basis.T
+    return (q + q.T) / 2.0
+
+
 @pytest.fixture
 def band_1d():
     """1-d set with volatility band [0.25, 1]."""

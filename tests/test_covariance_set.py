@@ -3,25 +3,24 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from gexpect import (
     CovarianceSet,
-    PsdOperator,
-    SymOperator,
     covset_conjugate,
     covset_contains,
     covset_scale,
     covset_sum,
     g_eval,
     l2sigma_norm,
-    psd_sqrt,
 )
 from gexpect import covariance_set
-from gexpect.g_normal import GNormal, moment_bounds_check, moment_upper
-from gexpect.operator_core import PSD_EIGEN_TOL
+from gexpect.g_normal import GNormal, moment_bounds_check, moment_upper, sample_gaussian
+from gexpect.operator_core import PSD_EIGEN_TOL, _psd_power, _psd_stack
 
-from conftest import random_psd, random_sym
+from conftest import near_psd, random_psd, random_sym
 
 
 class TestConstruction:
@@ -102,15 +101,8 @@ class TestConstruction:
         assert cs.dim == 2
 
 
-def near_psd(rng, n):
-    """Correlated PSD matrix whose smallest eigenvalue is -5e-11, inside the clamp."""
-    basis, _ = np.linalg.qr(rng.standard_normal((n, n)))
-    q = (basis * np.r_[-5e-11, np.arange(1.0, n)]) @ basis.T
-    return (q + q.T) / 2.0
-
-
 class TestOneArraySet:
-    """The set's arrays equal what the per-extreme operators compute, bit for bit."""
+    """The set's arrays equal what validating each extreme alone computes, bit for bit."""
 
     def battery(self):
         rng = np.random.default_rng(31)
@@ -120,7 +112,7 @@ class TestOneArraySet:
             yield [a, a + 1e-14 * np.eye(n), b, near_psd(rng, n), c]
 
     def test_battery_covers_a_clamped_extreme(self):
-        floors = [PsdOperator(q).eigen_floor for mats in self.battery() for q in mats]
+        floors = [np.linalg.eigvalsh(q)[0] for mats in self.battery() for q in mats]
         assert any(-PSD_EIGEN_TOL <= f < 0.0 for f in floors)
 
     def test_arrays_equal_per_extreme_operators(self):
@@ -129,11 +121,11 @@ class TestOneArraySet:
             kept = [mats[0]] + mats[2:]
             assert len(cs) == len(kept)
             for i, q in enumerate(kept):
-                op = PsdOperator(q)
-                assert np.array_equal(cs.matrices[i], op.entries)
+                single = _psd_stack([q])[0]
+                assert np.array_equal(cs.matrices[i], single[0])
                 # eigenvalues of the stored (clamped) extreme
-                assert np.array_equal(cs.eigenvalues[i], np.linalg.eigvalsh(op.entries))
-                assert np.array_equal(cs.roots[i], psd_sqrt(q).entries)
+                assert np.array_equal(cs.eigenvalues[i], np.linalg.eigvalsh(single[0]))
+                assert np.array_equal(cs.roots[i], _psd_power(single, 0.5)[0])
 
     def test_arrays_are_read_only(self, correlated_2d):
         for arr in (correlated_2d.matrices, correlated_2d.eigenvalues):
@@ -212,6 +204,34 @@ class TestRoots:
         with pytest.raises(ValueError):
             roots[0, 0, 0] = 1.0
 
+    def test_diagonal(self):
+        root = CovarianceSet([np.diag([4.0, 9.0])]).roots[0]
+        assert np.allclose(root, np.diag([2.0, 3.0]))
+
+    def test_zero(self):
+        assert np.array_equal(CovarianceSet([np.zeros((3, 3))]).roots[0], np.zeros((3, 3)))
+
+    def test_square_recovers_input(self):
+        # eigen-decomposition oracle: S @ S == input to 1e-9
+        q = np.array([[2.0, 1.0], [1.0, 2.0]])
+        root = CovarianceSet([q]).roots[0]
+        assert np.linalg.norm(root @ root - q) < 1e-9
+
+    def test_rejects_indefinite(self):
+        with pytest.raises(ValueError, match="not PSD"):
+            sample_gaussian(np.diag([1.0, -0.5]), 4, seed=0)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(1, 5))
+    def test_idempotence_on_psd_squares(self, seed, n):
+        rng = np.random.default_rng(seed)
+        raw = rng.standard_normal((n, n))
+        root = CovarianceSet([raw @ raw.T / n]).roots[0]
+        again = CovarianceSet([root @ root]).roots[0]
+        want = np.sort(np.abs(np.linalg.eigvalsh(root)))
+        got = np.sort(np.linalg.eigvalsh(again))
+        assert np.allclose(got, want, atol=1e-8)
+
 
 class TestKeptSpectralSums:
     """A set that has answered moment queries answers the next ones bitwise
@@ -237,19 +257,19 @@ class TestGEval:
         # singleton sup is half the plain trace product
         q = np.diag([2.0, 3.0])
         cs = CovarianceSet([q])
-        a = SymOperator([[1.0, 0.2], [0.2, 0.5]])
-        assert g_eval(cs, a) == pytest.approx(0.5 * np.trace(a.entries @ q))
+        a = np.array([[1.0, 0.2], [0.2, 0.5]])
+        assert g_eval(cs, a) == pytest.approx(0.5 * np.trace(a @ q))
 
     def test_enumerated_maximum(self, spread_2d):
         # enumerate both traces: max(2, 4) / 2 = 2
-        assert g_eval(spread_2d, SymOperator.identity(2)) == pytest.approx(2.0)
+        assert g_eval(spread_2d, np.eye(2)) == pytest.approx(2.0)
 
     def test_zero_argument(self, spread_2d):
-        assert g_eval(spread_2d, SymOperator(np.zeros((2, 2)))) == 0.0
+        assert g_eval(spread_2d, np.zeros((2, 2))) == 0.0
 
     def test_dim_mismatch(self, spread_2d):
         with pytest.raises(ValueError):
-            g_eval(spread_2d, SymOperator.identity(3))
+            g_eval(spread_2d, np.eye(3))
 
     @pytest.mark.parametrize("a", [np.zeros((2, 3)), np.ones(2), np.eye(2)[None]])
     def test_rejects_an_argument_that_is_not_n_by_n(self, spread_2d, a):
@@ -300,8 +320,7 @@ class TestL2SigmaNorm:
         rng = np.random.default_rng(8)
         phi = rng.standard_normal((3, 2))
         by_sqrt = max(
-            float(np.linalg.norm(phi @ psd_sqrt(q).entries))
-            for q in correlated_2d.matrices
+            float(np.linalg.norm(phi @ root)) for root in correlated_2d.roots
         )
         assert l2sigma_norm(phi, correlated_2d) == pytest.approx(by_sqrt, abs=1e-10)
 
@@ -411,7 +430,7 @@ class TestMembership:
 
     def test_midpoint_belongs(self, spread_2d):
         mid = 0.5 * (spread_2d.matrices[0] + spread_2d.matrices[1])
-        assert covset_contains(spread_2d, PsdOperator(mid)) is True
+        assert covset_contains(spread_2d, mid) is True
 
     def test_scaled_point_outside(self):
         # support function along the identity: Tr(2I)/2 = 2 > 1 = G(I)

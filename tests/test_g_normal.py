@@ -21,7 +21,7 @@ from gexpect.g_normal import (
     static_upper_report,
 )
 
-from conftest import mc_se, random_psd
+from conftest import mc_se, near_psd, random_psd
 
 
 class TestMomentRecursion:
@@ -278,6 +278,18 @@ class TestSampling:
         a = sample_gaussian(np.eye(1), 4000, seed=s1).ravel()
         b = sample_gaussian(np.eye(1), 4000, seed=s2).ravel()
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.05
+
+    def test_draws_through_the_set_root(self):
+        # bit for bit Z @ root^T with the covariance set's root, a clamped
+        # near-PSD q included
+        rng = np.random.default_rng(43)
+        for n in (1, 2, 3, 5, 8):
+            for q in (random_psd(rng, n), near_psd(rng, n)):
+                root_t = np.ascontiguousarray(CovarianceSet([q]).roots[0].T)
+                for count, seed in ((1, 0), (257, 11)):
+                    want = np.random.default_rng(seed).standard_normal((count, n)) @ root_t
+                    assert sample_gaussian(q, count, seed).tobytes() == want.tobytes()
+        assert np.linalg.eigvalsh(q)[0] < 0.0  # the last q is clamped, not rejected
 
 
 class TestStaticEvaluator:

@@ -920,7 +920,7 @@ class TestCheckpoints:
         prob = band_problem(f_square, T=0.3, a_gen=np.array([[-0.5]]))
         sol = solve_gpde(prob, MeshSpec(nodes=41))
         x, dt = np.array([0.7]), sol.dt
-        for t in (-dt, prob.T + dt):
+        for t in (-dt, prob.T + dt, math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match=f"time {re.escape(str(t))} outside"):
                 sol.value_at(t, x)
         assert sol.value_at(0.0, x) != sol.value_at(dt, x)

@@ -6,47 +6,61 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
-from gexpect import operator_core
-from gexpect.operator_core import (
-    PsdOperator,
-    SymOperator,
-    psd_sqrt,
-    schatten_norm,
-)
+from gexpect import CovarianceSet, operator_core
+from gexpect.g_pde import PdeProblem
+from gexpect.operator_core import schatten_norm
 
 from conftest import random_sym
 
+ENTRY_POINTS = ["CovarianceSet", "schatten_norm", "a_gen"]
+
+
+def validate(entry, m):
+    """Send one matrix-like through a public entry point that validates it."""
+    if entry == "CovarianceSet":
+        return CovarianceSet([m])
+    if entry == "schatten_norm":
+        return schatten_norm(m, 2)
+    n = len(m)
+    return PdeProblem(n, CovarianceSet([np.eye(n)]), lambda p: p[..., 0], 1.0,
+                      ((-1.0, 1.0),) * n, a_gen=m)
+
 
 class TestSymOperator:
+    """A symmetric operator is a plain array, validated where it enters."""
+
     def test_storage_is_exactly_symmetric(self):
-        m = np.array([[1.0, 2.0 + 5e-13], [2.0, 3.0]])
-        op = SymOperator(m)
-        assert np.array_equal(op.entries, op.entries.T)
+        m = np.array([[3.0, 1.0 + 5e-13], [1.0, 2.0]])
+        for stored in (CovarianceSet([m]).matrices[0], operator_core._psd_stack([m])[0][0]):
+            assert np.array_equal(stored, stored.T)
+            assert stored[1, 0] == m[0, 1]
 
-    def test_rejects_asymmetric(self):
-        with pytest.raises(ValueError):
-            SymOperator([[0.0, 1.0], [0.0, 0.0]])
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejects_asymmetric(self, entry):
+        with pytest.raises(ValueError, match="not symmetric"):
+            validate(entry, [[0.0, 1.0], [0.0, 0.0]])
 
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            SymOperator(np.zeros((2, 3)))
+    @pytest.mark.parametrize("entry", ENTRY_POINTS)
+    def test_rejects_nonsquare(self, entry):
+        with pytest.raises(ValueError, match="square"):
+            validate(entry, np.zeros((2, 3)))
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
     def test_rejects_nonfinite_entries(self, bad):
-        with pytest.raises(ValueError, match="finite"):
-            SymOperator([[1.0, bad], [bad, 1.0]])
-        with pytest.raises(ValueError, match="finite"):
-            PsdOperator([[bad]])
+        for entry in ENTRY_POINTS:
+            with pytest.raises(ValueError, match="finite"):
+                validate(entry, [[1.0, bad], [bad, 1.0]])
+            with pytest.raises(ValueError, match="finite"):
+                validate(entry, [[bad]])
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_nonfinite_anywhere_is_named_before_asymmetry(self, bad):
         # one-sided and diagonal entries too; no RuntimeWarning on the way
         for entries in ([[bad, 0.0], [0.0, 1.0]], [[1.0, bad], [0.0, 1.0]],
                         [[1.0, 0.0], [bad, 1.0]], [[1.0, 5.0], [bad, 1.0]]):
-            with pytest.raises(ValueError, match="finite"):
-                SymOperator(entries)
-            with pytest.raises(ValueError, match="finite"):
-                PsdOperator(entries)
+            for entry in ENTRY_POINTS:
+                with pytest.raises(ValueError, match="finite"):
+                    validate(entry, entries)
 
     def test_asymmetry_names_the_first_bad_matrix(self):
         stack = [np.eye(2), [[1.0, 0.0], [3e-12, 1.0]], [[1.0, 0.5], [0.25, 1.0]]]
@@ -54,13 +68,6 @@ class TestSymOperator:
             operator_core._psd_stack(stack)
         with pytest.raises(ValueError, match=r"max asymmetry 2\.500e-01"):
             operator_core._psd_stack(stack[::2])
-
-    def test_immutable(self):
-        op = SymOperator.identity(2)
-        with pytest.raises(AttributeError):
-            op.entries = np.zeros((2, 2))
-        with pytest.raises(ValueError):
-            op.entries[0, 0] = 5.0
 
 
 class TestSymmetricMirror:
@@ -79,12 +86,11 @@ class TestSymmetricMirror:
         assert not np.signbit(got[1]).any()
 
 
-class TestPsdOperator:
+class TestPsdValidation:
     def test_clamps_tiny_negative_eigenvalue(self):
-        m = np.diag([1.0, -1e-11])
-        op = PsdOperator(m)
-        assert op.eigen_floor == pytest.approx(-1e-11)
-        assert np.linalg.eigvalsh(op.entries)[0] >= 0.0
+        cs = CovarianceSet([np.diag([1.0, -1e-11])])
+        assert cs.eigenvalues[0, 0] >= 0.0
+        assert np.linalg.eigvalsh(cs.matrices[0])[0] >= 0.0
 
     def test_exact_rank_one_of_large_norm_is_accepted(self):
         # the clamp recomposes v v^T with a rounding asymmetry near
@@ -93,42 +99,54 @@ class TestPsdOperator:
         for _ in range(200):
             v = 100.0 * rng.standard_normal((3, 1))
             q = v @ v.T
-            op = PsdOperator(q)
-            assert np.array_equal(op.entries, op.entries.T)
-            assert np.linalg.norm(op.entries - q) <= 1e-14 * np.linalg.norm(q)
-            root = psd_sqrt(q).entries
+            cs = CovarianceSet([q])
+            assert np.array_equal(cs.matrices[0], cs.matrices[0].T)
+            assert np.linalg.norm(cs.matrices[0] - q) <= 1e-14 * np.linalg.norm(q)
+            root = cs.roots[0]
             assert np.linalg.norm(root @ root - q) <= 1e-12 * np.linalg.norm(q)
 
-    def test_rejects_genuinely_indefinite(self):
-        with pytest.raises(ValueError):
-            PsdOperator(np.diag([1.0, -1e-6]))
+    @pytest.mark.parametrize("scale", [1000.0, 3162.0])
+    def test_drift_bound_grows_with_the_spectral_radius(self, scale):
+        # exact rank-one matrices with |v|^2 ~ 3e6 and 3e7: the smallest
+        # eigenvalue of many rounds below -1e-10, within the scaled bound
+        v = scale * np.random.default_rng(3).standard_normal((200, 3, 1))
+        for q in v @ v.swapaxes(1, 2):
+            stored = CovarianceSet([q]).matrices[0]
+            assert np.linalg.norm(stored - q) <= 1e-14 * np.linalg.norm(q)
+
+    @pytest.mark.parametrize("diag, bound", [([1.0, -1e-6], r"1e-10"),
+                                             ([1e6, -1e-3], r"0\.0001")],
+                             ids=["norm-1", "norm-1e6"])
+    def test_rejects_genuinely_indefinite(self, diag, bound):
+        with pytest.raises(ValueError, match=f"not PSD: .* below -{bound} "):
+            CovarianceSet([np.diag(diag)])
 
 
 class TestSchattenNorm:
     def test_identity_trace_norm(self):
         # trace of the 2x2 identity
-        assert schatten_norm(SymOperator.identity(2), 1) == pytest.approx(2.0)
+        assert schatten_norm(np.eye(2), 1) == pytest.approx(2.0)
 
     def test_spectral_radius(self):
         # largest absolute eigenvalue of diag(3, -4)
-        assert schatten_norm(SymOperator.diagonal([3.0, -4.0]), math.inf) == pytest.approx(4.0)
+        assert schatten_norm(np.diag([3.0, -4.0]), math.inf) == pytest.approx(4.0)
 
     def test_frobenius_against_eigen_sum_oracle(self):
         # oracle: explicit eigen-sum sqrt(3^2 + 4^2) = 5
-        a = SymOperator.diagonal([3.0, 4.0])
-        oracle = float(np.sqrt(np.sum(np.linalg.eigvalsh(a.entries) ** 2)))
+        a = np.diag([3.0, 4.0])
+        oracle = float(np.sqrt(np.sum(np.linalg.eigvalsh(a) ** 2)))
         assert oracle == pytest.approx(5.0)
         assert schatten_norm(a, 2) == pytest.approx(5.0, abs=1e-12)
 
     def test_rejects_p_below_one(self):
         with pytest.raises(ValueError):
-            schatten_norm(SymOperator.identity(2), 0.5)
+            schatten_norm(np.eye(2), 0.5)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 5))
     def test_monotone_in_p(self, seed, n):
         rng = np.random.default_rng(seed)
-        a = SymOperator(random_sym(rng, n))
+        a = random_sym(rng, n)
         n1 = schatten_norm(a, 1)
         n2 = schatten_norm(a, 2)
         ninf = schatten_norm(a, math.inf)
@@ -138,43 +156,11 @@ class TestSchattenNorm:
     @given(st.integers(0, 10**6), st.integers(1, 5))
     def test_trace_hoelder(self, seed, n):
         rng = np.random.default_rng(seed)
-        a = SymOperator(random_sym(rng, n))
-        b = SymOperator(random_sym(rng, n))
-        lhs = abs(np.trace(a.entries @ b.entries))
+        a = random_sym(rng, n)
+        b = random_sym(rng, n)
+        lhs = abs(np.trace(a @ b))
         rhs = schatten_norm(a, math.inf) * schatten_norm(b, 1)
         assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
-
-
-class TestPsdSqrt:
-    def test_diagonal(self):
-        # diagonal square roots
-        s = psd_sqrt(PsdOperator(np.diag([4.0, 9.0])))
-        assert np.allclose(s.entries, np.diag([2.0, 3.0]))
-
-    def test_zero(self):
-        s = psd_sqrt(PsdOperator(np.zeros((3, 3))))
-        assert np.array_equal(s.entries, np.zeros((3, 3)))
-
-    def test_square_recovers_input(self):
-        # eigen-decomposition oracle: S @ S == input to 1e-9
-        q = np.array([[2.0, 1.0], [1.0, 2.0]])
-        s = psd_sqrt(PsdOperator(q))
-        assert np.linalg.norm(s.entries @ s.entries - q) < 1e-9
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(ValueError):
-            psd_sqrt(np.diag([1.0, -0.5]))
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 5))
-    def test_idempotence_on_psd_squares(self, seed, n):
-        rng = np.random.default_rng(seed)
-        raw = rng.standard_normal((n, n))
-        s_psd = PsdOperator(raw @ raw.T / n)
-        again = psd_sqrt(PsdOperator(s_psd.entries @ s_psd.entries))
-        want = np.sort(np.abs(np.linalg.eigvalsh(s_psd.entries)))
-        got = np.sort(np.linalg.eigvalsh(again.entries))
-        assert np.allclose(got, want, atol=1e-8)
 
 
 class TestNnls:
