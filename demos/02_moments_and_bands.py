@@ -28,7 +28,7 @@ print("Certified sandwich constants K_m, m = 1..5:",
 sigma = CovarianceSet(
     [np.array([[1.0, 0.5], [0.5, 1.0]]), np.diag([2.0, 0.25])], label="demo-2d"
 )
-gn = GNormal(sigma, scale=1.0)
+gn = GNormal(sigma)
 
 print("Moment sandwich lower <= value <= K_m * upper per order:")
 for m in (1, 2, 3):

@@ -7,9 +7,11 @@ common random numbers; the one-dimensional trinomial lattice supplies the
 exact dynamic-programming benchmark.
 """
 
+import math
+
 import numpy as np
 
-from gexpect import CovarianceSet
+from gexpect import CovarianceSet, covset_scale
 from gexpect.control_sim import (
     ControlPolicy,
     PolicyFamily,
@@ -51,8 +53,9 @@ for name, f_line in (("x^2", lambda x: x**2), ("-x^2", lambda x: -(x**2)),
     print(f"payoff {name:>5}: sup-MC {est.value:+.4f} +- {est.stderr:.4f}"
           f"  lattice {lat:+.4f}  achieved by {est.policy.describe()}")
 
-# The static (constant-control) value never exceeds the dynamic one.
-static = static_upper_report(GNormal(sigma, scale=T),
+# The static (constant-control) value never exceeds the dynamic one.  The
+# law of B_T has the covariance set T * sigma.
+static = static_upper_report(GNormal(covset_scale(sigma, math.sqrt(T))),
                              lambda x: np.cos(x0 + x[:, 0]), 50_000, seed=5)
 dynamic = estimate_upper_expectation(
     sigma, lambda x: np.cos(x[:, 0]), x0, T, 16, 50_000, family, seed=5

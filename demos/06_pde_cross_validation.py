@@ -12,8 +12,8 @@ import math
 import numpy as np
 
 from gexpect import CovarianceSet
+from gexpect.control_sim import McControlSpec
 from gexpect.g_pde import (
-    McControlSpec,
     MeshSpec,
     PdeProblem,
     mc_values,

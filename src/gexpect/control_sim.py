@@ -43,7 +43,7 @@ __all__ = [
     "simulate_gbm",
     "estimate_upper_expectation",
     "lattice_1d",
-    "NestedSpec",
+    "McControlSpec",
     "nested_expectation",
     "build_policies",
 ]
@@ -415,12 +415,13 @@ def lattice_1d(band: VolatilityBand, f: Callable, x0: float, T: float, steps: in
 
 
 @dataclass(frozen=True)
-class NestedSpec:
-    """Horizon, discretization and policy family for one nesting level."""
+class McControlSpec:
+    """Discretization, sample size, policy family and seed of one Monte Carlo
+    supremum: the spec of ``g_pde.mc_values`` and of each level of
+    ``nested_expectation``."""
 
-    T: float = 1.0
-    steps: int = 8
-    n_paths: int = 2000
+    steps: int = 64
+    n_paths: int = 20_000
     family: PolicyFamily = field(default_factory=PolicyFamily)
     seed: int = 0
 
@@ -428,10 +429,12 @@ class NestedSpec:
 def nested_expectation(
     sigma: CovarianceSet,
     f2: Callable,
-    inner_spec: NestedSpec,
-    outer_spec: NestedSpec,
+    T: float,
+    inner_spec: McControlSpec,
+    outer_spec: McControlSpec,
 ) -> float:
-    """Nested evaluation of E[f2(X, Y)] with Y independent from X.
+    """Nested evaluation of E[f2(X, Y)] with Y independent from X, both
+    driven over the horizon T.
 
     The inner supremum is taken pointwise in the outer sample (Y independent
     from X; the reverse order would be a different quantity).  ``f2`` must
@@ -439,7 +442,7 @@ def nested_expectation(
     (1, n_inner, N) and must return an (n_outer, n_inner) array.
     """
     inner_samples = [
-        _terminal(_walk(sigma, pol, inner_spec.n_paths, inner_spec.steps, inner_spec.T,
+        _terminal(_walk(sigma, pol, inner_spec.n_paths, inner_spec.steps, T,
                         split_seed(inner_spec.seed, 1)))
         for pol in build_policies(inner_spec.family, len(sigma))
     ]
@@ -464,4 +467,4 @@ def nested_expectation(
         return [g_vals]
 
     return _policy_sup(sigma, outer_spec.family, outer_spec.n_paths, outer_spec.steps,
-                       outer_spec.T, split_seed(outer_spec.seed, 0), outer_payoff)[0].value
+                       T, split_seed(outer_spec.seed, 0), outer_payoff)[0].value

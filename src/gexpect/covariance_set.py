@@ -15,7 +15,7 @@ import json
 
 import numpy as np
 
-from .operator_core import _mirror, _psd_power, _psd_stack, as_matrix, nnls
+from .operator_core import _mirror, _psd_power, _psd_stack, nnls
 
 __all__ = [
     "DEDUP_TOL",
@@ -150,7 +150,7 @@ def g_eval(sigma: CovarianceSet, a) -> float:
     G is fully determined by the covariance set; it is monotone, subadditive
     and positively homogeneous by construction (tested, not enforced).
     """
-    m = as_matrix(a)
+    m = np.asarray(a, dtype=float)
     if m.shape != sigma.matrices.shape[1:]:
         raise ValueError(
             f"dimension mismatch in g_eval: {m.shape} != {sigma.matrices.shape[1:]}"
@@ -165,7 +165,7 @@ def l2sigma_norm(phi, sigma: CovarianceSet) -> float:
     ``phi`` may be rectangular (m x N); its column dimension must match the
     set.  Equals the largest Frobenius norm of phi @ sqrt(Q).
     """
-    m = as_matrix(phi)
+    m = np.asarray(phi, dtype=float)
     if m.ndim != 2 or m.shape[1] != sigma.dim:
         raise ValueError(
             f"operator with {m.shape} columns does not act on dim {sigma.dim}"
@@ -195,7 +195,7 @@ def covset_conjugate(sigma: CovarianceSet, s) -> CovarianceSet:
     ``s Q s^T`` rounds asymmetrically by an amount that grows with the
     norm of ``s``, so a map of any norm conjugates without a symmetry error.
     """
-    m = as_matrix(s)
+    m = np.asarray(s, dtype=float)
     if m.ndim != 2 or m.shape[1] != sigma.dim:
         raise ValueError(
             f"operator with {m.shape} columns does not act on dim {sigma.dim}"

@@ -27,10 +27,10 @@ from statistics import NormalDist
 
 import numpy as np
 
-from .covariance_set import CovarianceSet, _count, _reject_constant
+from .covariance_set import CovarianceSet, _count, _reject_constant, covset_scale
 from .control_sim import (
     ControlPolicy,
-    NestedSpec,
+    McControlSpec,
     PolicyFamily,
     _policy_sup,
     _walk,
@@ -53,7 +53,6 @@ from .g_normal import (
     static_upper_report,
 )
 from .g_pde import (
-    McControlSpec,
     MeshSpec,
     PdeProblem,
     StencilError,
@@ -613,10 +612,10 @@ def _run_ou(cfg, rep, *, a_diag: _floats = lambda dim: (-1.0,) * dim,
 
 def _run_nested(cfg, rep, *, form: _one_of("sum", "product", "constant") = "sum",
                 T: _positive = 1.0, steps: _count = 8, n_paths: _samples = 4000):
-    inner = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 1))
-    outer = NestedSpec(T=T, steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 2))
-    gn = GNormal(cfg.sigma, scale=T)
-    band = project_band(gn, [1.0] + [0.0] * (cfg.sigma.dim - 1))
+    inner = McControlSpec(steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 1))
+    outer = McControlSpec(steps=steps, n_paths=n_paths, seed=split_seed(cfg.seed, 2))
+    band = project_band(GNormal(covset_scale(cfg.sigma, math.sqrt(T))),
+                        [1.0] + [0.0] * (cfg.sigma.dim - 1))
     if form == "sum":
         f2 = lambda x, y: x[..., 0] ** 2 + 2.0 * y[..., 0] ** 2
         want = band.sigma_up_sq + 2.0 * band.sigma_up_sq
@@ -629,7 +628,7 @@ def _run_nested(cfg, rep, *, form: _one_of("sum", "product", "constant") = "sum"
     else:
         f2 = lambda x, y: np.ones((x.shape[0], y.shape[1]))
         want, se = 1.0, 0.0
-    v = nested_expectation(cfg.sigma, f2, inner, outer)
+    v = nested_expectation(cfg.sigma, f2, T, inner, outer)
     rep.check(f"nested-{form}", v, want, rep.mc_tol(se), n_paths=n_paths)
 
 
@@ -753,8 +752,8 @@ def main(argv=None) -> int:
         if not report_path.is_file():
             raise UsageError(f"report file not found: {report_path}")
         try:
-            report = json.loads(report_path.read_text())
-        except json.JSONDecodeError as exc:
+            report = json.loads(report_path.read_text(), parse_constant=_reject_constant)
+        except ValueError as exc:
             raise UsageError(f"malformed report JSON: {exc}") from exc
         dest = emit_plotdata(report, args.series, args.out)
         print(f"wrote {dest}")

@@ -66,20 +66,16 @@ def split_seed(seed: int, index: int) -> int:
 
 @dataclass(frozen=True)
 class GNormal:
-    """Law of sqrt(scale) * X for X centered with covariance set ``sigma``.
+    """Centered law with covariance set ``sigma``; the law of B_t is
+    ``GNormal(covset_scale(sigma, sqrt(t)))``.
 
     The static evaluator reuses the law's last draw: see ``_samples``.
     """
 
     sigma: CovarianceSet
-    scale: float = 1.0
     # ((n, seed), samples) of the last draw kept by ``_samples``, swapped
     # whole, so that no key is read with another draw's samples
     _last: tuple | None = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.scale < 0.0:
-            raise ValueError(f"scale must be nonnegative, got {self.scale}")
 
     @property
     def dim(self) -> int:
@@ -161,9 +157,9 @@ def moment_constant(m: int) -> float:
 def moment_upper(gn: GNormal, m: int) -> float:
     """sup over extremes of E_Q ||X||^(2m); exact, no sampling.
 
-    For m = 1 this is exactly scale * sup Tr Q.
+    For m = 1 this is exactly sup Tr Q.
     """
-    return float(gn.scale**m * _moment(_power_sums(gn.sigma.eigenvalues, m), m).max())
+    return float(_moment(_power_sums(gn.sigma.eigenvalues, m), m).max())
 
 
 def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
@@ -182,9 +178,9 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
     sums = _power_sums(gn.sigma.eigenvalues, m)
     # the recursion on each extreme's floats: on a few extremes the array
     # operations cost more than their arithmetic, and the values are the same
-    value = float(gn.scale**m * max(_moment(col, m) for col in sums.T.tolist()))
-    lower = float(gn.scale**m * sums[m - 1].max())
-    upper = float(gn.scale**m * gn.sigma.max_trace() ** m)
+    value = float(max(_moment(col, m) for col in sums.T.tolist()))
+    lower = float(sums[m - 1].max())
+    upper = float(gn.sigma.max_trace() ** m)
     tol = 1.0 + MOMENT_SLACK
     ok = (lower <= value * tol) and (value <= moment_constant(m) * upper * tol)
     return MomentBounds(lower, value, upper, bool(ok))
@@ -193,7 +189,7 @@ def moment_bounds_check(gn: GNormal, m: int) -> MomentBounds:
 def project_band(gn: GNormal, h) -> VolatilityBand:
     """Variance band of the 1-d projection <X, h>.
 
-    Upper edge is scale * max over extremes of <Q h, h>, lower edge the
+    Upper edge is the max over extremes of <Q h, h>, lower edge the
     minimum; the band ordering is guaranteed by construction.
     """
     hc = as_coords(h)
@@ -201,8 +197,8 @@ def project_band(gn: GNormal, h) -> VolatilityBand:
         raise ValueError(f"dimension mismatch in project_band: {hc.size} != {gn.dim}")
     quad = np.einsum("qij,i,j->q", gn.sigma.matrices, hc, hc)
     return VolatilityBand(
-        sigma_up_sq=float(gn.scale * quad.max()),
-        sigma_down_sq=float(gn.scale * max(quad.min(), 0.0)),
+        sigma_up_sq=float(quad.max()),
+        sigma_down_sq=float(max(quad.min(), 0.0)),
     )
 
 
@@ -265,7 +261,7 @@ def static_upper_report(gn: GNormal, f: Callable, n: int, seed: int) -> StaticEs
 
 def _samples(gn: GNormal, n: int, seed) -> list[np.ndarray]:
     """One block of n standard normals from ``seed`` pushed through every
-    extreme's root, scaled: one (n, N) array per extreme.
+    extreme's root: one (n, N) array per extreme.
 
     The law keeps the samples of its last draw when the seed is an integer
     and they hold at most ``FOLD_ELEMENTS`` values (k * n * N), so repeated
@@ -282,9 +278,8 @@ def _samples(gn: GNormal, n: int, seed) -> list[np.ndarray]:
         return last[1]
     object.__setattr__(gn, "_last", None)
     z = np.random.default_rng(seed).standard_normal((n, gn.dim))
-    sqrt_scale = math.sqrt(gn.scale)
     # a C-contiguous root^T keeps the product in BLAS
-    xs = [z @ np.ascontiguousarray((sqrt_scale * root).T) for root in gn.sigma.roots]
+    xs = [z @ np.ascontiguousarray(root.T) for root in gn.sigma.roots]
     if key is not None and len(xs) * z.size <= FOLD_ELEMENTS:
         for x in xs:
             x.flags.writeable = False
@@ -303,7 +298,7 @@ def _static_best(gn: GNormal, f: Callable, n: int, seed: int):
 
 
 def static_upper_expectation(gn: GNormal, f: Callable, n: int, seed: int) -> float:
-    """max over extremes Q of the Monte Carlo average of f under N(0, scale*Q).
+    """max over extremes Q of the Monte Carlo average of f under N(0, Q).
 
     A lower bound for the dynamic (adapted-control) value; coincides with it
     when a constant control attains the supremum.  ``f`` must be vectorized

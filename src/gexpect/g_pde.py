@@ -36,13 +36,13 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .covariance_set import CovarianceSet
-from .control_sim import (FOLD_ELEMENTS, PathBundle, PolicyFamily, UpperEstimate,
+from .control_sim import (FOLD_ELEMENTS, McControlSpec, PathBundle, UpperEstimate,
                           _policy_sup, _stored, _terminal)
 from .g_normal import as_point, evaluate_rows
 from .operator_core import as_coords, nnls
@@ -53,7 +53,6 @@ __all__ = [
     "StencilError",
     "MeshSpec",
     "GridSolution",
-    "McControlSpec",
     "solve_gheat",
     "solve_gpde",
     "residual_check",
@@ -207,16 +206,6 @@ class GridSolution:
             value += (math.prod((u[index],) + weights) if u.ndim == 2
                       else u[index] * math.prod(weights))
         return float(value)
-
-
-@dataclass(frozen=True)
-class McControlSpec:
-    """Discretization and policy family for the Monte Carlo value."""
-
-    steps: int = 64
-    n_paths: int = 20_000
-    family: PolicyFamily = field(default_factory=PolicyFamily)
-    seed: int = 0
 
 
 @functools.lru_cache

@@ -20,7 +20,6 @@ import numpy as np
 __all__ = [
     "SYMMETRY_TOL",
     "PSD_EIGEN_TOL",
-    "as_matrix",
     "as_coords",
     "schatten_norm",
 ]
@@ -35,7 +34,7 @@ _EPS = float(np.finfo(float).eps)
 
 
 def _square(entries) -> np.ndarray:
-    m = as_matrix(entries)
+    m = np.asarray(entries, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
@@ -120,11 +119,6 @@ def _psd_power(stack: np.ndarray, power: float) -> np.ndarray:
     return _mirror((vecs * vals[:, None, :]) @ vecs.swapaxes(1, 2))
 
 
-def as_matrix(a) -> np.ndarray:
-    """Coerce an array-like to a float ndarray."""
-    return np.asarray(a, dtype=float)
-
-
 def as_coords(h) -> np.ndarray:
     """Coerce an array-like to a 1-d float ndarray."""
     return np.asarray(h, dtype=float).reshape(-1)
@@ -134,9 +128,9 @@ def schatten_norm(a, p: float) -> float:
     """Schatten p-norm of a symmetric operator via its eigenvalues.
 
     For finite p returns ``(sum |lambda_i|^p)^(1/p)``; ``p = inf`` returns the
-    spectral radius.  Rejects p < 1 (not a norm there).
+    spectral radius.  Rejects p < 1 (not a norm there) and NaN.
     """
-    if p != math.inf and p < 1.0:
+    if not p >= 1.0:
         raise ValueError(f"schatten_norm requires p >= 1, got {p}")
     w = np.abs(np.linalg.eigvalsh(_symmetric(_square(a)[None])[0]))
     if p == math.inf:

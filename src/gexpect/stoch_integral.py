@@ -18,7 +18,7 @@ import numpy as np
 from .covariance_set import CovarianceSet
 from .control_sim import FOLD_ELEMENTS, PathBundle, _policy_sup, _replay
 from .g_normal import MC_Z
-from .operator_core import _square, _symmetric, as_matrix
+from .operator_core import _square, _symmetric
 
 __all__ = [
     "BDG_CONSTANTS",
@@ -63,7 +63,7 @@ class ElementaryProcess:
         if (blocks is None) == (block_rule is None):
             raise ValueError("provide exactly one of blocks / block_rule")
         if blocks is not None:
-            stack = np.stack([as_matrix(b) for b in blocks])
+            stack = np.stack([np.asarray(b, dtype=float) for b in blocks])
             if stack.ndim != 3 or stack.shape[0] != part.size - 1:
                 raise ValueError(
                     f"need one block per interval: {part.size - 1}, got {stack.shape}"
@@ -281,7 +281,7 @@ def _integrals(phi_fn: Callable, sigma: CovarianceSet, T: float, quad_steps: int
         raise ValueError(f"horizon must be positive, got T={T}")
     dt = T / quad_steps
     mids = (np.arange(quad_steps) + 0.5) * dt
-    phis = np.array([as_matrix(phi_fn(t)) for t in mids])
+    phis = np.array([np.asarray(phi_fn(t), dtype=float) for t in mids])
     rows = max(1, FOLD_ELEMENTS // (phis.shape[1] * max(phis.shape[1:])))
     out = []
     for q in sigma.matrices:

@@ -13,9 +13,10 @@ import time
 import numpy as np
 import pytest
 
-from gexpect import CovarianceSet
+from gexpect import CovarianceSet, covset_scale
 from gexpect.control_sim import (
     ControlPolicy,
+    McControlSpec,
     PolicyFamily,
     estimate_upper_expectation,
     lattice_1d,
@@ -32,7 +33,6 @@ from gexpect.g_normal import (
     static_upper_report,
 )
 from gexpect.g_pde import (
-    McControlSpec,
     MeshSpec,
     PdeProblem,
     flow_property_discrepancy,
@@ -86,7 +86,7 @@ def test_criterion_01_moment_identity():
                            label="random-4d"), 1.0),
         ]
         for i, (sigma, scale) in enumerate(sets):
-            gn = GNormal(sigma, scale=scale)
+            gn = GNormal(covset_scale(sigma, math.sqrt(scale)))
             exact = moment_upper(gn, 1)
             want = scale * sigma.max_trace()
             assert abs(exact - want) <= 1e-12 * max(1.0, want)

@@ -1,7 +1,6 @@
 import csv
 import json
 import math
-from functools import partial
 from types import SimpleNamespace
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from scipy.special import ndtr, ndtri
 
 from gexpect import CovarianceSet, experiment_cli
 from gexpect.experiment_cli import MC_Z, _Report, main, run
-from gexpect.g_normal import GNormal
+from gexpect.g_normal import MomentBounds
 from gexpect.g_pde import MeshSpec, PdeProblem, residual_check, solve_gheat
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -185,6 +184,20 @@ class TestRun:
             params={"form": "product", "n_paths": 3000},
         )
         assert main(["run", str(cfg)]) == 0
+
+    def test_nested_kind_sum_at_half_horizon(self, tmp_path):
+        # B_T has the covariance set T * Sigma: the sum form's rhs is
+        # 3 T max_Q Q_00
+        T = 0.5
+        cfg = write_config(
+            tmp_path, kind="nested",
+            sigma={"dim": 2, "extremes": [[2, 0.3, 0.3, 1], [0.5, 0, 0, 3]], "label": "c"},
+            params={"form": "sum", "T": T, "steps": 4, "n_paths": 2000},
+        )
+        assert main(["run", str(cfg)]) == 0
+        [record] = load_report(tmp_path)["records"]
+        assert record["name"] == "nested-sum"
+        assert record["rhs"] == pytest.approx(3.0 * T * 2.0, rel=1e-12)
 
     def test_band_kind(self, tmp_path):
         cfg = write_config(
@@ -419,8 +432,9 @@ class TestRun:
         assert "Traceback" not in err
 
     def test_nan_check_value_is_null_and_fails(self, tmp_path, monkeypatch):
-        # a NaN scale makes every moment NaN: records and series hold null
-        monkeypatch.setattr(experiment_cli, "GNormal", partial(GNormal, scale=math.nan))
+        # NaN moment bounds: the first record and the series row hold null
+        monkeypatch.setattr(experiment_cli, "moment_bounds_check",
+                            lambda gn, m: MomentBounds(math.nan, math.nan, math.nan, False))
         cfg = write_config(tmp_path, params={"n_samples": 1000})
         assert main(["run", str(cfg)]) == 1
         text = (tmp_path / "out" / "report.json").read_text()
@@ -546,6 +560,21 @@ class TestPlot:
         err = capsys.readouterr().err
         assert err.startswith("error:") and key in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("data, key", [
+        (b"\x80\xff\x00 not text", "utf-8"),
+        (b'{"series": {"s": {"columns": ["a"], "rows": [[NaN]]}}}', "NaN"),
+    ], ids=["not-utf8", "nan-token"])
+    def test_report_that_is_not_strict_json_is_usage_error(self, tmp_path, capsys,
+                                                            data, key):
+        path = tmp_path / "report.json"
+        path.write_bytes(data)
+        out = tmp_path / "plots"
+        assert main(["plot", str(path), "--series", "s", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: malformed report JSON") and key in err
+        assert "Traceback" not in err
+        assert not out.exists()
 
     def test_series_name_that_is_not_one_file_name_is_usage_error(self, tmp_path,
                                                                    capsys):

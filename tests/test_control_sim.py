@@ -6,7 +6,7 @@ import pytest
 from gexpect import CovarianceSet, control_sim
 from gexpect.control_sim import (
     ControlPolicy,
-    NestedSpec,
+    McControlSpec,
     PolicyFamily,
     estimate_upper_expectation,
     lattice_1d,
@@ -457,32 +457,33 @@ class TestNested:
     def test_constant_is_exact(self, band_1d):
         v = nested_expectation(
             band_1d, lambda x, y: np.broadcast_to(4.5, (x.shape[0], y.shape[1])),
-            NestedSpec(n_paths=200, seed=1), NestedSpec(n_paths=200, seed=2),
+            1.0, McControlSpec(steps=8, n_paths=200, seed=1),
+            McControlSpec(steps=8, n_paths=200, seed=2),
         )
         assert v == 4.5
 
     def test_row_blocks_do_not_change_value(self, band_1d, monkeypatch):
-        inner = NestedSpec(n_paths=600, seed=5)
-        outer = NestedSpec(n_paths=700, seed=6)
+        inner = McControlSpec(steps=8, n_paths=600, seed=5)
+        outer = McControlSpec(steps=8, n_paths=700, seed=6)
         f2 = lambda x, y: np.cos(x[..., 0] - y[..., 0])
-        blocked = nested_expectation(band_1d, f2, inner, outer)
+        blocked = nested_expectation(band_1d, f2, 1.0, inner, outer)
         # one outer row per block (700 // 600), then every outer row in one
         # block; either budget walks the 700 outer paths in one path block
         for budget in (700, 10**9):
             monkeypatch.setattr(control_sim, "FOLD_ELEMENTS", budget)
-            assert nested_expectation(band_1d, f2, inner, outer) == blocked
+            assert nested_expectation(band_1d, f2, 1.0, inner, outer) == blocked
 
     def test_sum_of_independent_decomposes(self, band_1d):
         # E[f1(X) + f2(Y)] = E[f1(X)] + E[f2(Y)] for Y independent of X
-        inner = NestedSpec(T=1.0, steps=8, n_paths=4000, seed=101)
-        outer = NestedSpec(T=1.0, steps=8, n_paths=4000, seed=202)
+        inner = McControlSpec(steps=8, n_paths=4000, seed=101)
+        outer = McControlSpec(steps=8, n_paths=4000, seed=202)
         v = nested_expectation(
             band_1d,
             lambda x, y: x[..., 0] ** 2 + 2.0 * y[..., 0] ** 2,
-            inner, outer,
+            1.0, inner, outer,
         )
         # both payoff slices are convex, so each supremum sits at the top
-        # volatility: value = sigma_up^2 * T_outer + 2 * sigma_up^2 * T_inner
+        # volatility: value = sigma_up^2 * T + 2 * sigma_up^2 * T
         want = 1.0 + 2.0
         # MC margin: Var(Z^2) = 2 at unit variance, combined over both levels
         margin = 3.0 * (math.sqrt(2.0 / 4000) + 2.0 * math.sqrt(2.0 / 4000))
@@ -494,8 +495,9 @@ class TestNested:
         v = nested_expectation(
             band_1d,
             lambda x, y: x[..., 0] * y[..., 0],
-            NestedSpec(n_paths=6000, seed=303),
-            NestedSpec(n_paths=6000, seed=404),
+            1.0,
+            McControlSpec(steps=8, n_paths=6000, seed=303),
+            McControlSpec(steps=8, n_paths=6000, seed=404),
         )
         band = project_band(GNormal(band_1d), [1.0])
         mean_up = 0.0  # E<X,h> = E<-X,h> = 0 for the centered law

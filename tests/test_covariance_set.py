@@ -245,9 +245,9 @@ class TestKeptSpectralSums:
     def test_moment_bounds_of_a_warm_set_are_a_fresh_sets(self):
         bits = lambda b: [np.float64(v).tobytes() for v in b[:3]] + [b.ok]
         for mats in self.sets():
-            warm = GNormal(CovarianceSet(mats), scale=1.7)
+            warm = GNormal(covset_scale(CovarianceSet(mats), math.sqrt(1.7)))
             for m in (3, 1, 5, 2, 4):
-                fresh = GNormal(CovarianceSet(mats), scale=1.7)
+                fresh = GNormal(covset_scale(CovarianceSet(mats), math.sqrt(1.7)))
                 assert bits(moment_bounds_check(warm, m)) == bits(moment_bounds_check(fresh, m))
                 assert moment_upper(warm, m) == moment_upper(fresh, m)
 

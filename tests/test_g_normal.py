@@ -80,7 +80,7 @@ class TestMomentUpper:
 
     def test_linear_in_scale(self):
         cs = CovarianceSet([np.diag([1.0, 2.0]), np.diag([2.0, 0.5])])
-        assert moment_upper(GNormal(cs, scale=4.0), 1) == pytest.approx(
+        assert moment_upper(GNormal(covset_scale(cs, 2.0)), 1) == pytest.approx(
             4.0 * moment_upper(GNormal(cs), 1), abs=1e-12
         )
 
@@ -90,10 +90,6 @@ class TestMomentUpper:
         assert moment_upper(GNormal(cs), 2) == pytest.approx(
             gaussian_even_moment(q, 2)
         )
-
-    def test_rejects_negative_scale(self):
-        with pytest.raises(ValueError):
-            GNormal(CovarianceSet([np.eye(2)]), scale=-1.0)
 
 
 class TestMomentBounds:
@@ -105,7 +101,7 @@ class TestMomentBounds:
 
     def test_m2_full_rank_by_hand(self):
         # recursion by hand: J_2 = (Tr Q)^2 + 2 Tr Q^2 = 8 at Q = I_2
-        gn = GNormal(CovarianceSet([np.eye(2)]), scale=1.5)
+        gn = GNormal(covset_scale(CovarianceSet([np.eye(2)]), math.sqrt(1.5)))
         b = moment_bounds_check(gn, 2)
         s2 = 1.5**2
         assert b.lower == pytest.approx(2.0 * s2)
@@ -147,17 +143,17 @@ class TestMomentBounds:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_value_and_lower_are_bitwise_their_definitions(self, n):
-        # value is moment_upper's; lower is scale**m max_Q sum_i max(w_i, 0)**m,
+        # value is moment_upper's; lower is max_Q sum_i max(w_i, 0)**m,
         # with a rank-one extreme whose zero eigenvalues may drift below 0
         rng = np.random.default_rng(n)
         v = rng.standard_normal(n)
         cs = CovarianceSet([random_psd(rng, n), random_psd(rng, n), np.outer(v, v)])
-        gn = GNormal(cs, scale=0.8)
-        w = np.clip(cs.eigenvalues, 0.0, None)
+        gn = GNormal(covset_scale(cs, math.sqrt(0.8)))
+        w = np.clip(gn.sigma.eigenvalues, 0.0, None)
         for m in range(1, 6):
             b = moment_bounds_check(gn, m)
             assert np.float64(b.value).tobytes() == np.float64(moment_upper(gn, m)).tobytes()
-            lower = float(gn.scale**m * np.sum(w**m, axis=1).max())
+            lower = float(np.sum(w**m, axis=1).max())
             assert np.float64(b.lower).tobytes() == np.float64(lower).tobytes()
 
     def test_ok_on_random_sets(self):
@@ -168,7 +164,7 @@ class TestMomentBounds:
                 (lambda r: r @ r.T / n)(rng.standard_normal((n, n)))
                 for _ in range(int(rng.integers(1, 4)))
             ]
-            gn = GNormal(CovarianceSet(mats), scale=float(rng.uniform(0.1, 3.0)))
+            gn = GNormal(covset_scale(CovarianceSet(mats), math.sqrt(rng.uniform(0.1, 3.0))))
             for m in range(1, 6):
                 assert moment_bounds_check(gn, m).ok
 
@@ -210,15 +206,6 @@ class TestProjectionBand:
 
 class TestLawAlgebraConsistency:
     """Set algebra and projection bands must tell one consistent story."""
-
-    def test_scaled_set_matches_scaled_law(self, correlated_2d):
-        t = 2.7
-        gn = GNormal(correlated_2d, scale=t)
-        flat = GNormal(covset_scale(correlated_2d, math.sqrt(t)), scale=1.0)
-        h = np.array([0.6, -0.8])
-        a, b = project_band(gn, h), project_band(flat, h)
-        assert a.sigma_up_sq == pytest.approx(b.sigma_up_sq, rel=1e-12)
-        assert a.sigma_down_sq == pytest.approx(b.sigma_down_sq, rel=1e-12)
 
     def test_sum_band_is_sum_of_bands(self, spread_2d, correlated_2d):
         from gexpect import covset_sum
@@ -407,20 +394,21 @@ class TestLastDraw:
 
     @pytest.mark.parametrize("scale", [1.0, 0.3])
     def test_warm_law_is_bitwise_a_fresh_one(self, correlated_2d, scale):
-        warm = GNormal(correlated_2d, scale=scale)
+        sigma = covset_scale(correlated_2d, math.sqrt(scale))
+        warm = GNormal(sigma)
         for seed in (4, 5):
             for f in self.PAYOFFS:
-                fresh = GNormal(correlated_2d, scale=scale)
+                fresh = GNormal(sigma)
                 value = static_upper_expectation(warm, f, 500, seed)
                 assert self.bits(value) == self.bits(static_upper_expectation(fresh, f, 500, seed))
                 got = static_upper_report(warm, f, 500, seed)
-                want = static_upper_report(GNormal(correlated_2d, scale=scale), f, 500, seed)
+                want = static_upper_report(GNormal(sigma), f, 500, seed)
                 assert [self.bits(v) for v in got[:2]] == [self.bits(v) for v in want[:2]]
                 assert got.extreme_index == want.extreme_index
         # the kept draw is no part of the law's value
-        assert warm == GNormal(correlated_2d, scale=scale)
-        assert hash(warm) == hash(GNormal(correlated_2d, scale=scale))
-        assert repr(warm) == repr(GNormal(correlated_2d, scale=scale))
+        assert warm == GNormal(sigma)
+        assert hash(warm) == hash(GNormal(sigma))
+        assert repr(warm) == repr(GNormal(sigma))
 
     def test_a_new_n_or_seed_draws_afresh(self, correlated_2d):
         gn, f = GNormal(correlated_2d), lambda x: x[:, 0] ** 2 - x[:, 1]

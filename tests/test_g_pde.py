@@ -7,10 +7,11 @@ import pytest
 from scipy.interpolate import RegularGridInterpolator
 
 from gexpect import CovarianceSet, g_pde
-from gexpect.control_sim import ControlPolicy, PathBundle, PolicyFamily, lattice_1d
+from gexpect.control_sim import (
+    ControlPolicy, McControlSpec, PathBundle, PolicyFamily, lattice_1d,
+)
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
-    McControlSpec,
     MeshSpec,
     PdeProblem,
     flow_property_discrepancy,

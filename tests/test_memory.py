@@ -10,11 +10,10 @@ import pytest
 
 from gexpect import CovarianceSet
 from gexpect import control_sim
-from gexpect.control_sim import PolicyFamily, estimate_upper_expectation
+from gexpect.control_sim import McControlSpec, PolicyFamily, estimate_upper_expectation
 from gexpect.experiment_cli import run
 from gexpect.g_normal import GNormal, static_upper_expectation
 from gexpect.g_pde import (
-    McControlSpec,
     MeshSpec,
     PdeProblem,
     mc_values,

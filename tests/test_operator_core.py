@@ -142,6 +142,10 @@ class TestSchattenNorm:
         with pytest.raises(ValueError):
             schatten_norm(np.eye(2), 0.5)
 
+    def test_rejects_nan_p(self):
+        with pytest.raises(ValueError):
+            schatten_norm(np.eye(2), math.nan)
+
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 5))
     def test_monotone_in_p(self, seed, n):
