@@ -1,9 +1,13 @@
 """Covariance-set calculus from the ground up.
 
-Takes symmetric matrices as plain arrays, evaluates the induced sublinear functional,
-walks through the set algebra (scaling, sums, conjugation), tests hull
-membership, and round-trips a set through its JSON form.
+Takes symmetric matrices as plain arrays, reads the eigenvalues a set keeps,
+evaluates the induced sublinear functional and an integrand norm, walks
+through the set algebra (scaling, sums, conjugation), tests hull membership,
+and round-trips a set through its JSON form (``json.dumps`` of ``to_dict``,
+read back by ``from_json``).
 """
+
+import json
 
 import numpy as np
 
@@ -15,7 +19,6 @@ from gexpect import (
     covset_sum,
     g_eval,
     l2sigma_norm,
-    schatten_norm,
 )
 
 # Two extreme points with different shapes: an isotropic one and a spiked one.
@@ -30,10 +33,8 @@ print(f"G(diag(1,-1)) = {g_eval(sigma, b):.4f}"
       "   -- the spiked extreme wins on this direction")
 print(f"G(-diag(1,-1)) = {g_eval(sigma, -b):.4f}   -- sup is one-sided\n")
 
-# Schatten norms of an extreme, and the integrand norm of a test operator.
-q = sigma.matrices[1]
-print("Schatten norms of the spiked extreme:",
-      [round(schatten_norm(q, p), 3) for p in (1, 2, float('inf'))])
+# The eigenvalues the set keeps per extreme, and the integrand norm of a test operator.
+print("eigenvalues of the spiked extreme:", sigma.eigenvalues[1].tolist())
 phi = np.array([[1.0, 0.5]])
 print(f"||phi||_(set norm) = {l2sigma_norm(phi, sigma):.4f} for phi = {phi.tolist()}\n")
 
@@ -56,6 +57,6 @@ print("factor check ||gamma gamma^T - Q|| =",
       float(np.linalg.norm(gamma @ gamma.T - sigma.matrices[0])), "\n")
 
 # Serialization is bit-exact at double precision.
-back = CovarianceSet.from_json(sigma.to_json())
+back = CovarianceSet.from_json(json.dumps(sigma.to_dict()))
 print("JSON round trip exact:",
       all(np.array_equal(a_, b_) for a_, b_ in zip(sigma.matrices, back.matrices)))

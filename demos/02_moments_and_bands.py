@@ -1,9 +1,10 @@
 """Moments and one-dimensional projections of the centered law.
 
-The even moments of a single Gaussian factor come from an exact recursion;
-the set-level moment is the supremum over extremes, sandwiched between trace
-powers.  Every direction h carries a volatility band [down, up], and the
-static Monte Carlo evaluator reproduces the band edge for quadratic payoffs.
+The even moments of a single Gaussian factor N(0, q) are ``moment_upper`` of
+the one-point set {q}, from an exact recursion; the set-level moment is the
+supremum over extremes, sandwiched between trace powers.  Every direction h
+carries a volatility band [down, up], and the static Monte Carlo evaluator
+reproduces the band edge for quadratic payoffs.
 """
 
 import numpy as np
@@ -11,7 +12,6 @@ import numpy as np
 from gexpect import CovarianceSet
 from gexpect.g_normal import (
     GNormal,
-    gaussian_even_moment,
     moment_bounds_check,
     moment_constant,
     moment_upper,
@@ -21,7 +21,7 @@ from gexpect.g_normal import (
 )
 
 print("Classical sanity: E X^2, E X^4, E X^6 for a unit 1-d Gaussian:")
-print("  ", [gaussian_even_moment(np.array([[1.0]]), m) for m in (1, 2, 3)])
+print("  ", [moment_upper(GNormal(CovarianceSet([[[1.0]]])), m) for m in (1, 2, 3)])
 print("Certified sandwich constants K_m, m = 1..5:",
       [moment_constant(m) for m in range(1, 6)], "\n")
 

@@ -9,7 +9,6 @@ finite differences and the probabilistic representation, ``mc_values``),
 and ``experiment_cli`` (reproducible experiment runner).
 """
 
-from .operator_core import schatten_norm
 from .covariance_set import (
     CovarianceSet,
     covset_conjugate,
@@ -21,7 +20,6 @@ from .covariance_set import (
 )
 
 __all__ = [
-    "schatten_norm",
     "CovarianceSet",
     "g_eval",
     "l2sigma_norm",

@@ -180,10 +180,6 @@ class PathBundle:
     def dim(self) -> int:
         return self.states.shape[2]
 
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[:, -1, :]
-
 
 class UpperEstimate(NamedTuple):
     value: float

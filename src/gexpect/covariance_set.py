@@ -124,9 +124,6 @@ class CovarianceSet:
             "label": self.label,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict())
-
     @classmethod
     def from_dict(cls, doc: dict) -> "CovarianceSet":
         n = _count(doc["dim"])

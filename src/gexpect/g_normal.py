@@ -1,8 +1,9 @@
 """Centered distributions driven by a covariance set.
 
-Exact even-moment recursion for a single Gaussian factor, moment bounds for
-the whole set, one-dimensional projection bands, per-measure sampling and the
-static (supremum over extremes) upper-expectation evaluator.
+Exact even-moment recursion for each extreme (the moment of one Gaussian
+factor N(0, q) is ``moment_upper`` of the one-point set {q}), moment bounds
+for the whole set, one-dimensional projection bands, per-measure sampling and
+the static (supremum over extremes) upper-expectation evaluator.
 
 The static evaluator is exact whenever the supremum over adapted volatility
 controls is attained by a constant control (convex or concave payoffs in the
@@ -28,7 +29,6 @@ __all__ = [
     "MomentBounds",
     "StaticEstimate",
     "split_seed",
-    "gaussian_even_moment",
     "moment_constant",
     "moment_upper",
     "moment_bounds_check",
@@ -112,7 +112,11 @@ class StaticEstimate(NamedTuple):
 
 def _power_sums(eigenvalues, m: int) -> np.ndarray:
     """Row j - 1 is ``np.sum(w**j, axis=-1)``, j = 1..m, for the eigenvalues w
-    clipped at zero: Tr[Q^j] for each Q whose eigenvalues are a row."""
+    clipped at zero: Tr[Q^j] for each Q whose eigenvalues are a row.  Every
+    moment reads these sums first, so m = 0 is rejected here to keep the
+    contract sharp."""
+    if m < 1:
+        raise ValueError(f"moment order must be >= 1, got {m}")
     w = np.maximum(eigenvalues, 0.0)
     return np.array([(w**j).sum(axis=-1) for j in range(1, m + 1)])
 
@@ -126,21 +130,13 @@ def _moment(power_sums, m: int):
 
         F_r = (r-1)!/2 * sum_{j<r} F_j / j! * Tr[q^(r-j)],   F_0 = 1,
 
-    and E ||X||^(2m) = 2^m * F_m.  m = 0 is rejected to keep the contract
-    sharp.
+    and E ||X||^(2m) = 2^m * F_m.
     """
-    if m < 1:
-        raise ValueError(f"moment order must be >= 1, got {m}")
     f = [1.0]
     for r in range(1, m + 1):
         acc = sum(f[j] / math.factorial(j) * power_sums[r - j - 1] for j in range(r))
         f.append(math.factorial(r - 1) / 2.0 * acc)
     return 2.0**m * f[m]
-
-
-def gaussian_even_moment(q, m: int) -> float:
-    """E ||X||^(2m) under N(0, q), q PSD; the recursion is ``_moment``."""
-    return float(_moment(_power_sums(CovarianceSet([q]).eigenvalues[0], m), m))
 
 
 @functools.lru_cache
@@ -219,8 +215,14 @@ def sample_gaussian(q, n: int, seed: int) -> np.ndarray:
 
 
 def as_point(x0, dim: int) -> np.ndarray:
-    """Start point in R^dim; a scalar is repeated in every coordinate."""
-    return np.full(dim, float(x0)) if np.isscalar(x0) else as_coords(x0)
+    """Start point in R^dim; a scalar is repeated in every coordinate, and
+    anything else must have ``dim`` coordinates."""
+    if np.ndim(x0) == 0:
+        return np.full(dim, float(x0))
+    x = as_coords(x0)
+    if x.size != dim:
+        raise ValueError(f"point has {x.size} coordinates, the problem has dimension {dim}")
+    return x
 
 
 def evaluate_rows(f: Callable, x: np.ndarray) -> np.ndarray:

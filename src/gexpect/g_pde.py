@@ -45,7 +45,7 @@ from .covariance_set import CovarianceSet
 from .control_sim import (FOLD_ELEMENTS, McControlSpec, PathBundle, UpperEstimate,
                           _policy_sup, _stored, _terminal)
 from .g_normal import as_point, evaluate_rows
-from .operator_core import as_coords, nnls
+from .operator_core import nnls
 from .stoch_integral import _generator_diag, convolution_path
 
 __all__ = [
@@ -186,15 +186,16 @@ class GridSolution:
         return u.copy()
 
     def value_at(self, t: float, point) -> float:
-        """u at time t and ``point``: the slice nearest to t, interpolated
-        multilinearly at E(t_k) ``point`` (ValueError off the grid), bitwise as
-        scipy's RegularGridInterpolator, which weights a corner left to right
-        in 2-d and by the product of its weights otherwise."""
+        """u at time t and ``point``, a scalar or one coordinate per axis: the
+        slice nearest to t, interpolated multilinearly at E(t_k) ``point``
+        (ValueError off the grid), bitwise as scipy's RegularGridInterpolator,
+        which weights a corner left to right in 2-d and by the product of its
+        weights otherwise."""
         steps = t / self.dt
         k = int(round(steps)) if math.isfinite(steps) else -1  # inf and nan: off the range
         if not 0 <= k <= self.n_steps or abs(k * self.dt - t) > self.dt / 2 + 1e-12:
             raise ValueError(f"time {t} outside the solved range")
-        u, x, corners = self.time_slice(k), self.flow(k) * as_coords(point), []
+        u, x, corners = self.time_slice(k), self.flow(k) * as_point(point, len(self.axes)), []
         for ax, xa in zip(self.axes, x, strict=True):
             if not ax[0] <= xa <= ax[-1]:
                 raise ValueError(f"point {x.tolist()} outside the grid")

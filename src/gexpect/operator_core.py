@@ -21,7 +21,6 @@ __all__ = [
     "SYMMETRY_TOL",
     "PSD_EIGEN_TOL",
     "as_coords",
-    "schatten_norm",
 ]
 
 # Asymmetry accepted at construction; storage is exactly symmetric afterwards.
@@ -122,24 +121,6 @@ def _psd_power(stack: np.ndarray, power: float) -> np.ndarray:
 def as_coords(h) -> np.ndarray:
     """Coerce an array-like to a 1-d float ndarray."""
     return np.asarray(h, dtype=float).reshape(-1)
-
-
-def schatten_norm(a, p: float) -> float:
-    """Schatten p-norm of a symmetric operator via its eigenvalues.
-
-    For finite p returns ``(sum |lambda_i|^p)^(1/p)``; ``p = inf`` returns the
-    spectral radius.  Rejects p < 1 (not a norm there) and NaN.
-    """
-    if not p >= 1.0:
-        raise ValueError(f"schatten_norm requires p >= 1, got {p}")
-    w = np.abs(np.linalg.eigvalsh(_symmetric(_square(a)[None])[0]))
-    if p == math.inf:
-        return float(w.max())
-    if p == 1.0:
-        return float(w.sum())
-    if p == 2.0:
-        return float(np.sqrt(np.sum(w * w)))
-    return float(np.sum(w**p) ** (1.0 / p))
 
 
 def _dot(u, v) -> float:

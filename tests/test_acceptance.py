@@ -24,7 +24,6 @@ from gexpect.control_sim import (
 )
 from gexpect.g_normal import (
     GNormal,
-    gaussian_even_moment,
     moment_upper,
     project_band,
     sample_gaussian,
@@ -100,8 +99,8 @@ def test_criterion_02_moment_recursion():
     """Classical Gaussian moments to 1e-10; Monte Carlo to 1% at 1e6."""
     with criterion(2, "moment recursion", 30.0):
         for sigma_sq in (1.0, 0.6):
-            j2 = gaussian_even_moment(np.array([[sigma_sq]]), 2)
-            j3 = gaussian_even_moment(np.array([[sigma_sq]]), 3)
+            j2 = moment_upper(GNormal(CovarianceSet([[[sigma_sq]]])), 2)
+            j3 = moment_upper(GNormal(CovarianceSet([[[sigma_sq]]])), 3)
             assert abs(j2 - 3.0 * sigma_sq**2) <= 1e-10
             assert abs(j3 - 15.0 * sigma_sq**3) <= 1e-10
         draws = sample_gaussian(np.array([[1.0]]), 10**6, seed=2002).ravel()
@@ -110,7 +109,7 @@ def test_criterion_02_moment_recursion():
         q = _random_psd(np.random.default_rng(2003), 3)
         norms_sq = np.sum(sample_gaussian(q, 10**6, seed=2004) ** 2, axis=1)
         for m in (1, 2, 3):
-            exact = gaussian_even_moment(q, m)
+            exact = moment_upper(GNormal(CovarianceSet([q])), m)
             assert abs(np.mean(norms_sq**m) - exact) / exact < 0.01
 
 

@@ -452,6 +452,21 @@ class TestRun:
         assert main([]) == 2
 
 
+class TestLoadErrors:
+    @pytest.mark.parametrize("make, match", [
+        pytest.param(lambda tmp: tmp / "missing.json", "config file not found",
+                     id="no-config-file"),
+        pytest.param(lambda tmp: write_config(tmp, sigma="missing-sigma.json"),
+                     "covariance-set file not found", id="no-sigma-file"),
+        pytest.param(lambda tmp: write_config(tmp, params=[1]),
+                     "params must be a JSON object", id="params-not-object"),
+    ])
+    def test_raises(self, tmp_path, make, match):
+        with pytest.raises(experiment_cli.UsageError, match=match):
+            run(make(tmp_path))
+        assert not (tmp_path / "out").exists()
+
+
 class TestReport:
     """The record format of the runner's one sink."""
 

@@ -32,7 +32,7 @@ class TestSimulate:
         q = np.array([[1.0, 0.3], [0.3, 0.5]])
         cs = CovarianceSet([q], label="singleton")
         bundle = simulate_gbm(cs, ControlPolicy.constant(0), 10**5, 8, 2.0, seed=3)
-        b_T = bundle.terminal
+        b_T = bundle.states[:, -1]
         emp = b_T.T @ b_T / b_T.shape[0]
         assert np.linalg.norm(emp - 2.0 * q) < 0.03 * 2.0
 
@@ -422,7 +422,7 @@ class TestUpperExpectation:
         assert name == "bang[stat>=0:0,else:1]"
         rule = lambda t, states: np.where(x0 + states[:, 0] >= 0.0, 0, 1)
         paths = simulate_gbm(band_1d, ControlPolicy.feedback(rule), 4000, 16, 1.0, seed=3)
-        assert mean == pytest.approx(np.mean(f(x0 + paths.terminal)), rel=1e-12)
+        assert mean == pytest.approx(np.mean(f(x0 + paths.states[:, -1])), rel=1e-12)
 
     def test_feedback_optimum_stays_below_lattice(self, band_1d):
         # x^3 is convex right of 0 and concave left of it: switching on the
@@ -510,3 +510,35 @@ class TestNested:
         assert four_term == 0.0
         margin = 3.0 * band.sigma_up_sq / math.sqrt(6000)
         assert abs(v - four_term) <= margin
+
+
+BAND = CovarianceSet([[[1.0]], [[0.25]]], label="band-1d")
+
+
+class TestErrors:
+    @pytest.mark.parametrize("call, exc, match", [
+        pytest.param(lambda: ControlPolicy(kind="weird").select_indices(0, 0.0, np.zeros((2, 1))),
+                     ValueError, "unknown policy kind 'weird'", id="unknown-policy-kind"),
+        pytest.param(lambda: control_sim.PathBundle([0.0, 0.0], None, None, 0, None, None),
+                     ValueError, "times must be strictly increasing", id="times-not-increasing"),
+        pytest.param(lambda: simulate_gbm(BAND, ControlPolicy.constant(0), 0, 4, 1.0, seed=0),
+                     ValueError, "n_paths must be >= 1, got 0", id="no-paths"),
+        pytest.param(lambda: lattice_1d(VolatilityBand(1.0, 0.25), lambda x: 0.0, 0.0, 1.0, 4),
+                     ValueError, "lattice payoff must map", id="lattice-payoff-shape"),
+        pytest.param(lambda: nested_expectation(BAND, lambda x, y: np.zeros(3), 1.0,
+                                                McControlSpec(steps=2, n_paths=4),
+                                                McControlSpec(steps=2, n_paths=4)),
+                     ValueError, "f2 must broadcast", id="nested-payoff-shape"),
+    ])
+    def test_raises(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()
+
+    @pytest.mark.parametrize("name", ["seed", "extra"], ids=["existing", "new"])
+    def test_bundle_refuses_assignment_and_keeps_its_fields(self, name):
+        bundle = simulate_gbm(BAND, ControlPolicy.constant(0), 4, 2, 1.0, seed=0)
+        before = {field: getattr(bundle, field) for field in control_sim.PathBundle.__slots__}
+        with pytest.raises(AttributeError, match="PathBundle is immutable"):
+            setattr(bundle, name, 1)
+        assert all(getattr(bundle, field) is value for field, value in before.items())
+        assert not hasattr(bundle, "extra")

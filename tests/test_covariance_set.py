@@ -65,7 +65,7 @@ class TestConstruction:
         rng = np.random.default_rng(11)
         mats = [random_psd(rng, 3) for _ in range(3)]
         cs = CovarianceSet(mats, label="round-trip")
-        back = CovarianceSet.from_json(cs.to_json())
+        back = CovarianceSet.from_json(json.dumps(cs.to_dict()))
         assert back.label == cs.label
         assert back.dim == cs.dim
         for a, b in zip(cs.matrices, back.matrices):
@@ -484,3 +484,23 @@ class TestMembership:
         assert verdicts == [True] * len(inside) + [False] * len(outside)
         monkeypatch.setattr(covariance_set, "nnls", scipy_nnls)
         assert verdicts == [covset_contains(cs, q) for q in inside + outside]
+
+
+class TestErrors:
+    @pytest.mark.parametrize("call, exc, match", [
+        pytest.param(lambda: covset_conjugate(CovarianceSet([np.eye(2)]), np.eye(3)),
+                     ValueError, r"operator with \(3, 3\) columns does not act on dim 2",
+                     id="conjugate-dimension"),
+    ])
+    def test_raises(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()
+
+    @pytest.mark.parametrize("name", ["label", "extra"], ids=["existing", "new"])
+    def test_set_refuses_assignment_and_keeps_its_fields(self, name):
+        cs = CovarianceSet([np.eye(2), np.diag([2.0, 0.5])], label="kept")
+        before = {field: getattr(cs, field) for field in CovarianceSet.__slots__}
+        with pytest.raises(AttributeError, match="CovarianceSet is immutable"):
+            setattr(cs, name, "changed")
+        assert all(getattr(cs, field) is value for field, value in before.items())
+        assert cs.label == "kept" and not hasattr(cs, "extra")

@@ -10,7 +10,6 @@ from gexpect.g_normal import (
     VolatilityBand,
     _moment,
     _power_sums,
-    gaussian_even_moment,
     moment_bounds_check,
     moment_constant,
     moment_upper,
@@ -27,12 +26,12 @@ from conftest import mc_se, near_psd, random_psd
 class TestMomentRecursion:
     def test_second_moment_1d(self):
         # E X^2 = sigma^2
-        assert gaussian_even_moment(np.array([[0.7]]), 1) == pytest.approx(0.7)
+        assert moment_upper(GNormal(CovarianceSet([[[0.7]]])), 1) == pytest.approx(0.7)
 
     def test_fourth_moment_1d_with_mc_oracle(self):
         # classical fourth moment 3 sigma^4, cross-checked by MC
         sigma_sq = 1.3
-        exact = gaussian_even_moment(np.array([[sigma_sq]]), 2)
+        exact = moment_upper(GNormal(CovarianceSet([[[sigma_sq]]])), 2)
         assert exact == pytest.approx(3.0 * sigma_sq**2, abs=1e-10)
         rng = np.random.default_rng(42)
         draws = rng.standard_normal(10**6) * math.sqrt(sigma_sq)
@@ -41,14 +40,19 @@ class TestMomentRecursion:
 
     def test_second_moment_identity_2d(self):
         # E ||X||^2 = Tr Q applied to a single factor
-        assert gaussian_even_moment(np.eye(2), 1) == pytest.approx(2.0)
+        assert moment_upper(GNormal(CovarianceSet([np.eye(2)])), 1) == pytest.approx(2.0)
 
     def test_sixth_moment_1d(self):
-        assert gaussian_even_moment(np.array([[1.0]]), 3) == pytest.approx(15.0, abs=1e-10)
+        assert moment_upper(GNormal(CovarianceSet([[[1.0]]])), 3) == pytest.approx(15.0, abs=1e-10)
 
     def test_rejects_order_zero(self):
-        with pytest.raises(ValueError):
-            gaussian_even_moment(np.eye(2), 0)
+        with pytest.raises(ValueError, match="moment order must be >= 1"):
+            moment_upper(GNormal(CovarianceSet([np.eye(2)])), 0)
+
+    @pytest.mark.parametrize("m", [0, -1])
+    def test_bounds_check_rejects_order_below_one(self, m):
+        with pytest.raises(ValueError, match="moment order must be >= 1"):
+            moment_bounds_check(GNormal(CovarianceSet([np.eye(2)])), m)
 
     @pytest.mark.parametrize("m", [1, 2, 3, 4, 5])
     def test_stacked_rows_equal_row_by_row_calls(self, m):
@@ -67,7 +71,7 @@ class TestMomentRecursion:
         draws = sample_gaussian(q, 10**6, seed=7)
         norms_sq = np.sum(draws**2, axis=1)
         for m in (1, 2, 3):
-            exact = gaussian_even_moment(q, m)
+            exact = moment_upper(GNormal(CovarianceSet([q])), m)
             mc = float(np.mean(norms_sq**m))
             assert abs(mc - exact) / exact < 0.01
 
@@ -85,11 +89,10 @@ class TestMomentUpper:
         )
 
     def test_singleton_reduces_to_single_gaussian(self):
+        # E ||X||^4 = (Tr q)^2 + 2 Tr[q^2] under N(0, q): 9 + 2 * 5.5
         q = np.array([[2.0, 0.5], [0.5, 1.0]])
         cs = CovarianceSet([q])
-        assert moment_upper(GNormal(cs), 2) == pytest.approx(
-            gaussian_even_moment(q, 2)
-        )
+        assert moment_upper(GNormal(cs), 2) == pytest.approx(20.0)
 
 
 class TestMomentBounds:
@@ -445,3 +448,18 @@ class TestLastDraw:
         assert gn._last is not None and gn._last[0] == (limit, 3)
         static_upper_expectation(gn, f, limit + 1, 3)
         assert gn._last is None
+
+
+class TestErrors:
+    @pytest.mark.parametrize("call, exc, match", [
+        pytest.param(lambda: project_band(GNormal(CovarianceSet([np.eye(2)])), [1.0]),
+                     ValueError, "dimension mismatch in project_band: 1 != 2", id="band-direction"),
+        pytest.param(lambda: sample_gaussian(np.eye(2), 0, seed=0),
+                     ValueError, "need at least one draw, got n=0", id="no-gaussian-draws"),
+        pytest.param(lambda: static_upper_expectation(GNormal(CovarianceSet([np.eye(2)])),
+                                                      lambda x: x[:, 0], 0, 0),
+                     ValueError, "need at least one draw, got n=0", id="no-static-draws"),
+    ])
+    def test_raises(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()

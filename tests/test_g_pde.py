@@ -8,7 +8,8 @@ from scipy.interpolate import RegularGridInterpolator
 
 from gexpect import CovarianceSet, g_pde
 from gexpect.control_sim import (
-    ControlPolicy, McControlSpec, PathBundle, PolicyFamily, lattice_1d,
+    ControlPolicy, McControlSpec, PathBundle, PolicyFamily, estimate_upper_expectation,
+    lattice_1d,
 )
 from gexpect.g_normal import VolatilityBand
 from gexpect.g_pde import (
@@ -406,7 +407,7 @@ class TestOuPaths:
                               0.0, 0.5, 8, 2000, seed=11)
         hand = mild_feedback_terminal(sigma, rule, [1.0, 0.2], np.diag(a), 0.5, 8, 2000,
                                       seed=11)
-        assert np.array_equal(bundle.terminal, hand)
+        assert np.array_equal(bundle.states[:, -1], hand)
 
 
 def step_set(sigma, diag, dt):
@@ -489,7 +490,7 @@ class TestMcValue:
             means = []
             for pol in policies:
                 ends = ou_mild_path(a, walked, pol, probe, 0.1, 0.5, 8, 400,
-                                    seed=7).terminal
+                                    seed=7).states[:, -1]
                 if pol.kind == "feedback":
                     assert np.array_equal(ends, mild_feedback_terminal(
                         walked, pol.rule, probe, np.diag(a), 0.4, 8, 400, seed=7))
@@ -1004,3 +1005,92 @@ class TestCheckpoints:
         planned = len(calls)
         sol.values, sol.time_slice(1), sol.value_at(0.0, [0.1, 0.2])
         assert len(calls) == planned
+
+
+class TestPointDimension:
+    """A point is a scalar, repeated in every coordinate, or has one coordinate
+    per dimension of its problem."""
+
+    SIGMA = CovarianceSet([np.diag([1.0, 0.25]), 0.5 * np.eye(2)], label="point-2d")
+    A = np.diag([-0.5, 0.0])
+
+    def problem(self):
+        return PdeProblem(2, self.SIGMA, lambda p: p[..., 0] * p[..., 1], 0.5,
+                          ((-2.0, 2.0),) * 2, a_gen=self.A)
+
+    def at(self, entry, point):
+        """What ``entry`` gives at the start point ``point`` on the 2-d set."""
+        if entry == "estimate_upper_expectation":
+            return estimate_upper_expectation(self.SIGMA, lambda x: x[:, 0] * x[:, 1], point,
+                                              0.5, 4, 64, PolicyFamily(), seed=3).value
+        if entry == "mc_values":
+            return mc_values(self.problem(), [point], 0.0,
+                             McControlSpec(steps=4, n_paths=64, seed=3))[0].value
+        if entry == "ou_mild_path":
+            return ou_mild_path(self.A, self.SIGMA, ControlPolicy.constant(0), point, 0.0, 0.5,
+                                4, 8, seed=3).states
+        return solve_gpde(self.problem(), MeshSpec(nodes=11)).value_at(0.0, point)
+
+    ENTRIES = ["estimate_upper_expectation", "mc_values", "ou_mild_path", "value_at"]
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    @pytest.mark.parametrize("point", [[0.3], [0.3, 0.3, 0.3]], ids=["one", "three"])
+    def test_rejects_a_point_of_another_dimension(self, entry, point):
+        with pytest.raises(ValueError, match=f"point has {len(point)} coordinates, "
+                                             f"the problem has dimension 2"):
+            self.at(entry, point)
+
+    @pytest.mark.parametrize("entry", ENTRIES)
+    def test_scalar_is_the_point_in_every_coordinate(self, entry):
+        assert np.array_equal(self.at(entry, 0.3), self.at(entry, [0.3, 0.3]))
+        assert np.array_equal(self.at(entry, np.float64(0.3)), self.at(entry, np.array(0.3)))
+
+
+class TestErrors:
+    @staticmethod
+    def solved():
+        return solve_gheat(band_problem(f_square), MeshSpec(nodes=11))
+
+    @pytest.mark.parametrize("call, exc, match", [
+        pytest.param(lambda: PdeProblem(4, CovarianceSet([np.eye(4)]), f_square, 1.0,
+                                        ((-1.0, 1.0),) * 4),
+                     ValueError, "dim must be 1, 2 or 3, got 4", id="dim-4"),
+        pytest.param(lambda: PdeProblem(2, CovarianceSet([[[1.0]]]), f_square, 1.0,
+                                        ((-1.0, 1.0),) * 2),
+                     ValueError, "covariance set dimension differs", id="set-dimension"),
+        pytest.param(lambda: band_problem(f_square, T=0.0),
+                     ValueError, "horizon must be positive", id="zero-horizon"),
+        pytest.param(lambda: band_problem(f_square, box=((1.0, -1.0),)),
+                     ValueError, "domain_box must give a nonempty interval", id="empty-box"),
+        pytest.param(lambda: TestErrors.solved().nonexistent,
+                     AttributeError, "'GridSolution' object has no attribute 'nonexistent'",
+                     id="unknown-attribute"),
+        pytest.param(lambda: TestErrors.solved().time_slice(-1),
+                     IndexError, r"slice -1 outside 0\.\.", id="slice-out-of-range"),
+        pytest.param(lambda: solve_gheat(band_problem(lambda p: 0.0), MeshSpec(nodes=11)),
+                     ValueError, r"terminal data must map \(\.\.\.,1\) points to a \(11,\) grid",
+                     id="terminal-shape"),
+        pytest.param(lambda: ou_mild_path(None, CovarianceSet([[[1.0]]]),
+                                          ControlPolicy.constant(0), 0.0, 0.5, 0.5, 4, 8, 0),
+                     ValueError, "need T > t0, got t0=0.5, T=0.5", id="empty-interval"),
+        pytest.param(lambda: flow_property_discrepancy(
+                         ou_mild_path(None, CovarianceSet([[[1.0]]]), ControlPolicy.constant(0),
+                                      0.0, 0.0, 1.0, 4, 8, 0), None, 4),
+                     ValueError, "split index must be an interior grid index",
+                     id="split-at-the-end"),
+    ])
+    def test_raises(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()
+
+    @pytest.mark.parametrize("name", ["dt", "extra"], ids=["existing", "new"])
+    def test_solution_refuses_assignment_and_keeps_its_fields(self, name):
+        sol = self.solved()
+        fields = [field for field in g_pde.GridSolution.__slots__ if field != "values"]
+        before = {field: getattr(sol, field) for field in fields}
+        slice_0 = sol.time_slice(0)
+        with pytest.raises(AttributeError, match="GridSolution is immutable"):
+            setattr(sol, name, 1.0)
+        assert all(getattr(sol, field) is value for field, value in before.items())
+        assert not hasattr(sol, "extra")
+        assert np.array_equal(sol.time_slice(0), slice_0)

@@ -2,25 +2,20 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 from scipy.optimize import nnls as scipy_nnls
 
 from gexpect import CovarianceSet, operator_core
 from gexpect.g_pde import PdeProblem
-from gexpect.operator_core import schatten_norm
 
 from conftest import random_sym
 
-ENTRY_POINTS = ["CovarianceSet", "schatten_norm", "a_gen"]
+ENTRY_POINTS = ["CovarianceSet", "a_gen"]
 
 
 def validate(entry, m):
     """Send one matrix-like through a public entry point that validates it."""
     if entry == "CovarianceSet":
         return CovarianceSet([m])
-    if entry == "schatten_norm":
-        return schatten_norm(m, 2)
     n = len(m)
     return PdeProblem(n, CovarianceSet([np.eye(n)]), lambda p: p[..., 0], 1.0,
                       ((-1.0, 1.0),) * n, a_gen=m)
@@ -120,51 +115,6 @@ class TestPsdValidation:
     def test_rejects_genuinely_indefinite(self, diag, bound):
         with pytest.raises(ValueError, match=f"not PSD: .* below -{bound} "):
             CovarianceSet([np.diag(diag)])
-
-
-class TestSchattenNorm:
-    def test_identity_trace_norm(self):
-        # trace of the 2x2 identity
-        assert schatten_norm(np.eye(2), 1) == pytest.approx(2.0)
-
-    def test_spectral_radius(self):
-        # largest absolute eigenvalue of diag(3, -4)
-        assert schatten_norm(np.diag([3.0, -4.0]), math.inf) == pytest.approx(4.0)
-
-    def test_frobenius_against_eigen_sum_oracle(self):
-        # oracle: explicit eigen-sum sqrt(3^2 + 4^2) = 5
-        a = np.diag([3.0, 4.0])
-        oracle = float(np.sqrt(np.sum(np.linalg.eigvalsh(a) ** 2)))
-        assert oracle == pytest.approx(5.0)
-        assert schatten_norm(a, 2) == pytest.approx(5.0, abs=1e-12)
-
-    def test_rejects_p_below_one(self):
-        with pytest.raises(ValueError):
-            schatten_norm(np.eye(2), 0.5)
-
-    def test_rejects_nan_p(self):
-        with pytest.raises(ValueError):
-            schatten_norm(np.eye(2), math.nan)
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 5))
-    def test_monotone_in_p(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = random_sym(rng, n)
-        n1 = schatten_norm(a, 1)
-        n2 = schatten_norm(a, 2)
-        ninf = schatten_norm(a, math.inf)
-        assert n1 >= n2 - 1e-12 and n2 >= ninf - 1e-12
-
-    @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 10**6), st.integers(1, 5))
-    def test_trace_hoelder(self, seed, n):
-        rng = np.random.default_rng(seed)
-        a = random_sym(rng, n)
-        b = random_sym(rng, n)
-        lhs = abs(np.trace(a @ b))
-        rhs = schatten_norm(a, math.inf) * schatten_norm(b, 1)
-        assert lhs <= rhs * (1.0 + 1e-12) + 1e-12
 
 
 class TestNnls:

@@ -7,7 +7,7 @@ from scipy.special import gammainc
 
 from gexpect import CovarianceSet, stoch_integral
 from gexpect.control_sim import ControlPolicy, PolicyFamily, _walk, simulate_gbm
-from gexpect.g_normal import GNormal, gaussian_even_moment, project_band
+from gexpect.g_normal import GNormal, moment_upper, project_band
 from gexpect.stoch_integral import (
     BDG_CONSTANTS,
     ElementaryProcess,
@@ -28,7 +28,7 @@ class TestIntegrate:
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 8, 1.0, seed=1)
         phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 9), [np.eye(1)] * 8)
         res = integrate_elementary(phi, bundle)
-        assert np.allclose(res.values, bundle.terminal, atol=1e-14)
+        assert np.allclose(res.values, bundle.states[:, -1], atol=1e-14)
 
     def test_zero_integrand(self, band_1d):
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 30, 8, 1.0, seed=1)
@@ -82,7 +82,7 @@ class TestIntegrate:
         bundle = simulate_gbm(band_1d, ControlPolicy.constant(0), 10, 8, 1.0, seed=1)
         phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.0, 5), [2.0 * np.eye(1)] * 4)
         res = integrate_elementary(phi, bundle)
-        assert np.allclose(res.values, 2.0 * bundle.terminal, atol=1e-14)
+        assert np.allclose(res.values, 2.0 * bundle.states[:, -1], atol=1e-14)
 
     def test_shift_invariance_in_time_origin(self, band_1d):
         # the integral depends on increments only: relabeling the grid by a
@@ -223,7 +223,7 @@ class TestBdg:
         phi = ElementaryProcess.deterministic(np.linspace(0.0, 1.5, 4), [np.array([[1.2]])] * 3)
         chk = bdg_check(phi, cs, 4, PolicyFamily(), 200_000, seed=8)
         var = 1.5 * 1.2**2 * 0.7
-        oracle = gaussian_even_moment(np.array([[var]]), 2) / var**2
+        oracle = moment_upper(GNormal(CovarianceSet([[[var]]])), 2) / var**2
         assert oracle == pytest.approx(3.0)
         assert chk.cp_estimate == pytest.approx(3.0, rel=0.05)
         assert chk.ok
@@ -533,3 +533,58 @@ class TestConvolutionCondition:
             with pytest.raises(ValueError):
                 convolution_condition(-np.eye(2), spread_2d, beta, 1.0, 10)
 
+
+
+BAND = CovarianceSet([[[1.0]], [[0.25]]], label="band-1d")
+
+
+def one_step_paths():
+    return simulate_gbm(BAND, ControlPolicy.constant(0), 4, 1, 1.0, seed=0)
+
+
+class TestErrors:
+    @pytest.mark.parametrize("call, exc, match", [
+        pytest.param(lambda: ElementaryProcess([0.0], blocks=[]),
+                     ValueError, "partition must be strictly increasing with >= 2 points",
+                     id="one-point-partition"),
+        pytest.param(lambda: ElementaryProcess([0.0, 1.0]),
+                     ValueError, "provide exactly one of blocks / block_rule", id="no-blocks"),
+        pytest.param(lambda: ElementaryProcess.deterministic([0.0, 0.5, 1.0], [np.eye(1)]),
+                     ValueError, "need one block per interval: 2", id="block-count"),
+        pytest.param(lambda: ElementaryProcess([0.0, 1.0], block_rule=lambda t, s: np.eye(1)),
+                     ValueError, "adapted form requires out_dim and in_dim", id="rule-no-dims"),
+        pytest.param(lambda: ElementaryProcess.adapted([0.0, 1.0], lambda t, s: np.zeros(3), 1, 1)
+                     .block_values(0, 0.0, np.zeros((2, 1))),
+                     ValueError, r"block rule returned shape \(3,\)", id="rule-shape"),
+        pytest.param(lambda: integrate_elementary(
+                         ElementaryProcess.deterministic([0.0, 1.0], [np.eye(2)]),
+                         one_step_paths()),
+                     ValueError, "integrand acts on dim 2, paths live in dim 1",
+                     id="integrand-dimension"),
+        pytest.param(lambda: bdg_check(
+                         ElementaryProcess.deterministic([0.0, 0.25, 1.0], [np.eye(1)] * 2),
+                         BAND, 2, PolicyFamily(), 8, seed=0),
+                     ValueError, "inequality checks need a uniform partition from 0",
+                     id="nonuniform-partition"),
+        pytest.param(lambda: sigma_of_integral(lambda t: np.eye(1), BAND, 1.0, 0),
+                     ValueError, "quad_steps must be >= 1, got 0", id="integral-no-steps"),
+        pytest.param(lambda: sigma_of_integral(lambda t: np.eye(1), BAND, 0.0, 4),
+                     ValueError, "horizon must be positive, got T=0.0", id="integral-zero-horizon"),
+        pytest.param(lambda: fubini_check([], [], one_step_paths()),
+                     ValueError, "need matching nonempty integrands and weights",
+                     id="fubini-no-integrands"),
+        pytest.param(lambda: convolution_condition(None, BAND, 0.5, 1.0, 0),
+                     ValueError, "quad_steps must be >= 1, got 0", id="condition-no-steps"),
+    ])
+    def test_raises(self, call, exc, match):
+        with pytest.raises(exc, match=match):
+            call()
+
+    @pytest.mark.parametrize("name", ["out_dim", "extra"], ids=["existing", "new"])
+    def test_process_refuses_assignment_and_keeps_its_fields(self, name):
+        phi = ElementaryProcess.deterministic([0.0, 0.5, 1.0], [np.eye(1), 2.0 * np.eye(1)])
+        before = {field: getattr(phi, field) for field in ElementaryProcess.__slots__}
+        with pytest.raises(AttributeError, match="ElementaryProcess is immutable"):
+            setattr(phi, name, 3)
+        assert all(getattr(phi, field) is value for field, value in before.items())
+        assert phi.out_dim == 1 and not hasattr(phi, "extra")
